@@ -10,11 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
 from .decompose import BlockcodeDecomposition, decompose, verify_decomposition
-from .errors import AxiomViolation, CriterionViolated, InputSyntaxError, ToolError
+from .errors import (
+    AxiomViolation,
+    CriterionViolated,
+    InputSyntaxError,
+    InternalError,
+    ToolError,
+)
 from .flag import ClosureLimits
 from .pipeline import analyze
 from .poset import mobius
@@ -102,8 +109,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cert_doc = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
     except OSError as e:
         raise InputSyntaxError(f"cannot read {args.certificate}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputSyntaxError(f"certificate is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise InputSyntaxError(f"malformed certificate JSON: {e}") from e
+    except RecursionError as e:
+        raise InputSyntaxError("certificate JSON nests too deeply") from e
     dec = BlockcodeDecomposition.from_json(cert_doc, rep)
     outcome = verify_decomposition(rep, dec)
     _dump(
@@ -207,9 +218,13 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.fn(args)
     except ToolError as e:
-        _dump({"error": e.to_json()}, getattr(args, "output", None))
-        print(f"error: {e.code}: {e.message}", file=sys.stderr)
-        return 2
+        error = e
+    except Exception as e:  # the exit-code contract: a defect is an error, never a refutation
+        traceback.print_exc(file=sys.stderr)
+        error = InternalError(f"{type(e).__name__}: {e}")
+    _dump({"error": error.to_json()}, getattr(args, "output", None))
+    print(f"error: {error.code}: {error.message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

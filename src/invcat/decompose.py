@@ -119,9 +119,11 @@ class BlockcodeDecomposition:
                 if not isinstance(entry, dict) or "basis" not in entry or "atom" not in entry:
                     raise ValidationError("atom entry needs 'atom' and 'basis'", path=where)
                 basis = entry["basis"]
-                if not isinstance(basis, list):
-                    raise ValidationError("atom basis must be an array", path=where)
+                if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
+                    raise ValidationError("atom basis must be an array of rows", path=where)
                 ambient = dim if dim is not None else (len(basis[0]) if basis else 0)
+                if any(len(r) != ambient for r in basis):
+                    raise ValidationError(f"atom basis rows must have {ambient} entries", path=where)
                 rows = [
                     [field.parse_entry(x, f"{where}.basis") for x in row] for row in basis
                 ]

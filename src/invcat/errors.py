@@ -90,3 +90,9 @@ class AlignmentFailure(ToolError):
 
 class TooLarge(ToolError):
     code = "TooLarge"
+
+
+class InternalError(ToolError):
+    """An unexpected exception reached the CLI boundary (a defect, not bad input)."""
+
+    code = "InternalError"

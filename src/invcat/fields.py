@@ -2,8 +2,10 @@
 
 Rational scalars are :class:`fractions.Fraction` values (arbitrary precision,
 normalized sign and gcd).  Prime-field scalars are plain ints in ``[0, p)``.
-All arithmetic goes through a :class:`Field` so matrix code stays agnostic.
-No floating point anywhere.
+A :class:`Field` parses, validates and formats scalars and offers per-scalar
+arithmetic; the matrix kernel in :mod:`invcat.linalg` computes on plain ints
+instead and picks its Q or GF(p) branch from ``Field.p``.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -12,23 +14,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import ValidationError
+from .errors import TooLarge, ValidationError
 
 Scalar = Union[int, Fraction]
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for ``n < PRIME_BOUND``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -39,7 +55,15 @@ class Field:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= PRIME_BOUND:
+            raise TooLarge(
+                f"field modulus {self.p} is not below {PRIME_BOUND}, "
+                "the bound of the exact primality test",
+                path="field.p",
+            )
+        if not _is_prime(self.p):
             raise ValidationError(f"field modulus {self.p} is not prime", path="field.p")
 
     @property

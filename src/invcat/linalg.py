@@ -5,17 +5,154 @@ stored as a c x d matrix.  Subspaces are kept in a canonical form: the unique
 reduced row-echelon basis of the row space, with zero rows dropped.  Two
 Subspace values describe the same set of vectors iff they are equal as Python
 values, so deduplication, hashing and poset construction all key on equality.
+
+All arithmetic runs on plain Python ints.  Over GF(p) the scalars already are
+ints, reduced once per dot product and once per row-operation entry.  Over Q
+a matrix is scaled to an integer grid over one common denominator, so a
+product costs integer dot products and one Fraction per output entry.
+Elimination over Q is fraction-free: rows are cross-multiplied and kept
+primitive, and are divided by their pivot only when the canonical rows are
+emitted.  ``Matrix.entries`` and ``Subspace.basis`` stay canonical Fraction
+(or int mod p) tuples.  Each value lazily caches its integer form and its
+hash; a cache is a pure function of the frozen value and takes no part in
+equality or repr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fields import Field, Scalar
 
 Vector = Tuple[Scalar, ...]
+IntRow = Tuple[int, ...]
+
+_ZERO = Fraction(0)
+
+
+# --- integer kernel ------------------------------------------------------------
+
+
+def _int_vector(field: Field, v: Sequence) -> Tuple[int, List[int]]:
+    """``(d, w)`` with ``v == w / d``: a common denominator and integer numerators.
+
+    Over GF(p), ``d`` is 1 and ``w`` is ``v`` reduced mod p.  Entries are
+    validated as :meth:`Field.coerce` validates them.
+    """
+    p = field.p
+    if p is not None:
+        return 1, [x % p if type(x) is int else field.coerce(x) for x in v]
+    if all(type(x) is int for x in v):
+        return 1, list(v)
+    nd = [
+        (x.numerator, x.denominator)
+        for x in (x if type(x) is Fraction else field.coerce(x) for x in v)
+    ]
+    d = lcm(*[q for _, q in nd])
+    return d, [n * (d // q) for n, q in nd]
+
+
+def _fraction_row(row: Iterable[int], d: int) -> Vector:
+    """The Fractions ``row / d``, sharing one zero."""
+    if d == 1:
+        return tuple(Fraction(x) if x else _ZERO for x in row)
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def _columns(rows: Tuple[IntRow, ...], ncols: int) -> Tuple[IntRow, ...]:
+    return tuple(zip(*rows)) if rows else ((),) * ncols
+
+
+def _rational_matrix(
+    field: Field, nrows: int, ncols: int, grid: List[List[int]], d: int
+) -> "Matrix":
+    """The rational matrix ``grid / d``, with its integer form cached.
+
+    Dividing out ``gcd(d, every entry)`` leaves the least common denominator
+    of the entries, which is the canonical integer form.
+    """
+    g = gcd(d, *chain.from_iterable(grid))
+    if g != 1:
+        d //= g
+        grid = [[x // g for x in r] for r in grid]
+    rows = tuple(map(tuple, grid))
+    m = Matrix(field, nrows, ncols, tuple(_fraction_row(r, d) for r in rows))
+    object.__setattr__(m, "_int_form", (d, rows, _columns(rows, ncols)))
+    return m
+
+
+def _eliminate(p: Optional[int], rows: List[Sequence[int]], ncols: int) -> List[int]:
+    """Gauss-Jordan elimination on integer rows; returns the pivot columns.
+
+    The list ``rows`` is updated in place (a changed row is replaced by a new
+    list, so the rows passed in may be shared tuples).
+
+    Afterwards ``rows[i]`` for ``i < len(pivots)`` is nonzero at ``pivots[i]``
+    and zero in every other pivot column, and the remaining rows are zero.
+    Over GF(p) the rows must be reduced mod p; each pivot becomes 1, so the
+    nonzero rows are the RREF basis of the row space.  Over Q (``p is None``)
+    each nonzero row is the primitive integer multiple, with a positive
+    pivot, of its RREF row.
+    """
+    n = len(rows)
+    if p is None:
+        for i, row in enumerate(rows):
+            g = gcd(*row)
+            if g > 1:
+                rows[i] = [x // g for x in row]
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        for k in range(r, n):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        if p is None:
+            for i, row in enumerate(rows):
+                b = row[c]
+                if b and i != r:
+                    g = gcd(a, b)
+                    s, t = a // g, b // g
+                    row = [s * x - t * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+        else:
+            if a != 1:
+                a = pow(a, -1, p)
+                prow = rows[r] = [x * a % p for x in prow]
+            for i, row in enumerate(rows):
+                b = row[c]
+                if b and i != r:
+                    rows[i] = [(x - b * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    if p is None:
+        for i, c in enumerate(pivots):
+            if rows[i][c] < 0:
+                rows[i] = [-x for x in rows[i]]
+    return pivots
+
+
+def _emit(field: Field, rows: List[Sequence[int]], pivots: List[int]) -> List[Vector]:
+    """Canonical scalars of the nonzero rows left by :func:`_eliminate`."""
+    if field.p is not None:
+        return [tuple(r) for r in rows[: len(pivots)]]
+    return [_fraction_row(r, r[c]) for r, c in zip(rows, pivots)]
+
+
+# --- matrices ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -25,11 +162,37 @@ class Matrix:
     cols: int
     entries: Tuple[Vector, ...]  # row-major
 
+    # Lazy caches (not dataclass fields, so equality and repr ignore them).
+    _hash = None
+    _int_form = None  # (d, int rows, int columns) with entries == rows / d
+
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValidationError("matrix entry grid does not match declared shape")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def _ints(self) -> Tuple[int, Tuple[IntRow, ...], Tuple[IntRow, ...]]:
+        """``(d, rows, columns)``: the entries as integers over their least
+        common denominator ``d`` (1 over GF(p))."""
+        form = self._int_form
+        if form is None:
+            if self.field.p is None:
+                nd = [[(x.numerator, x.denominator) for x in r] for r in self.entries]
+                d = lcm(*[q for r in nd for _, q in r])
+                rows = tuple(tuple(n * (d // q) for n, q in r) for r in nd)
+            else:
+                d, rows = 1, self.entries
+            form = (d, rows, _columns(rows, self.cols))
+            object.__setattr__(self, "_int_form", form)
+        return form
 
     # --- constructors ------------------------------------------------------
 
@@ -62,52 +225,55 @@ class Matrix:
             raise ValidationError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        f = self.field
-        ocols = tuple(zip(*other.entries)) if other.entries else tuple(() for _ in range(other.cols))
-        out = []
-        for r in self.entries:
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                col = ocols[j] if other.entries else ()
-                for a, b in zip(r, col):
-                    acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        d, rows, _ = self._ints()
+        e, _, cols = other._ints()
+        p = self.field.p
+        if p is None:
+            grid = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+            return _rational_matrix(self.field, self.rows, other.cols, grid, d * e)
+        ent = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
+        return Matrix(self.field, self.rows, other.cols, ent)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """``self + sign * other``."""
         if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
             raise ValidationError("shape mismatch in matrix sum")
-        f = self.field
-        ent = tuple(
-            tuple(f.add(a, b) for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
+        d, a, _ = self._ints()
+        e, b, _ = other._ints()
+        p = self.field.p
+        if p is None:
+            m = lcm(d, e)
+            s, t = m // d, sign * (m // e)
+            grid = [[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+            return _rational_matrix(self.field, self.rows, self.cols, grid, m)
+        ent = tuple(tuple((x + sign * y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
         return Matrix(self.field, self.rows, self.cols, ent)
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(tuple(f.neg(a) for a in r) for r in self.entries),
-        )
+        d, rows, _ = self._ints()
+        p = self.field.p
+        if p is None:
+            grid = [[-x for x in r] for r in rows]
+            return _rational_matrix(self.field, self.rows, self.cols, grid, d)
+        ent = tuple(tuple(-x % p for x in r) for r in rows)
+        return Matrix(self.field, self.rows, self.cols, ent)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix-vector product (``v`` as a column)."""
         if len(v) != self.cols:
             raise ValidationError("vector length does not match matrix columns")
-        f = self.field
-        out = []
-        for r in self.entries:
-            acc = f.zero
-            for a, b in zip(r, v):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        d, rows, _ = self._ints()
+        e, w = _int_vector(self.field, v)
+        p = self.field.p
+        if p is None:
+            return _fraction_row([sum(map(mul, r, w)) for r in rows], d * e)
+        return tuple(sum(map(mul, r, w)) % p for r in rows)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
@@ -136,43 +302,13 @@ class Matrix:
 # --- elimination -----------------------------------------------------------
 
 
-def _rref_rows(field: Field, rows: List[List[Scalar]], ncols: int) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place Gauss-Jordan elimination.
-
-    Returns the reduced rows (zero rows sunk to the bottom) and the list of
-    pivot columns.  Leading entries are normalized to 1 and pivot columns are
-    cleared above and below, so the nonzero rows are the unique RREF basis of
-    the row space.
-    """
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rref(m: Matrix) -> Tuple[Matrix, int]:
     """Reduced row-echelon form of ``m`` and its rank."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(m.field, rows, m.cols)
-    return Matrix(m.field, m.rows, m.cols, tuple(tuple(r) for r in rows)), len(pivots)
+    rows = list(m._ints()[1])
+    pivots = _eliminate(m.field.p, rows, m.cols)
+    zero_row = tuple(m.field.zero for _ in range(m.cols))
+    ent = _emit(m.field, rows, pivots) + [zero_row] * (m.rows - len(pivots))
+    return Matrix(m.field, m.rows, m.cols, tuple(ent)), len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -188,15 +324,18 @@ def solve_particular(m: Matrix, v: Sequence[Scalar]) -> Optional[Vector]:
     if len(v) != m.rows:
         raise ValidationError("right-hand side length does not match matrix rows")
     f = m.field
-    aug = [list(r) + [f.coerce(x)] for r, x in zip(m.entries, v)]
+    e, w = _int_vector(f, v)
     if m.rows == 0:
         return tuple(f.zero for _ in range(m.cols))
-    aug, pivots = _rref_rows(f, aug, m.cols + 1)
+    d, rows, _ = m._ints()
+    # row i of [m | v] scaled by d * e
+    aug = [[x * e for x in r] + [y * d] for r, y in zip(rows, w)]
+    pivots = _eliminate(f.p, aug, m.cols + 1)
     if m.cols in pivots:
         return None
     x = [f.zero] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][m.cols]
+    for row, c in zip(aug, pivots):
+        x[c] = row[-1] if f.p is not None else Fraction(row[-1], row[c])
     return tuple(x)
 
 
@@ -206,12 +345,17 @@ def inverse(m: Matrix) -> Optional[Matrix]:
         return None
     n = m.rows
     f = m.field
-    aug = [list(r) + [f.one if i == j else f.zero for j in range(n)] for i, r in enumerate(m.entries)]
-    aug, pivots = _rref_rows(f, aug, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
+    d, rows, _ = m._ints()
+    # row i of [m | 1] scaled by d
+    aug = [list(r) + [d if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    pivots = _eliminate(f.p, aug, 2 * n)
+    if pivots != list(range(n)):
         return None
-    ent = tuple(tuple(row[n:]) for row in aug)
-    return Matrix(f, n, n, ent)
+    if f.p is not None:
+        return Matrix(f, n, n, tuple(tuple(row[n:]) for row in aug))
+    den = lcm(*[row[i] for i, row in enumerate(aug)])
+    grid = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+    return _rational_matrix(f, n, n, grid, den)
 
 
 # --- subspaces ---------------------------------------------------------------
@@ -225,15 +369,39 @@ class Subspace:
     ambient_dim: int
     basis: Tuple[Vector, ...]
 
+    # Lazy caches (not dataclass fields, so equality and repr ignore them).
+    _hash = None
+    _int_form = None  # (primitive int rows with positive pivots, pivot columns)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.ambient_dim, self.basis))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def _ints(self) -> Tuple[Tuple[IntRow, ...], Tuple[int, ...]]:
+        """The basis rows as integers (each scaled by its least common
+        denominator) and their pivot columns."""
+        form = self._int_form
+        if form is None:
+            rows = tuple(tuple(_int_vector(self.field, r)[1]) for r in self.basis)
+            pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+            form = (rows, pivots)
+            object.__setattr__(self, "_int_form", form)
+        return form
+
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = [[field.coerce(x) for x in v] for v in vectors]
+        rows = [_int_vector(field, v)[1] for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValidationError("spanning vector length differs from ambient dimension")
-        rows, pivots = _rref_rows(field, rows, ambient_dim)
-        basis = tuple(tuple(r) for r in rows[: len(pivots)])
-        return cls(field, ambient_dim, basis)
+        pivots = _eliminate(field.p, rows, ambient_dim)
+        s = cls(field, ambient_dim, tuple(_emit(field, rows, pivots)))
+        int_rows = tuple(map(tuple, rows[: len(pivots)]))
+        object.__setattr__(s, "_int_form", (int_rows, tuple(pivots)))
+        return s
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -241,7 +409,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls.span(field, ambient_dim, Matrix.identity(field, ambient_dim).entries)
+        n = ambient_dim
+        return cls.span(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
@@ -263,22 +432,31 @@ class Subspace:
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, len(self.basis), self.ambient_dim, self.basis)
 
+    def _reduces_to_zero(self, w: Sequence[int]) -> bool:
+        """True when the integer vector ``w`` lies in this subspace."""
+        p = self.field.p
+        for row, c in zip(*self._ints()):
+            b = w[c]
+            if b:
+                if p is None:
+                    a = row[c]
+                    g = gcd(a, b)
+                    s, t = a // g, b // g
+                    w = [s * x - t * y for x, y in zip(w, row)]
+                else:
+                    w = [(x - b * y) % p for x, y in zip(w, row)]
+        return not any(w)
+
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        f = self.field
-        w = [f.coerce(x) for x in v]
+        w = _int_vector(self.field, v)[1]
         if len(w) != self.ambient_dim:
             raise ValidationError("vector length differs from ambient dimension")
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if w[lead] != 0:
-                factor = w[lead]
-                w = [f.sub(a, f.mul(factor, b)) for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
+        return self._reduces_to_zero(w)
 
     def contains(self, other: "Subspace") -> bool:
         """True when ``other`` is a subspace of ``self``."""
         _check_same_ambient(self, other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self._reduces_to_zero(r) for r in other._ints()[0])
 
     def to_json(self) -> list:
         return [[self.field.entry_to_json(x) for x in r] for r in self.basis]
@@ -291,29 +469,21 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 
 def sub_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.span(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace.span(a.field, a.ambient_dim, a._ints()[0] + b._ints()[0])
 
 
 def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by the Zassenhaus block trick.
 
-    Row-reduce [A | A; B | 0]; rows whose left half vanished carry, in their
-    right half, a spanning set of the intersection.
+    Row-reduce [A | A; B | 0]; rows whose pivot lies in the right half carry,
+    in that half, a spanning set of the intersection.
     """
     _check_same_ambient(a, b)
     n = a.ambient_dim
-    f = a.field
-    zero_row = [f.zero] * n
-    rows = [list(r) + list(r) for r in a.basis] + [list(r) + zero_row for r in b.basis]
-    rows, pivots = _rref_rows(f, rows, 2 * n)
-    out = []
-    for row in rows:
-        left, right = row[:n], row[n:]
-        if any(x != 0 for x in left):
-            continue
-        if any(x != 0 for x in right):
-            out.append(right)
-    return Subspace.span(f, n, out)
+    zero_row = (0,) * n
+    rows = [r + r for r in a._ints()[0]] + [r + zero_row for r in b._ints()[0]]
+    pivots = _eliminate(a.field.p, rows, 2 * n)
+    return Subspace.span(a.field, n, [row[n:] for row, c in zip(rows, pivots) if c >= n])
 
 
 def sub_contains(a: Subspace, b: Subspace) -> bool:
@@ -324,25 +494,31 @@ def sub_contains(a: Subspace, b: Subspace) -> bool:
 def map_image(m: Matrix, a: Subspace) -> Subspace:
     if a.ambient_dim != m.cols or a.field != m.field:
         raise ValidationError("subspace does not live in the domain of the map")
-    return Subspace.span(m.field, m.rows, [m.apply(v) for v in a.basis])
+    rows = m._ints()[1]
+    return Subspace.span(
+        m.field, m.rows, [[sum(map(mul, r, v)) for r in rows] for v in a._ints()[0]]
+    )
 
 
 def image(m: Matrix) -> Subspace:
-    return Subspace.span(m.field, m.rows, [col for col in zip(*m.entries)] if m.entries else [])
+    return Subspace.span(m.field, m.rows, m._ints()[2])
 
 
 def kernel(m: Matrix) -> Subspace:
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(m.field, rows, m.cols)
     f = m.field
+    rows = list(m._ints()[1])
+    pivots = _eliminate(f.p, rows, m.cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    # x_c = -rows[i][j] / rows[i][c] for the free column j, scaled by den
+    den = 1 if f.p is not None else lcm(*[row[c] for row, c in zip(rows, pivots)])
     basis = []
-    for j in free:
-        v = [f.zero] * m.cols
-        v[j] = f.one
-        for i, c in enumerate(pivots):
-            v[c] = f.neg(rows[i][j])
+    for j in range(m.cols):
+        if j in pivot_set:
+            continue
+        v = [0] * m.cols
+        v[j] = den
+        for row, c in zip(rows, pivots):
+            v[c] = -row[j] * (den // row[c])
         basis.append(v)
     return Subspace.span(f, m.cols, basis)
 

@@ -209,6 +209,7 @@ def pseudo_inverse(
         if images
         else Matrix.zeros(field, zeta.rows, 0)
     )
+    w_t = w.basis_matrix().transpose()
     cols = []
     for j in range(zeta.rows):
         e = [field.one if i == j else field.zero for i in range(zeta.rows)]
@@ -218,11 +219,7 @@ def pseudo_inverse(
             raise ConstructionFailure(
                 "projected vector not reachable through the carried complement"
             )
-        col = [field.zero] * zeta.cols
-        for coef, wvec in zip(lam, basis_w):
-            for i in range(zeta.cols):
-                col[i] = field.add(col[i], field.mul(coef, wvec[i]))
-        cols.append(col)
+        cols.append(w_t.apply(lam))
     dagger = (
         Matrix(field, zeta.cols, zeta.rows, tuple(zip(*cols)))
         if cols

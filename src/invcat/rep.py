@@ -187,6 +187,8 @@ def parse_representation(data: Union[str, bytes]) -> Representation:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise InputSyntaxError(f"malformed JSON: {e}") from e
+    except RecursionError as e:
+        raise InputSyntaxError("JSON nests too deeply") from e
     return representation_from_json(doc)
 
 

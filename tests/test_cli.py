@@ -140,3 +140,54 @@ def test_output_bytes_deterministic(capsys):
     _, flag1 = run_cli(capsys, "flag", BISECTION)
     _, flag2 = run_cli(capsys, "flag", BISECTION)
     assert flag1 == flag2
+
+
+def _embed_certificate(tmp_path, capsys):
+    rep_path = tmp_path / "embed.json"
+    rep_path.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rational"},
+                "objects": [{"id": "x", "dim": 1}, {"id": "y", "dim": 2}],
+                "generators": [{"id": "f", "dom": "x", "cod": "y", "matrix": [[1], [0]]}],
+            }
+        )
+    )
+    cert_path = tmp_path / "cert.json"
+    code, _ = run_cli(capsys, "decompose", str(rep_path), "-o", str(cert_path))
+    assert code == 0
+    return rep_path, json.loads(cert_path.read_text())
+
+
+def test_certificate_basis_row_not_a_list_is_error(tmp_path, capsys):
+    rep_path, doc = _embed_certificate(tmp_path, capsys)
+    for bad_basis in ([5], [[1]], [[1, 0], 7]):
+        doc["objects"]["y"][0]["basis"] = bad_basis
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "verify", str(rep_path), str(bad))
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "ValidationError"
+
+
+def test_deeply_nested_json_is_syntax_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out = run_cli(capsys, "check", str(deep))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "SyntaxError"
+    code, out = run_cli(capsys, "verify", BISECTION, str(deep))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "SyntaxError"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import invcat.cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(invcat.cli, "analyze", broken)
+    code, out = run_cli(capsys, "check", TRISECTION)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "InternalError", "message": "TypeError: boom"}

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from invcat import Field, GF, RATIONALS, ValidationError
+from invcat import Field, GF, RATIONALS, TooLarge, ValidationError
+from invcat.fields import PRIME_BOUND
 
 
 def test_rational_arithmetic_is_exact():
@@ -67,3 +69,23 @@ def test_field_descriptor_roundtrip():
         assert Field.from_json(f.describe()) == f
     with pytest.raises(ValidationError):
         Field.from_json({"kind": "galois"})
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    Field(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_strong_pseudoprimes_rejected():
+    # 2047 fools base 2, 561 is a Carmichael number, 3215031751 fools bases 2..7
+    for n in (2047, 561, 3215031751):
+        with pytest.raises(ValidationError):
+            Field(n)
+
+
+def test_modulus_beyond_primality_bound_too_large():
+    with pytest.raises(TooLarge):
+        Field(PRIME_BOUND)
+    with pytest.raises(TooLarge):
+        Field.from_json({"kind": "prime", "p": 2**127 - 1})

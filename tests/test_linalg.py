@@ -24,13 +24,30 @@ from invcat import (
     sub_sum,
 )
 
-from conftest import random_invertible, random_subspace
+from conftest import random_invertible, random_matrix, random_subspace
 
-FIELDS = [RATIONALS, GF(2), GF(3), GF(5)]
+FIELDS = [RATIONALS, GF(2), GF(3), GF(5), GF(10007)]
 
 
 def field_strategy():
     return st.sampled_from(FIELDS)
+
+
+def scalars(field, bound=5):
+    """Field scalars; over Q they carry denominators, so the common-denominator
+    paths of the kernel are exercised."""
+    if field.is_rational:
+        return st.fractions(-bound, bound, max_denominator=6)
+    return st.integers(0, field.p - 1)
+
+
+def matrix_of(draw, field, rows, cols):
+    data = draw(
+        st.lists(
+            st.lists(scalars(field), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+    )
+    return Matrix.build(field, rows, cols, data)
 
 
 @st.composite
@@ -38,25 +55,14 @@ def matrices(draw, max_dim=4):
     field = draw(field_strategy())
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
-    if field.is_rational:
-        scalar = st.integers(-5, 5).map(Fraction)
-    else:
-        scalar = st.integers(0, field.p - 1)
-    data = draw(
-        st.lists(st.lists(scalar, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-    )
-    return Matrix.build(field, rows, cols, data)
+    return matrix_of(draw, field, rows, cols)
 
 
 @st.composite
 def subspace_pairs(draw, max_dim=4):
     field = draw(field_strategy())
     ambient = draw(st.integers(0, max_dim))
-    if field.is_rational:
-        scalar = st.integers(-4, 4).map(Fraction)
-    else:
-        scalar = st.integers(0, field.p - 1)
-    vec = st.lists(scalar, min_size=ambient, max_size=ambient)
+    vec = st.lists(scalars(field, 4), min_size=ambient, max_size=ambient)
     a = Subspace.span(field, ambient, draw(st.lists(vec, max_size=4)))
     b = Subspace.span(field, ambient, draw(st.lists(vec, max_size=4)))
     return a, b
@@ -254,3 +260,165 @@ def test_projection_onto():
     assert pi @ pi == pi
     assert image(pi) == img
     assert kernel(pi) == ker
+
+
+# --- the integer kernel against a per-entry reference --------------------------------
+#
+# The reference is the plain algorithm over Field.add / Field.mul: schoolbook
+# products and Gauss-Jordan elimination with the pivot scaled to 1.
+
+
+def ref_matmul(a, b):
+    f = a.field
+    out = []
+    for r in a.entries:
+        row = []
+        for j in range(b.cols):
+            acc = f.zero
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(r[k], b.entries[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_apply(m, v):
+    f = m.field
+    out = []
+    for r in m.entries:
+        acc = f.zero
+        for a, b in zip(r, v):
+            acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_rref_rows(field, rows, ncols):
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_rref(m):
+    rows, pivots = ref_rref_rows(m.field, [list(r) for r in m.entries], m.cols)
+    return tuple(tuple(r) for r in rows), len(pivots)
+
+
+def ref_inverse(m):
+    f, n = m.field, m.rows
+    aug = [
+        list(r) + [f.one if i == j else f.zero for j in range(n)] for i, r in enumerate(m.entries)
+    ]
+    aug, pivots = ref_rref_rows(f, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def ref_solve(m, v):
+    f = m.field
+    if m.rows == 0:
+        return tuple(f.zero for _ in range(m.cols))
+    aug, pivots = ref_rref_rows(f, [list(r) + [x] for r, x in zip(m.entries, v)], m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [f.zero] * m.cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][m.cols]
+    return tuple(x)
+
+
+def canonical(field, scalars_):
+    kind = Fraction if field.is_rational else int
+    return all(type(x) is kind for x in scalars_)
+
+
+def check_against_reference(a, b, v, rhs):
+    """a: r x k, b: k x c, v: length k, rhs: length r."""
+    f = a.field
+    prod = a @ b
+    assert prod.entries == ref_matmul(a, b)
+    assert canonical(f, (x for r in prod.entries for x in r))
+    got = a.apply(v)
+    assert got == ref_apply(a, v) and canonical(f, got)
+    r, rk = rref(a)
+    assert (r.entries, rk) == ref_rref(a)
+    assert canonical(f, (x for row in r.entries for x in row))
+    for target in (rhs, a.apply(v)):
+        x = solve_particular(a, target)
+        assert x == ref_solve(a, target)
+        assert x is None or canonical(f, x)
+    if a.rows == a.cols:
+        inv = inverse(a)
+        ref = ref_inverse(a)
+        assert (inv is None and ref is None) or inv.entries == ref
+
+
+@st.composite
+def kernel_cases(draw, max_dim=4):
+    field = draw(field_strategy())
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    if r == k and draw(st.booleans()):
+        # an invertible a, so that inverse() has a value to compare
+        diag = [draw(scalars(field).filter(bool)) for _ in range(k)]
+        d = Matrix.build(
+            field, k, k, [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        )
+        a = random_invertible(random.Random(draw(st.integers(0, 99))), field, k) @ d
+    else:
+        a = matrix_of(draw, field, r, k)
+    b = matrix_of(draw, field, k, c)
+    v = draw(st.lists(scalars(field), min_size=k, max_size=k))
+    rhs = draw(st.lists(scalars(field), min_size=r, max_size=r))
+    return a, b, v, rhs
+
+
+@given(kernel_cases())
+@settings(max_examples=300)
+def test_kernel_matches_per_entry_reference(case):
+    check_against_reference(*case)
+
+
+def test_kernel_matches_reference_on_empty_shapes(rng):
+    for field in FIELDS:
+        for r, k, c in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (0, 0, 3), (3, 0, 0)):
+            a = random_matrix(rng, field, r, k)
+            b = random_matrix(rng, field, k, c)
+            v = random_matrix(rng, field, 1, k).entries[0] if k else ()
+            rhs = random_matrix(rng, field, 1, r).entries[0] if r else ()
+            check_against_reference(a, b, v, rhs)
+
+
+@given(matrices(), subspace_pairs())
+@settings(max_examples=150)
+def test_warm_caches_compare_and_hash_equal(m, pair):
+    # fill every cache through the public operations
+    warm = m @ Matrix.identity(m.field, m.cols)
+    image(warm), kernel(warm), hash(warm)
+    fresh = Matrix(m.field, m.rows, m.cols, m.entries)
+    assert warm == fresh and fresh == warm
+    assert hash(warm) == hash(fresh) == hash((m.field, m.rows, m.cols, m.entries))
+    assert repr(warm) == repr(fresh)
+    a, b = pair
+    meet = sub_intersect(a, b)
+    meet.contains(b), hash(meet)
+    cold = Subspace(meet.field, meet.ambient_dim, meet.basis)
+    assert meet == cold and cold == meet
+    assert hash(meet) == hash(cold) == hash((meet.field, meet.ambient_dim, meet.basis))
+    assert repr(meet) == repr(cold)
+    assert cold.contains(a) == meet.contains(a)

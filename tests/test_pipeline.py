@@ -84,7 +84,11 @@ def test_cli_deterministic_across_processes():
             [sys.executable, "-m", "invcat.cli", "check", str(DATA / "trisection.json")],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONHASHSEED": seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": str(DATA.parent / "src"),
+            },
             cwd=str(DATA.parent),
         )
         assert proc.returncode == 1
