@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
@@ -119,20 +119,36 @@ class CriterionReport:
         return doc
 
 
-def _pair_value(
-    p: SubspacePoset, mu: MobiusTable, bi: int, ci: int, mode: str
-) -> int:
-    total = 0
-    for ai in range(len(p.elements)):
-        if not p.leq[ai][bi]:
-            continue
-        weight = mu.two_var[ai][bi] if mode == "standard" else mu.one_var[ai]
-        if weight == 0:
-            continue
-        a = p.elements[ai]
-        overlap = p.elements[p.meet(ai, ci)]
-        total += weight * (a.dim - overlap.dim)
-    return total
+def _pair_scores(
+    p: SubspacePoset,
+    mu: MobiusTable,
+    bs: Optional[Sequence[int]] = None,
+    cs: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[int, int, int, int]]:
+    """``(b, c, standard score, literal score)`` for b in ``bs`` and c in
+    ``cs`` (all elements by default), b-major.
+
+    For each b, the terms (a, two_var(a, b), one_var(a)) over the down-set
+    of b are listed once, keeping those with a nonzero weight; each c is then
+    scored over that list with the meet table.
+    """
+    n = len(p.elements)
+    dims = [s.dim for s in p.elements]
+    one, two = mu.one_var, mu.two_var
+    for bi in range(n) if bs is None else bs:
+        terms = [
+            (ai, two[ai][bi], one[ai])
+            for ai in range(n)
+            if p.leq[ai][bi] and (two[ai][bi] or one[ai])
+        ]
+        for ci in range(n) if cs is None else cs:
+            meet_c = p.meet_table[ci]
+            std = lit = 0
+            for ai, w_std, w_lit in terms:
+                drop = dims[ai] - dims[meet_c[ai]]
+                std += w_std * drop
+                lit += w_lit * drop
+            yield bi, ci, std, lit
 
 
 def evaluate_pair(
@@ -144,7 +160,8 @@ def evaluate_pair(
 ) -> int:
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    return _pair_value(p, mu, p.index_of(b), p.index_of(c), mode)
+    _, _, v_std, v_lit = next(_pair_scores(p, mu, [p.index_of(b)], [p.index_of(c)]))
+    return v_std if mode == "standard" else v_lit
 
 
 def check_poset(
@@ -159,18 +176,14 @@ def check_poset(
     std_neg: List[CriterionValue] = []
     lit_neg: List[CriterionValue] = []
     disagreements = 0
-    n = len(p.elements)
-    for bi in range(n):
-        for ci in range(n):
-            v_std = _pair_value(p, mu, bi, ci, "standard")
-            v_lit = _pair_value(p, mu, bi, ci, "literal")
-            b, c = p.elements[bi], p.elements[ci]
-            if v_std < 0:
-                std_neg.append(CriterionValue(object_id, b, c, v_std, "standard"))
-            if v_lit < 0:
-                lit_neg.append(CriterionValue(object_id, b, c, v_lit, "literal"))
-            if (v_std < 0) != (v_lit < 0):
-                disagreements += 1
+    for bi, ci, v_std, v_lit in _pair_scores(p, mu):
+        b, c = p.elements[bi], p.elements[ci]
+        if v_std < 0:
+            std_neg.append(CriterionValue(object_id, b, c, v_std, "standard"))
+        if v_lit < 0:
+            lit_neg.append(CriterionValue(object_id, b, c, v_lit, "literal"))
+        if (v_std < 0) != (v_lit < 0):
+            disagreements += 1
     return std_neg, lit_neg, disagreements
 
 
@@ -200,12 +213,8 @@ def poset_passes(p: SubspacePoset, mu: Optional[MobiusTable] = None, mode: str =
     """The verdict on one poset: every pair scores >= 0 and the rank count
     holds, i.e. a multiplicative projection family exists (in standard mode)."""
     mu = mu if mu is not None else mobius(p)
-    n = len(p.elements)
-    return all(
-        _pair_value(p, mu, bi, ci, mode) >= 0
-        for bi in range(n)
-        for ci in range(n)
-    ) and rank_count_excess(p) is None
+    k = 2 if mode == "standard" else 3
+    return all(v[k] >= 0 for v in _pair_scores(p, mu)) and rank_count_excess(p) is None
 
 
 def check_representation(

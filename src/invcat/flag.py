@@ -12,6 +12,11 @@ Rounds are synchronous (each round derives only from the previous round's
 elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
 loudly instead of spinning.
+
+Every pair of final elements is intersected exactly once, in the round after
+the later of the two arrived.  Those meets are recorded by element ordinal
+and handed to ``build_poset``, which reads the order and the covers off them
+instead of intersecting again.
 """
 
 from __future__ import annotations
@@ -119,6 +124,10 @@ def compute_flag(
     """
     fam: Dict[str, Dict[Subspace, Witness]] = {}
     fresh: Dict[str, List[Subspace]] = {}
+    # per object: each element's ordinal (order of arrival), and for the
+    # element of ordinal k, the ordinals of its meets with ordinals 0..k-1
+    ordinal: Dict[str, Dict[Subspace, int]] = {}
+    meets: Dict[str, List[List[Optional[int]]]] = {}
     for o in rep.objects:
         zero = Subspace.zero(rep.field, o.dim)
         full = Subspace.full(rep.field, o.dim)
@@ -126,6 +135,8 @@ def compute_flag(
         if full not in fam[o.id]:
             fam[o.id][full] = Witness("seed")
         fresh[o.id] = sorted(fam[o.id], key=lambda s: s.sort_key)
+        ordinal[o.id] = {s: k for k, s in enumerate(fam[o.id])}
+        meets[o.id] = [[None] * k for k in range(len(fam[o.id]))]
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
 
     rounds = 0
@@ -140,10 +151,16 @@ def compute_flag(
         rounds += 1
         new: Dict[str, Dict[Subspace, Witness]] = {oid: {} for oid in fam}
 
-        def offer(oid: str, s: Subspace, w: Witness, rule: str) -> None:
-            if s not in fam[oid] and s not in new[oid]:
+        def offer(oid: str, s: Subspace, w: Witness, rule: str) -> int:
+            """Add ``s`` unless already known; return its ordinal."""
+            ords = ordinal[oid]
+            k = ords.get(s)
+            if k is None:
+                k = ords[s] = len(ords)
                 new[oid][s] = w
-                _check_budget(oid, len(fam[oid]) + len(new[oid]), rule, limits, rounds)
+                meets[oid].append([None] * k)
+                _check_budget(oid, k + 1, rule, limits, rounds)
+            return k
 
         # semi-naive: only derive from elements added in the previous round;
         # older combinations were already offered.
@@ -155,18 +172,26 @@ def compute_flag(
         for oid, members in fam.items():
             fresh_set = set(fresh[oid])
             elems = sorted(members, key=lambda s: s.sort_key)
+            ords = ordinal[oid]
+            record = meets[oid]
             for i, a in enumerate(elems):
                 for b in elems[i + 1:]:
                     if a not in fresh_set and b not in fresh_set:
                         continue
-                    offer(oid, sub_intersect(a, b), Witness("intersect", None, (a, b)), "intersect")
+                    w = Witness("intersect", None, (a, b))
+                    m = offer(oid, sub_intersect(a, b), w, "intersect")
+                    ka, kb = ords[a], ords[b]
+                    if ka < kb:
+                        record[kb][ka] = m
+                    else:
+                        record[ka][kb] = m
         if all(not added for added in new.values()):
             break
         for oid, added in new.items():
             fam[oid].update(added)
             fresh[oid] = sorted(added, key=lambda s: s.sort_key)
 
-    posets = {oid: build_poset(members.keys()) for oid, members in fam.items()}
+    posets = {oid: build_poset(list(ordinal[oid]), meets[oid]) for oid in fam}
     return FlagAssignment(
         posets=posets,
         provenance=fam,

@@ -484,12 +484,20 @@ def sum_dim(parts: Sequence[Subspace]) -> int:
 
 
 def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by the Zassenhaus block trick.
+    """Intersection of two subspaces.
 
-    Row-reduce [A | A; B | 0]; rows whose pivot lies in the right half carry,
-    in that half, a spanning set of the intersection.
+    When the smaller one lies in the larger, it is the intersection; when it
+    does not and has dimension at most 1, the intersection is zero.  Otherwise
+    the Zassenhaus block trick: row-reduce [A | A; B | 0]; rows whose pivot
+    lies in the right half carry, in that half, a spanning set of the
+    intersection.
     """
     _check_same_ambient(a, b)
+    small, big = (a, b) if a.dim <= b.dim else (b, a)
+    if big.contains(small):
+        return small
+    if small.dim <= 1:
+        return Subspace.zero(a.field, a.ambient_dim)
     n = a.ambient_dim
     zero_row = (0,) * n
     rows = [r + r for r in a._ints()[0]] + [r + zero_row for r in b._ints()[0]]

@@ -44,17 +44,23 @@ class Analysis:
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
+    """Projection families of a flag that has passed ``check_representation``
+    (in standard mode), so its posets are not scored again."""
     return {
-        oid: realize_projections(flag.posets[oid], object_id=oid)
+        oid: realize_projections(flag.posets[oid], object_id=oid, report_pass=True)
         for oid in sorted(flag.posets)
     }
 
 
 def _saturate(
-    rep: Representation, flag: FlagAssignment, limits: ClosureLimits
-) -> Tuple[FlagAssignment, Optional[str]]:
-    """Grow the flag with synthesized pseudo-inverse maps while it stays
-    criterion-positive.  Returns the final flag and an optional note."""
+    rep: Representation,
+    flag: FlagAssignment,
+    report: CriterionReport,
+    limits: ClosureLimits,
+) -> Tuple[FlagAssignment, CriterionReport, Optional[str]]:
+    """Grow the passing flag (whose standard report is ``report``) with
+    synthesized pseudo-inverse maps while it stays criterion-positive.
+    Returns the final flag, its standard report and an optional note."""
     extra: Dict[Tuple[str, str, Matrix], Generator] = {}
     counters: Dict[str, int] = {}
     for _ in range(SATURATION_MAX_PASSES):
@@ -67,7 +73,7 @@ def _saturate(
         except (ConstructionFailure, CriterionViolated) as e:
             # A passing instance where synthesis fails is a theory gap;
             # keep the last good flag and surface the note prominently.
-            return flag, f"saturation stopped: {e.code}: {e.message}"
+            return flag, report, f"saturation stopped: {e.code}: {e.message}"
         grew = False
         for g in rep.generators:
             m = pseudo_inverses[g.id]
@@ -79,18 +85,19 @@ def _saturate(
                 extra[key] = Generator(id=name, dom=g.cod, cod=g.dom, matrix=m)
                 grew = True
         if not grew and flag.saturated:
-            return flag, None
+            return flag, report, None
         new_flag = compute_flag(rep, limits, extra_maps=tuple(extra.values()))
         new_flag.saturated = True
-        if not check_representation(rep, new_flag, "standard").passed:
+        new_report = check_representation(rep, new_flag, "standard")
+        if not new_report.passed:
             # The synthesized envelope is not inverse; enrichment would flip
             # the verdict, so it is dropped.  The raw-flag verdict stands.
-            return flag, "saturation discarded: enlarged flag goes criterion-negative"
+            return flag, report, "saturation discarded: enlarged flag goes criterion-negative"
         stable = new_flag.element_sets() == flag.element_sets()
-        flag = new_flag
+        flag, report = new_flag, new_report
         if stable and not grew:
-            return flag, None
-    return flag, "saturation stopped: pass limit reached"
+            return flag, report, None
+    return flag, report, "saturation stopped: pass limit reached"
 
 
 def analyze(
@@ -106,8 +113,7 @@ def analyze(
     note: Optional[str] = None
 
     if standard.passed and saturate:
-        flag, note = _saturate(rep, flag, limits)
-        standard = check_representation(rep, flag, "standard")
+        flag, standard, note = _saturate(rep, flag, standard, limits)
         try:
             families = build_families(flag)
             pseudo_inverses = {

@@ -1,5 +1,10 @@
 """Finite meet-closed posets of subspaces, Hasse diagrams, Moebius functions.
 
+A poset is assembled from its meet table: the order and the covers are read
+off it, with no containment test.  ``build_poset`` intersects every pair
+itself when given a bare family (and so validates meet-closure); the flag
+closure hands over the meets it computed while closing.
+
 Two Moebius variants are kept side by side:
 
 * ``one_var`` -- the single-argument recursion mu(min) = 1,
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ElementNotInPoset, MissingBounds, NotMeetClosed
 from .fields import Field
@@ -67,9 +72,34 @@ class SubspacePoset:
         return [j for (i, j) in self.covers if i == self.zero_index]
 
 
-def build_poset(subspaces: Iterable[Subspace]) -> SubspacePoset:
-    """Validate bounds and meet-closure, then assemble order/cover/meet data."""
-    elems = sorted(set(subspaces), key=lambda s: s.sort_key)
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def build_poset(
+    subspaces: Iterable[Subspace],
+    meets: Optional[Sequence[Sequence[Optional[int]]]] = None,
+) -> SubspacePoset:
+    """Validate bounds and meet-closure, then assemble order/cover/meet data.
+
+    Without ``meets`` every pair is intersected, and the first pair (in index
+    order) whose meet is not in the family raises ``NotMeetClosed``.  The flag
+    closure passes the record of the intersections it has already computed
+    instead: ``subspaces`` is then a sequence without repeats, and for i < k,
+    ``meets[k][i]`` is the position in it of the meet of its elements i and k.
+
+    The order and the Hasse diagram are read off the meet table alone:
+    a <= b exactly when a meet b = a, and the lower covers of b are the
+    elements of its strict down-set that lie in no other element's strict
+    down-set within it (transitive reduction over down-set bitmasks).
+    """
+    given = list(subspaces) if meets is not None else list(set(subspaces))
+    order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
+    elems = [given[k] for k in order]
     if not elems:
         raise MissingBounds("empty subspace family")
     field = elems[0].field
@@ -83,37 +113,52 @@ def build_poset(subspaces: Iterable[Subspace]) -> SubspacePoset:
         raise MissingBounds("family does not contain the full space")
     n = len(elems)
     index = {s: i for i, s in enumerate(elems)}
-    leq = [[False] * n for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if a.dim <= b.dim:
-                leq[i][j] = b.contains(a)
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            m = sub_intersect(elems[i], elems[j])
-            k = index.get(m)
-            if k is None:
-                raise NotMeetClosed(
-                    "family is not closed under intersection",
-                    left=elems[i].to_json(),
-                    right=elems[j].to_json(),
-                    missing=m.to_json(),
-                )
-            meet[i][j] = meet[j][i] = k
+        meet[i][i] = i
+    if meets is None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                m = sub_intersect(elems[i], elems[j])
+                k = index.get(m)
+                if k is None:
+                    raise NotMeetClosed(
+                        "family is not closed under intersection",
+                        left=elems[i].to_json(),
+                        right=elems[j].to_json(),
+                        missing=m.to_json(),
+                    )
+                meet[i][j] = meet[j][i] = k
+    else:
+        position = [0] * n  # ordinal in ``subspaces`` -> index in ``elems``
+        for i, k in enumerate(order):
+            position[k] = i
+        for k in range(n):
+            row = meets[k]
+            for i in range(k):
+                m = row[i]
+                if m is None:
+                    raise LookupError(f"no recorded meet for elements {i} and {k}")
+                meet[position[i]][position[k]] = meet[position[k]][position[i]] = position[m]
+    down = [0] * n  # down[j]: bitmask of the i with elements[i] <= elements[j]
+    for j in range(n):
+        mask = 0
+        for i, m in enumerate(meet[j]):
+            if m == i:
+                mask |= 1 << i
+        down[j] = mask
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(leq[i][z] and leq[z][j] for z in range(n) if z != i and z != j):
-                continue
-            covers.append((i, j))
+    for j in range(n):
+        strict = down[j] & ~(1 << j)
+        below = 0
+        for z in _members(strict):
+            below |= down[z] & ~(1 << z)
+        covers.extend((i, j) for i in _members(strict & ~below))
     return SubspacePoset(
         field=field,
         ambient_dim=ambient,
         elements=tuple(elems),
-        leq=tuple(tuple(r) for r in leq),
+        leq=tuple(tuple(m == i for m in row) for i, row in enumerate(meet)),
         covers=tuple(sorted(covers)),
         meet_table=tuple(tuple(r) for r in meet),
         _index=index,

@@ -234,3 +234,58 @@ def test_check_representation_unsaturated(bisection):
     report = check_representation(bisection, flag, "standard")
     assert report.passed
     assert report.poset_sizes["plane"] == 3
+
+
+def dense_pair_value(p, mu, bi, ci, mode):
+    """The score of (b, c) by its definition: a scan over every element."""
+    total = 0
+    for ai, a in enumerate(p.elements):
+        if p.leq[ai][bi]:
+            weight = mu.two_var[ai][bi] if mode == "standard" else mu.one_var[ai]
+            total += weight * (a.dim - p.elements[p.meet(ai, ci)].dim)
+    return total
+
+
+def test_down_set_score_matches_dense_reference(rng):
+    from invcat.criterion import check_poset, poset_passes, rank_count_excess
+    from invcat.linalg import image
+    from invcat.oracle import meet_closure
+
+    from conftest import random_matrix, random_meet_closed_family
+
+    posets = []
+    for _ in range(30):
+        field = rng.choice([GF(2), GF(3)])
+        posets.append(build_poset(random_meet_closed_family(rng, field, rng.randint(2, 3))))
+    for planes in (4, 7):  # flags of stars of random planes: larger, mostly failing
+        field = GF(10007)
+        seeds = [image(random_matrix(rng, field, 3, 2)) for _ in range(planes)]
+        seeds += [Subspace.zero(field, 3), Subspace.full(field, 3)]
+        posets.append(build_poset(meet_closure(seeds)))
+    for p in posets:
+        mu = mobius(p)
+        n = len(p)
+        dense = {
+            mode: [[dense_pair_value(p, mu, bi, ci, mode) for ci in range(n)] for bi in range(n)]
+            for mode in ("standard", "literal")
+        }
+        for bi, b in enumerate(p.elements):
+            for ci, c in enumerate(p.elements):
+                for mode in ("standard", "literal"):
+                    assert evaluate_pair(p, mu, b, c, mode) == dense[mode][bi][ci]
+        std_neg, lit_neg, disagreements = check_poset(p, "o", mu)
+        for negatives, mode in ((std_neg, "standard"), (lit_neg, "literal")):
+            assert [(p.index_of(w.b), p.index_of(w.c), w.value) for w in negatives] == [
+                (bi, ci, dense[mode][bi][ci])
+                for bi in range(n)
+                for ci in range(n)
+                if dense[mode][bi][ci] < 0
+            ]
+        assert disagreements == sum(
+            (dense["standard"][bi][ci] < 0) != (dense["literal"][bi][ci] < 0)
+            for bi in range(n)
+            for ci in range(n)
+        )
+        for mode in ("standard", "literal"):
+            expected = all(v >= 0 for row in dense[mode] for v in row)
+            assert poset_passes(p, mu, mode) == (expected and rank_count_excess(p) is None)

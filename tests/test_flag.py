@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcat import (
     ClosureDivergence,
@@ -9,6 +11,8 @@ from invcat import (
     Matrix,
     RATIONALS,
     Subspace,
+    analyze,
+    build_poset,
     compute_flag,
     evaluate_word,
     map_image,
@@ -173,3 +177,65 @@ def test_flag_report_json(bisection):
     assert doc["objects"]["plane"]["poset_size"] == 3
     assert doc["rounds"] == flag.rounds
     assert doc["saturated"] is False
+
+
+@st.composite
+def representations(draw):
+    """Stars of random maps into one object, interval sums on A_n quivers over
+    Q, and random zigzags on A_n over a small prime field."""
+    shape = draw(st.sampled_from(("star", "interval", "zigzag")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if shape == "interval":
+        return interval_corpus_instance(rng)[0]
+    if shape == "star":
+        field = draw(st.sampled_from((RATIONALS, GF(2), GF(3), GF(10007))))
+        centre = rng.randint(1, 3)
+        arms = rng.randint(1, 7)
+        objects = [RepObject("c", centre)]
+        gens = []
+        for k in range(arms):
+            dim = rng.randint(1, centre)
+            objects.append(RepObject(f"p{k}", dim))
+            gens.append(Generator(f"g{k}", f"p{k}", "c", random_matrix(rng, field, centre, dim)))
+        return Representation(field, tuple(objects), tuple(gens))
+    field = draw(st.sampled_from((GF(2), GF(3))))
+    dims = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    objects = tuple(RepObject(f"v{k}", d) for k, d in enumerate(dims))
+    gens = []
+    for e in range(len(dims) - 1):
+        src, dst = (e, e + 1) if rng.random() < 0.5 else (e + 1, e)
+        m = random_matrix(rng, field, dims[dst], dims[src])
+        gens.append(Generator(f"e{e}", f"v{src}", f"v{dst}", m))
+    return Representation(field, objects, tuple(gens))
+
+
+@given(representations())
+@settings(max_examples=60, deadline=None)
+def test_closure_meets_assemble_the_validated_poset(rep):
+    """The posets built from the closure's own meets equal the ones
+    ``build_poset`` builds by intersecting every pair, on the raw flag and
+    on the saturated one (closed with the synthesized pseudo-inverses)."""
+    flags = [compute_flag(rep)]
+    analysis = analyze(rep)
+    if analysis.flag.saturated:
+        flags.append(analysis.flag)
+    for flag in flags:
+        for p in flag.posets.values():
+            ref = build_poset(p.elements)
+            assert p.elements == ref.elements
+            assert p.leq == ref.leq
+            assert p.covers == ref.covers
+            assert p.meet_table == ref.meet_table
+            # and the order is containment, the covers its transitive reduction
+            n = len(p)
+            assert p.leq == tuple(
+                tuple(b.contains(a) for b in p.elements) for a in p.elements
+            )
+            assert p.covers == tuple(
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j
+                and p.leq[i][j]
+                and not any(p.leq[i][z] and p.leq[z][j] for z in range(n) if z not in (i, j))
+            )

@@ -436,3 +436,26 @@ def test_warm_caches_compare_and_hash_equal(m, pair):
     assert hash(meet) == hash(cold) == hash((meet.field, meet.ambient_dim, meet.basis))
     assert repr(meet) == repr(cold)
     assert cold.contains(a) == meet.contains(a)
+
+
+def ref_intersect(a, b):
+    """Zassenhaus over Field arithmetic: reduce [A | A; B | 0]; the rows whose
+    pivot lies in the right half span the intersection there."""
+    f, n = a.field, a.ambient_dim
+    rows = [list(r) + list(r) for r in a.basis] + [list(r) + [f.zero] * n for r in b.basis]
+    rows, pivots = ref_rref_rows(f, rows, 2 * n)
+    return Subspace.span(f, n, [row[n:] for row, c in zip(rows, pivots) if c >= n])
+
+
+@given(subspace_pairs())
+@settings(max_examples=200)
+def test_intersect_matches_zassenhaus_reference(pair):
+    a, b = pair
+    f, n = a.field, a.ambient_dim
+    zero, full, total = Subspace.zero(f, n), Subspace.full(f, n), sub_sum(a, b)
+    lines = [Subspace.span(f, n, [r]) for r in a.basis[:1] + b.basis[-1:]]
+    spaces = [a, b, zero, full, total] + lines
+    # every ordered pair: zero, equal, nested, 1-dim and general position
+    for x in spaces:
+        for y in spaces:
+            assert sub_intersect(x, y) == ref_intersect(x, y)

@@ -66,8 +66,29 @@ def test_missing_bounds():
 def test_not_meet_closed():
     a = Subspace.span(RATIONALS, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.span(RATIONALS, 3, [[0, 1, 0], [0, 0, 1]])
-    with pytest.raises(NotMeetClosed):
-        build_poset([Subspace.zero(RATIONALS, 3), a, b, Subspace.full(RATIONALS, 3)])
+    c = Subspace.span(RATIONALS, 3, [[1, 0, 0], [0, 0, 1]])
+    bounds = [Subspace.zero(RATIONALS, 3), Subspace.full(RATIONALS, 3)]
+    with pytest.raises(NotMeetClosed) as exc:
+        build_poset(bounds + [a, b])
+    assert exc.value.detail == {
+        "left": [[0, 1, 0], [0, 0, 1]],
+        "right": [[1, 0, 0], [0, 1, 0]],
+        "missing": [[0, 1, 0]],
+    }
+    # three missing meets: the first pair in index order is the one reported
+    with pytest.raises(NotMeetClosed) as exc:
+        build_poset(bounds + [a, b, c])
+    assert exc.value.detail == {
+        "left": [[0, 1, 0], [0, 0, 1]],
+        "right": [[1, 0, 0], [0, 0, 1]],
+        "missing": [[0, 0, 1]],
+    }
+
+
+def test_missing_recorded_meet_raises():
+    # ordinals 0 and 1 are given, but the record of their meet is empty
+    with pytest.raises(LookupError):
+        build_poset([ZERO2, FULL2], [[], [None]])
 
 
 # --- Moebius tables ---------------------------------------------------------------
