@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Sweep random meet-closed families over GF(2) and compare the verdict
-(Moebius score and rank count) against the exhaustive projection-family
-search.
+(Moebius score and rank count) and the projection-family construction
+against the exhaustive projection-family search.
 
-The two must agree on every draw.  The score alone would not: families of
-three coplanar lines inside a strictly larger ambient space score
+On every draw, the verdict must equal the oracle's answer, and
+``realize_projections`` must build a family that passes
+``verify_projection_family`` exactly where the oracle finds one (and raise
+``CriterionViolated`` elsewhere).  The score alone would not agree: families
+of three coplanar lines inside a strictly larger ambient space score
 nonnegative everywhere while no multiplicative projection family exists, and
-only the rank count refutes them.  This script measures the disagreement
-rate and prints every disagreement it finds.
+only the rank count refutes them.  Every disagreement is printed, and the
+exit status is 1 when there is any, 0 otherwise.
 
 Usage: python scripts/oracle_sweep.py [--samples N] [--seed S]
 """
@@ -23,10 +26,32 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from invcat import GF, OracleInstance, build_poset, oracle_exists_family  # noqa: E402
+from invcat import (  # noqa: E402
+    GF,
+    ConstructionFailure,
+    CriterionViolated,
+    OracleInstance,
+    build_poset,
+    oracle_exists_family,
+    realize_projections,
+    verify_projection_family,
+)
 from invcat.criterion import poset_passes  # noqa: E402
 
 from conftest import random_meet_closed_family  # noqa: E402
+
+
+def realized(poset):
+    """Whether ``realize_projections`` builds a family (it raises
+    CriterionViolated otherwise), and the defects the exhaustive check finds
+    in that family.  A ConstructionFailure is a defect in itself."""
+    try:
+        fam = realize_projections(poset)
+    except CriterionViolated:
+        return False, []
+    except ConstructionFailure as e:
+        return None, [e.message]
+    return True, verify_projection_family(poset, fam.projections)
 
 
 def main():
@@ -41,16 +66,19 @@ def main():
     for k in range(args.samples):
         n = rng.choice([2, 3])
         fam = random_meet_closed_family(rng, field, n)
-        crit = poset_passes(build_poset(fam))
+        poset = build_poset(fam)
+        crit = poset_passes(poset)
+        built, problems = realized(poset)
         orc, _ = oracle_exists_family(OracleInstance(field, n, tuple(fam)))
-        if crit != orc:
+        if crit != orc or built != orc or problems:
             mismatches += 1
-            print(f"[{k}] criterion={crit} oracle={orc} family="
-                  f"{json.dumps([s.to_json() for s in fam])}")
+            print(f"[{k}] criterion={crit} realized={built} oracle={orc} "
+                  f"defects={problems} family={json.dumps([s.to_json() for s in fam])}")
     rate = mismatches / args.samples
     print(f"{mismatches}/{args.samples} disagreements "
           f"({rate:.2%}) in {time.time() - start:.1f} s")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,14 +18,15 @@ takes the rank count.  For each element b let
 
     r(b) = dim b - dim(sum of the lower covers of b).
 
-Complements of the lower-cover sums, one per element, together span the
-space, and they form a basis exactly when the r(b) add up to the ambient
-dimension.  In that basis every element is spanned by a subset of the
-basis, and coordinate projections multiply as meets do.  Conversely, the
-projections of a multiplicative family commute, so they are simultaneously
-diagonalizable, and a joint eigenbasis makes the count come out equal.  So
-the count holds exactly when a projection family exists, and it uses
-dimensions only.
+Complements of the lower-cover sums, one per element
+(``adapted_complements``), together span the space, and they form a basis
+exactly when the r(b) add up to the ambient dimension.  In that basis every
+element is spanned by a subset of the basis, and coordinate projections
+multiply as meets do; the projection families are built from exactly these
+complements.  Conversely, the projections of a multiplicative family
+commute, so they are simultaneously diagonalizable, and a joint eigenbasis
+makes the count come out equal.  So the count holds exactly when a
+projection family exists.
 
 A representation passes when, at every object, every ordered pair scores
 >= 0 and the count equals the ambient dimension.  The count is taken only
@@ -37,11 +38,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
-from .linalg import Subspace, sum_dim
+from .linalg import Subspace, complement_within, sub_sum
 from .poset import MobiusTable, SubspacePoset, mobius
 from .rep import Representation
 
@@ -187,6 +189,26 @@ def check_poset(
     return std_neg, lit_neg, disagreements
 
 
+def adapted_complements(p: SubspacePoset) -> List[Subspace]:
+    """For each element b, in index order, the complement C_b inside b of the
+    sum of b's lower covers (``linalg.complement_within``).
+
+    This is the one adapted-basis construction: r(b) = dim C_b is the rank
+    count, and where the count holds the C_b together are a basis in which
+    every element is spanned by the C_a with a <= b, which is what
+    ``realize.realize_projections`` builds the projection family from.
+    """
+    elems = p.elements
+    lower: List[List[Subspace]] = [[] for _ in elems]
+    for i, j in p.covers:
+        lower[j].append(elems[i])
+    zero = elems[p.zero_index]
+    return [
+        complement_within(b, reduce(sub_sum, lower[bi]) if lower[bi] else zero)
+        for bi, b in enumerate(elems)
+    ]
+
+
 def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
     """Where the rank count of one poset fails, or None where it holds.
 
@@ -196,13 +218,8 @@ def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
     it exceeds it at some element exactly when it exceeds the ambient
     dimension at the full space.
     """
-    elems = p.elements
-    lower: List[List[Subspace]] = [[] for _ in elems]
-    for i, j in p.covers:
-        lower[j].append(elems[i])
-    r: List[int] = []
-    for bi, b in enumerate(elems):
-        r.append(b.dim - sum_dim(lower[bi]))
+    r = [c.dim for c in adapted_complements(p)]
+    for bi, b in enumerate(p.elements):
         count = sum(r[ai] for ai in range(bi + 1) if p.leq[ai][bi])
         if count > b.dim:
             return bi, count

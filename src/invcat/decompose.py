@@ -29,6 +29,7 @@ from .flag import ClosureLimits
 from .linalg import (
     Matrix,
     Subspace,
+    complement_within,
     inverse,
     kernel,
     map_image,
@@ -218,23 +219,6 @@ class BlockcodeDecomposition:
 # --- atom refinement ---------------------------------------------------------
 
 
-def _complement_within(big: Subspace, small: Subspace) -> Subspace:
-    """Deterministic complement of ``small`` inside ``big``.
-
-    Extends small's basis with big's canonical basis rows, first fit.  Not
-    basis-independent, but reproducible, which is what certificates need.
-    """
-    field = big.field
-    chosen: List[List] = [list(r) for r in small.basis]
-    extra: List[List] = []
-    for row in big.basis:
-        probe = Subspace.span(field, big.ambient_dim, chosen)
-        if not probe.contains_vector(row):
-            chosen.append(list(row))
-            extra.append(list(row))
-    return Subspace.span(field, big.ambient_dim, extra)
-
-
 def _refine_parts(atoms: List[Subspace], parts: Sequence[Subspace]) -> bool:
     """Split each atom along its intersections with ``parts``.
 
@@ -272,7 +256,7 @@ def _refine_parts(atoms: List[Subspace], parts: Sequence[Subspace]) -> bool:
             out.append(atom)
             continue
         if reach.dim < atom.dim:
-            pieces.append(_complement_within(atom, reach))
+            pieces.append(complement_within(atom, reach))
         out.extend(sorted(pieces, key=lambda s: s.sort_key))
         changed = True
     if changed:

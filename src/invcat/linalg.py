@@ -472,15 +472,23 @@ def sub_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(a.field, a.ambient_dim, a._ints()[0] + b._ints()[0])
 
 
-def sum_dim(parts: Sequence[Subspace]) -> int:
-    """dim(sum of ``parts``), without building the canonical sum."""
-    if len(parts) < 2:
-        return parts[0].dim if parts else 0
-    first = parts[0]
-    for s in parts[1:]:
-        _check_same_ambient(first, s)
-    rows = [r for s in parts for r in s._ints()[0]]
-    return len(_eliminate(first.field.p, rows, first.ambient_dim))
+def complement_within(big: Subspace, small: Subspace) -> Subspace:
+    """Deterministic complement of ``small`` inside ``big``.
+
+    Extends small's basis with big's canonical basis rows, first fit: a row
+    is kept when it is independent of small and of the rows kept before it.
+    Not basis-independent, but reproducible, which is what certificates need.
+    One elimination decides every row: with small's and then big's rows as
+    columns, the pivot columns are the first-fit independent ones.  When
+    ``small`` does not lie in ``big`` the result is still independent of
+    ``small``, and spans with it ``big + small``.
+    """
+    _check_same_ambient(big, small)
+    vectors = small._ints()[0] + big._ints()[0]
+    columns = [list(c) for c in zip(*vectors)]
+    pivots = _eliminate(big.field.p, columns, len(vectors))
+    kept = [big.basis[j - small.dim] for j in pivots if j >= small.dim]
+    return Subspace.span(big.field, big.ambient_dim, kept)
 
 
 def sub_intersect(a: Subspace, b: Subspace) -> Subspace:

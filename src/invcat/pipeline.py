@@ -44,12 +44,24 @@ class Analysis:
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
-    """Projection families of a flag that has passed ``check_representation``
-    (in standard mode), so its posets are not scored again."""
+    """Projection families of a passing flag, one per object, each read off
+    the adapted basis of ``criterion.adapted_complements``."""
     return {
-        oid: realize_projections(flag.posets[oid], object_id=oid, report_pass=True)
+        oid: realize_projections(flag.posets[oid], object_id=oid)
         for oid in sorted(flag.posets)
     }
+
+
+def _synthesize(
+    rep: Representation, flag: FlagAssignment
+) -> Tuple[Dict[str, ProjectionFamily], Dict[str, Matrix]]:
+    """The projection families of ``flag`` and the generators' pseudo-inverses."""
+    families = build_families(flag)
+    pseudo_inverses = {
+        g.id: make_pseudo_inverse(g.matrix, families[g.dom], families[g.cod])
+        for g in rep.generators
+    }
+    return families, pseudo_inverses
 
 
 def _saturate(
@@ -57,23 +69,26 @@ def _saturate(
     flag: FlagAssignment,
     report: CriterionReport,
     limits: ClosureLimits,
-) -> Tuple[FlagAssignment, CriterionReport, Optional[str]]:
+) -> Tuple[
+    FlagAssignment,
+    CriterionReport,
+    Optional[Dict[str, ProjectionFamily]],
+    Optional[Dict[str, Matrix]],
+    Optional[str],
+]:
     """Grow the passing flag (whose standard report is ``report``) with
     synthesized pseudo-inverse maps while it stays criterion-positive.
-    Returns the final flag, its standard report and an optional note."""
+    Returns the final flag, its standard report, its families and
+    pseudo-inverses (None where synthesis failed) and an optional note."""
     extra: Dict[Tuple[str, str, Matrix], Generator] = {}
     counters: Dict[str, int] = {}
     for _ in range(SATURATION_MAX_PASSES):
         try:
-            families = build_families(flag)
-            pseudo_inverses = {
-                g.id: make_pseudo_inverse(g.matrix, families[g.dom], families[g.cod])
-                for g in rep.generators
-            }
+            families, pseudo_inverses = _synthesize(rep, flag)
         except (ConstructionFailure, CriterionViolated) as e:
             # A passing instance where synthesis fails is a theory gap;
             # keep the last good flag and surface the note prominently.
-            return flag, report, f"saturation stopped: {e.code}: {e.message}"
+            return flag, report, None, None, f"saturation stopped: {e.code}: {e.message}"
         grew = False
         for g in rep.generators:
             m = pseudo_inverses[g.id]
@@ -85,19 +100,24 @@ def _saturate(
                 extra[key] = Generator(id=name, dom=g.cod, cod=g.dom, matrix=m)
                 grew = True
         if not grew and flag.saturated:
-            return flag, report, None
+            return flag, report, families, pseudo_inverses, None
         new_flag = compute_flag(rep, limits, extra_maps=tuple(extra.values()))
         new_flag.saturated = True
         new_report = check_representation(rep, new_flag, "standard")
         if not new_report.passed:
             # The synthesized envelope is not inverse; enrichment would flip
             # the verdict, so it is dropped.  The raw-flag verdict stands.
-            return flag, report, "saturation discarded: enlarged flag goes criterion-negative"
-        stable = new_flag.element_sets() == flag.element_sets()
+            note = "saturation discarded: enlarged flag goes criterion-negative"
+            return flag, report, families, pseudo_inverses, note
+        if new_flag.element_sets() == flag.element_sets() and not grew:
+            # same elements, so the families just built are this flag's too
+            return new_flag, new_report, families, pseudo_inverses, None
         flag, report = new_flag, new_report
-        if stable and not grew:
-            return flag, report, None
-    return flag, report, "saturation stopped: pass limit reached"
+    note = "saturation stopped: pass limit reached"
+    try:
+        return (flag, report, *_synthesize(rep, flag), note)
+    except (ConstructionFailure, CriterionViolated):
+        return flag, report, None, None, note
 
 
 def analyze(
@@ -113,18 +133,9 @@ def analyze(
     note: Optional[str] = None
 
     if standard.passed and saturate:
-        flag, standard, note = _saturate(rep, flag, standard, limits)
-        try:
-            families = build_families(flag)
-            pseudo_inverses = {
-                g.id: make_pseudo_inverse(g.matrix, families[g.dom], families[g.cod])
-                for g in rep.generators
-            }
-        except (ConstructionFailure, CriterionViolated) as e:
-            families = None
-            pseudo_inverses = None
-            if note is None:
-                note = f"family synthesis failed: {e.code}: {e.message}"
+        flag, standard, families, pseudo_inverses, note = _saturate(
+            rep, flag, standard, limits
+        )
 
     report = (
         standard

@@ -1,20 +1,23 @@
 """Constructive side: commuting multiplicative projection families and
-pseudo-inverses, with every claimed identity re-verified before returning.
+pseudo-inverses.
 
-The greedy family construction picks, for each pair (b, c), a set of vectors
-inside b avoiding c and everything below b, of size equal to the criterion
-score of (b, c).  The union over b spans the kernel of the projection onto c.
-Where the underlying counting argument has gaps, exact verification catches
-the fallout and raises ConstructionFailure rather than returning an
-unverified family.
+A family is read off the adapted basis of the flag: the complements C_b of
+``criterion.adapted_complements``, the same construction the rank count
+measures.  Each projection keeps the coordinates of the C_x below its target
+and zeroes the rest, so the family axioms hold by construction once the
+basis is invertible and each target gets as many coordinates as its
+dimension; those two facts are checked.  ``verify_projection_family`` is the
+exhaustive check of the axioms, kept as the reference for the oracle and the
+tests.  Pseudo-inverses are checked against their four identities before
+they are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .criterion import evaluate_pair, poset_passes
+from .criterion import adapted_complements
 from .errors import (
     AxiomViolation,
     ConstructionFailure,
@@ -29,13 +32,15 @@ from .linalg import (
     inverse,
     kernel,
     map_preimage,
-    projection_onto,
     solve_particular,
-    sub_intersect,
     sub_sum,
 )
-from .poset import MobiusTable, SubspacePoset, mobius
+from .poset import SubspacePoset
 from .rep import Representation
+
+# unused here, kept bound so that per-layer tracers can wrap them by name
+from .criterion import poset_passes  # noqa: F401
+from .poset import mobius  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -104,83 +109,46 @@ def verify_projection_family(
     return problems
 
 
-def _independent_modulo(field, candidate: Sequence, span_rows: List[List]) -> bool:
-    """Does ``candidate`` fall outside the row space of ``span_rows``?"""
-    probe = Subspace.span(field, len(candidate), span_rows)
-    return not probe.contains_vector(candidate)
+def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFamily:
+    """Build the projection family of one object's flag poset from its
+    adapted basis.
 
-
-def realize_projections(
-    p: SubspacePoset,
-    mu: Optional[MobiusTable] = None,
-    object_id: str = "",
-    report_pass: Optional[bool] = None,
-) -> ProjectionFamily:
-    """Build the projection family for one object's flag poset.
-
-    Processing order is the poset's canonical linear extension; candidate
-    kernel vectors are drawn from each element's canonical basis rows, first
-    match wins.  Everything is verified before returning.
+    The complements C_b of ``adapted_complements``, taken in index order, are
+    the columns of a basis P.  The projection onto c keeps the coordinates
+    S_c of the C_x with x <= c and sends the others to zero:
+    pi_c = P[:, S_c] P^-1[S_c, :].  Since x <= b and x <= c exactly when
+    x <= b meet c, S_b and S_c intersect in S_(b meet c), so the projections
+    commute and multiply as meets do.  Raises CriterionViolated when the rank
+    count fails (the C_b are then dependent); checks that P is invertible and
+    that |S_c| = dim c, which makes pi_c a projection onto c.
     """
-    mu = mu if mu is not None else mobius(p)
-    if report_pass is None:
-        report_pass = poset_passes(p, mu, "standard")
-    if not report_pass:
+    comps = adapted_complements(p)
+    n = p.ambient_dim
+    if sum(c.dim for c in comps) != n:
         raise CriterionViolated(
             f"criterion fails on flag({object_id or '?'}); no projection family exists"
         )
     field = p.field
-    n = p.ambient_dim
-    elems = p.elements
+    cols = [v for c in comps for v in c.basis]
+    owner = [bi for bi, c in enumerate(comps) for _ in c.basis]
+    basis = Matrix(field, n, n, tuple(zip(*cols)) if n else ())
+    inv = inverse(basis)
+    if inv is None:
+        raise ConstructionFailure(
+            f"adapted basis is singular at object {object_id!r}", object=object_id
+        )
     projections: Dict[Subspace, Matrix] = {}
-    for c in elems:
-        kernel_rows: List[List] = []
-        for bi, b in enumerate(elems):
-            count = evaluate_pair(p, mu, b, c, "standard")
-            if count < 0:
-                raise CriterionViolated(
-                    f"negative score at object {object_id!r}", value=count
-                )
-            if count == 0:
-                continue
-            below = [a for ai, a in enumerate(elems) if p.leq[ai][bi] and a != b]
-            forbidden: List[List] = [list(r) for r in c.basis]
-            for a in below:
-                forbidden.extend(list(r) for r in a.basis)
-            forbidden.extend(kernel_rows)
-            taken = 0
-            for row in b.basis:
-                if taken == count:
-                    break
-                if _independent_modulo(field, row, forbidden):
-                    kernel_rows.append(list(row))
-                    forbidden.append(list(row))
-                    taken += 1
-            if taken < count:
-                raise ConstructionFailure(
-                    f"could not pick {count} kernel vectors for pair "
-                    f"(dim {b.dim}, dim {c.dim}) at object {object_id!r}",
-                    object=object_id,
-                    b=b.to_json(),
-                    c=c.to_json(),
-                    needed=count,
-                    found=taken,
-                )
-        ker = Subspace.span(field, n, kernel_rows)
-        if ker.dim + c.dim != n or not sub_intersect(ker, c).is_zero:
+    for ci, c in enumerate(p.elements):
+        keep = [k for k in range(n) if p.leq[owner[k]][ci]]
+        if len(keep) != c.dim:
             raise ConstructionFailure(
-                f"kernel candidate does not complement its dim-{c.dim} image "
-                f"at object {object_id!r}",
+                f"adapted basis spans {len(keep)} dimensions of a dim-{c.dim} "
+                f"element at object {object_id!r}",
                 object=object_id,
             )
-        projections[c] = projection_onto(c, ker)
-    problems = verify_projection_family(p, projections)
-    if problems:
-        raise ConstructionFailure(
-            f"projection family verification failed at object {object_id!r}",
-            object=object_id,
-            problems=problems,
-        )
+        left = Matrix(field, n, c.dim, tuple(tuple(r[k] for k in keep) for r in basis.entries))
+        right = Matrix(field, c.dim, n, tuple(inv.entries[k] for k in keep))
+        projections[c] = left @ right
     return ProjectionFamily(object_id=object_id, poset=p, projections=projections)
 
 

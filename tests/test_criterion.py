@@ -1,15 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcat import (
     ElementNotInPoset,
     GF,
     RATIONALS,
     Subspace,
+    all_subspaces,
     analyze,
     build_poset,
     check_representation,
     compute_flag,
     evaluate_pair,
+    meet_closure,
     mobius,
 )
 
@@ -289,3 +293,23 @@ def test_down_set_score_matches_dense_reference(rng):
         for mode in ("standard", "literal"):
             expected = all(v >= 0 for row in dense[mode] for v in row)
             assert poset_passes(p, mu, mode) == (expected and rank_count_excess(p) is None)
+
+
+@st.composite
+def meet_closed_posets(draw):
+    """Meet closures of up to four random subspaces of GF(2)^n or GF(3)^n."""
+    field = draw(st.sampled_from([GF(2), GF(3)]))
+    n = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.sampled_from(all_subspaces(field, n)), max_size=4))
+    return build_poset(meet_closure([Subspace.zero(field, n), Subspace.full(field, n), *seeds]))
+
+
+@given(meet_closed_posets())
+@settings(max_examples=300, deadline=None)
+def test_rank_count_implies_nonnegative_scores(p):
+    """Where the rank count holds a projection family exists, so no pair can
+    score negative: the count alone decides the verdict on a flag."""
+    from invcat.criterion import check_poset, rank_count_excess
+
+    if rank_count_excess(p) is None:
+        assert check_poset(p)[0] == []

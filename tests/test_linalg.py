@@ -23,7 +23,7 @@ from invcat import (
     sub_intersect,
     sub_sum,
 )
-from invcat.linalg import sum_dim
+from invcat.linalg import complement_within
 
 from conftest import random_invertible, random_matrix, random_subspace
 
@@ -160,17 +160,38 @@ def test_dimension_formula(pair):
         assert total.contains_vector(v)
 
 
-def test_sum_dim_matches_folded_sum(rng):
-    for _ in range(60):
+def _first_fit_complement(big, small):
+    """Reference: big's canonical rows, first fit, each tested against a
+    fresh span of small's basis and the rows kept so far."""
+    chosen = [list(r) for r in small.basis]
+    kept = []
+    for row in big.basis:
+        if not Subspace.span(big.field, big.ambient_dim, chosen).contains_vector(row):
+            chosen.append(list(row))
+            kept.append(list(row))
+    return Subspace.span(big.field, big.ambient_dim, kept)
+
+
+def test_complement_within_matches_first_fit_reference(rng):
+    for _ in range(80):
         field = rng.choice(FIELDS)
-        ambient = rng.randint(0, 4)
-        parts = [random_subspace(rng, field, ambient, max_vecs=2) for _ in range(rng.randint(0, 4))]
-        total = Subspace.zero(field, ambient)
-        for s in parts:
-            total = sub_sum(total, s)
-        assert sum_dim(parts) == total.dim
+        n = rng.randint(0, 5)
+        big = random_subspace(rng, field, n)
+        coeffs = random_matrix(rng, field, rng.randint(0, big.dim), big.dim)
+        inside = Subspace.span(field, n, (coeffs @ big.basis_matrix()).entries)
+        outside = random_subspace(rng, field, n)
+        zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+        cases = [(big, inside), (big, zero), (big, big), (full, inside), (zero, zero),
+                 (full, zero), (full, full), (big, outside), (zero, outside)]
+        for b, s in cases:
+            got = complement_within(b, s)
+            assert got == _first_fit_complement(b, s)
+            assert sub_intersect(got, s).is_zero
+            assert sub_sum(got, s) == sub_sum(b, s)
+    assert complement_within(Subspace.full(RATIONALS, 3), Subspace.zero(RATIONALS, 3)).is_full
+    assert complement_within(Subspace.full(GF(2), 2), Subspace.full(GF(2), 2)).is_zero
     with pytest.raises(ValidationError):
-        sum_dim([Subspace.zero(RATIONALS, 2), Subspace.zero(RATIONALS, 3)])
+        complement_within(Subspace.zero(RATIONALS, 2), Subspace.zero(RATIONALS, 3))
 
 
 @given(subspace_pairs())

@@ -28,6 +28,22 @@ def test_saturation_state_is_reported(trisection, bisection):
     assert b.flag.saturated is False  # failing inputs are never saturated
 
 
+def test_saturation_hands_back_the_final_families(bisection, monkeypatch):
+    """Each flag's families are built once: the bisection flag saturates in
+    one step (3-chain to diamond), so two builds, and the last is reused."""
+    import invcat.pipeline as pipeline
+
+    built = []
+    real = pipeline.build_families
+    monkeypatch.setattr(pipeline, "build_families", lambda flag: built.append(flag) or real(flag))
+    a = analyze(bisection)
+    assert len(built) == 2 and a.flag.sizes() == {"plane": 4}
+    fresh = real(a.flag)
+    assert {oid: f.projections for oid, f in a.families.items()} == {
+        oid: f.projections for oid, f in fresh.items()
+    }
+
+
 def test_analyze_is_deterministic(bisection):
     a1 = analyze(bisection)
     a2 = analyze(bisection)

@@ -1,7 +1,9 @@
 import pytest
 
 from invcat import (
+    GF,
     AxiomViolation,
+    ConstructionFailure,
     CriterionViolated,
     EnvelopeLimits,
     Matrix,
@@ -9,10 +11,12 @@ from invcat import (
     Subspace,
     analyze,
     build_poset,
+    evaluate_pair,
     image,
     kernel,
     kernel_decomposition_check,
     map_preimage,
+    mobius,
     projection_onto,
     pseudo_inverse,
     realize_projections,
@@ -21,9 +25,15 @@ from invcat import (
     verify_envelope,
     verify_projection_family,
 )
+from invcat.criterion import poset_passes, rank_count_excess
 from invcat.rep import Generator, RepObject, Representation
 
-from conftest import interval_corpus_instance, random_subspace
+from conftest import (
+    conjugate_representation,
+    interval_corpus_instance,
+    random_meet_closed_family,
+    random_subspace,
+)
 
 ZERO2 = Subspace.zero(RATIONALS, 2)
 FULL2 = Subspace.full(RATIONALS, 2)
@@ -52,6 +62,98 @@ def test_family_rejects_failing_poset():
     p = build_poset([ZERO2, X_AXIS, Y_AXIS, diag, FULL2])
     with pytest.raises(CriterionViolated):
         realize_projections(p, object_id="center")
+
+
+def _greedy_family(p):
+    """Reference: the projection family as the greedy picker used to build it.
+
+    For each target c and each b, in index order, it picks score(b, c) rows of
+    b's canonical basis, first fit, avoiding c, every element below b and the
+    rows picked so far; their span is the kernel of the projection onto c.
+    Every pair is scored and the family is verified exhaustively.
+    """
+    mu = mobius(p)
+    if not poset_passes(p, mu, "standard"):
+        raise CriterionViolated("criterion fails")
+    field, n, elems = p.field, p.ambient_dim, p.elements
+    projections = {}
+    for c in elems:
+        kernel_rows = []
+        for bi, b in enumerate(elems):
+            count = evaluate_pair(p, mu, b, c, "standard")
+            if count < 0:
+                raise CriterionViolated("negative score", value=count)
+            forbidden = [list(r) for r in c.basis] + kernel_rows
+            for ai, a in enumerate(elems):
+                if p.leq[ai][bi] and ai != bi:
+                    forbidden.extend(list(r) for r in a.basis)
+            taken = 0
+            for row in b.basis:
+                if taken == count:
+                    break
+                if not Subspace.span(field, n, forbidden).contains_vector(row):
+                    kernel_rows.append(list(row))
+                    forbidden.append(list(row))
+                    taken += 1
+            if taken < count:
+                raise ConstructionFailure("could not pick the kernel vectors")
+        ker = Subspace.span(field, n, kernel_rows)
+        if ker.dim + c.dim != n or not sub_intersect(ker, c).is_zero:
+            raise ConstructionFailure("kernel does not complement its image")
+        projections[c] = projection_onto(c, ker)
+    if verify_projection_family(p, projections):
+        raise ConstructionFailure("greedy family fails verification")
+    return projections
+
+
+def _check_against_greedy(p):
+    """The adapted family equals the greedy one entry for entry and passes
+    the exhaustive check; both refuse exactly where the rank count fails."""
+    count_fails = rank_count_excess(p) is not None
+    try:
+        fam = realize_projections(p, object_id="x")
+    except CriterionViolated:
+        assert count_fails
+        with pytest.raises(CriterionViolated):
+            _greedy_family(p)
+        return False
+    assert not count_fails
+    assert fam.projections == _greedy_family(p)
+    assert list(fam.projections) == list(p.elements)
+    assert not verify_projection_family(p, fam.projections)
+    return True
+
+
+def _over_gf(rep, field):
+    """The same integer-valued representation, read over ``field``."""
+    gens = tuple(
+        Generator(g.id, g.dom, g.cod, Matrix.build(field, m.rows, m.cols, m.entries))
+        for g, m in ((g, g.matrix) for g in rep.generators)
+    )
+    return Representation(field, rep.objects, gens)
+
+
+def test_adapted_family_matches_greedy_on_random_families(rng):
+    built = refused = 0
+    for _ in range(300):
+        field = rng.choice([GF(2), GF(3)])
+        fam = random_meet_closed_family(rng, field, rng.choice([2, 3]))
+        if _check_against_greedy(build_poset(fam)):
+            built += 1
+        else:
+            refused += 1
+    assert built > 50 and refused > 10
+
+
+def test_adapted_family_matches_greedy_on_saturated_flags(rng):
+    gf = GF(10007)
+    for _ in range(8):
+        rep, _ = interval_corpus_instance(rng)
+        for r in (rep, conjugate_representation(rng, _over_gf(rep, gf))):
+            a = analyze(r)
+            assert a.standard_report.passed and a.flag.saturated
+            for p in a.flag.posets.values():
+                assert _check_against_greedy(p)
 
 
 def test_families_on_corpus(rng):
