@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Sweep random meet-closed families over GF(2) and compare the verdict
 (Moebius score and rank count) and the projection-family construction
-against the exhaustive projection-family search.
+against the exhaustive projection-family search; then compare the verdict
+on every representation of a few small tree quivers against the exhaustive
+blockcode-basis search.
 
 On every draw, the verdict must equal the oracle's answer, and
 ``realize_projections`` must build a family that passes
@@ -9,8 +11,11 @@ On every draw, the verdict must equal the oracle's answer, and
 ``CriterionViolated`` elsewhere).  The score alone would not agree: families
 of three coplanar lines inside a strictly larger ambient space score
 nonnegative everywhere while no multiplicative projection family exists, and
-only the rank count refutes them.  Every disagreement is printed, and the
-exit status is 1 when there is any, 0 otherwise.
+only the rank count refutes them.  On the tree quivers (see
+``small_tree_representations`` in tests/conftest.py), the verdict must pass
+exactly where a blockcode basis exists, and every pass must decompose to a
+certificate that ``verify_decomposition`` accepts.  Every disagreement is
+printed, and the exit status is 1 when there is any, 0 otherwise.
 
 Usage: python scripts/oracle_sweep.py [--samples N] [--seed S]
 """
@@ -31,14 +36,19 @@ from invcat import (  # noqa: E402
     ConstructionFailure,
     CriterionViolated,
     OracleInstance,
+    ToolError,
+    analyze,
     build_poset,
+    decompose,
+    oracle_blockcode_basis,
     oracle_exists_family,
     realize_projections,
+    verify_decomposition,
     verify_projection_family,
 )
 from invcat.criterion import poset_passes  # noqa: E402
 
-from conftest import random_meet_closed_family  # noqa: E402
+from conftest import random_meet_closed_family, small_tree_representations  # noqa: E402
 
 
 def realized(poset):
@@ -52,6 +62,15 @@ def realized(poset):
     except ConstructionFailure as e:
         return None, [e.message]
     return True, verify_projection_family(poset, fam.projections)
+
+
+def decomposed(rep, analysis):
+    """Whether a passing representation decomposes to a certificate that
+    ``verify_decomposition`` accepts."""
+    try:
+        return verify_decomposition(rep, decompose(rep, analysis=analysis)).ok
+    except ToolError:
+        return False
 
 
 def main():
@@ -77,7 +96,19 @@ def main():
     rate = mismatches / args.samples
     print(f"{mismatches}/{args.samples} disagreements "
           f"({rate:.2%}) in {time.time() - start:.1f} s")
-    return 1 if mismatches else 0
+    start = time.time()
+    trees = tree_mismatches = 0
+    for rep in small_tree_representations():
+        trees += 1
+        a = analyze(rep)
+        orc = oracle_blockcode_basis(rep)
+        certified = decomposed(rep, a) if a.report.passed else None
+        if a.report.passed != orc or certified is False:
+            tree_mismatches += 1
+            print(f"[tree] criterion={a.report.passed} oracle={orc} "
+                  f"certified={certified} rep={json.dumps(rep.to_json())}")
+    print(f"{tree_mismatches}/{trees} tree disagreements in {time.time() - start:.1f} s")
+    return 1 if mismatches or tree_mismatches else 0
 
 
 if __name__ == "__main__":

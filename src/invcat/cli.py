@@ -17,7 +17,6 @@ from typing import Optional
 from .decompose import BlockcodeDecomposition, decompose, verify_decomposition
 from .errors import (
     AxiomViolation,
-    CriterionViolated,
     InputSyntaxError,
     InternalError,
     ToolError,
@@ -133,11 +132,6 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         doc["note"] = "criterion fails; no inverse envelope exists"
         _dump(doc, args.output)
         return 1
-    if analysis.families is None or analysis.pseudo_inverses is None:
-        raise CriterionViolated(
-            "projection families unavailable"
-            + (f" ({analysis.saturation_note})" if analysis.saturation_note else "")
-        )
     try:
         env = verify_envelope(
             rep,

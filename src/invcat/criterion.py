@@ -189,24 +189,29 @@ def check_poset(
     return std_neg, lit_neg, disagreements
 
 
-def adapted_complements(p: SubspacePoset) -> List[Subspace]:
+def adapted_complements(p: SubspacePoset) -> Tuple[Subspace, ...]:
     """For each element b, in index order, the complement C_b inside b of the
     sum of b's lower covers (``linalg.complement_within``).
 
     This is the one adapted-basis construction: r(b) = dim C_b is the rank
     count, and where the count holds the C_b together are a basis in which
     every element is spanned by the C_a with a <= b, which is what
-    ``realize.realize_projections`` builds the projection family from.
+    ``realize`` reads the projection families and the transported bases off.
+    Computed once per poset and cached on it.
     """
-    elems = p.elements
-    lower: List[List[Subspace]] = [[] for _ in elems]
-    for i, j in p.covers:
-        lower[j].append(elems[i])
-    zero = elems[p.zero_index]
-    return [
-        complement_within(b, reduce(sub_sum, lower[bi]) if lower[bi] else zero)
-        for bi, b in enumerate(elems)
-    ]
+    comps = p._complements
+    if comps is None:
+        elems = p.elements
+        lower: List[List[Subspace]] = [[] for _ in elems]
+        for i, j in p.covers:
+            lower[j].append(elems[i])
+        zero = elems[p.zero_index]
+        comps = tuple(
+            complement_within(b, reduce(sub_sum, lower[bi]) if lower[bi] else zero)
+            for bi, b in enumerate(elems)
+        )
+        object.__setattr__(p, "_complements", comps)
+    return comps
 
 
 def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:

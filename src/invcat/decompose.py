@@ -1,12 +1,12 @@
 """Blockcode decomposition of representations of cycle-free quivers.
 
-Pipeline: split every object's space into atoms (joint refinement by the
-projection family's images/kernels, then by generator images, preimages and
-kernels across edges, to a fixpoint); check that every generator carries each
-atom to zero or isomorphically onto a single atom; take connected components
-of the atom-matching graph as summands.  Components whose atoms have common
-dimension d > 1 are isomorphism-carried copies of d rank-one strands and are
-split into those strands, so summand dimension vectors match the multiset of
+The certificate is read off the adapted bases the analysis carries
+(``realize.transported_bases``), which every generator of a cycle-free quiver
+carries to basis vectors or to zero.  Each basis vector spans one atom, a
+line.  A generator sends an atom to the atom of the basis vector it hits,
+with a 1x1 block, or to zero.  The summands are the connected components of
+that matching: rank-one strands, which on A_n are the intervals of the
+zigzag decomposition, so summand dimension vectors match the multiset of
 indecomposables on interval-built corpora.
 
 The verifier re-checks everything from scratch with plain linear algebra and
@@ -24,20 +24,9 @@ from .errors import (
     CycleError,
     ValidationError,
 )
-from .fields import Field
+from .fields import Field, Scalar
 from .flag import ClosureLimits
-from .linalg import (
-    Matrix,
-    Subspace,
-    complement_within,
-    inverse,
-    kernel,
-    map_image,
-    map_preimage,
-    solve_particular,
-    sub_intersect,
-    sub_sum,
-)
+from .linalg import Matrix, Subspace, inverse
 from .pipeline import Analysis, analyze
 from .rep import Representation, quiver_shape
 
@@ -216,146 +205,55 @@ class BlockcodeDecomposition:
         )
 
 
-# --- atom refinement ---------------------------------------------------------
+# --- reading the certificate off the bases --------------------------------------
 
 
-def _refine_parts(atoms: List[Subspace], parts: Sequence[Subspace]) -> bool:
-    """Split each atom along its intersections with ``parts``.
+def _read_off(
+    rep: Representation, bases: Dict[str, Matrix]
+) -> Tuple[
+    Dict[str, List[Subspace]],
+    Dict[str, Dict[int, Optional[int]]],
+    Dict[str, Dict[int, Matrix]],
+]:
+    """Atoms, action and blocks from bases that every generator carries to
+    basis vectors or to zero: each basis vector spans one atom, and a
+    generator sends it to the atom of the basis vector it hits.
 
-    A split happens only when the nonzero intersection pieces are pairwise
-    disjoint and independent; the unreached remainder, if any, is topped up
-    with one deterministic complement.  Splitting siblings together (rather
-    than one piece at a time against an arbitrary complement) is what keeps
-    the pieces compatible across generators.
+    An atom's stored basis is its vector v scaled to a leading 1, so a block
+    is lead(z(v)) / lead(v).
     """
-    changed = False
-    out: List[Subspace] = []
-    for atom in atoms:
-        pieces: List[Subspace] = []
-        whole = False
-        for p in parts:
-            inter = sub_intersect(atom, p)
-            if inter.is_zero:
-                continue
-            if inter.dim == atom.dim:
-                whole = True
-                break
-            if inter not in pieces:
-                pieces.append(inter)
-        if whole or not pieces:
-            out.append(atom)
-            continue
-        reach = pieces[0]
-        independent = True
-        for p in pieces[1:]:
-            if not sub_intersect(reach, p).is_zero:
-                independent = False
-                break
-            reach = sub_sum(reach, p)
-        if not independent or reach.dim != sum(p.dim for p in pieces):
-            out.append(atom)
-            continue
-        if reach.dim < atom.dim:
-            pieces.append(complement_within(atom, reach))
-        out.extend(sorted(pieces, key=lambda s: s.sort_key))
-        changed = True
-    if changed:
-        atoms[:] = out
-    return changed
+    field = rep.field
+    vectors = {o.id: list(zip(*bases[o.id].entries)) for o in rep.objects}
+    atoms = {
+        o.id: [Subspace.span(field, o.dim, [v]) for v in vectors[o.id]] for o in rep.objects
+    }
 
+    def lead(v: Sequence[Scalar]) -> Scalar:
+        return next(x for x in v if x)
 
-def _initial_atoms(analysis: Analysis) -> Dict[str, List[Subspace]]:
-    atoms: Dict[str, List[Subspace]] = {}
-    for o in analysis.rep.objects:
-        if o.dim == 0:
-            atoms[o.id] = []
-            continue
-        current = [Subspace.full(analysis.rep.field, o.dim)]
-        fam = analysis.families[o.id]
-        for s in fam.poset.elements:
-            pi = fam.projections[s]
-            _refine_parts(current, [s, kernel(pi)])
-        atoms[o.id] = current
-    return atoms
-
-
-def _cross_refine(rep: Representation, atoms: Dict[str, List[Subspace]]) -> None:
-    total_dim = sum(o.dim for o in rep.objects) or 1
-    for _ in range(2 * total_dim + 2):
-        changed = False
-        for g in rep.generators:
-            ker = kernel(g.matrix)
-            changed |= _refine_parts(atoms[g.dom], [ker])
-            images = [
-                img
-                for img in (map_image(g.matrix, b) for b in atoms[g.dom])
-                if not img.is_zero
-            ]
-            changed |= _refine_parts(atoms[g.cod], images)
-            for img in images:
-                changed |= _refine_parts(atoms[g.cod], [img])
-            preimages = [map_preimage(g.matrix, c) for c in atoms[g.cod]]
-            changed |= _refine_parts(atoms[g.dom], preimages)
-            for pre in preimages:
-                changed |= _refine_parts(atoms[g.dom], [pre])
-        if not changed:
-            return
-    raise AlignmentFailure("atom refinement failed to reach a fixpoint")
-
-
-def _match_atoms(
-    rep: Representation, atoms: Dict[str, List[Subspace]]
-) -> Tuple[Dict[str, Dict[int, Optional[int]]], Dict[str, Dict[int, Matrix]]]:
-    """Resolve each generator's action on atoms; zero or iso onto one atom."""
     action: Dict[str, Dict[int, Optional[int]]] = {}
     blocks: Dict[str, Dict[int, Matrix]] = {}
     for g in rep.generators:
+        index = {w: j for j, w in enumerate(vectors[g.cod])}
         act: Dict[int, Optional[int]] = {}
         blk: Dict[int, Matrix] = {}
-        for i, atom in enumerate(atoms[g.dom]):
-            img = map_image(g.matrix, atom)
-            if img.is_zero:
+        for i, v in enumerate(vectors[g.dom]):
+            w = g.matrix.apply(v)
+            if not any(w):
                 act[i] = None
                 continue
-            tgt = None
-            for j, cand in enumerate(atoms[g.cod]):
-                if img == cand:
-                    tgt = j
-                    break
-            if tgt is None:
+            j = index.get(w)
+            if j is None:
                 raise AlignmentFailure(
-                    f"image of an atom under {g.id!r} is neither zero nor an atom",
+                    f"generator {g.id!r} carries a basis vector to a non-basis vector",
                     generator=g.id,
-                    atom=atom.to_json(),
-                    image=img.to_json(),
+                    atom=atoms[g.dom][i].to_json(),
                 )
-            if img.dim != atom.dim:
-                raise AlignmentFailure(
-                    f"generator {g.id!r} is neither zero nor injective on an atom",
-                    generator=g.id,
-                    atom=atom.to_json(),
-                )
-            act[i] = tgt
-            blk[i] = _block_matrix(g.matrix, atom, atoms[g.cod][tgt])
+            act[i] = j
+            blk[i] = Matrix(field, 1, 1, ((field.div(lead(w), lead(v)),),))
         action[g.id] = act
         blocks[g.id] = blk
-    return action, blocks
-
-
-def _block_matrix(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
-    """Coordinates of m restricted to src, written in tgt's basis."""
-    field = m.field
-    tgt_t = Matrix(field, tgt.ambient_dim, tgt.dim, tuple(zip(*tgt.basis)))
-    cols = []
-    for v in src.basis:
-        w = m.apply(v)
-        coords = solve_particular(tgt_t, w)
-        if coords is None:
-            raise AlignmentFailure("atom image does not land in the matched atom")
-        cols.append(coords)
-    if not cols:
-        return Matrix.zeros(field, tgt.dim, 0)
-    return Matrix(field, tgt.dim, src.dim, tuple(zip(*cols)))
+    return atoms, action, blocks
 
 
 def _components(
@@ -386,71 +284,6 @@ def _components(
     return [sorted(v) for v in sorted(groups.values())]
 
 
-def _strand_split(
-    rep: Representation,
-    atoms: Dict[str, List[Subspace]],
-    action: Dict[str, Dict[int, Optional[int]]],
-) -> bool:
-    """Split iso-carried components of common dimension d > 1 into d strands.
-
-    Inside one component every matched block is invertible, the quiver is a
-    tree, so transporting the root atom's basis rows along the unique paths
-    is well-defined; each row sweeps out a rank-one strand.
-    """
-    components = _components(rep, atoms, action)
-    edges: Dict[AtomKey, List[Tuple[AtomKey, Matrix, bool]]] = {}
-    for g in rep.generators:
-        for i, tgt in action[g.id].items():
-            if tgt is None:
-                continue
-            a, b = (g.dom, i), (g.cod, tgt)
-            edges.setdefault(a, []).append((b, g.matrix, True))
-            edges.setdefault(b, []).append((a, g.matrix, False))
-    replacements: Dict[AtomKey, List[Subspace]] = {}
-    for comp in components:
-        d = atoms[comp[0][0]][comp[0][1]].dim
-        if d <= 1:
-            continue
-        root = comp[0]
-        members = set(comp)
-        root_atom = atoms[root[0]][root[1]]
-        carried: Dict[AtomKey, List[Tuple]] = {root: [list(r) for r in root_atom.basis]}
-        frontier = [root]
-        while frontier:
-            here = frontier.pop(0)
-            for there, mat, forward in edges.get(here, ()):
-                if there in carried or there not in members:
-                    continue
-                vecs = []
-                for v in carried[here]:
-                    if forward:
-                        vecs.append(list(mat.apply(v)))
-                    else:
-                        src_atom = atoms[there[0]][there[1]]
-                        src_t = Matrix(
-                            mat.field, src_atom.ambient_dim, src_atom.dim,
-                            tuple(zip(*src_atom.basis)),
-                        )
-                        coords = solve_particular(mat @ src_t, v)
-                        if coords is None:
-                            raise AlignmentFailure("strand transport failed")
-                        vecs.append(list(src_t.apply(coords)))
-                carried[there] = vecs
-                frontier.append(there)
-        for key, vecs in carried.items():
-            field = rep.field
-            ambient = atoms[key[0]][key[1]].ambient_dim
-            replacements[key] = [Subspace.span(field, ambient, [v]) for v in vecs]
-    if not replacements:
-        return False
-    for oid in atoms:
-        out: List[Subspace] = []
-        for i, atom in enumerate(atoms[oid]):
-            out.extend(replacements.get((oid, i), [atom]))
-        atoms[oid] = out
-    return True
-
-
 def decompose(
     rep: Representation,
     limits: ClosureLimits = ClosureLimits(),
@@ -469,16 +302,7 @@ def decompose(
                 w.to_json() for w in report.distributivity_witnesses
             ]
         raise CriterionViolated("criterion fails; the representation does not factor", **detail)
-    if analysis.families is None:
-        raise CriterionViolated(
-            "projection families unavailable"
-            + (f" ({analysis.saturation_note})" if analysis.saturation_note else "")
-        )
-    atoms = _initial_atoms(analysis)
-    _cross_refine(rep, atoms)
-    action, blocks = _match_atoms(rep, atoms)
-    if _strand_split(rep, atoms, action):
-        action, blocks = _match_atoms(rep, atoms)
+    atoms, action, blocks = _read_off(rep, analysis.bases)
     components = _components(rep, atoms, action)
     summands = tuple(tuple(comp) for comp in components)
     summand_dims = tuple(

@@ -70,10 +70,6 @@ class ConstructionFailure(ToolError):
     code = "ConstructionFailure"
 
 
-class MissingFlagElement(ToolError):
-    code = "MissingFlagElement"
-
-
 class AxiomViolation(ToolError):
     """The generated envelope is provably not inverse (witness in detail)."""
 

@@ -68,9 +68,6 @@ class FlagAssignment:
     def sizes(self) -> Dict[str, int]:
         return {oid: len(p) for oid, p in self.posets.items()}
 
-    def element_sets(self) -> Dict[str, frozenset]:
-        return {oid: frozenset(p.elements) for oid, p in self.posets.items()}
-
     def to_json(self) -> dict:
         objects = {}
         for oid in sorted(self.posets):

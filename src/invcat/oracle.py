@@ -4,7 +4,9 @@ For a meet-closed family of subspaces of GF(p)^n (tiny p, n), decide by
 exhaustive backtracking whether some assignment of a projection onto each
 member is multiplicative: pi_b pi_c = pi_(b meet c) for every pair.  This is
 the semantic statement the criterion is supposed to characterize, so the two
-must agree wherever the search is feasible.
+must agree wherever the search is feasible.  For a representation of a
+small tree quiver, ``oracle_blockcode_basis`` likewise searches every basis
+for one that splits it into blockcodes.
 
 The search checks multiplicativity directly rather than mere commutation:
 commuting projections with the right images get the right product image for
@@ -19,9 +21,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import TooLarge, ValidationError
 from .fields import Field
-from .linalg import Matrix, Subspace, projection_onto, sub_intersect
+from .linalg import Matrix, Subspace, map_image, projection_onto, sub_intersect
 from .poset import SubspacePoset, build_poset
 from .realize import verify_projection_family
+from .rep import Representation
 
 
 @dataclass(frozen=True)
@@ -149,3 +152,33 @@ def meet_closure(subspaces: List[Subspace]) -> List[Subspace]:
         if not fresh:
             return sorted(members, key=lambda s: s.sort_key)
         members |= fresh
+
+
+def oracle_blockcode_basis(rep: Representation) -> bool:
+    """Exhaustive search, over a finite field, for a blockcode basis: a basis
+    at every object, taken up to scalars, whose lines every generator sends
+    to zero or one-to-one onto lines of the basis at its codomain.
+
+    On a tree quiver such a basis splits the representation into rank-one
+    blockcodes (on A_n, the intervals of the zigzag decomposition), and a
+    splitting into blockcodes gives one by carrying a basis through each
+    summand.
+    """
+    if rep.field.is_rational:
+        raise TooLarge("the oracle only enumerates over finite fields")
+    choices = []
+    for o in rep.objects:
+        lines = [s for s in all_subspaces(rep.field, o.dim) if s.dim == 1]
+        choices.append([
+            set(c) for c in combinations(lines, o.dim)
+            if Subspace.span(rep.field, o.dim, [s.basis[0] for s in c]).is_full
+        ])
+    at = {o.id: k for k, o in enumerate(rep.objects)}
+    for pick in product(*choices):
+        for g in rep.generators:
+            hit = [t for t in (map_image(g.matrix, s) for s in pick[at[g.dom]]) if t.dim]
+            if len(set(hit)) != len(hit) or not set(hit) <= pick[at[g.cod]]:
+                break
+        else:
+            return True
+    return False

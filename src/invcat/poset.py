@@ -45,6 +45,9 @@ class SubspacePoset:
     meet_table: Tuple[Tuple[int, ...], ...]
     _index: Dict[Subspace, int] = dc_field(repr=False, default_factory=dict)
 
+    # Lazy cache of ``criterion.adapted_complements`` (not a dataclass field).
+    _complements = None
+
     def __len__(self) -> int:
         return len(self.elements)
 

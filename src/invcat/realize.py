@@ -1,5 +1,5 @@
-"""Constructive side: commuting multiplicative projection families and
-pseudo-inverses.
+"""Constructive side: adapted bases, commuting multiplicative projection
+families and pseudo-inverses.
 
 A family is read off the adapted basis of the flag: the complements C_b of
 ``criterion.adapted_complements``, the same construction the rank count
@@ -8,35 +8,41 @@ and zeroes the rest, so the family axioms hold by construction once the
 basis is invertible and each target gets as many coordinates as its
 dimension; those two facts are checked.  ``verify_projection_family`` is the
 exhaustive check of the axioms, kept as the reference for the oracle and the
-tests.  Pseudo-inverses are checked against their four identities before
-they are returned.
+tests.
+
+``transported_bases`` picks one adapted basis per object for a whole
+representation: on a cycle-free quiver it carries one object's basis along
+every edge, so that every generator maps basis vectors to basis vectors or
+to zero.  A pseudo-inverse is read off the bases at the two ends of its
+generator in closed form; on a cycle-free quiver it is the inverse matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .criterion import adapted_complements
 from .errors import (
     AxiomViolation,
     ConstructionFailure,
     CriterionViolated,
-    MissingFlagElement,
     ValidationError,
 )
+from .fields import Field
+from .flag import FlagAssignment
 from .linalg import (
     Matrix,
     Subspace,
+    Vector,
     image,
     inverse,
     kernel,
     map_preimage,
-    solve_particular,
     sub_sum,
 )
 from .poset import SubspacePoset
-from .rep import Representation
+from .rep import Representation, quiver_shape
 
 # unused here, kept bound so that per-layer tracers can wrap them by name
 from .criterion import poset_passes  # noqa: F401
@@ -45,19 +51,13 @@ from .poset import mobius  # noqa: F401
 
 @dataclass(eq=False)
 class ProjectionFamily:
-    """Commuting multiplicative projections onto every element of a poset."""
+    """Commuting multiplicative projections onto every element of a poset,
+    read off an adapted basis (the columns of ``basis``)."""
 
     object_id: str
     poset: SubspacePoset
     projections: Dict[Subspace, Matrix]
-
-    def projection(self, s: Subspace) -> Matrix:
-        try:
-            return self.projections[s]
-        except KeyError:
-            raise MissingFlagElement(
-                f"no projection onto a dim-{s.dim} subspace at object {self.object_id!r}"
-            ) from None
+    basis: Matrix
 
     def to_json(self) -> dict:
         return {
@@ -109,6 +109,11 @@ def verify_projection_family(
     return problems
 
 
+def _column_matrix(field: Field, n: int, vectors: Sequence[Vector]) -> Matrix:
+    """The n x len(vectors) matrix whose columns are ``vectors``."""
+    return Matrix(field, n, len(vectors), tuple(zip(*vectors)) if vectors else ((),) * n)
+
+
 def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFamily:
     """Build the projection family of one object's flag poset from its
     adapted basis.
@@ -131,7 +136,7 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
     field = p.field
     cols = [v for c in comps for v in c.basis]
     owner = [bi for bi, c in enumerate(comps) for _ in c.basis]
-    basis = Matrix(field, n, n, tuple(zip(*cols)) if n else ())
+    basis = _column_matrix(field, n, cols)
     inv = inverse(basis)
     if inv is None:
         raise ConstructionFailure(
@@ -149,62 +154,102 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
         left = Matrix(field, n, c.dim, tuple(tuple(r[k] for k in keep) for r in basis.entries))
         right = Matrix(field, c.dim, n, tuple(inv.entries[k] for k in keep))
         projections[c] = left @ right
-    return ProjectionFamily(object_id=object_id, poset=p, projections=projections)
+    return ProjectionFamily(object_id=object_id, poset=p, projections=projections, basis=basis)
 
 
 def pseudo_inverse(
-    zeta: Matrix, fam_dom: ProjectionFamily, fam_cod: ProjectionFamily
+    zeta: Matrix,
+    dom: Union[Matrix, ProjectionFamily],
+    cod: Union[Matrix, ProjectionFamily],
 ) -> Matrix:
-    """Pseudo-inverse of a generator matrix through the projection families.
+    """Pseudo-inverse of a generator matrix, read off adapted bases at its ends.
 
-    The complement of ker(zeta) chosen by the domain family is carried
-    isomorphically onto im(zeta); the pseudo-inverse projects onto im(zeta)
-    and pulls back through that isomorphism.  Satisfies, and is checked to
-    satisfy exactly: z z* z = z, z* z z* = z*, z* z = 1 - pi_ker,
-    z z* = pi_im.
+    ``dom`` and ``cod`` are invertible matrices P and Q whose columns are
+    bases adapted to ker(zeta) and im(zeta), or projection families, whose
+    bases are taken.  In those bases zeta is M = Q^-1 zeta P; its nonzero
+    columns R are the basis vectors outside ker(zeta) and its nonzero rows T
+    the coordinates of im(zeta), so M[T, R] is square and invertible, and
+
+        zeta* = P[:, R] M[T, R]^-1 Q^-1[T, :].
+
+    Then zeta* zeta = 1 - pi_ker and zeta zeta* = pi_im for the coordinate
+    projections in P and Q, which fix a pseudo-inverse.  Where zeta carries
+    basis vectors to basis vectors or to zero, zeta* is the inverse matching.
     """
-    ker_z = kernel(zeta)
-    im_z = image(zeta)
-    pi_ker = fam_dom.projection(ker_z)
-    pi_im = fam_cod.projection(im_z)
+    p = dom.basis if isinstance(dom, ProjectionFamily) else dom
+    q = cod.basis if isinstance(cod, ProjectionFamily) else cod
     field = zeta.field
-    s = Matrix.identity(field, zeta.cols) - pi_ker
-    w = image(s)
-    basis_w = list(w.basis)
-    images = [zeta.apply(v) for v in basis_w]
-    u = (
-        Matrix(field, zeta.rows, len(images), tuple(zip(*images)))
-        if images
-        else Matrix.zeros(field, zeta.rows, 0)
+    q_inv = inverse(q)
+    if q_inv is None:
+        raise ConstructionFailure("codomain basis is singular")
+    m = q_inv @ zeta @ p
+    rows = [j for j, r in enumerate(m.entries) if any(r)]
+    cols = [k for k in range(m.cols) if any(r[k] for r in m.entries)]
+    block = inverse(
+        Matrix(field, len(rows), len(cols), tuple(tuple(m.entries[j][k] for k in cols) for j in rows))
     )
-    w_t = w.basis_matrix().transpose()
-    cols = []
-    for j in range(zeta.rows):
-        e = [field.one if i == j else field.zero for i in range(zeta.rows)]
-        target = pi_im.apply(e)
-        lam = solve_particular(u, target)
-        if lam is None:
-            raise ConstructionFailure(
-                "projected vector not reachable through the carried complement"
-            )
-        cols.append(w_t.apply(lam))
-    dagger = (
-        Matrix(field, zeta.cols, zeta.rows, tuple(zip(*cols)))
-        if cols
-        else Matrix.zeros(field, zeta.cols, 0)
-    )
-    checks = [
-        (zeta @ dagger @ zeta == zeta, "z z* z = z"),
-        (dagger @ zeta @ dagger == dagger, "z* z z* = z*"),
-        (dagger @ zeta == s, "z* z = 1 - pi_ker"),
-        (zeta @ dagger == pi_im, "z z* = pi_im"),
-    ]
-    failed = [name for ok, name in checks if not ok]
-    if failed:
-        raise ConstructionFailure(
-            "pseudo-inverse identities failed", identities=failed
-        )
-    return dagger
+    if block is None:
+        raise ConstructionFailure("bases are not adapted to the kernel and the image")
+    left = Matrix(field, p.rows, len(cols), tuple(tuple(r[k] for k in cols) for r in p.entries))
+    right = Matrix(field, len(rows), q.cols, tuple(q_inv.entries[j] for j in rows))
+    return left @ block @ right
+
+
+def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Matrix]:
+    """One basis per object, adapted to a passing flag, as the columns of an
+    invertible matrix.
+
+    Each object's first-fit basis A is its complements of
+    ``adapted_complements`` in index order.  With an undirected cycle (loops
+    count) these are the bases.  Otherwise the first object of each
+    connected component keeps A, and the basis is carried breadth-first
+    along every edge:
+
+    * push along z: x -> y:  B_y = {z(v) : v in B_x, z(v) != 0}, then the
+      a in A_y outside im z;
+    * pull along w: u -> y:  B_u = the a in A_u inside ker w, then w*(e) for
+      the e in B_y inside im w, where w* is the pseudo-inverse for A_u and
+      B_y: the preimage of e in the span K of the rest of A_u.
+
+    Both stay adapted: ker z and im z are flag elements, c meet im z =
+    z(z^-1(c)) at y, and c = (c meet ker w) + (c meet K) with
+    w(c meet K) = w(c) at u.  A tree crosses each edge once, so every
+    generator then carries each basis vector to a basis vector or to zero.
+    """
+    field = rep.field
+    dims = {o.id: o.dim for o in rep.objects}
+    first_fit = {
+        oid: [v for c in adapted_complements(flag.posets[oid]) for v in c.basis]
+        for oid in dims
+    }
+    # with a cycle every object keeps A, and the walk below has nothing to do
+    cyclic = quiver_shape(rep).has_undirected_cycle
+    bases: Dict[str, List[Vector]] = dict(first_fit) if cyclic else {}
+    for o in rep.objects:
+        if o.id in bases:
+            continue
+        bases[o.id] = first_fit[o.id]
+        queue = [o.id]
+        for here in queue:
+            for g in rep.generators:
+                if g.dom == here and g.cod not in bases:
+                    im = image(g.matrix)
+                    pushed = [w for w in map(g.matrix.apply, bases[here]) if any(w)]
+                    kept = [a for a in first_fit[g.cod] if not im.contains_vector(a)]
+                    bases[g.cod] = pushed + kept
+                    queue.append(g.cod)
+                elif g.cod == here and g.dom not in bases:
+                    own = first_fit[g.dom]
+                    dagger = pseudo_inverse(
+                        g.matrix,
+                        _column_matrix(field, dims[g.dom], own),
+                        _column_matrix(field, dims[here], bases[here]),
+                    )
+                    kept = [a for a in own if not any(g.matrix.apply(a))]
+                    pulled = [v for v in map(dagger.apply, bases[here]) if any(v)]
+                    bases[g.dom] = kept + pulled
+                    queue.append(g.dom)
+    return {oid: _column_matrix(field, n, bases[oid]) for oid, n in dims.items()}
 
 
 def kernel_decomposition_check(alpha: Matrix, beta: Matrix, beta_dagger: Matrix) -> bool:
@@ -272,8 +317,6 @@ def verify_envelope(
     sets ``bounded`` and restricts the verdict to the explored fragment.
     """
     if cycle_free is None:
-        from .rep import quiver_shape
-
         cycle_free = not quiver_shape(rep).has_undirected_cycle
     homs: Dict[Tuple[str, str], Dict[Matrix, None]] = {}
     queue: List[Tuple[str, str, Matrix]] = []

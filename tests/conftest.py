@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from invcat import (
+    GF,
     RATIONALS,
     Matrix,
     Subspace,
@@ -71,6 +73,34 @@ def random_meet_closed_family(rng, field, ambient, max_seed=3, max_size=8):
         fam = meet_closure(seeds)
         if len(fam) <= max_size:
             return fam
+
+
+def small_tree_representations():
+    """Every representation of a few small tree quivers over GF(2) and GF(3).
+
+    Over GF(2): A_2 and A_3 in every orientation with every dimension vector
+    up to 2, and the star of three lines mapped into a plane.  Over GF(3):
+    A_2 in both orientations with dimensions up to 2.  Every matrix of every
+    shape: 2336 representations.
+    """
+    shapes = []  # (field, object dims, edges as (dom index, cod index))
+    for field, sizes in ((GF(2), (2, 3)), (GF(3), (2,))):
+        for n in sizes:
+            for forward in product((True, False), repeat=n - 1):
+                edges = [(e, e + 1) if f else (e + 1, e) for e, f in enumerate(forward)]
+                shapes += [(field, dims, edges) for dims in product(range(3), repeat=n)]
+    shapes.append((GF(2), (2, 1, 1, 1), [(1, 0), (2, 0), (3, 0)]))
+    for field, dims, edges in shapes:
+        objects = tuple(RepObject(f"v{k}", d) for k, d in enumerate(dims))
+        sizes = [dims[j] * dims[i] for i, j in edges]
+        for values in product(range(field.p), repeat=sum(sizes)):
+            gens, at = [], 0
+            for k, ((i, j), size) in enumerate(zip(edges, sizes)):
+                flat = values[at:at + size]
+                at += size
+                rows = [flat[r * dims[i]:(r + 1) * dims[i]] for r in range(dims[j])]
+                gens.append(Generator(f"e{k}", f"v{i}", f"v{j}", Matrix.build(field, dims[j], dims[i], rows)))
+            yield Representation(field, objects, tuple(gens))
 
 
 # --- blockcode corpus over A_n path quivers -----------------------------------

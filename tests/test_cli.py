@@ -1,8 +1,9 @@
 import json
 from pathlib import Path
 
-from invcat import parse_representation
+from invcat import parse_representation, verify_decomposition
 from invcat.cli import main
+from invcat.decompose import BlockcodeDecomposition
 
 from conftest import direct_sum
 
@@ -127,6 +128,47 @@ def test_check_rank_count_refutation_is_well_formed(tmp_path, capsys):
     assert error["code"] == "CriterionViolated"
     assert error["detail"]["distributivity_witnesses"] == expected
 
+
+# An A_4 zigzag (dims 2/2/2/3 over GF(10007)): a conjugated direct sum of the
+# intervals [3,3] twice, [1,3], [0,0] and [0,2].  It passes the verdict, but
+# each object's own first-fit adapted basis is not carried onto the next
+# object's, so bases chosen object by object cannot certify it.
+CONJUGATED_ZIGZAG = {
+    "field": {"kind": "prime", "p": 10007},
+    "objects": [
+        {"id": "v0", "dim": 2}, {"id": "v1", "dim": 2},
+        {"id": "v2", "dim": 2}, {"id": "v3", "dim": 3},
+    ],
+    "generators": [
+        {"id": "e0", "dom": "v1", "cod": "v0", "matrix": [[0, 0], [2, 10005]]},
+        {"id": "e1", "dom": "v2", "cod": "v1", "matrix": [[0, 2], [2, 6]]},
+        {"id": "e2", "dom": "v3", "cod": "v2", "matrix": [[0, 4, 2], [0, 10005, 10006]]},
+    ],
+}
+ZIGZAG_SUMMANDS = [(0, 0, 0, 1), (0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0)]
+
+
+def test_conjugated_zigzag_is_certified(tmp_path, capsys):
+    rep_path = tmp_path / "zigzag.json"
+    rep_path.write_text(json.dumps(CONJUGATED_ZIGZAG))
+    code, out = run_cli(capsys, "check", str(rep_path))
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass" and doc["saturated"] is True
+    assert "saturation_note" not in doc
+
+    code, out = run_cli(capsys, "decompose", str(rep_path))
+    assert code == 0
+    rep = parse_representation(rep_path.read_text())
+    dec = BlockcodeDecomposition.from_json(json.loads(out), rep)
+    assert verify_decomposition(rep, dec).ok
+    assert dec.dims_multiset(["v0", "v1", "v2", "v3"]) == ZIGZAG_SUMMANDS
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(out)
+    code, out = run_cli(capsys, "verify", str(rep_path), str(cert_path))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+    code, out = run_cli(capsys, "envelope", str(rep_path))
+    assert code == 0 and json.loads(out)["verified"] is True
 
 def test_flag_writes_dot(tmp_path, capsys):
     code, out = run_cli(capsys, "flag", BISECTION, "--dot", str(tmp_path / "dots"))

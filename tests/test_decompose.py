@@ -214,16 +214,3 @@ def test_generator_free_representation():
     assert dec.dims_multiset(["solo"]) == [(1,), (1,), (1,)]
     assert verify_decomposition(rep, dec).ok
 
-
-def test_refinement_fixpoint_is_stable(rng):
-    from invcat.decompose import _cross_refine, _initial_atoms
-    from invcat import analyze
-
-    for _ in range(6):
-        rep, _ = interval_corpus_instance(rng, max_vertices=4)
-        analysis = analyze(rep)
-        atoms = _initial_atoms(analysis)
-        _cross_refine(rep, atoms)
-        snapshot = {oid: list(lst) for oid, lst in atoms.items()}
-        _cross_refine(rep, atoms)
-        assert {oid: list(lst) for oid, lst in atoms.items()} == snapshot

@@ -6,13 +6,16 @@ from pathlib import Path
 from invcat import (
     ClosureLimits,
     GF,
+    Matrix,
     RATIONALS,
     analyze,
     decompose,
+    image,
+    kernel,
     quiver_shape,
     verify_decomposition,
 )
-from invcat.errors import ClosureDivergence, ToolError
+from invcat.errors import ClosureDivergence
 from invcat.rep import Generator, RepObject, Representation
 
 from conftest import random_matrix
@@ -29,15 +32,15 @@ def test_saturation_state_is_reported(trisection, bisection):
 
 
 def test_saturation_hands_back_the_final_families(bisection, monkeypatch):
-    """Each flag's families are built once: the bisection flag saturates in
-    one step (3-chain to diamond), so two builds, and the last is reused."""
+    """The families are built once, on the saturated flag: the bisection flag
+    saturates in one closure (3-chain to diamond)."""
     import invcat.pipeline as pipeline
 
     built = []
     real = pipeline.build_families
     monkeypatch.setattr(pipeline, "build_families", lambda flag: built.append(flag) or real(flag))
     a = analyze(bisection)
-    assert len(built) == 2 and a.flag.sizes() == {"plane": 4}
+    assert len(built) == 1 and a.flag.sizes() == {"plane": 4}
     fresh = real(a.flag)
     assert {oid: f.projections for oid, f in a.families.items()} == {
         oid: f.projections for oid, f in fresh.items()
@@ -53,9 +56,10 @@ def test_analyze_is_deterministic(bisection):
 
 
 def test_random_representations_never_crash(rng):
-    """Arbitrary inputs either analyze cleanly or raise a structured error;
-    every acyclic pass with families must decompose to a verified
-    certificate."""
+    """Arbitrary inputs either analyze cleanly or raise a structured error.
+    On every pass the pseudo-inverses satisfy their four identities against
+    the reported families, and every cycle-free pass decomposes to a
+    verified certificate."""
     limits = ClosureLimits(max_rounds=8, max_elements_per_object=200)
     diverged = decomposed = 0
     for _ in range(150):
@@ -77,15 +81,18 @@ def test_random_representations_never_crash(rng):
         except ClosureDivergence:
             diverged += 1
             continue
-        if (
-            a.report.passed
-            and a.families is not None
-            and not quiver_shape(rep).has_undirected_cycle
-        ):
-            try:
-                dec = decompose(rep, limits, analysis=a)
-            except ToolError:
-                continue  # surfaced structured failure is acceptable
+        if not a.report.passed:
+            continue
+        for g in rep.generators:
+            zeta, dag = g.matrix, a.pseudo_inverses[g.id]
+            pi_ker = a.families[g.dom].projections[kernel(zeta)]
+            pi_im = a.families[g.cod].projections[image(zeta)]
+            assert zeta @ dag @ zeta == zeta
+            assert dag @ zeta @ dag == dag
+            assert dag @ zeta == Matrix.identity(field, zeta.cols) - pi_ker
+            assert zeta @ dag == pi_im
+        if not quiver_shape(rep).has_undirected_cycle:
+            dec = decompose(rep, limits, analysis=a)
             assert verify_decomposition(rep, dec).ok
             decomposed += 1
     assert decomposed >= 20
