@@ -66,6 +66,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_flag(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args), mu_mode=args.mu)
+    if analysis.stopped is not None:
+        raise analysis.stopped
     doc = analysis.flag.to_json()
     doc["command"] = "flag"
     _dump(doc, args.output)
@@ -80,6 +82,8 @@ def _cmd_flag(args: argparse.Namespace) -> int:
 def _cmd_mobius(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args), mu_mode=args.mu)
+    if analysis.stopped is not None:
+        raise analysis.stopped
     objects = {}
     for oid in sorted(analysis.flag.posets):
         p = analysis.flag.posets[oid]

@@ -97,6 +97,8 @@ class CriterionReport:
     disagreement_examples: Tuple[CriterionValue, ...]
     saturated: bool
     timing_ms: float
+    # set when the closure stopped at a limit and the count refuted its part
+    closure_note: Optional[str] = None
 
     @property
     def verdict(self) -> str:
@@ -118,6 +120,8 @@ class CriterionReport:
             doc["distributivity_witnesses"] = [
                 w.to_json() for w in self.distributivity_witnesses
             ]
+        if self.closure_note:
+            doc["closure_note"] = self.closure_note
         return doc
 
 
@@ -167,23 +171,25 @@ def evaluate_pair(
 
 
 def check_poset(
-    p: SubspacePoset, object_id: str = "", mu: Optional[MobiusTable] = None
-) -> Tuple[List[CriterionValue], List[CriterionValue], int]:
-    """All-pairs scan of one poset.
+    p: SubspacePoset, mu: Optional[MobiusTable] = None
+) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]], int]:
+    """All-pairs scan of one poset, on element indices.
 
     Returns (standard-mode negatives, literal-mode negatives, count of pairs
-    where the two modes land on different sides of zero).
+    where the two modes land on different sides of zero).  A negative is
+    ``(b index, c index, score)``; both lists are in index order, b-major,
+    which is the order of ``Subspace.sort_key`` since the elements are
+    sorted by it.
     """
     mu = mu if mu is not None else mobius(p)
-    std_neg: List[CriterionValue] = []
-    lit_neg: List[CriterionValue] = []
+    std_neg: List[Tuple[int, int, int]] = []
+    lit_neg: List[Tuple[int, int, int]] = []
     disagreements = 0
     for bi, ci, v_std, v_lit in _pair_scores(p, mu):
-        b, c = p.elements[bi], p.elements[ci]
         if v_std < 0:
-            std_neg.append(CriterionValue(object_id, b, c, v_std, "standard"))
+            std_neg.append((bi, ci, v_std))
         if v_lit < 0:
-            lit_neg.append(CriterionValue(object_id, b, c, v_lit, "literal"))
+            lit_neg.append((bi, ci, v_lit))
         if (v_std < 0) != (v_lit < 0):
             disagreements += 1
     return std_neg, lit_neg, disagreements
@@ -239,6 +245,52 @@ def poset_passes(p: SubspacePoset, mu: Optional[MobiusTable] = None, mode: str =
     return all(v[k] >= 0 for v in _pair_scores(p, mu)) and rank_count_excess(p) is None
 
 
+def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitness]:
+    """One witness for each object, in id order, where the rank count fails."""
+    found = []
+    for oid in sorted(flag.posets):
+        p = flag.posets[oid]
+        excess = rank_count_excess(p)
+        if excess is not None:
+            found.append(DistributivityWitness(oid, p.elements[excess[0]], excess[1]))
+    return found
+
+
+def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> Optional[CriterionReport]:
+    """The verdict on an input whose closure stopped at a limit, from the rank
+    count on ``flag``: the meet closure of the elements the completed rounds
+    reached.
+
+    An adapted basis of the final flag is adapted to every meet-closed
+    subfamily of it, so where the count fails on ``flag`` the input is
+    refuted: the report fails with the distributivity witnesses and a note
+    naming ``reason`` and the round.  A count that holds decides nothing, and
+    None is returned.  The score is not taken, so the report has no score
+    witnesses and no mode disagreements.
+    """
+    if mode not in MU_MODES:
+        raise ValidationError(f"unknown mu mode {mode!r}")
+    start = time.perf_counter()
+    distributivity = _distributivity_witnesses(flag)
+    if not distributivity:
+        return None
+    return CriterionReport(
+        passed=False,
+        mu_mode=mode,
+        witnesses=(),
+        distributivity_witnesses=tuple(distributivity),
+        poset_sizes=flag.sizes(),
+        mode_disagreements=0,
+        disagreement_examples=(),
+        saturated=False,
+        timing_ms=(time.perf_counter() - start) * 1000.0,
+        closure_note=(
+            f"closure stopped ({reason}); the rank count fails on the meet closure "
+            f"of the elements reached by round {flag.rounds}"
+        ),
+    )
+
+
 def check_representation(
     rep: Representation,
     flag: FlagAssignment,
@@ -246,34 +298,38 @@ def check_representation(
 ) -> CriterionReport:
     """Evaluate every object and every ordered pair; collect all violations.
 
+    Each poset gets one ``check_poset`` scan.  The witnesses are the
+    negatives of ``mode``, ordered by object id and then by the ``sort_key``
+    of b and of c, which is the scan's index order.  The disagreement
+    examples are the first ten pairs in the same order that score negative
+    in the other mode alone; ``CriterionValue`` objects are made only for
+    the witnesses and those ten.
+
     When no pair scores negative, the rank count is taken at every object and
     each object where it fails contributes one distributivity witness."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
+    other_mode = "literal" if mode == "standard" else "standard"
     start = time.perf_counter()
     witnesses: List[CriterionValue] = []
     disagreement_examples: List[CriterionValue] = []
     disagreements = 0
     for oid in sorted(flag.posets):
         p = flag.posets[oid]
-        std_neg, lit_neg, dis = check_poset(p, oid)
+        elems = p.elements
+        std_neg, lit_neg, dis = check_poset(p)
         disagreements += dis
-        chosen = std_neg if mode == "standard" else lit_neg
-        witnesses.extend(chosen)
-        other = lit_neg if mode == "standard" else std_neg
-        seen = {(w.object_id, w.b, w.c) for w in chosen}
-        disagreement_examples.extend(
-            w for w in other if (w.object_id, w.b, w.c) not in seen
-        )
-    witnesses.sort(key=lambda w: (w.object_id, w.b.sort_key, w.c.sort_key))
-    disagreement_examples.sort(key=lambda w: (w.object_id, w.b.sort_key, w.c.sort_key))
-    distributivity: List[DistributivityWitness] = []
-    if not witnesses:
-        for oid in sorted(flag.posets):
-            p = flag.posets[oid]
-            excess = rank_count_excess(p)
-            if excess is not None:
-                distributivity.append(DistributivityWitness(oid, p.elements[excess[0]], excess[1]))
+        chosen, other = (std_neg, lit_neg) if mode == "standard" else (lit_neg, std_neg)
+        witnesses.extend(CriterionValue(oid, elems[bi], elems[ci], v, mode) for bi, ci, v in chosen)
+        if len(disagreement_examples) < 10:
+            seen = {(bi, ci) for bi, ci, _ in chosen}
+            for bi, ci, v in other:
+                if (bi, ci) not in seen:
+                    example = CriterionValue(oid, elems[bi], elems[ci], v, other_mode)
+                    disagreement_examples.append(example)
+                    if len(disagreement_examples) == 10:
+                        break
+    distributivity = [] if witnesses else _distributivity_witnesses(flag)
     elapsed = (time.perf_counter() - start) * 1000.0
     return CriterionReport(
         passed=not witnesses and not distributivity,
@@ -282,7 +338,7 @@ def check_representation(
         distributivity_witnesses=tuple(distributivity),
         poset_sizes=flag.sizes(),
         mode_disagreements=disagreements,
-        disagreement_examples=tuple(disagreement_examples[:10]),
+        disagreement_examples=tuple(disagreement_examples),
         saturated=flag.saturated,
         timing_ms=elapsed,
     )

@@ -293,7 +293,7 @@ def decompose(
     if quiver_shape(rep).has_undirected_cycle:
         raise CycleError("quiver has an undirected cycle (loops count); not decomposable here")
     if analysis is None:
-        analysis = analyze(rep, limits, "standard")
+        analysis = analyze(rep, limits, "standard", saturate=False)
     report = analysis.standard_report
     if not report.passed:
         detail = {"witnesses": [w.to_json() for w in report.witnesses]}

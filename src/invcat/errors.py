@@ -55,9 +55,14 @@ class ElementNotInPoset(ToolError):
 
 
 class ClosureDivergence(ToolError):
-    """Flag closure hit a limit before reaching a fixpoint."""
+    """Flag closure hit a limit before reaching a fixpoint.
+
+    ``partial`` is the meet closure of the elements the completed rounds
+    reached (a ``flag.FlagAssignment``), or None where that closure would
+    itself exceed the element limit; it is not part of the JSON report."""
 
     code = "ClosureDivergence"
+    partial = None
 
 
 class CriterionViolated(ToolError):

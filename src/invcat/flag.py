@@ -11,7 +11,10 @@ seed {0, full} at every object:
 Rounds are synchronous (each round derives only from the previous round's
 elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
-loudly instead of spinning.
+loudly instead of spinning.  When a limit stops it, the elements of the
+completed rounds are closed under meets (within the element limit) and
+handed over with the ``ClosureDivergence``, so that the pipeline can still
+refute the input by the rank count.
 
 Every pair of final elements is intersected exactly once, in the round after
 the later of the two arrived.  Those meets are recorded by element ordinal
@@ -108,6 +111,41 @@ def _check_budget(oid: str, count: int, rule: str, limits: ClosureLimits, rounds
         )
 
 
+def _partial_flag(
+    fam: Dict[str, Dict[Subspace, Witness]], rounds: int, limits: ClosureLimits
+) -> Optional[FlagAssignment]:
+    """The meet closure of the elements in ``fam``, reached after ``rounds``
+    rounds, or None where an object would exceed the element limit.
+
+    Each element is intersected once with every element before it, and a new
+    meet joins the end of the queue, so every pair is intersected once.
+    """
+    posets: Dict[str, SubspacePoset] = {}
+    provenance: Dict[str, Dict[Subspace, Witness]] = {}
+    for oid, members in fam.items():
+        prov = dict(members)
+        elems = list(members)
+        index = {s: k for k, s in enumerate(elems)}
+        meets: List[List[Optional[int]]] = [[None] * k for k in range(len(elems))]
+        k = 0
+        while k < len(elems):
+            for i in range(k):
+                m = sub_intersect(elems[i], elems[k])
+                j = index.get(m)
+                if j is None:
+                    if len(elems) >= limits.max_elements_per_object:
+                        return None
+                    j = index[m] = len(elems)
+                    elems.append(m)
+                    meets.append([None] * j)
+                    prov[m] = Witness("intersect", None, (elems[i], elems[k]))
+                meets[k][i] = j
+            k += 1
+        posets[oid] = build_poset(elems, meets)
+        provenance[oid] = prov
+    return FlagAssignment(posets=posets, provenance=provenance, rounds=rounds)
+
+
 def compute_flag(
     rep: Representation,
     limits: ClosureLimits = ClosureLimits(),
@@ -137,56 +175,63 @@ def compute_flag(
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
 
     rounds = 0
-    while True:
-        if rounds >= limits.max_rounds:
-            raise ClosureDivergence(
-                f"no fixpoint after {limits.max_rounds} rounds",
-                rule="rounds",
-                rounds=rounds,
-                sizes={oid: len(members) for oid, members in fam.items()},
-            )
-        rounds += 1
-        new: Dict[str, Dict[Subspace, Witness]] = {oid: {} for oid in fam}
+    completed = 0  # rounds whose elements are all in ``fam``
+    try:
+        while True:
+            if rounds >= limits.max_rounds:
+                raise ClosureDivergence(
+                    f"no fixpoint after {limits.max_rounds} rounds",
+                    rule="rounds",
+                    rounds=rounds,
+                    sizes={oid: len(members) for oid, members in fam.items()},
+                )
+            rounds += 1
+            new: Dict[str, Dict[Subspace, Witness]] = {oid: {} for oid in fam}
 
-        def offer(oid: str, s: Subspace, w: Witness, rule: str) -> int:
-            """Add ``s`` unless already known; return its ordinal."""
-            ords = ordinal[oid]
-            k = ords.get(s)
-            if k is None:
-                k = ords[s] = len(ords)
-                new[oid][s] = w
-                meets[oid].append([None] * k)
-                _check_budget(oid, k + 1, rule, limits, rounds)
-            return k
+            def offer(oid: str, s: Subspace, w: Witness, rule: str) -> int:
+                """Add ``s`` unless already known; return its ordinal."""
+                ords = ordinal[oid]
+                k = ords.get(s)
+                if k is None:
+                    k = ords[s] = len(ords)
+                    new[oid][s] = w
+                    meets[oid].append([None] * k)
+                    _check_budget(oid, k + 1, rule, limits, rounds)
+                return k
 
-        # semi-naive: only derive from elements added in the previous round;
-        # older combinations were already offered.
-        for g in maps:
-            for a in fresh[g.dom]:
-                offer(g.cod, map_image(g.matrix, a), Witness("image", g.id, (a,)), "image")
-            for b in fresh[g.cod]:
-                offer(g.dom, map_preimage(g.matrix, b), Witness("preimage", g.id, (b,)), "preimage")
-        for oid, members in fam.items():
-            fresh_set = set(fresh[oid])
-            elems = sorted(members, key=lambda s: s.sort_key)
-            ords = ordinal[oid]
-            record = meets[oid]
-            for i, a in enumerate(elems):
-                for b in elems[i + 1:]:
-                    if a not in fresh_set and b not in fresh_set:
-                        continue
-                    w = Witness("intersect", None, (a, b))
-                    m = offer(oid, sub_intersect(a, b), w, "intersect")
-                    ka, kb = ords[a], ords[b]
-                    if ka < kb:
-                        record[kb][ka] = m
-                    else:
-                        record[ka][kb] = m
-        if all(not added for added in new.values()):
-            break
-        for oid, added in new.items():
-            fam[oid].update(added)
-            fresh[oid] = sorted(added, key=lambda s: s.sort_key)
+            # semi-naive: only derive from elements added in the previous round;
+            # older combinations were already offered.
+            for g in maps:
+                for a in fresh[g.dom]:
+                    offer(g.cod, map_image(g.matrix, a), Witness("image", g.id, (a,)), "image")
+                for b in fresh[g.cod]:
+                    w = Witness("preimage", g.id, (b,))
+                    offer(g.dom, map_preimage(g.matrix, b), w, "preimage")
+            for oid, members in fam.items():
+                fresh_set = set(fresh[oid])
+                elems = sorted(members, key=lambda s: s.sort_key)
+                ords = ordinal[oid]
+                record = meets[oid]
+                for i, a in enumerate(elems):
+                    for b in elems[i + 1:]:
+                        if a not in fresh_set and b not in fresh_set:
+                            continue
+                        w = Witness("intersect", None, (a, b))
+                        m = offer(oid, sub_intersect(a, b), w, "intersect")
+                        ka, kb = ords[a], ords[b]
+                        if ka < kb:
+                            record[kb][ka] = m
+                        else:
+                            record[ka][kb] = m
+            if all(not added for added in new.values()):
+                break
+            for oid, added in new.items():
+                fam[oid].update(added)
+                fresh[oid] = sorted(added, key=lambda s: s.sort_key)
+            completed = rounds
+    except ClosureDivergence as stop:
+        stop.partial = _partial_flag(fam, completed, limits)
+        raise
 
     posets = {oid: build_poset(list(ordinal[oid]), meets[oid]) for oid in fam}
     return FlagAssignment(

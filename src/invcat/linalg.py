@@ -165,6 +165,7 @@ class Matrix:
     # Lazy caches (not dataclass fields, so equality and repr ignore them).
     _hash = None
     _int_form = None  # (d, int rows, int columns) with entries == rows / d
+    _preimage_form = None  # see ``_factored``
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -192,6 +193,24 @@ class Matrix:
                 d, rows = 1, self.entries
             form = (d, rows, _columns(rows, self.cols))
             object.__setattr__(self, "_int_form", form)
+        return form
+
+    def _factored(self) -> Tuple["Subspace", "Subspace", Tuple[IntRow, ...], dict]:
+        """``(ker, im, lift, memo)`` for :func:`map_preimage`.
+
+        ``lift`` holds the integer rows of a matrix L, up to one scalar, with
+        ``self @ L`` the identity on im's RREF basis: column i of L is
+        ``solve_particular(self, im.basis[i])``.  ``memo`` maps each
+        ``b & im`` seen so far to its preimage.
+        """
+        form = self._preimage_form
+        if form is None:
+            ker, im = kernel(self), image(self)
+            lifts = [solve_particular(self, r) for r in im.basis]
+            columns = tuple(zip(*lifts)) if lifts else ((),) * self.cols
+            lift = Matrix(self.field, self.cols, len(lifts), columns)._ints()[1]
+            form = (ker, im, lift, {})
+            object.__setattr__(self, "_preimage_form", form)
         return form
 
     # --- constructors ------------------------------------------------------
@@ -494,17 +513,24 @@ def complement_within(big: Subspace, small: Subspace) -> Subspace:
 def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces.
 
-    When the smaller one lies in the larger, it is the intersection; when it
-    does not and has dimension at most 1, the intersection is zero.  Otherwise
-    the Zassenhaus block trick: row-reduce [A | A; B | 0]; rows whose pivot
-    lies in the right half carry, in that half, a spanning set of the
-    intersection.
+    Equal subspaces are their own intersection.  Two distinct ones of equal
+    dimension do not contain each other (distinct canonical forms are
+    distinct subspaces), so no containment test is made for them; otherwise,
+    when the smaller one lies in the larger, it is the intersection.  When
+    the smaller does not lie in the larger and has dimension at most 1, the
+    intersection is zero.  Otherwise the Zassenhaus block trick: row-reduce
+    [A | A; B | 0]; rows whose pivot lies in the right half carry, in that
+    half, a spanning set of the intersection.
     """
     _check_same_ambient(a, b)
-    small, big = (a, b) if a.dim <= b.dim else (b, a)
-    if big.contains(small):
+    small, big = (a, b) if len(a.basis) <= len(b.basis) else (b, a)
+    k = len(small.basis)
+    if k == len(big.basis):
+        if small.basis == big.basis:
+            return small
+    elif big.contains(small):
         return small
-    if small.dim <= 1:
+    if k <= 1:
         return Subspace.zero(a.field, a.ambient_dim)
     n = a.ambient_dim
     zero_row = (0,) * n
@@ -550,17 +576,29 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace.span(f, m.cols, basis)
 
 
-def annihilator_rows(s: Subspace) -> Matrix:
-    """A matrix K with ker(K) = s, i.e. rows cutting out ``s`` by equations."""
-    k = kernel(s.basis_matrix())
-    return Matrix(s.field, k.dim, s.ambient_dim, k.basis)
-
-
 def map_preimage(m: Matrix, b: Subspace) -> Subspace:
+    """The preimage of ``b`` under ``m``: ker m + L(b & im m).
+
+    L lifts im m's RREF basis (``solve_particular``, one solve per basis
+    vector), so a vector y of im m lifts to sum(y[c_i] L_i) over im m's pivot
+    columns c_i.  ker m, im m and L are computed once per matrix and cached on
+    it, as its integer form is, and the preimage is memoized per matrix,
+    keyed on ``b & im m``: preimages of subspaces that meet im m alike are
+    one computation.
+    """
     if b.ambient_dim != m.rows or b.field != m.field:
         raise ValidationError("subspace does not live in the codomain of the map")
-    constraints = annihilator_rows(b)
-    return kernel(constraints @ m)
+    ker, im, lift, memo = m._factored()
+    key = sub_intersect(b, im)
+    pre = memo.get(key)
+    if pre is None:
+        pivots = im._ints()[1]
+        vectors = list(ker._ints()[0])
+        for w in key._ints()[0]:
+            coords = [w[c] for c in pivots]
+            vectors.append([sum(map(mul, row, coords)) for row in lift])
+        pre = memo[key] = Subspace.span(m.field, m.cols, vectors)
+    return pre
 
 
 def projection_onto(img: Subspace, ker: Subspace) -> Matrix:

@@ -17,6 +17,12 @@ a quiver with an undirected cycle the bases are each object's first-fit
 basis, which need not be coherent across objects; where the saturated flag
 then fails the criterion it is discarded, with a note, and the raw flag and
 its families are reported.  Failing inputs are never saturated.
+
+When the raw closure stops at a limit, the rank count is taken on the meet
+closure of the elements it reached (``criterion.refute_partial``).  Where
+the count fails there, the input is refuted: an adapted basis of the final
+flag would be adapted to that part too.  Only where it holds is the
+``ClosureDivergence`` raised.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .criterion import CriterionReport, check_representation
+from .criterion import CriterionReport, check_representation, refute_partial
+from .errors import ClosureDivergence
 from .flag import ClosureLimits, FlagAssignment, compute_flag
 from .linalg import Matrix
 from .realize import ProjectionFamily, realize_projections, transported_bases
@@ -45,6 +52,9 @@ class Analysis:
     # per object, the adapted basis (columns) of ``realize.transported_bases``
     bases: Optional[Dict[str, Matrix]] = None
     saturation_note: Optional[str] = None
+    # set when the closure stopped at a limit; ``flag`` is then the meet
+    # closure of the part it reached, and ``report`` refutes the input
+    stopped: Optional[ClosureDivergence] = None
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
@@ -92,13 +102,38 @@ def _saturate(
     return saturated, saturated_report, build_families(saturated), pseudo_inverses, None
 
 
+def _refute_stopped(
+    rep: Representation, limits: ClosureLimits, mu_mode: str, stop: ClosureDivergence
+) -> Analysis:
+    """The analysis of an input whose raw closure stopped at a limit, where
+    the rank count refutes the part it reached; otherwise ``stop`` is raised."""
+    partial = stop.partial
+    standard = partial and refute_partial(partial, "standard", stop.message)
+    if standard is None:
+        raise stop
+    return Analysis(
+        rep=rep,
+        limits=limits,
+        mu_mode=mu_mode,
+        flag=partial,
+        report=standard if mu_mode == "standard" else refute_partial(partial, mu_mode, stop.message),
+        standard_report=standard,
+        families=None,
+        pseudo_inverses=None,
+        stopped=stop,
+    )
+
+
 def analyze(
     rep: Representation,
     limits: ClosureLimits = ClosureLimits(),
     mu_mode: str = "standard",
     saturate: bool = True,
 ) -> Analysis:
-    flag = compute_flag(rep, limits)
+    try:
+        flag = compute_flag(rep, limits)
+    except ClosureDivergence as stop:
+        return _refute_stopped(rep, limits, mu_mode, stop)
     standard = check_representation(rep, flag, "standard")
     bases: Optional[Dict[str, Matrix]] = None
     families: Optional[Dict[str, ProjectionFamily]] = None

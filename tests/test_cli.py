@@ -270,3 +270,37 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, out = run_cli(capsys, "check", TRISECTION)
     assert code == 2
     assert json.loads(out)["error"] == {"code": "InternalError", "message": "TypeError: boom"}
+
+
+def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
+    """A shear z and a projection w on Q^2: the images of the line im w
+    under the powers of z are the lines through (k, 1), so the closure never
+    ends.  Three distinct lines in the plane already break the rank
+    count, so ``check`` refutes the input on the part the closure reached
+    (exit 1), with a distributivity witness and a note naming the round.
+    ``flag`` has no flag to print and still reports the divergence."""
+    p = tmp_path / "shear.json"
+    p.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "objects": [{"id": "x", "dim": 2}],
+        "generators": [
+            {"id": "z", "dom": "x", "cod": "x", "matrix": [[1, 1], [0, 1]]},
+            {"id": "w", "dom": "x", "cod": "x", "matrix": [[0, 0], [0, 1]]},
+        ],
+    }))
+    code, out = run_cli(capsys, "check", str(p))
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["verdict"] == "fail"
+    assert doc["witnesses"] == []
+    [w] = doc["distributivity_witnesses"]
+    assert (w["object"], w["b_basis"], w["dim"]) == ("x", [[1, 0], [0, 1]], 2)
+    assert w["count"] == doc["poset_sizes"]["x"] - 2 > 2
+    assert "no fixpoint after 64 rounds" in doc["closure_note"]
+    assert "round 64" in doc["closure_note"]
+    code, out = run_cli(capsys, "check", str(p), "--max-rounds", "3")
+    assert code == 1
+    assert "round 3" in json.loads(out)["closure_note"]
+    code, out = run_cli(capsys, "flag", str(p))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "ClosureDivergence"

@@ -277,9 +277,9 @@ def test_down_set_score_matches_dense_reference(rng):
             for ci, c in enumerate(p.elements):
                 for mode in ("standard", "literal"):
                     assert evaluate_pair(p, mu, b, c, mode) == dense[mode][bi][ci]
-        std_neg, lit_neg, disagreements = check_poset(p, "o", mu)
+        std_neg, lit_neg, disagreements = check_poset(p, mu)
         for negatives, mode in ((std_neg, "standard"), (lit_neg, "literal")):
-            assert [(p.index_of(w.b), p.index_of(w.c), w.value) for w in negatives] == [
+            assert negatives == [
                 (bi, ci, dense[mode][bi][ci])
                 for bi in range(n)
                 for ci in range(n)
@@ -313,3 +313,71 @@ def test_rank_count_implies_nonnegative_scores(p):
 
     if rank_count_excess(p) is None:
         assert check_poset(p)[0] == []
+
+
+def reference_check_representation(flag, mode):
+    """``check_representation`` as it was with a ``CriterionValue`` for every
+    negative pair of either mode, sorted by ``sort_key`` and cut to ten
+    disagreement examples; returns the fields the new one must reproduce."""
+    from invcat.criterion import CriterionValue, _pair_scores
+
+    witnesses, examples, disagreements = [], [], 0
+    for oid in sorted(flag.posets):
+        p = flag.posets[oid]
+        std_neg, lit_neg = [], []
+        for bi, ci, v_std, v_lit in _pair_scores(p, mobius(p)):
+            b, c = p.elements[bi], p.elements[ci]
+            if v_std < 0:
+                std_neg.append(CriterionValue(oid, b, c, v_std, "standard"))
+            if v_lit < 0:
+                lit_neg.append(CriterionValue(oid, b, c, v_lit, "literal"))
+            if (v_std < 0) != (v_lit < 0):
+                disagreements += 1
+        chosen, other = (std_neg, lit_neg) if mode == "standard" else (lit_neg, std_neg)
+        witnesses.extend(chosen)
+        seen = {(w.object_id, w.b, w.c) for w in chosen}
+        examples.extend(w for w in other if (w.object_id, w.b, w.c) not in seen)
+    witnesses.sort(key=lambda w: (w.object_id, w.b.sort_key, w.c.sort_key))
+    examples.sort(key=lambda w: (w.object_id, w.b.sort_key, w.c.sort_key))
+    return witnesses, disagreements, examples[:10]
+
+
+def test_check_representation_matches_value_reference(rng):
+    """Witnesses and their order, the disagreement count and the ten
+    examples equal those of the reference, in both modes, on flags of stars
+    of random planes over GF(10007) and on random meet-closed families over
+    GF(2) and GF(3), several objects to a flag."""
+    from invcat.flag import FlagAssignment
+    from invcat.rep import Generator, RepObject, Representation
+
+    from conftest import random_matrix, random_meet_closed_family
+
+    field = GF(10007)
+    flags = []
+    for planes in (3, 5, 8):
+        objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(planes))
+        gens = tuple(
+            Generator(f"g{i}", f"p{i}", "center", random_matrix(rng, field, 3, 2))
+            for i in range(planes)
+        )
+        flags.append(compute_flag(Representation(field, objs, gens)))
+    for _ in range(40):
+        small, n = rng.choice([(GF(2), 4), (GF(3), 3)])
+        posets = {
+            oid: build_poset(random_meet_closed_family(rng, small, n, max_seed=6, max_size=30))
+            for oid in ("a", "b", "c")
+        }
+        flags.append(FlagAssignment(posets=posets, provenance={}, rounds=0))
+    examples_cut = negative_in_both = 0
+    for flag in flags:
+        reports = {mode: check_representation(None, flag, mode) for mode in ("standard", "literal")}
+        for mode, report in reports.items():
+            witnesses, disagreements, examples = reference_check_representation(flag, mode)
+            assert report.witnesses == tuple(witnesses)
+            assert report.mode_disagreements == disagreements
+            assert report.disagreement_examples == tuple(examples)
+            examples_cut += len(examples) == 10
+        pairs = [(w.object_id, w.b, w.c) for r in reports.values() for w in r.witnesses]
+        negative_in_both += len(set(pairs)) < len(pairs)
+    # the ten are cut from more, and some pairs are negative in both modes
+    assert examples_cut > 0 and negative_in_both > 0

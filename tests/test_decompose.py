@@ -214,3 +214,57 @@ def test_generator_free_representation():
     assert dec.dims_multiset(["solo"]) == [(1,), (1,), (1,)]
     assert verify_decomposition(rep, dec).ok
 
+
+
+# A conjugated interval sum on A_4 over Q (dims 0/2/2/3), and the certificate
+# ``decompose`` printed for it when it still saturated the flag first.
+A4_CONJUGATED = {
+    "field": {"kind": "rational"},
+    "objects": [
+        {"id": "v0", "dim": 0},
+        {"id": "v1", "dim": 2},
+        {"id": "v2", "dim": 2},
+        {"id": "v3", "dim": 3},
+    ],
+    "generators": [
+        {"id": "e0", "dom": "v1", "cod": "v0", "matrix": []},
+        {"id": "e1", "dom": "v1", "cod": "v2", "matrix": [[38, -16], [-7, 3]]},
+        {"id": "e2", "dom": "v2", "cod": "v3", "matrix": [[0, 0], [2, 8], [-2, -8]]},
+    ],
+}
+A4_CERTIFICATE = (
+    '{"field": {"kind": "rational"}, "generators": {"e0": {"action": {"v1#0": "zero", '
+    '"v1#1": "zero"}, "blocks": {}}, "e1": {"action": {"v1#0": "v2#0", "v1#1": "v2#1"}, '
+    '"blocks": {"v1#0": [[-2]], "v1#1": [[38]]}}, "e2": {"action": {"v2#0": "zero", '
+    '"v2#1": "v3#0"}, "blocks": {"v2#1": [["10/19"]]}}}, "objects": {"v0": [], "v1": '
+    '[{"atom": "v1#0", "basis": [[1, "5/2"]]}, {"atom": "v1#1", "basis": [[1, 0]]}], '
+    '"v2": [{"atom": "v2#0", "basis": [[1, "-1/4"]]}, {"atom": "v2#1", "basis": '
+    '[[1, "-7/38"]]}], "v3": [{"atom": "v3#0", "basis": [[0, 1, -1]]}, {"atom": "v3#1", '
+    '"basis": [[1, 0, 0]]}, {"atom": "v3#2", "basis": [[0, 1, 0]]}]}, "summands": '
+    '[["v1#0", "v2#0"], ["v1#1", "v2#1", "v3#0"], ["v3#1"], ["v3#2"]]}'
+)
+
+
+def test_decompose_runs_one_closure(monkeypatch):
+    """The certificate is read off the adapted bases, which exist before
+    saturation, so ``decompose`` closes the flag once and does not saturate;
+    the certificate is the one the saturating version gave."""
+    import invcat.pipeline
+    from invcat import parse_representation
+
+    closures = []
+    compute_flag = invcat.pipeline.compute_flag
+
+    def counted(*args, **kwargs):
+        closures.append(kwargs.get("extra_maps", ()))
+        return compute_flag(*args, **kwargs)
+
+    monkeypatch.setattr(invcat.pipeline, "compute_flag", counted)
+    rep = parse_representation(json.dumps(A4_CONJUGATED))
+    dec = decompose(rep)
+    assert closures == [()]
+    assert json.dumps(dec.to_json(), sort_keys=True) == A4_CERTIFICATE
+    assert verify_decomposition(rep, dec).ok
+    assert dec.dims_multiset(["v0", "v1", "v2", "v3"]) == [
+        (0, 0, 0, 1), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)
+    ]

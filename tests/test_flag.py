@@ -171,6 +171,49 @@ def test_element_limit_raises():
     assert exc.value.detail["partial_size"] > 2
 
 
+def test_limit_hands_over_the_meet_closed_part():
+    """At a limit the elements of the completed rounds are closed under
+    meets and handed over with the error; where that closure would itself
+    pass the element limit, nothing is."""
+    from invcat.criterion import rank_count_excess
+
+    shear = Representation(
+        RATIONALS,
+        (RepObject("x", 2),),
+        (
+            Generator("z", "x", "x", Matrix.build(RATIONALS, 2, 2, [[1, 1], [0, 1]])),
+            Generator("w", "x", "x", Matrix.build(RATIONALS, 2, 2, [[0, 0], [0, 1]])),
+        ),
+    )
+    with pytest.raises(ClosureDivergence) as exc:
+        compute_flag(shear, ClosureLimits(max_rounds=3))
+    part = exc.value.partial
+    assert part.rounds == 3
+    p = part.posets["x"]
+    build_poset(p.elements)  # intersects every pair: NotMeetClosed unless meet-closed
+    assert {s.dim for s in p.elements[1:-1]} == {1} and len(p) > 4
+    assert set(p.elements) == set(part.provenance["x"])
+    assert rank_count_excess(p) is not None
+
+    field = GF(10007)
+    planes = tuple(RepObject(f"p{i}", 2) for i in range(3))
+    star = Representation(
+        field,
+        (RepObject("c", 3),) + planes,
+        tuple(
+            Generator(f"g{i}", f"p{i}", "c", Matrix.build(field, 3, 2, cols))
+            for i, cols in enumerate(([[1, 0], [0, 1], [0, 0]],
+                                      [[1, 0], [0, 0], [0, 1]],
+                                      [[0, 0], [1, 0], [0, 1]]))
+        ),
+    )
+    assert compute_flag(star).posets["c"].elements[1].dim == 1  # the planes meet in lines
+    with pytest.raises(ClosureDivergence) as exc:
+        compute_flag(star, ClosureLimits(max_elements_per_object=6))
+    assert exc.value.detail["rule"] == "intersect"
+    assert exc.value.partial is None
+
+
 def test_flag_report_json(bisection):
     flag = compute_flag(bisection)
     doc = flag.to_json()

@@ -248,6 +248,61 @@ def test_preimage_image_adjunction(m):
     assert map_image(m, pre) == sub_intersect(b, image(m))
 
 
+def annihilator_preimage(m, b):
+    """The preimage by its old construction: the kernel of K m, where the
+    rows of K are a basis of the annihilator of ``b``."""
+    k = kernel(b.basis_matrix())
+    return kernel(Matrix(b.field, k.dim, b.ambient_dim, k.basis) @ m)
+
+
+def _maps_of_every_kind(rng, field):
+    """(name, matrix): zero, injective, surjective and neither, plus maps
+    from and to the zero space."""
+    def product(rows, inner, cols):
+        return random_matrix(rng, field, rows, inner) @ random_matrix(rng, field, inner, cols)
+
+    def injective(rows, cols):
+        grid = [[int(i == j) for j in range(cols)] for i in range(rows)]
+        embed = Matrix.build(field, rows, cols, grid)
+        return random_invertible(rng, field, rows) @ embed @ random_invertible(rng, field, cols)
+
+    return [
+        ("zero", Matrix.zeros(field, 3, 4)),
+        ("injective", injective(4, 2)),
+        ("injective square", injective(3, 3)),
+        ("surjective", injective(4, 2).transpose()),
+        ("neither", product(4, 2, 3)),
+        ("rank one", product(3, 1, 3)),
+        ("from zero space", Matrix.zeros(field, 3, 0)),
+        ("to zero space", Matrix.zeros(field, 0, 3)),
+    ]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF(2), GF(3), GF(10007)], ids=str)
+def test_factored_preimage_matches_annihilator_reference(field):
+    """``map_preimage`` (ker m + a lift of b & im m, memoized per matrix)
+    equals the kernel-of-annihilator construction on every kind of map, for
+    b = 0, b = full, b inside im m and random b, and a repeated call is
+    answered from the matrix's memo."""
+    rng = random.Random(field.p or 0)
+    for name, m in _maps_of_every_kind(rng, field):
+        im = image(m)
+        targets = [Subspace.zero(field, m.rows), Subspace.full(field, m.rows), im]
+        targets += [map_image(m, random_subspace(rng, field, m.cols)) for _ in range(3)]
+        targets += [random_subspace(rng, field, m.rows) for _ in range(12)]
+        for b in targets:
+            expected = annihilator_preimage(m, b)
+            got = map_preimage(m, b)
+            assert got == expected, (name, b)
+            assert map_preimage(m, b) is got, name  # memo hit
+            assert map_image(m, got) == sub_intersect(b, im), name
+        assert map_preimage(m, Subspace.zero(field, m.rows)) == kernel(m)
+        assert map_preimage(m, Subspace.full(field, m.rows)).is_full
+        # subspaces that meet im m alike share one memo entry
+        above = sub_sum(im, random_subspace(rng, field, m.rows))
+        assert map_preimage(m, above) is map_preimage(m, im)
+
+
 # --- solving --------------------------------------------------------------------
 
 
