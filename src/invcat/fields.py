@@ -6,6 +6,10 @@ A :class:`Field` parses, validates and formats scalars and offers per-scalar
 arithmetic; the matrix kernel in :mod:`invcat.linalg` computes on plain ints
 instead and picks its Q or GF(p) branch from ``Field.p``.  No floating point
 anywhere.
+
+Of the arithmetic the package calls only ``div`` (so ``mul`` and ``inv``);
+``add`` and ``sub`` stay for the per-entry reference implementations in
+``tests/test_linalg.py`` that check the integer kernel, and ``neg`` with them.
 """
 
 from __future__ import annotations

@@ -188,13 +188,15 @@ def compute_flag(
             rounds += 1
             new: Dict[str, Dict[Subspace, Witness]] = {oid: {} for oid in fam}
 
-            def offer(oid: str, s: Subspace, w: Witness, rule: str) -> int:
-                """Add ``s`` unless already known; return its ordinal."""
+            def offer(oid: str, s: Subspace, rule: str, generator: Optional[str],
+                      sources: Tuple[Subspace, ...]) -> int:
+                """Add ``s`` unless already known (then with its witness);
+                return its ordinal."""
                 ords = ordinal[oid]
                 k = ords.get(s)
                 if k is None:
                     k = ords[s] = len(ords)
-                    new[oid][s] = w
+                    new[oid][s] = Witness(rule, generator, sources)
                     meets[oid].append([None] * k)
                     _check_budget(oid, k + 1, rule, limits, rounds)
                 return k
@@ -203,10 +205,9 @@ def compute_flag(
             # older combinations were already offered.
             for g in maps:
                 for a in fresh[g.dom]:
-                    offer(g.cod, map_image(g.matrix, a), Witness("image", g.id, (a,)), "image")
+                    offer(g.cod, map_image(g.matrix, a), "image", g.id, (a,))
                 for b in fresh[g.cod]:
-                    w = Witness("preimage", g.id, (b,))
-                    offer(g.dom, map_preimage(g.matrix, b), w, "preimage")
+                    offer(g.dom, map_preimage(g.matrix, b), "preimage", g.id, (b,))
             for oid, members in fam.items():
                 fresh_set = set(fresh[oid])
                 elems = sorted(members, key=lambda s: s.sort_key)
@@ -216,8 +217,7 @@ def compute_flag(
                     for b in elems[i + 1:]:
                         if a not in fresh_set and b not in fresh_set:
                             continue
-                        w = Witness("intersect", None, (a, b))
-                        m = offer(oid, sub_intersect(a, b), w, "intersect")
+                        m = offer(oid, sub_intersect(a, b), "intersect", None, (a, b))
                         ka, kb = ords[a], ords[b]
                         if ka < kb:
                             record[kb][ka] = m

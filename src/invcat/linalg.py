@@ -539,11 +539,6 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(a.field, n, [row[n:] for row, c in zip(rows, pivots) if c >= n])
 
 
-def sub_contains(a: Subspace, b: Subspace) -> bool:
-    """True when ``b`` is contained in ``a``."""
-    return a.contains(b)
-
-
 def map_image(m: Matrix, a: Subspace) -> Subspace:
     if a.ambient_dim != m.cols or a.field != m.field:
         raise ValidationError("subspace does not live in the domain of the map")

@@ -15,12 +15,15 @@ representation: on a cycle-free quiver it carries one object's basis along
 every edge, so that every generator maps basis vectors to basis vectors or
 to zero.  A pseudo-inverse is read off the bases at the two ends of its
 generator in closed form; on a cycle-free quiver it is the inverse matching.
+The envelope is closed one generator or pseudo-inverse at a time, and each
+morphism is checked against the reversed word of pseudo-inverses that came
+with it: pseudo-inverses in an inverse category are unique, so (z w)* = w* z*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .criterion import adapted_complements
 from .errors import (
@@ -157,18 +160,14 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
     return ProjectionFamily(object_id=object_id, poset=p, projections=projections, basis=basis)
 
 
-def pseudo_inverse(
-    zeta: Matrix,
-    dom: Union[Matrix, ProjectionFamily],
-    cod: Union[Matrix, ProjectionFamily],
-) -> Matrix:
+def pseudo_inverse(zeta: Matrix, p: Matrix, q: Matrix) -> Matrix:
     """Pseudo-inverse of a generator matrix, read off adapted bases at its ends.
 
-    ``dom`` and ``cod`` are invertible matrices P and Q whose columns are
-    bases adapted to ker(zeta) and im(zeta), or projection families, whose
-    bases are taken.  In those bases zeta is M = Q^-1 zeta P; its nonzero
-    columns R are the basis vectors outside ker(zeta) and its nonzero rows T
-    the coordinates of im(zeta), so M[T, R] is square and invertible, and
+    ``p`` and ``q`` are invertible matrices P and Q whose columns are bases
+    adapted to ker(zeta) and im(zeta).  In those bases zeta is M = Q^-1 zeta P;
+    its nonzero columns R are the basis vectors outside ker(zeta) and its
+    nonzero rows T the coordinates of im(zeta), so M[T, R] is square and
+    invertible, and
 
         zeta* = P[:, R] M[T, R]^-1 Q^-1[T, :].
 
@@ -176,8 +175,6 @@ def pseudo_inverse(
     projections in P and Q, which fix a pseudo-inverse.  Where zeta carries
     basis vectors to basis vectors or to zero, zeta* is the inverse matching.
     """
-    p = dom.basis if isinstance(dom, ProjectionFamily) else dom
-    q = cod.basis if isinstance(cod, ProjectionFamily) else cod
     field = zeta.field
     q_inv = inverse(q)
     if q_inv is None:
@@ -265,6 +262,7 @@ def kernel_decomposition_check(alpha: Matrix, beta: Matrix, beta_dagger: Matrix)
 
 @dataclass(frozen=True)
 class EnvelopeLimits:
+    # max_words counts the products computed, one per arrow applied
     max_words: int = 10_000
     max_matrices_per_hom: int = 1_000
 
@@ -272,7 +270,8 @@ class EnvelopeLimits:
 @dataclass(eq=False)
 class Envelope:
     pseudo_inverses: Dict[str, Matrix]
-    closure: Dict[Tuple[str, str], Tuple[Matrix, ...]]
+    # per hom-set (dom, cod): each morphism, mapped to its reversed dagger word
+    closure: Dict[Tuple[str, str], Dict[Matrix, Matrix]]
     bounded: bool
     idempotents_commute: bool
     endomorphisms_idempotent: Optional[bool]  # None when the quiver has a cycle
@@ -308,63 +307,70 @@ def verify_envelope(
     families: Dict[str, ProjectionFamily],
     pseudo_inverses: Dict[str, Matrix],
     limits: EnvelopeLimits = EnvelopeLimits(),
-    cycle_free: Optional[bool] = None,
 ) -> Envelope:
     """Close generators and pseudo-inverses under composition; check axioms.
 
+    Every morphism is an identity extended one arrow at a time, an arrow
+    (a, a*) being (g, g*) or (g*, g).  One breadth-first pass from the
+    identities stores (a m, s a*) for each stored (m, s) and arrow out of
+    cod(m), so s is the reversed dagger word of the first word reaching m.
+    Hitting a limit sets ``bounded`` and restricts the verdict to the
+    explored fragment.
+
     Raises AxiomViolation on a non-commuting idempotent pair, or (on
-    cycle-free quivers) on a non-idempotent endomorphism.  Hitting a limit
-    sets ``bounded`` and restricts the verdict to the explored fragment.
+    cycle-free quivers) on a non-idempotent endomorphism.  Once idempotents
+    commute, s is a pseudo-inverse of m by induction on the word: m s and
+    a* a are idempotents at cod(m), so (a m)(s a*)(a m) = a (a* a)(m s) m =
+    a m, and dually.  Pseudo-inverses in an inverse category are unique, so
+    ``all_have_pseudo_inverse`` checks m s m = m and s m s = s for each pair
+    instead of searching the back hom-set.  This rests on each g* satisfying
+    its two identities with g, as ``pseudo_inverse`` guarantees; otherwise
+    the check can read False where the closure holds another candidate.  A
+    generator without a pseudo-inverse raises ValidationError.
+
+    ``families`` is not read: the pseudo-inverses already encode its
+    projections (g* g = 1 - pi_ker, g g* = pi_im).  It stays for callers
+    that pass it positionally.
     """
-    if cycle_free is None:
-        cycle_free = not quiver_shape(rep).has_undirected_cycle
-    homs: Dict[Tuple[str, str], Dict[Matrix, None]] = {}
+    cycle_free = not quiver_shape(rep).has_undirected_cycle
+    arrows: Dict[str, List[Tuple[str, Matrix, Matrix]]] = {o.id: [] for o in rep.objects}
+    for g in rep.generators:
+        dag = pseudo_inverses.get(g.id)
+        if dag is None:
+            raise ValidationError(f"generator {g.id!r} has no pseudo-inverse", generator=g.id)
+        arrows[g.dom].append((g.cod, g.matrix, dag))
+        arrows[g.cod].append((g.dom, dag, g.matrix))
+
+    homs: Dict[Tuple[str, str], Dict[Matrix, Matrix]] = {}
     queue: List[Tuple[str, str, Matrix]] = []
+    for o in rep.objects:
+        one = Matrix.identity(rep.field, o.dim)
+        homs[(o.id, o.id)] = {one: one}
+        queue.append((o.id, o.id, one))
     words = 0
     bounded = False
-
-    def add(dom: str, cod: str, m: Matrix) -> None:
-        nonlocal bounded
-        key = (dom, cod)
-        bucket = homs.setdefault(key, {})
-        if m in bucket:
-            return
-        if len(bucket) >= limits.max_matrices_per_hom:
-            bounded = True
-            return
-        bucket[m] = None
-        queue.append((dom, cod, m))
-
-    for o in rep.objects:
-        add(o.id, o.id, Matrix.identity(rep.field, o.dim))
-    for g in rep.generators:
-        add(g.dom, g.cod, g.matrix)
-        dag = pseudo_inverses.get(g.id)
-        if dag is not None:
-            add(g.cod, g.dom, dag)
-
-    head = 0
-    while head < len(queue):
-        dom, cod, m = queue[head]
-        head += 1
-        snapshot = [(d, c, x) for (d, c), bucket in homs.items() for x in bucket]
-        for d2, c2, other in snapshot:
+    for dom, cod, m in queue:
+        s = homs[(dom, cod)][m]
+        for target, a, a_star in arrows[cod]:
             if words >= limits.max_words:
                 bounded = True
                 break
-            if c2 == dom:
-                words += 1
-                add(d2, cod, m @ other)
-            if cod == d2 and words < limits.max_words:
-                words += 1
-                add(dom, c2, other @ m)
-        if bounded and words >= limits.max_words:
-            break
-
-    closure = {key: tuple(bucket.keys()) for key, bucket in homs.items()}
+            words += 1
+            am = a @ m
+            bucket = homs.setdefault((dom, target), {})
+            if am in bucket:
+                continue
+            if len(bucket) >= limits.max_matrices_per_hom:
+                bounded = True
+                continue
+            bucket[am] = s @ a_star
+            queue.append((dom, target, am))
+        else:
+            continue
+        break  # the word limit ends the pass
 
     for o in rep.objects:
-        endos = closure.get((o.id, o.id), ())
+        endos = homs[(o.id, o.id)]
         idempotents = [m for m in endos if _is_idempotent(m)]
         for i, e in enumerate(idempotents):
             for f in idempotents[i + 1:]:
@@ -385,21 +391,13 @@ def verify_envelope(
                         matrix=m.to_json(),
                     )
 
-    all_have = None
-    if not bounded:
-        all_have = True
-        for (dom, cod), mats in closure.items():
-            back = closure.get((cod, dom), ())
-            for m in mats:
-                if not any(m @ b @ m == m and b @ m @ b == b for b in back):
-                    all_have = False
-                    break
-            if not all_have:
-                break
+    all_have = None if bounded else all(
+        m @ s @ m == m and s @ m @ s == s for bucket in homs.values() for m, s in bucket.items()
+    )
 
     return Envelope(
         pseudo_inverses=dict(pseudo_inverses),
-        closure=closure,
+        closure=homs,
         bounded=bounded,
         idempotents_commute=True,
         endomorphisms_idempotent=True if cycle_free else None,

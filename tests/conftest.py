@@ -64,6 +64,25 @@ def random_invertible(rng, field, n):
     return m
 
 
+def random_representation(rng):
+    """A random representation over Q, GF(2) or GF(3): 1-4 objects of
+    dimension at most 3, and 0-4 generators between random ends (loops,
+    parallel edges and cycles included)."""
+    field = rng.choice([RATIONALS, GF(2), GF(3)])
+    n_obj = rng.randint(1, 4)
+    objs = tuple(RepObject(f"o{i}", rng.randint(0, 3)) for i in range(n_obj))
+    gens = []
+    for j in range(rng.randint(0, 4)):
+        a, b = rng.randrange(n_obj), rng.randrange(n_obj)
+        gens.append(
+            Generator(
+                f"g{j}", objs[a].id, objs[b].id,
+                random_matrix(rng, field, objs[b].dim, objs[a].dim, span=2),
+            )
+        )
+    return Representation(field, objs, tuple(gens))
+
+
 def random_meet_closed_family(rng, field, ambient, max_seed=3, max_size=8):
     """A random meet-closed subspace family containing 0 and the full space."""
     pool = all_subspaces(field, ambient)

@@ -36,7 +36,6 @@ from invcat import (
     mobius,
     mobius_invert,
     oracle_exists_family,
-    sub_contains,
     sub_intersect,
     sub_sum,
     verify_decomposition,
@@ -275,7 +274,7 @@ def test_acceptance_6_property_suites(corpus_analyses):
         b = random_subspace(rng, field, n)
         total, meet = sub_sum(a, b), sub_intersect(a, b)
         assert a.dim + b.dim == total.dim + meet.dim
-        assert sub_contains(a, b) == (meet == b) == (total == a)
+        assert a.contains(b) == (meet == b) == (total == a)
 
     # Moebius recursions and inversion round-trips: every meet-closed family
     # with at most 8 elements over GF(2)^2 and GF(2)^3, plus 20 larger ones

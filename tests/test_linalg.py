@@ -19,7 +19,6 @@ from invcat import (
     projection_onto,
     rref,
     solve_particular,
-    sub_contains,
     sub_intersect,
     sub_sum,
 )
@@ -198,7 +197,7 @@ def test_complement_within_matches_first_fit_reference(rng):
 @settings(max_examples=200)
 def test_containment_duality(pair):
     a, b = pair
-    contains = sub_contains(a, b)
+    contains = a.contains(b)
     assert contains == (sub_intersect(a, b) == b)
     assert contains == (sub_sum(a, b) == a)
 
@@ -244,7 +243,7 @@ def test_preimage_image_adjunction(m):
     rng = random.Random(7)
     b = random_subspace(rng, m.field, m.rows)
     pre = map_preimage(m, b)
-    assert sub_contains(pre, kernel(m))
+    assert pre.contains(kernel(m))
     assert map_image(m, pre) == sub_intersect(b, image(m))
 
 

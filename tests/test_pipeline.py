@@ -5,9 +5,7 @@ from pathlib import Path
 
 from invcat import (
     ClosureLimits,
-    GF,
     Matrix,
-    RATIONALS,
     analyze,
     decompose,
     image,
@@ -16,9 +14,8 @@ from invcat import (
     verify_decomposition,
 )
 from invcat.errors import ClosureDivergence
-from invcat.rep import Generator, RepObject, Representation
 
-from conftest import random_matrix
+from conftest import random_representation
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -63,19 +60,8 @@ def test_random_representations_never_crash(rng):
     limits = ClosureLimits(max_rounds=8, max_elements_per_object=200)
     diverged = decomposed = 0
     for _ in range(150):
-        field = rng.choice([RATIONALS, GF(2), GF(3)])
-        n_obj = rng.randint(1, 4)
-        objs = tuple(RepObject(f"o{i}", rng.randint(0, 3)) for i in range(n_obj))
-        gens = []
-        for j in range(rng.randint(0, 4)):
-            a, b = rng.randrange(n_obj), rng.randrange(n_obj)
-            gens.append(
-                Generator(
-                    f"g{j}", objs[a].id, objs[b].id,
-                    random_matrix(rng, field, objs[b].dim, objs[a].dim, span=2),
-                )
-            )
-        rep = Representation(field, objs, tuple(gens))
+        rep = random_representation(rng)
+        field = rep.field
         try:
             a = analyze(rep, limits)
         except ClosureDivergence:

@@ -3,12 +3,14 @@ import pytest
 from invcat import (
     GF,
     AxiomViolation,
+    ClosureLimits,
     ConstructionFailure,
     CriterionViolated,
     EnvelopeLimits,
     Matrix,
     RATIONALS,
     Subspace,
+    ValidationError,
     analyze,
     build_poset,
     evaluate_pair,
@@ -26,12 +28,15 @@ from invcat import (
     verify_projection_family,
 )
 from invcat.criterion import poset_passes, rank_count_excess
-from invcat.rep import Generator, RepObject, Representation
+from invcat.errors import ClosureDivergence
+from invcat.realize import Envelope, _is_idempotent
+from invcat.rep import Generator, RepObject, Representation, quiver_shape
 
 from conftest import (
     conjugate_representation,
     interval_corpus_instance,
     random_meet_closed_family,
+    random_representation,
     random_subspace,
 )
 
@@ -184,13 +189,13 @@ def test_pseudo_inverse_of_invertible_is_inverse():
     fd, fc = _family_pair_for(m, 2, 2)
     from invcat import inverse
 
-    assert pseudo_inverse(m, fd, fc) == inverse(m)
+    assert pseudo_inverse(m, fd.basis, fc.basis) == inverse(m)
 
 
 def test_pseudo_inverse_of_zero_map():
     m = Matrix.zeros(RATIONALS, 3, 2)
     fd, fc = _family_pair_for(m, 2, 3)
-    assert pseudo_inverse(m, fd, fc) == Matrix.zeros(RATIONALS, 2, 3)
+    assert pseudo_inverse(m, fd.basis, fc.basis) == Matrix.zeros(RATIONALS, 2, 3)
 
 
 def test_pseudo_inverse_of_nilpotent_loop(bisection):
@@ -364,6 +369,14 @@ def test_envelope_limit_sets_bounded_flag():
     )
     assert env.bounded
     assert env.all_have_pseudo_inverse is None
+    # one word per arrow applied: the zero loop and its pseudo-inverse give two
+    # words from the identity and two from the zero map, and the closure
+    # {1, 0} is complete after the fourth
+    zero = Matrix.zeros(RATIONALS, 1, 1)
+    rep = Representation(RATIONALS, (RepObject("x", 1),), (Generator("z", "x", "x", zero),))
+    for max_words, bounded in ((4, False), (3, True)):
+        env = verify_envelope(rep, {}, {"z": zero}, EnvelopeLimits(max_words=max_words))
+        assert env.bounded is bounded and env.total_morphisms == 2
 
 
 def test_envelope_detects_non_commuting_idempotents():
@@ -389,4 +402,182 @@ def test_pseudo_inverse_uniqueness_within_envelope(bisection):
         back = env.closure.get((cod, dom), ())
         for m in mats:
             candidates = [b for b in back if m @ b @ m == m and b @ m @ b == b]
-            assert len(set(candidates)) == 1
+            assert set(candidates) == {mats[m]}  # the stored reversed dagger word
+
+
+def test_missing_pseudo_inverse_is_refused():
+    rep = Representation(
+        RATIONALS,
+        (RepObject("x", 1), RepObject("y", 1)),
+        (Generator("f", "x", "y", Matrix.identity(RATIONALS, 1)),),
+    )
+    with pytest.raises(ValidationError):
+        verify_envelope(rep, {}, {})
+
+
+def test_partner_check_reads_the_supplied_pseudo_inverses():
+    """1 is not a pseudo-inverse of the zero loop, so the stored partner of
+    the loop fails its identities, though 0 is a pseudo-inverse of itself."""
+    zero, one = Matrix.zeros(RATIONALS, 1, 1), Matrix.identity(RATIONALS, 1)
+    rep = Representation(RATIONALS, (RepObject("x", 1),), (Generator("z", "x", "x", zero),))
+    env = verify_envelope(rep, {}, {"z": one})
+    assert not env.bounded and env.closure[("x", "x")] == {one: one, zero: one}
+    assert env.all_have_pseudo_inverse is False
+    assert verify_envelope(rep, {}, {"z": zero}).all_have_pseudo_inverse is True
+
+
+def _reference_envelope(rep, families, pseudo_inverses, limits=EnvelopeLimits()):
+    """Reference: the envelope as the two-sided closure used to build it.
+
+    Every queued morphism is composed on both sides with every morphism found
+    so far, and each morphism's pseudo-inverse is searched for in its whole
+    back hom-set.
+    """
+    cycle_free = not quiver_shape(rep).has_undirected_cycle
+    homs = {}
+    queue = []
+    words = 0
+    bounded = False
+
+    def add(dom, cod, m):
+        nonlocal bounded
+        bucket = homs.setdefault((dom, cod), {})
+        if m in bucket:
+            return
+        if len(bucket) >= limits.max_matrices_per_hom:
+            bounded = True
+            return
+        bucket[m] = None
+        queue.append((dom, cod, m))
+
+    for o in rep.objects:
+        add(o.id, o.id, Matrix.identity(rep.field, o.dim))
+    for g in rep.generators:
+        add(g.dom, g.cod, g.matrix)
+        dag = pseudo_inverses.get(g.id)
+        if dag is not None:
+            add(g.cod, g.dom, dag)
+
+    head = 0
+    while head < len(queue):
+        dom, cod, m = queue[head]
+        head += 1
+        snapshot = [(d, c, x) for (d, c), bucket in homs.items() for x in bucket]
+        for d2, c2, other in snapshot:
+            if words >= limits.max_words:
+                bounded = True
+                break
+            if c2 == dom:
+                words += 1
+                add(d2, cod, m @ other)
+            if cod == d2 and words < limits.max_words:
+                words += 1
+                add(dom, c2, other @ m)
+        if bounded and words >= limits.max_words:
+            break
+
+    closure = {key: tuple(bucket.keys()) for key, bucket in homs.items()}
+
+    for o in rep.objects:
+        endos = closure.get((o.id, o.id), ())
+        idempotents = [m for m in endos if _is_idempotent(m)]
+        for i, e in enumerate(idempotents):
+            for f in idempotents[i + 1:]:
+                if e @ f != f @ e:
+                    raise AxiomViolation("non-commuting idempotent endomorphisms")
+        if cycle_free:
+            for m in endos:
+                if not _is_idempotent(m):
+                    raise AxiomViolation("non-idempotent endomorphism")
+
+    all_have = None
+    if not bounded:
+        all_have = True
+        for (dom, cod), mats in closure.items():
+            back = closure.get((cod, dom), ())
+            for m in mats:
+                if not any(m @ b @ m == m and b @ m @ b == b for b in back):
+                    all_have = False
+                    break
+            if not all_have:
+                break
+
+    return Envelope(
+        pseudo_inverses=dict(pseudo_inverses),
+        closure=closure,
+        bounded=bounded,
+        idempotents_commute=True,
+        endomorphisms_idempotent=True if cycle_free else None,
+        all_have_pseudo_inverse=all_have,
+    )
+
+
+def _envelope_outcome(fn, rep, pseudo_inverses):
+    try:
+        return fn(rep, {}, pseudo_inverses)
+    except AxiomViolation as e:
+        return type(e)
+
+
+def test_word_closure_matches_two_sided_reference(rng, bisection):
+    """Wherever the two-sided closure completes, the word closure finds the
+    same morphisms in every hom-set and prints the same report; it raises
+    the same exception class everywhere; and where only the reference is cut
+    short, a complete word closure contains its fragment."""
+    limits = ClosureLimits(max_rounds=8, max_elements_per_object=200)
+    p1 = Matrix.build(RATIONALS, 2, 2, [[1, 0], [0, 0]])
+    p2 = Matrix.build(RATIONALS, 2, 2, [[1, 1], [0, 0]])
+    two_loops = Representation(
+        RATIONALS,
+        (RepObject("x", 2),),
+        (Generator("p", "x", "x", p1), Generator("q", "x", "x", p2)),
+    )
+    cases = [(two_loops, {"p": p1, "q": p2})]
+    for rep in [bisection] + [random_representation(rng) for _ in range(200)]:
+        try:
+            a = analyze(rep, limits)
+        except ClosureDivergence:
+            continue
+        if a.report.passed:
+            cases.append((rep, a.pseudo_inverses))
+    seen = {"complete": 0, "bounded": 0, "violation": 0, "cyclic": 0}
+    for rep, pseudo_inverses in cases:
+        ref = _envelope_outcome(_reference_envelope, rep, pseudo_inverses)
+        env = _envelope_outcome(verify_envelope, rep, pseudo_inverses)
+        seen["cyclic"] += quiver_shape(rep).has_undirected_cycle
+        if not isinstance(ref, Envelope):
+            assert env is ref
+            seen["violation"] += 1
+            continue
+        assert isinstance(env, Envelope)
+        if ref.bounded:
+            seen["bounded"] += 1
+            if not env.bounded:
+                for key, mats in ref.closure.items():
+                    assert set(mats) <= set(env.closure.get(key, ()))
+            continue
+        seen["complete"] += 1
+        assert {k: set(v) for k, v in env.closure.items()} == {
+            k: set(v) for k, v in ref.closure.items()
+        }
+        assert env.to_json() == ref.to_json()
+    assert seen["complete"] >= 100 and seen["cyclic"] >= 50
+    assert seen["bounded"] >= 5 and seen["violation"] >= 1
+
+
+def test_stored_partners_are_pseudo_inverses(rng, bisection):
+    """Each morphism is stored with its reversed dagger word, and that word
+    is a pseudo-inverse of it."""
+    reps = [bisection]
+    for _ in range(6):
+        rep, _ = interval_corpus_instance(rng, max_vertices=4)
+        reps += [rep, conjugate_representation(rng, _over_gf(rep, GF(10007)))]
+    for rep in reps:
+        a = analyze(rep)
+        env = verify_envelope(rep, a.families, a.pseudo_inverses)
+        assert not env.bounded and env.all_have_pseudo_inverse
+        for (dom, cod), bucket in env.closure.items():
+            for m, s in bucket.items():
+                assert (s.rows, s.cols) == (m.cols, m.rows)
+                assert m @ s @ m == m and s @ m @ s == s
+                assert s in env.closure[(cod, dom)]
