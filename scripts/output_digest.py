@@ -12,8 +12,8 @@ decoy.  Two source trees that print the same digest for a seed gave the same
 stdout bytes and exit codes on every one of those runs.
 
 ``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11,
-and CI compares the seed-5 line against it.  A change that alters report
-bytes on purpose updates that file.
+and CI diffs this script's output at both seeds against them.  A change that
+alters report bytes on purpose updates that file.
 """
 
 import argparse

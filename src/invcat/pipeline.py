@@ -10,13 +10,20 @@ as extra maps, and the projection families are built on the result.  The
 saturated flag is what gets reported; it is the family of images reachable
 in the generated envelope, which is what published worked examples depict.
 
-On a cycle-free quiver the generators and their pseudo-inverses carry basis
-vectors to basis vectors or to zero, so every saturated element is spanned
-by basis vectors, the bases stay adapted and the saturated flag passes.  On
-a quiver with an undirected cycle the bases are each object's first-fit
-basis, which need not be coherent across objects; where the saturated flag
-then fails the criterion it is discarded, with a note, and the raw flag and
-its families are reported.  Failing inputs are never saturated.
+Each object's basis inverse is computed once and gives every generator's
+matrix in the bases, from which its pseudo-inverse is read.  When each of
+those matrices has at most one nonzero entry per row and per column, every
+generator is a partial matching of basis indices, and its pseudo-inverse
+the transposed matching; every saturated element is then spanned by basis
+vectors, and the saturation closure runs on bitmasks of basis indices
+(``flag.BasisCoordinates``).  That always holds on a cycle-free quiver, where
+the bases are transported along the edges, so there the bases stay adapted
+and the saturated flag passes.  Otherwise the saturation closure runs on
+subspaces, with the same result wherever both apply.  On a quiver with an
+undirected cycle the bases are each object's first-fit basis, which need not
+be coherent across objects; where the saturated flag then fails the
+criterion it is discarded, with a note, and the raw flag and its families
+are reported.  Failing inputs are never saturated.
 
 When the raw closure stops at a limit, the rank count is taken on the meet
 closure of the elements it reached (``criterion.refute_partial``).  Where
@@ -32,10 +39,10 @@ from typing import Dict, Optional, Tuple
 
 from .criterion import CriterionReport, check_representation, refute_partial
 from .errors import ClosureDivergence
-from .flag import ClosureLimits, FlagAssignment, compute_flag
+from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
-from .realize import ProjectionFamily, realize_projections, transported_bases
-from .realize import pseudo_inverse as make_pseudo_inverse
+from .realize import ProjectionFamily, basis_inverse, realize_projections, transported_bases
+from .realize import pseudo_inverse_from_coordinates as make_pseudo_inverse
 from .rep import Generator, Representation
 
 
@@ -66,6 +73,31 @@ def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
     }
 
 
+def saturation_maps(
+    rep: Representation, bases: Dict[str, Matrix]
+) -> Tuple[Dict[str, Matrix], Tuple[Generator, ...], Optional[BasisCoordinates]]:
+    """The pseudo-inverses read off ``bases``, the maps g† that adjoin them to
+    the closure, and the ``BasisCoordinates`` of the generators and the g†,
+    or None unless every generator's matrix in ``bases`` is a matching."""
+    codomains = {g.cod for g in rep.generators}
+    inverses = {o.id: basis_inverse(bases[o.id]) for o in rep.objects if o.id in codomains}
+    coords = {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
+    pseudo_inverses = {
+        g.id: make_pseudo_inverse(coords[g.id], bases[g.dom], inverses[g.cod])
+        for g in rep.generators
+    }
+    extra = tuple(
+        Generator(id=f"{g.id}†", dom=g.cod, cod=g.dom, matrix=pseudo_inverses[g.id])
+        for g in rep.generators
+    )
+    matchings = [Matching.of(coords[g.id]) for g in rep.generators]
+    coordinates = None
+    if None not in matchings:
+        # a pseudo-inverse's matrix in the bases is the inverse matching
+        coordinates = BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
+    return pseudo_inverses, extra, coordinates
+
+
 def _saturate(
     rep: Representation,
     flag: FlagAssignment,
@@ -80,18 +112,12 @@ def _saturate(
     Optional[str],
 ]:
     """Close the passing flag (whose standard report is ``report``) under the
-    pseudo-inverses read off ``bases``.  Returns the flag to report, its
-    standard report, its families, the pseudo-inverses and an optional note.
+    pseudo-inverses read off ``bases``, on bitmasks where every generator is a
+    matching in the bases.  Returns the flag to report, its standard report,
+    its families, the pseudo-inverses and an optional note.
     """
-    pseudo_inverses = {
-        g.id: make_pseudo_inverse(g.matrix, bases[g.dom], bases[g.cod])
-        for g in rep.generators
-    }
-    extra = tuple(
-        Generator(id=f"{g.id}†", dom=g.cod, cod=g.dom, matrix=pseudo_inverses[g.id])
-        for g in rep.generators
-    )
-    saturated = compute_flag(rep, limits, extra_maps=extra)
+    pseudo_inverses, extra, coordinates = saturation_maps(rep, bases)
+    saturated = compute_flag(rep, limits, extra_maps=extra, coordinates=coordinates)
     saturated.saturated = True
     saturated_report = check_representation(rep, saturated, "standard")
     if not saturated_report.passed:

@@ -14,7 +14,9 @@ tests.
 representation: on a cycle-free quiver it carries one object's basis along
 every edge, so that every generator maps basis vectors to basis vectors or
 to zero.  A pseudo-inverse is read off the bases at the two ends of its
-generator in closed form; on a cycle-free quiver it is the inverse matching.
+generator in closed form, from the generator's matrix in those bases; on a
+cycle-free quiver that matrix is a partial matching and the pseudo-inverse is
+the inverse matching.
 The envelope is closed one generator or pseudo-inverse at a time, and each
 morphism is checked against the reversed word of pseudo-inverses that came
 with it: pseudo-inverses in an inverse category are unique, so (z w)* = w* z*.
@@ -160,12 +162,30 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
     return ProjectionFamily(object_id=object_id, poset=p, projections=projections, basis=basis)
 
 
+def basis_inverse(q: Matrix) -> Matrix:
+    """The inverse of a basis matrix; ConstructionFailure when it is singular."""
+    q_inv = inverse(q)
+    if q_inv is None:
+        raise ConstructionFailure("codomain basis is singular")
+    return q_inv
+
+
 def pseudo_inverse(zeta: Matrix, p: Matrix, q: Matrix) -> Matrix:
     """Pseudo-inverse of a generator matrix, read off adapted bases at its ends.
 
     ``p`` and ``q`` are invertible matrices P and Q whose columns are bases
     adapted to ker(zeta) and im(zeta).  In those bases zeta is M = Q^-1 zeta P;
-    its nonzero columns R are the basis vectors outside ker(zeta) and its
+    see ``pseudo_inverse_from_coordinates``.
+    """
+    q_inv = basis_inverse(q)
+    return pseudo_inverse_from_coordinates(q_inv @ zeta @ p, p, q_inv)
+
+
+def pseudo_inverse_from_coordinates(m: Matrix, p: Matrix, q_inv: Matrix) -> Matrix:
+    """The pseudo-inverse of zeta = Q M P^-1, from its matrix M = Q^-1 zeta P
+    in adapted bases P and Q, and from Q^-1.
+
+    M's nonzero columns R are the basis vectors outside ker(zeta) and its
     nonzero rows T the coordinates of im(zeta), so M[T, R] is square and
     invertible, and
 
@@ -175,11 +195,7 @@ def pseudo_inverse(zeta: Matrix, p: Matrix, q: Matrix) -> Matrix:
     projections in P and Q, which fix a pseudo-inverse.  Where zeta carries
     basis vectors to basis vectors or to zero, zeta* is the inverse matching.
     """
-    field = zeta.field
-    q_inv = inverse(q)
-    if q_inv is None:
-        raise ConstructionFailure("codomain basis is singular")
-    m = q_inv @ zeta @ p
+    field = m.field
     rows = [j for j, r in enumerate(m.entries) if any(r)]
     cols = [k for k in range(m.cols) if any(r[k] for r in m.entries)]
     block = inverse(
@@ -188,7 +204,7 @@ def pseudo_inverse(zeta: Matrix, p: Matrix, q: Matrix) -> Matrix:
     if block is None:
         raise ConstructionFailure("bases are not adapted to the kernel and the image")
     left = Matrix(field, p.rows, len(cols), tuple(tuple(r[k] for k in cols) for r in p.entries))
-    right = Matrix(field, len(rows), q.cols, tuple(q_inv.entries[j] for j in rows))
+    right = Matrix(field, len(rows), q_inv.cols, tuple(q_inv.entries[j] for j in rows))
     return left @ block @ right
 
 

@@ -11,6 +11,10 @@ category on them.  A document looks like::
 Matrices are row-major, dim(cod) rows by dim(dom) columns, acting on column
 vectors.  Rational entries may be ints or "a/b" strings; prime-field entries
 are ints reduced mod p.
+
+A document whose sizes pass ``MAX_OBJECT_DIM`` or ``MAX_TOTAL_ENTRIES`` is
+refused with ``TooLarge`` while it is parsed, before any entry of a matrix
+that would pass them is read and before any elimination.
 """
 
 from __future__ import annotations
@@ -19,9 +23,18 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from .errors import CompositionError, InputSyntaxError, ValidationError
+from .errors import CompositionError, InputSyntaxError, TooLarge, ValidationError
 from .fields import Field
 from .linalg import Matrix
+
+# Parse-time size limits.  The closure holds the full space at every object,
+# a dim x dim matrix, so the total counts dim^2 per object as well as
+# rows x cols per generator.  The largest bundled example, test or benchmark
+# input has an object of dimension 8 and a total of 777 entries (the 64-dim
+# A_12 interval sum: 400 for its objects, 377 for its generators), 16x and
+# 42x below these limits.
+MAX_OBJECT_DIM = 128
+MAX_TOTAL_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,17 @@ def _expect(cond: bool, msg: str, path: str) -> None:
         raise ValidationError(msg, path=path)
 
 
+def _count_entries(total: int, more: int, path: str) -> int:
+    total += more
+    if total > MAX_TOTAL_ENTRIES:
+        raise TooLarge(
+            f"the input has more than {MAX_TOTAL_ENTRIES} matrix entries "
+            "(dim^2 per object, rows x cols per generator)",
+            path=path,
+        )
+    return total
+
+
 def representation_from_json(doc: Any) -> Representation:
     _expect(isinstance(doc, dict), "top-level document must be an object", "$")
     for key in ("field", "objects", "generators"):
@@ -152,9 +176,15 @@ def representation_from_json(doc: Any) -> Representation:
         _expect(isinstance(o.get("id"), str), "object id must be a string", f"{where}.id")
         _expect(isinstance(o.get("dim"), int) and not isinstance(o["dim"], bool),
                 "object dim must be an integer", f"{where}.dim")
+        if o["dim"] > MAX_OBJECT_DIM:
+            raise TooLarge(
+                f"object dimension {o['dim']} exceeds the limit {MAX_OBJECT_DIM}",
+                path=f"{where}.dim",
+            )
         objects.append(RepObject(o["id"], o["dim"]))
         dims[o["id"]] = o["dim"]
     _expect(isinstance(doc["generators"], list), "'generators' must be an array", "generators")
+    entries = _count_entries(0, sum(o.dim * o.dim for o in objects), "objects")
     gens = []
     for i, g in enumerate(doc["generators"]):
         where = f"generators[{i}]"
@@ -165,6 +195,7 @@ def representation_from_json(doc: Any) -> Representation:
         _expect(g["dom"] in dims, f"unknown object id {g.get('dom')!r}", f"{where}.dom")
         _expect(g["cod"] in dims, f"unknown object id {g.get('cod')!r}", f"{where}.cod")
         nrows, ncols = dims[g["cod"]], dims[g["dom"]]
+        entries = _count_entries(entries, nrows * ncols, f"{where}.matrix")
         raw = g["matrix"]
         _expect(len(raw) == nrows, f"matrix must have {nrows} rows", f"{where}.matrix")
         rows = []

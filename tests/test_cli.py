@@ -304,3 +304,43 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
     code, out = run_cli(capsys, "flag", str(p))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "ClosureDivergence"
+
+
+def test_oversized_input_is_refused_at_parse_time(capsys, tmp_path):
+    """An object above ``MAX_OBJECT_DIM``, or more than ``MAX_TOTAL_ENTRIES``
+    matrix entries (dim^2 per object plus each generator's), exits 2 with
+    TooLarge before any elimination; at the limits the input is analyzed."""
+    from invcat.rep import MAX_OBJECT_DIM, MAX_TOTAL_ENTRIES
+
+    def check(doc):
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "check", str(p))
+        return code, json.loads(out)
+
+    rational = {"kind": "rational"}
+    code, doc = check({"field": rational, "objects": [{"id": "a", "dim": 100000}], "generators": []})
+    assert code == 2
+    assert doc["error"]["code"] == "TooLarge"
+    assert doc["error"]["detail"] == {"path": "objects[0].dim"}
+
+    n = MAX_OBJECT_DIM
+    assert 2 * n * n == MAX_TOTAL_ENTRIES
+    zero = [[0] * n for _ in range(n)]
+    loops = [{"id": g, "dom": "a", "cod": "a", "matrix": zero} for g in ("f", "g")]
+    code, doc = check({"field": rational, "objects": [{"id": "a", "dim": n}], "generators": loops})
+    assert code == 2
+    assert doc["error"] == {
+        "code": "TooLarge",
+        "message": f"the input has more than {MAX_TOTAL_ENTRIES} matrix entries "
+                   "(dim^2 per object, rows x cols per generator)",
+        "detail": {"path": "generators[1].matrix"},
+    }
+    code, doc = check({
+        "field": rational,
+        "objects": [{"id": o, "dim": n} for o in ("a", "b", "c")],
+        "generators": [],
+    })
+    assert (code, doc["error"]["detail"]) == (2, {"path": "objects"})
+    code, doc = check({"field": rational, "objects": [{"id": "a", "dim": n}], "generators": loops[:1]})
+    assert code == 0 and doc["verdict"] == "pass"

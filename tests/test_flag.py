@@ -15,13 +15,15 @@ from invcat import (
     build_poset,
     compute_flag,
     evaluate_word,
+    inverse,
     map_image,
     map_preimage,
     sub_intersect,
 )
+from invcat.flag import BasisCoordinates, Matching
 from invcat.rep import Generator, RepObject, Representation
 
-from conftest import interval_corpus_instance, random_matrix
+from conftest import interval_corpus_instance, random_invertible, random_matrix
 
 X_AXIS = Subspace.span(RATIONALS, 2, [[1, 0]])
 Y_AXIS = Subspace.span(RATIONALS, 2, [[0, 1]])
@@ -220,6 +222,73 @@ def test_flag_report_json(bisection):
     assert doc["objects"]["plane"]["poset_size"] == 3
     assert doc["rounds"] == flag.rounds
     assert doc["saturated"] is False
+
+
+def test_matching_of_a_matrix():
+    # domain 0 -> codomain 2, domain 1 -> codomain 0, domain 2 -> nothing
+    g = Matching.of(Matrix.build(RATIONALS, 3, 3, [[0, 2, 0], [0, 0, 0], [-1, 0, 0]]))
+    assert g.image(0b011) == 0b101 and g.image(0b100) == 0
+    # the unmatched index 2, plus the index matched into the target
+    assert g.preimage(0b001) == 0b110 and g.preimage(0b010) == 0b100
+    assert g.preimage(0) == 0b100 and g.preimage(0b111) == 0b111
+    # the dagger matches back: codomain 2 -> 0, 0 -> 1, and 1 -> nothing
+    assert g.dagger.image(0b101) == 0b011 and g.dagger.image(0b010) == 0
+    assert g.dagger.preimage(0b001) == 0b110
+    assert g.dagger.dagger == g
+    assert Matching.of(Matrix.zeros(GF(3), 2, 3)).preimage(0) == 0b111
+    for rows in ([[1], [1]], [[1, 1]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 2, 0]]):
+        assert Matching.of(Matrix.build(RATIONALS, len(rows), len(rows[0]), rows)) is None
+
+
+def _matching_representation(rng, field):
+    """Random partial matchings with nonzero scalars between random objects
+    (loops, parallel edges and cycles included), written in random bases;
+    returns the representation and its ``BasisCoordinates``."""
+    dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    objects = tuple(RepObject(f"o{i}", d) for i, d in enumerate(dims))
+    bases = {o.id: random_invertible(rng, field, o.dim) for o in objects}
+    gens, matchings = [], []
+    for k in range(rng.randint(1, 4)):
+        a, b = rng.randrange(len(dims)), rng.randrange(len(dims))
+        pairs = list(zip(rng.sample(range(dims[b]), dims[b]), range(dims[a])))
+        coords = [[field.zero] * dims[a] for _ in range(dims[b])]
+        for i, j in pairs[: rng.randint(0, len(pairs))]:
+            coords[i][j] = field.coerce(rng.choice([1, 2, -1, -2]))
+        m = Matrix.build(field, dims[b], dims[a], coords)
+        matrix = bases[f"o{b}"] @ m @ inverse(bases[f"o{a}"])
+        gens.append(Generator(f"g{k}", f"o{a}", f"o{b}", matrix))
+        matchings.append(Matching.of(m))
+    rep = Representation(field, objects, tuple(gens))
+    return rep, BasisCoordinates(bases, tuple(matchings))
+
+
+def test_closure_on_matchings_matches_subspace_closure():
+    """For maps that are matchings in given bases, the closure on bitmasks
+    gives the subspace closure's flag, and stops at the same element limit
+    with the same partial flag."""
+    rng = random.Random(11)
+    stopped = 0
+    for _ in range(150):
+        rep, coordinates = _matching_representation(rng, rng.choice([RATIONALS, GF(2), GF(5)]))
+        for limits in (ClosureLimits(), ClosureLimits(max_elements_per_object=5)):
+            try:
+                ref = compute_flag(rep, limits)
+            except ClosureDivergence as stop:
+                with pytest.raises(ClosureDivergence) as exc:
+                    compute_flag(rep, limits, coordinates=coordinates)
+                assert exc.value.detail == stop.detail
+                got, ref = exc.value.partial, stop.partial
+                assert (got and got.to_json()) == (ref and ref.to_json())
+                stopped += 1
+                continue
+            got = compute_flag(rep, limits, coordinates=coordinates)
+            assert got.to_json() == ref.to_json()
+            for oid, p in ref.posets.items():
+                q = got.posets[oid]
+                assert (q.elements, q.leq, q.covers, q.meet_table) == (
+                    p.elements, p.leq, p.covers, p.meet_table
+                )
+    assert stopped >= 10
 
 
 @st.composite
