@@ -3,6 +3,12 @@
 Exit codes: 0 = pass/verified, 1 = fail/refuted, 2 = error.  All reports are
 JSON on stdout (or -o FILE); for fixed input bytes and flags the output bytes
 are identical run to run.  Timing goes to stderr only.
+
+Every report is written by :func:`invcat.jsontext.dumps`, whose output is
+byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: it builds
+each container's text with one ``str.join`` and renders each repeated basis
+(a list of rows of ints or strings) once per indent depth, which matters for
+refutations that print the same subspaces in hundreds of witnesses.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     ToolError,
 )
 from .flag import ClosureLimits
+from .jsontext import dumps
 from .pipeline import analyze
 from .poset import mobius
 from .realize import EnvelopeLimits, verify_envelope
@@ -29,7 +36,7 @@ from .rep import parse_representation
 
 
 def _dump(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = dumps(doc) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -210,19 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ToolError as e:
-        error = e
-    except Exception as e:  # the exit-code contract: a defect is an error, never a refutation
-        traceback.print_exc(file=sys.stderr)
-        error = InternalError(f"{type(e).__name__}: {e}")
+def _report_error(error: ToolError, args: argparse.Namespace) -> int:
     _dump({"error": error.to_json()}, getattr(args, "output", None))
     print(f"error: {error.code}: {error.message}", file=sys.stderr)
     return 2
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Report inside the ``except`` clause, which unbinds the exception on exit:
+    # a local holding it would close the cycle exception -> traceback -> this
+    # frame, and keep the error's detail alive until a full collection.
+    try:
+        return args.fn(args)
+    except ToolError as e:
+        return _report_error(e, args)
+    except Exception as e:  # the exit-code contract: a defect is an error, never a refutation
+        traceback.print_exc(file=sys.stderr)
+        return _report_error(InternalError(f"{type(e).__name__}: {e}"), args)
 
 
 if __name__ == "__main__":

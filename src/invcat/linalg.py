@@ -391,6 +391,7 @@ class Subspace:
     # Lazy caches (not dataclass fields, so equality and repr ignore them).
     _hash = None
     _int_form = None  # (primitive int rows with positive pivots, pivot columns)
+    _json_rows = None  # the basis rows as JSON scalars, tuples of tuples
 
     def __hash__(self) -> int:
         h = self._hash
@@ -478,7 +479,13 @@ class Subspace:
         return all(self._reduces_to_zero(r) for r in other._ints()[0])
 
     def to_json(self) -> list:
-        return [[self.field.entry_to_json(x) for x in r] for r in self.basis]
+        """The basis rows as fresh lists of JSON scalars (converted once)."""
+        rows = self._json_rows
+        if rows is None:
+            to_json = self.field.entry_to_json
+            rows = tuple(tuple(map(to_json, r)) for r in self.basis)
+            object.__setattr__(self, "_json_rows", rows)
+        return [list(r) for r in rows]
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:

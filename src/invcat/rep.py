@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, InputSyntaxError, TooLarge, ValidationError
 from .fields import Field
+from .jsontext import dumps
 from .linalg import Matrix
 
 # Parse-time size limits.  The closure holds the full space at every object,
@@ -110,7 +111,7 @@ class Representation:
         }
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_json()) + "\n"
 
 
 @dataclass(frozen=True)

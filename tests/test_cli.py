@@ -1,7 +1,9 @@
+import gc
 import json
+import random
 from pathlib import Path
 
-from invcat import parse_representation, verify_decomposition
+from invcat import ToolError, parse_representation, verify_decomposition
 from invcat.cli import main
 from invcat.decompose import BlockcodeDecomposition
 
@@ -344,3 +346,63 @@ def test_oversized_input_is_refused_at_parse_time(capsys, tmp_path):
     assert (code, doc["error"]["detail"]) == (2, {"path": "objects"})
     code, doc = check({"field": rational, "objects": [{"id": "a", "dim": n}], "generators": loops[:1]})
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def _refuted_star(tmp_path):
+    """Eight random planes mapped into GF(10007)^3 at a shared centre; the
+    criterion refutes it with a few hundred witnesses."""
+    rng = random.Random(3)
+    p = 10007
+    objects = [{"id": "c", "dim": 3}] + [{"id": f"p{k}", "dim": 2} for k in range(8)]
+    generators = [
+        {
+            "id": f"g{k}",
+            "dom": f"p{k}",
+            "cod": "c",
+            "matrix": [[rng.randrange(p) for _ in range(2)] for _ in range(3)],
+        }
+        for k in range(8)
+    ]
+    doc = {"field": {"kind": "prime", "p": p}, "objects": objects, "generators": generators}
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_output_file_matches_stdout(tmp_path, capsys):
+    """``-o FILE`` writes the bytes ``stdout`` would get, reports and errors
+    alike.  (The output digest hashes stdout only.)"""
+    star = _refuted_star(tmp_path)
+    code, out = run_cli(capsys, "check", star)
+    assert code == 1 and len(json.loads(out)["witnesses"]) > 100
+    inputs = sorted(str(p) for p in DATA.glob("*.json")) + [star]
+    out_path = tmp_path / "out.json"
+    for rep in inputs:
+        for command in ("check", "flag", "mobius", "decompose", "envelope"):
+            code, out = run_cli(capsys, command, rep)
+            code_o, out_o = run_cli(capsys, command, rep, "-o", str(out_path))
+            assert (code_o, out_o) == (code, "")
+            assert out_path.read_bytes() == out.encode(), (command, rep)
+
+
+def test_error_report_leaves_no_cyclic_garbage(tmp_path, capsys):
+    """A refutation raised as an error is freed by reference counting: no
+    cycle through ``main``'s frame keeps the exception and its witness
+    detail alive until a full collection."""
+    star = _refuted_star(tmp_path)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, out = run_cli(capsys, "decompose", star)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "CriterionViolated"
+        gc.collect()
+        assert not [o for o in gc.garbage[before:] if isinstance(o, ToolError)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()

@@ -223,6 +223,20 @@ def test_ambient_mismatch_raises():
         sub_sum(a, b)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF(7)])
+def test_to_json_returns_fresh_lists(field):
+    s = Subspace.span(field, 3, [[2, 1, 0], [0, 3, 1]])
+    first = s.to_json()
+    second = s.to_json()
+    assert first == second
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    first[0][0] = "mutated"
+    first.append([9, 9, 9])
+    assert s.to_json() == second
+    assert s.to_json() == [[field.entry_to_json(x) for x in r] for r in s.basis]
+
+
 # --- map image / preimage -------------------------------------------------------
 
 
