@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -72,7 +73,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_flag(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
-    analysis = analyze(rep, _limits(args), mu_mode=args.mu)
+    analysis = analyze(rep, _limits(args))
     if analysis.stopped is not None:
         raise analysis.stopped
     doc = analysis.flag.to_json()
@@ -88,7 +89,7 @@ def _cmd_flag(args: argparse.Namespace) -> int:
 
 def _cmd_mobius(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
-    analysis = analyze(rep, _limits(args), mu_mode=args.mu)
+    analysis = analyze(rep, _limits(args))
     if analysis.stopped is not None:
         raise analysis.stopped
     objects = {}
@@ -136,8 +137,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
-    analysis = analyze(rep, _limits(args), mu_mode="standard")
-    if not analysis.standard_report.passed:
+    analysis = analyze(rep, _limits(args))
+    if not analysis.passed:
         doc = analysis.standard_report.to_json()
         doc["command"] = "envelope"
         doc["note"] = "criterion fails; no inverse envelope exists"
@@ -163,7 +164,9 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="invcat",
         description=(
@@ -174,11 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_mu: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="representation JSON file")
-        if with_mu:
-            p.add_argument("--mu", choices=("standard", "literal"), default="standard",
-                           help="Moebius weighting mode (default: standard)")
         p.add_argument("--max-rounds", type=int, default=64, help="closure round limit")
         p.add_argument("--max-elements", type=int, default=4096,
                        help="per-object flag size limit")
@@ -186,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate the factorization criterion")
     common(p_check)
+    p_check.add_argument("--mu", choices=("standard", "literal"), default="standard",
+                         help="Moebius weighting mode (default: standard)")
     p_check.set_defaults(fn=_cmd_check)
 
     p_flag = sub.add_parser("flag", help="report the per-object subspace flags")
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mob.set_defaults(fn=_cmd_mobius)
 
     p_dec = sub.add_parser("decompose", help="decompose into blockcodes (cycle-free only)")
-    common(p_dec, with_mu=False)
+    common(p_dec)
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="re-check a decomposition certificate")
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_env = sub.add_parser("envelope", help="synthesize pseudo-inverses and verify axioms")
-    common(p_env, with_mu=False)
+    common(p_env)
     p_env.add_argument("--max-words", type=int, default=10_000)
     p_env.add_argument("--max-matrices", type=int, default=1_000)
     p_env.set_defaults(fn=_cmd_envelope)

@@ -29,9 +29,13 @@ makes the count come out equal.  So the count holds exactly when a
 projection family exists.
 
 A representation passes when, at every object, every ordered pair scores
->= 0 and the count equals the ambient dimension.  The count is taken only
-when no pair scores negative, so a refutation by the score reports exactly
-the score's witnesses.
+>= 0 and the count equals the ambient dimension.  Where the count holds the
+elements are coordinate sets in that basis, and then the standard score of
+(b, c) is the number of coordinates of C_b outside c, never negative.  So
+the count alone decides the standard verdict, and ``pipeline`` takes nothing
+else; the score is taken only for a report that gets printed.  In a report
+the score's witnesses take precedence: the count's distributivity witnesses
+are listed only when no pair scores negative.
 """
 
 from __future__ import annotations

@@ -294,8 +294,8 @@ def decompose(
         raise CycleError("quiver has an undirected cycle (loops count); not decomposable here")
     if analysis is None:
         analysis = analyze(rep, limits, "standard", saturate=False)
-    report = analysis.standard_report
-    if not report.passed:
+    if not analysis.passed:
+        report = analysis.standard_report
         detail = {"witnesses": [w.to_json() for w in report.witnesses]}
         if report.distributivity_witnesses:
             detail["distributivity_witnesses"] = [

@@ -1,14 +1,23 @@
-"""End-to-end analysis: flag closure, criterion, adapted bases, saturation.
+"""End-to-end analysis: flag closure, rank count, adapted bases, saturation.
 
 The raw closure sees only the generator maps, and the pass/fail verdict is
-decided there: the criterion (score and rank count) on the raw flag is
-invariant under change of basis, so the verdict is too.  When it passes,
-``realize.transported_bases`` picks one adapted basis per object, and each
-generator's pseudo-inverse is read off the bases at its two ends.  The flag
-is then *saturated*: the closure is run once more with those pseudo-inverses
-as extra maps, and the projection families are built on the result.  The
-saturated flag is what gets reported; it is the family of images reachable
-in the generated envelope, which is what published worked examples depict.
+decided there by the rank count alone (``Analysis.passed``): where the count
+holds at every object, the flag is a family of coordinate sets in an adapted
+basis and no pair can score negative in standard mode (see ``criterion``).
+The count is invariant under change of basis, so the verdict is too.  The
+same count decides whether to saturate, whether to discard a saturated flag
+and whether a stopped closure is refuted.  The criterion reports and the
+projection families are built only when first read
+(``Analysis.standard_report``, ``report`` and ``families``), so a command
+that prints neither pays for neither; a failing report still lists the score
+witnesses, and distributivity witnesses only where no pair scores negative.
+
+When the count holds, ``realize.transported_bases`` picks one adapted basis
+per object, and each generator's pseudo-inverse is read off the bases at its
+two ends.  The flag is then *saturated*: the closure is run once more with
+those pseudo-inverses as extra maps.  The saturated flag is what gets
+reported; it is the family of images reachable in the generated envelope,
+which is what published worked examples depict.
 
 Each object's basis inverse is computed once and gives every generator's
 matrix in the bases, from which its pseudo-inverse is read.  When each of
@@ -21,9 +30,9 @@ the bases are transported along the edges, so there the bases stay adapted
 and the saturated flag passes.  Otherwise the saturation closure runs on
 subspaces, with the same result wherever both apply.  On a quiver with an
 undirected cycle the bases are each object's first-fit basis, which need not
-be coherent across objects; where the saturated flag then fails the
-criterion it is discarded, with a note, and the raw flag and its families
-are reported.  Failing inputs are never saturated.
+be coherent across objects; where the count then fails on the saturated flag
+it is discarded, with a note, and the raw flag and its families are
+reported.  Failing inputs are never saturated.
 
 When the raw closure stops at a limit, the rank count is taken on the meet
 closure of the elements it reached (``criterion.refute_partial``).  Where
@@ -35,10 +44,17 @@ flag would be adapted to that part too.  Only where it holds is the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from .criterion import CriterionReport, check_representation, refute_partial
-from .errors import ClosureDivergence
+from .criterion import (
+    MU_MODES,
+    CriterionReport,
+    check_representation,
+    rank_count_excess,
+    refute_partial,
+)
+from .errors import ClosureDivergence, ValidationError
 from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
 from .realize import ProjectionFamily, basis_inverse, realize_projections, transported_bases
@@ -52,16 +68,39 @@ class Analysis:
     limits: ClosureLimits
     mu_mode: str
     flag: FlagAssignment
-    report: CriterionReport
-    standard_report: CriterionReport
-    families: Optional[Dict[str, ProjectionFamily]]
-    pseudo_inverses: Optional[Dict[str, Matrix]]
+    # the standard verdict: the rank count holds at every object of ``flag``
+    passed: bool
+    # set when the count holds and the flag was saturated
+    pseudo_inverses: Optional[Dict[str, Matrix]] = None
     # per object, the adapted basis (columns) of ``realize.transported_bases``
     bases: Optional[Dict[str, Matrix]] = None
     saturation_note: Optional[str] = None
     # set when the closure stopped at a limit; ``flag`` is then the meet
     # closure of the part it reached, and ``report`` refutes the input
     stopped: Optional[ClosureDivergence] = None
+
+    def _report(self, mode: str) -> CriterionReport:
+        if self.stopped is not None:
+            return refute_partial(self.flag, mode, self.stopped.message)
+        return check_representation(self.rep, self.flag, mode)
+
+    @cached_property
+    def standard_report(self) -> CriterionReport:
+        return self._report("standard")
+
+    @cached_property
+    def report(self) -> CriterionReport:
+        return self.standard_report if self.mu_mode == "standard" else self._report(self.mu_mode)
+
+    @cached_property
+    def families(self) -> Optional[Dict[str, ProjectionFamily]]:
+        """The projection families of the reported flag; None unless it passed
+        and was saturated."""
+        return None if self.pseudo_inverses is None else build_families(self.flag)
+
+
+def _count_holds(flag: FlagAssignment) -> bool:
+    return all(rank_count_excess(p) is None for p in flag.posets.values())
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
@@ -101,53 +140,21 @@ def saturation_maps(
 def _saturate(
     rep: Representation,
     flag: FlagAssignment,
-    report: CriterionReport,
     limits: ClosureLimits,
     bases: Dict[str, Matrix],
-) -> Tuple[
-    FlagAssignment,
-    CriterionReport,
-    Dict[str, ProjectionFamily],
-    Dict[str, Matrix],
-    Optional[str],
-]:
-    """Close the passing flag (whose standard report is ``report``) under the
-    pseudo-inverses read off ``bases``, on bitmasks where every generator is a
-    matching in the bases.  Returns the flag to report, its standard report,
-    its families, the pseudo-inverses and an optional note.
+) -> Tuple[FlagAssignment, Dict[str, Matrix], Optional[str]]:
+    """Close the passing flag under the pseudo-inverses read off ``bases``, on
+    bitmasks where every generator is a matching in the bases.  Returns the
+    flag to report, the pseudo-inverses and an optional note.
     """
     pseudo_inverses, extra, coordinates = saturation_maps(rep, bases)
     saturated = compute_flag(rep, limits, extra_maps=extra, coordinates=coordinates)
     saturated.saturated = True
-    saturated_report = check_representation(rep, saturated, "standard")
-    if not saturated_report.passed:
+    if not _count_holds(saturated):
         # The bases were not coherent across a cycle; enrichment would flip
         # the verdict, so it is dropped.  The raw-flag verdict stands.
-        note = "saturation discarded: enlarged flag goes criterion-negative"
-        return flag, report, build_families(flag), pseudo_inverses, note
-    return saturated, saturated_report, build_families(saturated), pseudo_inverses, None
-
-
-def _refute_stopped(
-    rep: Representation, limits: ClosureLimits, mu_mode: str, stop: ClosureDivergence
-) -> Analysis:
-    """The analysis of an input whose raw closure stopped at a limit, where
-    the rank count refutes the part it reached; otherwise ``stop`` is raised."""
-    partial = stop.partial
-    standard = partial and refute_partial(partial, "standard", stop.message)
-    if standard is None:
-        raise stop
-    return Analysis(
-        rep=rep,
-        limits=limits,
-        mu_mode=mu_mode,
-        flag=partial,
-        report=standard if mu_mode == "standard" else refute_partial(partial, mu_mode, stop.message),
-        standard_report=standard,
-        families=None,
-        pseudo_inverses=None,
-        stopped=stop,
-    )
+        return flag, pseudo_inverses, "saturation discarded: enlarged flag goes criterion-negative"
+    return saturated, pseudo_inverses, None
 
 
 def analyze(
@@ -156,37 +163,19 @@ def analyze(
     mu_mode: str = "standard",
     saturate: bool = True,
 ) -> Analysis:
+    if mu_mode not in MU_MODES:
+        raise ValidationError(f"unknown mu mode {mu_mode!r}")
     try:
         flag = compute_flag(rep, limits)
     except ClosureDivergence as stop:
-        return _refute_stopped(rep, limits, mu_mode, stop)
-    standard = check_representation(rep, flag, "standard")
-    bases: Optional[Dict[str, Matrix]] = None
-    families: Optional[Dict[str, ProjectionFamily]] = None
-    pseudo_inverses: Optional[Dict[str, Matrix]] = None
-    note: Optional[str] = None
-
-    if standard.passed:
-        bases = transported_bases(rep, flag)
+        if stop.partial is None or _count_holds(stop.partial):
+            raise
+        return Analysis(rep, limits, mu_mode, stop.partial, passed=False, stopped=stop)
+    analysis = Analysis(rep, limits, mu_mode, flag, passed=_count_holds(flag))
+    if analysis.passed:
+        analysis.bases = transported_bases(rep, flag)
         if saturate:
-            flag, standard, families, pseudo_inverses, note = _saturate(
-                rep, flag, standard, limits, bases
+            analysis.flag, analysis.pseudo_inverses, analysis.saturation_note = _saturate(
+                rep, flag, limits, analysis.bases
             )
-
-    report = (
-        standard
-        if mu_mode == "standard"
-        else check_representation(rep, flag, mu_mode)
-    )
-    return Analysis(
-        rep=rep,
-        limits=limits,
-        mu_mode=mu_mode,
-        flag=flag,
-        report=report,
-        standard_report=standard,
-        families=families,
-        pseudo_inverses=pseudo_inverses,
-        bases=bases,
-        saturation_note=note,
-    )
+    return analysis

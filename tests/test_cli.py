@@ -3,8 +3,10 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from invcat import ToolError, parse_representation, verify_decomposition
-from invcat.cli import main
+from invcat.cli import build_parser, main
 from invcat.decompose import BlockcodeDecomposition
 
 from conftest import direct_sum
@@ -44,6 +46,20 @@ def test_check_literal_mode_diverges(capsys):
     assert code == 1
     assert doc["mu_mode"] == "literal"
     assert {"object": "plane", "b_basis": [[1, 0]], "c_basis": [[0, 1]], "value": -1} in doc["witnesses"]
+
+
+def test_mu_is_an_option_of_check_alone(capsys):
+    """The weighting changes only the criterion report, which only ``check``
+    prints; the other commands refuse the option."""
+    for command in ("flag", "mobius", "decompose", "envelope"):
+        with pytest.raises(SystemExit) as e:
+            main([command, BISECTION, "--mu", "literal"])
+        assert e.value.code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_decompose_bisection_cycle_error(capsys):

@@ -293,6 +293,8 @@ def test_down_set_score_matches_dense_reference(rng):
         for mode in ("standard", "literal"):
             expected = all(v >= 0 for row in dense[mode] for v in row)
             assert poset_passes(p, mu, mode) == (expected and rank_count_excess(p) is None)
+        if rank_count_excess(p) is None:  # the count alone decides the standard verdict
+            assert std_neg == [] and poset_passes(p, mu)
 
 
 @st.composite
@@ -309,10 +311,11 @@ def meet_closed_posets(draw):
 def test_rank_count_implies_nonnegative_scores(p):
     """Where the rank count holds a projection family exists, so no pair can
     score negative: the count alone decides the verdict on a flag."""
-    from invcat.criterion import check_poset, rank_count_excess
+    from invcat.criterion import check_poset, poset_passes, rank_count_excess
 
     if rank_count_excess(p) is None:
         assert check_poset(p)[0] == []
+    assert poset_passes(p) == (rank_count_excess(p) is None)
 
 
 def reference_check_representation(flag, mode):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from invcat import (
     RATIONALS,
     ClosureLimits,
@@ -18,7 +20,7 @@ from invcat import (
     quiver_shape,
     verify_decomposition,
 )
-from invcat.errors import ClosureDivergence
+from invcat.errors import ClosureDivergence, ValidationError
 from invcat.pipeline import saturation_maps
 from invcat.rep import Generator, RepObject, Representation
 
@@ -48,19 +50,77 @@ def test_saturation_state_is_reported(trisection, bisection):
 
 
 def test_saturation_hands_back_the_final_families(bisection, monkeypatch):
-    """The families are built once, on the saturated flag: the bisection flag
-    saturates in one closure (3-chain to diamond)."""
+    """The families are built on first read, once, on the saturated flag: the
+    bisection flag saturates in one closure (3-chain to diamond)."""
     import invcat.pipeline as pipeline
 
     built = []
     real = pipeline.build_families
     monkeypatch.setattr(pipeline, "build_families", lambda flag: built.append(flag) or real(flag))
     a = analyze(bisection)
-    assert len(built) == 1 and a.flag.sizes() == {"plane": 4}
+    assert built == [] and a.flag.sizes() == {"plane": 4}
+    families = a.families
+    assert built == [a.flag] and a.flag.saturated
     fresh = real(a.flag)
-    assert {oid: f.projections for oid, f in a.families.items()} == {
+    assert {oid: f.projections for oid, f in families.items()} == {
         oid: f.projections for oid, f in fresh.items()
     }
+
+
+def _spy(monkeypatch, name):
+    """Patch ``pipeline.<name>`` to record the positional arguments of every
+    call."""
+    import invcat.pipeline as pipeline
+
+    calls = []
+    real = getattr(pipeline, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, spied)
+    return calls
+
+
+def test_nothing_is_built_before_it_is_read(trisection, monkeypatch):
+    """On a pass the rank count is the verdict: ``analyze`` scores nothing and
+    builds no family; the report and the families are built once, on the
+    saturated flag, when first read.  A failing input still gets its full
+    report."""
+    scores = _spy(monkeypatch, "check_representation")
+    builds = _spy(monkeypatch, "build_families")
+    tree = parse_representation(_benchmark_corpus().make_corpus("interval_q", 3, 4)[3].data)
+    assert not quiver_shape(tree).has_undirected_cycle
+    a = analyze(tree)
+    assert a.passed and a.flag.saturated
+    assert scores == [] and builds == []
+
+    assert a.report.passed and a.standard_report is a.report
+    assert scores == [(tree, a.flag, "standard")]
+    assert a.families is a.families
+    assert builds == [(a.flag,)]
+
+    scores.clear()
+    dec = decompose(tree)
+    assert verify_decomposition(tree, dec).ok
+    assert scores == [] and builds == [(a.flag,)]
+
+    b = analyze(trisection)
+    assert not b.passed and scores == []
+    doc = b.report.to_json()
+    assert doc["verdict"] == "fail" and doc["witnesses"]
+    assert scores == [(trisection, b.flag, "standard")]
+    assert b.families is None and builds == [(a.flag,)]
+
+
+def test_unknown_mu_mode_is_rejected_before_the_closure(bisection, monkeypatch):
+    """The mode is validated when ``analyze`` is called, not when the lazy
+    report is first read."""
+    closures = _spy(monkeypatch, "compute_flag")
+    with pytest.raises(ValidationError, match="unknown mu mode"):
+        analyze(bisection, mu_mode="bogus")
+    assert closures == []
 
 
 def test_analyze_is_deterministic(bisection):
