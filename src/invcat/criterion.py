@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
-from .linalg import Subspace, complement_within, sub_sum
+from .linalg import Subspace, complement_within
 from .poset import MobiusTable, SubspacePoset, mobius
 from .rep import Representation
 
@@ -65,8 +64,8 @@ class CriterionValue:
     def to_json(self) -> dict:
         return {
             "object": self.object_id,
-            "b_basis": self.b.to_json(),
-            "c_basis": self.c.to_json(),
+            "b_basis": self.b.json_rows(),
+            "c_basis": self.c.json_rows(),
             "value": self.value,
         }
 
@@ -84,7 +83,7 @@ class DistributivityWitness:
     def to_json(self) -> dict:
         return {
             "object": self.object_id,
-            "b_basis": self.b.to_json(),
+            "b_basis": self.b.json_rows(),
             "dim": self.b.dim,
             "count": self.count,
         }
@@ -199,6 +198,24 @@ def check_poset(
     return std_neg, lit_neg, disagreements
 
 
+def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
+    """C_b for each element b, in index order: the complement inside b of the
+    span of the rows of all of b's lower covers (one elimination where b
+    has more than one)."""
+    elems = p.elements
+    lower: List[List[Subspace]] = [[] for _ in elems]
+    for i, j in p.covers:
+        lower[j].append(elems[i])
+    zero = elems[p.zero_index]
+    for b, covers in zip(elems, lower):
+        if len(covers) > 1:
+            rows = [r for s in covers for r in s._ints()[0]]
+            below = Subspace.span(p.field, p.ambient_dim, rows)
+        else:
+            below = covers[0] if covers else zero
+        yield complement_within(b, below)
+
+
 def adapted_complements(p: SubspacePoset) -> Tuple[Subspace, ...]:
     """For each element b, in index order, the complement C_b inside b of the
     sum of b's lower covers (``linalg.complement_within``).
@@ -211,15 +228,7 @@ def adapted_complements(p: SubspacePoset) -> Tuple[Subspace, ...]:
     """
     comps = p._complements
     if comps is None:
-        elems = p.elements
-        lower: List[List[Subspace]] = [[] for _ in elems]
-        for i, j in p.covers:
-            lower[j].append(elems[i])
-        zero = elems[p.zero_index]
-        comps = tuple(
-            complement_within(b, reduce(sub_sum, lower[bi]) if lower[bi] else zero)
-            for bi, b in enumerate(elems)
-        )
+        comps = tuple(_complements_in_order(p))
         object.__setattr__(p, "_complements", comps)
     return comps
 
@@ -231,13 +240,22 @@ def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
     ``(index of b, count)`` for the first b whose cumulative count
     sum(r(a) for a <= b) exceeds dim b.  The count is never below dim b, and
     it exceeds it at some element exactly when it exceeds the ambient
-    dimension at the full space.
+    dimension at the full space.  The complements are built as the scan
+    reaches them, so a scan stops at the first excess, which is cached; one
+    that completes caches the complements as ``adapted_complements`` does.
     """
-    r = [c.dim for c in adapted_complements(p)]
-    for bi, b in enumerate(p.elements):
+    if p._excess is not None:
+        return p._excess
+    found: List[Subspace] = []
+    r: List[int] = []
+    for bi, c in enumerate(p._complements or _complements_in_order(p)):
+        found.append(c)
+        r.append(c.dim)
         count = sum(r[ai] for ai in range(bi + 1) if p.leq[ai][bi])
-        if count > b.dim:
+        if count > p.elements[bi].dim:
+            object.__setattr__(p, "_excess", (bi, count))
             return bi, count
+    object.__setattr__(p, "_complements", tuple(found))
     return None
 
 

@@ -16,10 +16,13 @@ completed rounds are closed under meets (within the element limit) and
 handed over with the ``ClosureDivergence``, so that the pipeline can still
 refute the input by the rank count.
 
-Every pair of final elements is intersected exactly once, in the round after
-the later of the two arrived.  Those meets are recorded by element ordinal
-and handed to ``build_poset``, which reads the order and the covers off them
-instead of intersecting again.
+The meet of every pair of final elements is recorded exactly once, in the
+round after the later of the two arrived, by element ordinal, and handed to
+``build_poset``, which reads the order and the covers off the record instead
+of intersecting again.  A meet that dimension and containment already give
+(``_known_meet``: the smaller element is zero or a line, or the larger is the
+full space) is a known element and is recorded without intersecting; every
+other pair is intersected and its meet offered.
 
 The same loop runs on one of two kinds of element.  By default an element is
 a ``Subspace``, and the rules are ``map_image``, ``map_preimage`` and
@@ -30,8 +33,10 @@ indices: an image is the OR of the matched bits, a preimage the unmatched
 bits plus the bits matched into the target, a meet a bitwise AND, and
 equal masks are equal subspaces.  A mask's ``Subspace``, the span of its
 basis vectors, is built once, when the mask first appears; it gives the
-sort key, the provenance sources and the reported form.  Both kinds make the
-same offers in the same order, so they give the same flag.
+sort key, the provenance sources and the reported form.  Only the
+``Subspace`` kind records known meets without offering them; an offer of a
+known element adds nothing, so both kinds add the same elements in the same
+order and give the same flag.
 """
 
 from __future__ import annotations
@@ -125,14 +130,31 @@ def _check_budget(oid: str, count: int, rule: str, limits: ClosureLimits, rounds
         )
 
 
+def _known_meet(a: Subspace, b: Subspace, zero: Subspace) -> Optional[Subspace]:
+    """The meet of distinct ``a`` and ``b``, dim a <= dim b, where dimension
+    and containment give it without intersecting, or None.
+
+    It is ``a`` when a is zero or b is the full space; ``zero`` when a and b
+    are distinct lines; and for a line a in a larger b, a if b contains it,
+    else ``zero``.  Either way it is an element already known.
+    """
+    k = len(a.basis)
+    if k == 0 or len(b.basis) == b.ambient_dim:
+        return a
+    if k == 1:
+        return a if len(b.basis) > 1 and b.contains(a) else zero
+    return None
+
+
 def _partial_flag(
     fam: Dict[str, Dict[Subspace, Witness]], rounds: int, limits: ClosureLimits
 ) -> Optional[FlagAssignment]:
     """The meet closure of the elements in ``fam``, reached after ``rounds``
     rounds, or None where an object would exceed the element limit.
 
-    Each element is intersected once with every element before it, and a new
-    meet joins the end of the queue, so every pair is intersected once.
+    Each element meets every element before it once, and a new meet joins
+    the end of the queue, so every pair's meet is recorded once; a known meet
+    (``_known_meet``) without intersecting.
     """
     posets: Dict[str, SubspacePoset] = {}
     provenance: Dict[str, Dict[Subspace, Witness]] = {}
@@ -140,11 +162,18 @@ def _partial_flag(
         prov = dict(members)
         elems = list(members)
         index = {s: k for k, s in enumerate(elems)}
+        zero = next(s for s in elems if s.is_zero)
         meets: List[List[Optional[int]]] = [[None] * k for k in range(len(elems))]
         k = 0
         while k < len(elems):
+            b = elems[k]
             for i in range(k):
-                m = sub_intersect(elems[i], elems[k])
+                a = elems[i]
+                m = _known_meet(a, b, zero) if a.dim <= b.dim else _known_meet(b, a, zero)
+                if m is not None:
+                    meets[k][i] = index[m]
+                    continue
+                m = sub_intersect(a, b)
                 j = index.get(m)
                 if j is None:
                     if len(elems) >= limits.max_elements_per_object:
@@ -152,7 +181,7 @@ def _partial_flag(
                     j = index[m] = len(elems)
                     elems.append(m)
                     meets.append([None] * j)
-                    prov[m] = Witness("intersect", None, (elems[i], elems[k]))
+                    prov[m] = Witness("intersect", None, (a, b))
                 meets[k][i] = j
             k += 1
         posets[oid] = build_poset(elems, meets)
@@ -225,13 +254,15 @@ Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
 
 
 # The closure rules on one kind of element: the seeds (zero, full) of a
-# dimension, the image and the preimage under each map, the meet, and the
+# dimension, the image and the preimage under each map, the meet, the known
+# meet (``_known_meet``, or None where every meet is computed), and the
 # Subspace of an element at an object, which is built once per element.
 _Rules = Tuple[
     Callable[[int], Tuple[Element, Element]],
     Sequence[Callable[[Element], Element]],
     Sequence[Callable[[Element], Element]],
     Callable[[Element, Element], Element],
+    Optional[Callable[[Element, Element, Element], Optional[Element]]],
     Callable[[str, Element], Subspace],
 ]
 
@@ -242,6 +273,7 @@ def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
         [partial(map_image, g.matrix) for g in maps],
         [partial(map_preimage, g.matrix) for g in maps],
         sub_intersect,
+        _known_meet,
         lambda oid, s: s,
     )
 
@@ -258,6 +290,7 @@ def _mask_rules(rep: Representation, coordinates: BasisCoordinates) -> _Rules:
         [m.image for m in coordinates.matchings],
         [m.preimage for m in coordinates.matchings],
         and_,
+        None,
         subspace,
     )
 
@@ -277,7 +310,7 @@ def compute_flag(
     result is the same.
     """
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
-    seeds, images, preimages, meet, subspace = (
+    seeds, images, preimages, meet, known_meet, subspace = (
         _subspace_rules(rep, maps) if coordinates is None else _mask_rules(rep, coordinates)
     )
     fam: Dict[str, Dict[Element, Witness]] = {}
@@ -346,14 +379,19 @@ def compute_flag(
                 fresh_at = [j for j, s in enumerate(elems) if s in fresh_set]
                 ords = ordinal[oid]
                 record = meets[oid]
+                zero = elems[0]  # first in sort_key order
                 for i, a in enumerate(elems):
                     if a in fresh_set:
                         later = range(i + 1, len(elems))
                     else:
                         later = fresh_at[bisect_right(fresh_at, i):]
                     for j in later:
-                        b = elems[j]
-                        m = offer(oid, meet(a, b), "intersect", None, a, b)
+                        b = elems[j]  # dim a <= dim b, by the sort
+                        known = known_meet(a, b, zero) if known_meet else None
+                        if known is None:
+                            m = offer(oid, meet(a, b), "intersect", None, a, b)
+                        else:
+                            m = ords[known]
                         ka, kb = ords[a], ords[b]
                         if ka < kb:
                             record[kb][ka] = m

@@ -14,8 +14,8 @@ Elimination over Q is fraction-free: rows are cross-multiplied and kept
 primitive, and are divided by their pivot only when the canonical rows are
 emitted.  ``Matrix.entries`` and ``Subspace.basis`` stay canonical Fraction
 (or int mod p) tuples.  Each value lazily caches its integer form and its
-hash; a cache is a pure function of the frozen value and takes no part in
-equality or repr.
+hash, and a hyperplane its normal row; a cache is a pure function of the
+frozen value and takes no part in equality or repr.
 """
 
 from __future__ import annotations
@@ -391,6 +391,7 @@ class Subspace:
     # Lazy caches (not dataclass fields, so equality and repr ignore them).
     _hash = None
     _int_form = None  # (primitive int rows with positive pivots, pivot columns)
+    _normal = None  # of a hyperplane: an integer row whose kernel it is
     _json_rows = None  # the basis rows as JSON scalars, tuples of tuples
 
     def __hash__(self) -> int:
@@ -473,19 +474,60 @@ class Subspace:
             raise ValidationError("vector length differs from ambient dimension")
         return self._reduces_to_zero(w)
 
-    def contains(self, other: "Subspace") -> bool:
-        """True when ``other`` is a subspace of ``self``."""
-        _check_same_ambient(self, other)
-        return all(self._reduces_to_zero(r) for r in other._ints()[0])
+    def _normal_row(self) -> IntRow:
+        """For a hyperplane (dimension ambient - 1), the integer row n with
+        n . v = 0 exactly for the v in it: primitive over Q, reduced mod p
+        over GF(p).  Computed once and cached."""
+        normal = self._normal
+        if normal is None:
+            rows, pivots = self._ints()
+            free = next(j for j in range(self.ambient_dim) if j not in pivots)
+            # n[free] = 1 and n[c] = -row[free] / row[c] for the pivot c of
+            # each RREF row, scaled by den
+            den = lcm(*[row[c] for row, c in zip(rows, pivots)])
+            v = [0] * self.ambient_dim
+            v[free] = den
+            for row, c in zip(rows, pivots):
+                v[c] = -row[free] * (den // row[c])
+            p = self.field.p
+            if p is None:
+                g = gcd(*v)
+                normal = tuple(x // g for x in v)
+            else:
+                normal = tuple(x % p for x in v)
+            object.__setattr__(self, "_normal", normal)
+        return normal
 
-    def to_json(self) -> list:
-        """The basis rows as fresh lists of JSON scalars (converted once)."""
+    def contains(self, other: "Subspace") -> bool:
+        """True when ``other`` is a subspace of ``self``.
+
+        Each basis row of ``other`` is reduced against this basis, except in
+        a hyperplane, where each row takes one dot product with the cached
+        normal row.
+        """
+        _check_same_ambient(self, other)
+        rows = other._ints()[0]
+        if len(self.basis) + 1 == self.ambient_dim:
+            normal = self._normal_row()
+            p = self.field.p
+            if p is None:
+                return not any(sum(map(mul, normal, r)) for r in rows)
+            return not any(sum(map(mul, normal, r)) % p for r in rows)
+        return all(self._reduces_to_zero(r) for r in rows)
+
+    def json_rows(self) -> Tuple[tuple, ...]:
+        """The basis rows as tuples of JSON scalars, converted once and
+        shared: ``jsontext.dumps`` renders them as arrays."""
         rows = self._json_rows
         if rows is None:
             to_json = self.field.entry_to_json
             rows = tuple(tuple(map(to_json, r)) for r in self.basis)
             object.__setattr__(self, "_json_rows", rows)
-        return [list(r) for r in rows]
+        return rows
+
+    def to_json(self) -> list:
+        """The basis rows as fresh lists of JSON scalars (converted once)."""
+        return [list(r) for r in self.json_rows()]
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -523,7 +565,8 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     Equal subspaces are their own intersection.  Two distinct ones of equal
     dimension do not contain each other (distinct canonical forms are
     distinct subspaces), so no containment test is made for them; otherwise,
-    when the smaller one lies in the larger, it is the intersection.  When
+    when the smaller one lies in the larger, it is the intersection (in a
+    hyperplane that test is one dot product per row, see ``contains``).  When
     the smaller does not lie in the larger and has dimension at most 1, the
     intersection is zero.  Otherwise the Zassenhaus block trick: row-reduce
     [A | A; B | 0]; rows whose pivot lies in the right half carry, in that

@@ -45,8 +45,10 @@ class SubspacePoset:
     meet_table: Tuple[Tuple[int, ...], ...]
     _index: Dict[Subspace, int] = dc_field(repr=False, default_factory=dict)
 
-    # Lazy cache of ``criterion.adapted_complements`` (not a dataclass field).
+    # Lazy caches of ``criterion.adapted_complements`` and, where the rank
+    # count fails, of ``criterion.rank_count_excess`` (not dataclass fields).
     _complements = None
+    _excess = None
 
     def __len__(self) -> int:
         return len(self.elements)

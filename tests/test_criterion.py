@@ -227,6 +227,31 @@ def test_rank_count_names_least_exceeding_element():
     assert (p.elements[bi], count) == (plane, 3)
 
 
+def test_rank_count_stops_at_the_first_excess(monkeypatch):
+    """The count builds complements only up to the first excess and keeps
+    that excess; a count that holds leaves every complement for
+    ``adapted_complements``."""
+    import invcat.criterion as criterion
+
+    calls = []
+    real = criterion.complement_within
+    monkeypatch.setattr(
+        criterion, "complement_within", lambda big, small: calls.append(big) or real(big, small)
+    )
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    lines = [Subspace.span(RATIONALS, 3, [v]) for v in (e[0], e[1], [1, 1, 0], e[2])]
+    plane = Subspace.span(RATIONALS, 3, e[:2])
+    p = build_poset([Subspace.zero(RATIONALS, 3), *lines, plane, Subspace.full(RATIONALS, 3)])
+    bi, count = criterion.rank_count_excess(p)
+    assert calls == list(p.elements[: bi + 1]) and bi + 1 < len(p)
+    assert criterion.rank_count_excess(p) == (bi, count) and len(calls) == bi + 1
+
+    calls.clear()
+    chain = build_poset([ZERO2, X_AXIS, FULL2])
+    assert criterion.rank_count_excess(chain) is None and len(calls) == 3
+    assert len(criterion.adapted_complements(chain)) == 3 and len(calls) == 3
+
+
 def test_mode_disagreements_reported(bisection):
     a = analyze(bisection)
     assert a.report.mode_disagreements > 0

@@ -15,6 +15,7 @@ from invcat import (
     build_poset,
     compute_flag,
     evaluate_word,
+    image,
     inverse,
     map_image,
     map_preimage,
@@ -350,4 +351,44 @@ def test_closure_meets_assemble_the_validated_poset(rep):
                 if i != j
                 and p.leq[i][j]
                 and not any(p.leq[i][z] and p.leq[z][j] for z in range(n) if z not in (i, j))
+            )
+
+
+@pytest.mark.parametrize("k", [8, 14])
+def test_known_meets_are_not_intersected(k, monkeypatch):
+    """On a star of k planes in GF(10007)^3, every meet but those of two
+    planes is known from dimension and containment, so the closure makes
+    one intersection per pair of planes; the meet closure of a stopped
+    closure does the same.  The recorded meets still assemble the poset that
+    intersecting every pair validates."""
+    import invcat.flag as flag
+
+    calls = []
+    real = flag.sub_intersect
+    monkeypatch.setattr(flag, "sub_intersect", lambda a, b: calls.append(1) or real(a, b))
+    field = GF(10007)
+    rng = random.Random(k)
+    planes = [random_matrix(rng, field, 3, 2) for _ in range(k)]
+    assert len({image(m) for m in planes}) == k and all(image(m).dim == 2 for m in planes)
+    star = Representation(
+        field,
+        (RepObject("c", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(k)),
+        tuple(Generator(f"g{i}", f"p{i}", "c", m) for i, m in enumerate(planes)),
+    )
+    pairs = k * (k - 1) // 2
+    result = compute_flag(star)
+    assert len(calls) == pairs
+
+    # stopped before the lines reach the planes: the closure intersects the
+    # planes in round 2, and the meet closure of its part once more
+    calls.clear()
+    with pytest.raises(ClosureDivergence) as exc:
+        compute_flag(star, ClosureLimits(max_rounds=2))
+    assert len(calls) == 2 * pairs
+
+    for flag_ in (result, exc.value.partial):
+        for p in flag_.posets.values():
+            ref = build_poset(p.elements)
+            assert (p.elements, p.leq, p.covers, p.meet_table) == (
+                ref.elements, ref.leq, ref.covers, ref.meet_table
             )

@@ -548,3 +548,56 @@ def test_intersect_matches_zassenhaus_reference(pair):
     for x in spaces:
         for y in spaces:
             assert sub_intersect(x, y) == ref_intersect(x, y)
+
+
+# --- containment in a hyperplane against a per-entry reference ----------------
+
+
+def ref_contains(big, small):
+    """``small`` lies in ``big`` when stacking their bases adds no rank."""
+    rows = [list(r) for r in big.basis + small.basis]
+    _, pivots = ref_rref_rows(big.field, rows, big.ambient_dim)
+    return len(pivots) == big.dim
+
+
+@st.composite
+def hyperplane_cases(draw):
+    """A hyperplane, the kernel of a nonzero functional (over Q with
+    fractions, so that its integer rows have non-unit pivots), and subspaces
+    to test against it: zero, lines in it and at random, subspaces of it,
+    itself and the full space."""
+    field = draw(st.sampled_from([RATIONALS, GF(2), GF(10007)]))
+    n = draw(st.integers(1, 4))
+    functional = draw(
+        st.lists(scalars(field), min_size=n, max_size=n).filter(lambda w: any(w))
+    )
+    h = kernel(Matrix.build(field, 1, n, [functional]))
+    vec = st.lists(scalars(field), min_size=n, max_size=n)
+    combos = st.lists(scalars(field), min_size=h.dim, max_size=h.dim)
+
+    def inside(coeffs):
+        return (Matrix.build(field, 1, h.dim, [coeffs]) @ h.basis_matrix()).entries[0]
+
+    others = [Subspace.zero(field, n), h, Subspace.full(field, n)]
+    others.append(Subspace.span(field, n, [draw(vec)]))
+    others.append(Subspace.span(field, n, [inside(draw(combos))]))
+    others.append(Subspace.span(field, n, [inside(draw(combos)) for _ in range(2)]))
+    others.append(Subspace.span(field, n, draw(st.lists(vec, max_size=3))))
+    return h, others
+
+
+@given(hyperplane_cases())
+@settings(max_examples=200)
+def test_hyperplane_contains_matches_reference(case):
+    h, others = case
+    assert h.dim == h.ambient_dim - 1
+    for other in others:
+        expected = ref_contains(h, other)
+        # cold: no cached integer form or normal row on either side
+        cold = Subspace(h.field, h.ambient_dim, h.basis)
+        assert cold.contains(Subspace(other.field, other.ambient_dim, other.basis)) == expected
+        # warm: the normal row cached by the call before
+        assert h.contains(other) == expected
+        assert h.contains(other) == expected
+    assert h.contains(Subspace.zero(h.field, h.ambient_dim))
+    assert not h.contains(Subspace.full(h.field, h.ambient_dim))
