@@ -372,16 +372,18 @@ def compute_flag(
                 for b in fresh[g.cod]:
                     offer(g.dom, preimage(b), "preimage", g, b)
             for oid, members in fam.items():
-                fresh_set = set(fresh[oid])
                 space = spaces[oid]
                 elems = sorted(members, key=lambda s: space[s].sort_key)
+                # each position's ordinal: ``members`` has 0..len-1, fresh last
+                ords = [ordinal[oid][s] for s in elems]
+                first_fresh = len(members) - len(fresh[oid])
                 # the pairs (i, j), i < j, in which a fresh element takes part
-                fresh_at = [j for j, s in enumerate(elems) if s in fresh_set]
-                ords = ordinal[oid]
+                fresh_at = [j for j, k in enumerate(ords) if k >= first_fresh]
                 record = meets[oid]
                 zero = elems[0]  # first in sort_key order
                 for i, a in enumerate(elems):
-                    if a in fresh_set:
+                    ka = ords[i]
+                    if ka >= first_fresh:
                         later = range(i + 1, len(elems))
                     else:
                         later = fresh_at[bisect_right(fresh_at, i):]
@@ -391,8 +393,9 @@ def compute_flag(
                         if known is None:
                             m = offer(oid, meet(a, b), "intersect", None, a, b)
                         else:
-                            m = ords[known]
-                        ka, kb = ords[a], ords[b]
+                            # a known meet is a or zero
+                            m = ka if known is a else ords[0]
+                        kb = ords[j]
                         if ka < kb:
                             record[kb][ka] = m
                         else:

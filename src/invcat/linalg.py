@@ -221,10 +221,6 @@ class Matrix:
         return cls(field, rows, cols, ent)
 
     @classmethod
-    def from_rows(cls, field: Field, cols: int, rows: Sequence[Sequence]) -> "Matrix":
-        return cls.build(field, len(rows), cols, rows)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
         ent = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))

@@ -25,13 +25,13 @@ those matrices has at most one nonzero entry per row and per column, every
 generator is a partial matching of basis indices, and its pseudo-inverse
 the transposed matching; every saturated element is then spanned by basis
 vectors, and the saturation closure runs on bitmasks of basis indices
-(``flag.BasisCoordinates``).  That always holds on a cycle-free quiver, where
-the bases are transported along the edges, so there the bases stay adapted
-and the saturated flag passes.  Otherwise the saturation closure runs on
-subspaces, with the same result wherever both apply.  On a quiver with an
-undirected cycle the bases are each object's first-fit basis, which need not
-be coherent across objects; where the count then fails on the saturated flag
-it is discarded, with a note, and the raw flag and its families are
+(``flag.BasisCoordinates``).  The bases are transported along a spanning
+forest of the quiver, so that always holds on a cycle-free quiver, where the
+bases stay adapted and the saturated flag passes.  Otherwise the saturation
+closure runs on subspaces, with the same result wherever both apply.  On a
+quiver with an undirected cycle the edges that close a cycle need not
+respect the transported bases; where the count then fails on the saturated
+flag it is discarded, with a note, and the raw flag and its families are
 reported.  Failing inputs are never saturated.
 
 When the raw closure stops at a limit, the rank count is taken on the meet

@@ -70,9 +70,6 @@ class SubspacePoset:
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
 
-    def down_set(self, j: int) -> List[int]:
-        return [i for i in range(len(self.elements)) if self.leq[i][j]]
-
     def atoms(self) -> List[int]:
         return [j for (i, j) in self.covers if i == self.zero_index]
 

@@ -11,15 +11,15 @@ exhaustive check of the axioms, kept as the reference for the oracle and the
 tests.
 
 ``transported_bases`` picks one adapted basis per object for a whole
-representation: on a cycle-free quiver it carries one object's basis along
-every edge, so that every generator maps basis vectors to basis vectors or
-to zero.  A pseudo-inverse is read off the bases at the two ends of its
-generator in closed form, from the generator's matrix in those bases; on a
-cycle-free quiver that matrix is a partial matching and the pseudo-inverse is
-the inverse matching.
-The envelope is closed one generator or pseudo-inverse at a time, and each
-morphism is checked against the reversed word of pseudo-inverses that came
-with it: pseudo-inverses in an inverse category are unique, so (z w)* = w* z*.
+representation: it carries one object's basis along a spanning forest, so
+that every forest edge, and on a cycle-free quiver every generator, maps
+basis vectors to basis vectors or to zero.  A pseudo-inverse is read off the
+bases at the two ends of its generator in closed form, from the generator's
+matrix in those bases; where that matrix is a partial matching the
+pseudo-inverse is the inverse matching.
+The envelope is closed one generator or pseudo-inverse at a time, as a set
+of morphisms per hom-set; once its idempotents commute, pseudo-inverses need
+checking only at the generators, by induction on the word (``verify_envelope``).
 """
 
 from __future__ import annotations
@@ -213,10 +213,9 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
     invertible matrix.
 
     Each object's first-fit basis A is its complements of
-    ``adapted_complements`` in index order.  With an undirected cycle (loops
-    count) these are the bases.  Otherwise the first object of each
+    ``adapted_complements`` in index order.  The first object of each
     connected component keeps A, and the basis is carried breadth-first
-    along every edge:
+    along a spanning forest, one edge into each object it reaches first:
 
     * push along z: x -> y:  B_y = {z(v) : v in B_x, z(v) != 0}, then the
       a in A_y outside im z;
@@ -226,8 +225,9 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
 
     Both stay adapted: ker z and im z are flag elements, c meet im z =
     z(z^-1(c)) at y, and c = (c meet ker w) + (c meet K) with
-    w(c meet K) = w(c) at u.  A tree crosses each edge once, so every
-    generator then carries each basis vector to a basis vector or to zero.
+    w(c meet K) = w(c) at u.  Every forest edge, so every generator of a
+    cycle-free quiver, then carries each basis vector to a basis vector or
+    to zero.
     """
     field = rep.field
     dims = {o.id: o.dim for o in rep.objects}
@@ -235,9 +235,7 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
         oid: [v for c in adapted_complements(flag.posets[oid]) for v in c.basis]
         for oid in dims
     }
-    # with a cycle every object keeps A, and the walk below has nothing to do
-    cyclic = quiver_shape(rep).has_undirected_cycle
-    bases: Dict[str, List[Vector]] = dict(first_fit) if cyclic else {}
+    bases: Dict[str, List[Vector]] = {}
     for o in rep.objects:
         if o.id in bases:
             continue
@@ -286,8 +284,8 @@ class EnvelopeLimits:
 @dataclass(eq=False)
 class Envelope:
     pseudo_inverses: Dict[str, Matrix]
-    # per hom-set (dom, cod): each morphism, mapped to its reversed dagger word
-    closure: Dict[Tuple[str, str], Dict[Matrix, Matrix]]
+    # per hom-set (dom, cod): its morphisms, as an insertion-ordered set
+    closure: Dict[Tuple[str, str], Dict[Matrix, None]]
     bounded: bool
     idempotents_commute: bool
     endomorphisms_idempotent: Optional[bool]  # None when the quiver has a cycle
@@ -328,46 +326,45 @@ def verify_envelope(
 
     Every morphism is an identity extended one arrow at a time, an arrow
     (a, a*) being (g, g*) or (g*, g).  One breadth-first pass from the
-    identities stores (a m, s a*) for each stored (m, s) and arrow out of
-    cod(m), so s is the reversed dagger word of the first word reaching m.
+    identities stores a m for each stored m and arrow a out of cod(m).
     Hitting a limit sets ``bounded`` and restricts the verdict to the
     explored fragment.
 
     Raises AxiomViolation on a non-commuting idempotent pair, or (on
     cycle-free quivers) on a non-idempotent endomorphism.  Once idempotents
-    commute, s is a pseudo-inverse of m by induction on the word: m s and
-    a* a are idempotents at cod(m), so (a m)(s a*)(a m) = a (a* a)(m s) m =
-    a m, and dually.  Pseudo-inverses in an inverse category are unique, so
-    ``all_have_pseudo_inverse`` checks m s m = m and s m s = s for each pair
-    instead of searching the back hom-set.  This rests on each g* satisfying
-    its two identities with g, as ``pseudo_inverse`` guarantees; otherwise
-    the check can read False where the closure holds another candidate.  A
-    generator without a pseudo-inverse raises ValidationError.
+    commute, ``all_have_pseudo_inverse`` needs only g g* g = g and
+    g* g g* = g* at each generator: then, by induction on the word, the
+    reversed word s of daggers is a pseudo-inverse of m, since m s and a* a
+    are idempotents at cod(m), so (a m)(s a*)(a m) = a (a* a)(m s) m = a m,
+    and dually.  A supplied g* that fails an identity reads False, even
+    where the closure holds another candidate.  A generator without a
+    pseudo-inverse raises ValidationError.
 
     ``families`` is not read: the pseudo-inverses already encode its
     projections (g* g = 1 - pi_ker, g g* = pi_im).  It stays for callers
     that pass it positionally.
     """
     cycle_free = not quiver_shape(rep).has_undirected_cycle
-    arrows: Dict[str, List[Tuple[str, Matrix, Matrix]]] = {o.id: [] for o in rep.objects}
+    daggers: List[Tuple[Matrix, Matrix]] = []
+    arrows: Dict[str, List[Tuple[str, Matrix]]] = {o.id: [] for o in rep.objects}
     for g in rep.generators:
         dag = pseudo_inverses.get(g.id)
         if dag is None:
             raise ValidationError(f"generator {g.id!r} has no pseudo-inverse", generator=g.id)
-        arrows[g.dom].append((g.cod, g.matrix, dag))
-        arrows[g.cod].append((g.dom, dag, g.matrix))
+        daggers.append((g.matrix, dag))
+        arrows[g.dom].append((g.cod, g.matrix))
+        arrows[g.cod].append((g.dom, dag))
 
-    homs: Dict[Tuple[str, str], Dict[Matrix, Matrix]] = {}
+    homs: Dict[Tuple[str, str], Dict[Matrix, None]] = {}
     queue: List[Tuple[str, str, Matrix]] = []
     for o in rep.objects:
         one = Matrix.identity(rep.field, o.dim)
-        homs[(o.id, o.id)] = {one: one}
+        homs[(o.id, o.id)] = {one: None}
         queue.append((o.id, o.id, one))
     words = 0
     bounded = False
     for dom, cod, m in queue:
-        s = homs[(dom, cod)][m]
-        for target, a, a_star in arrows[cod]:
+        for target, a in arrows[cod]:
             if words >= limits.max_words:
                 bounded = True
                 break
@@ -379,15 +376,17 @@ def verify_envelope(
             if len(bucket) >= limits.max_matrices_per_hom:
                 bounded = True
                 continue
-            bucket[am] = s @ a_star
+            bucket[am] = None
             queue.append((dom, target, am))
         else:
             continue
         break  # the word limit ends the pass
 
     for o in rep.objects:
-        endos = homs[(o.id, o.id)]
-        idempotents = [m for m in endos if _is_idempotent(m)]
+        idempotents: List[Matrix] = []
+        others: List[Matrix] = []
+        for m in homs[(o.id, o.id)]:
+            (idempotents if _is_idempotent(m) else others).append(m)
         for i, e in enumerate(idempotents):
             for f in idempotents[i + 1:]:
                 if e @ f != f @ e:
@@ -397,19 +396,15 @@ def verify_envelope(
                         left=e.to_json(),
                         right=f.to_json(),
                     )
-        if cycle_free:
-            for m in endos:
-                if not _is_idempotent(m):
-                    raise AxiomViolation(
-                        f"non-idempotent endomorphism at object {o.id!r} "
-                        f"on a cycle-free quiver",
-                        object=o.id,
-                        matrix=m.to_json(),
-                    )
+        if cycle_free and others:
+            raise AxiomViolation(
+                f"non-idempotent endomorphism at object {o.id!r} "
+                f"on a cycle-free quiver",
+                object=o.id,
+                matrix=others[0].to_json(),
+            )
 
-    all_have = None if bounded else all(
-        m @ s @ m == m and s @ m @ s == s for bucket in homs.values() for m, s in bucket.items()
-    )
+    all_have = None if bounded else all(g @ s @ g == g and s @ g @ s == s for g, s in daggers)
 
     return Envelope(
         pseudo_inverses=dict(pseudo_inverses),

@@ -272,3 +272,26 @@ def test_saturation_path_is_chosen_by_the_matching_test(monkeypatch):
     a = analyze(SHEAR_LOOP)
     assert a.flag.saturated and closures == [None, None]
     assert a.flag.sizes() == {"o": 2}
+
+
+def test_cyclic_quiver_carries_bases_along_a_spanning_forest():
+    """Draw 325 of random_representation at seed 7: a loop on a zero object
+    makes the quiver cyclic, and its other component is one edge over Q.  The
+    bases are carried along that edge, so it is a matching in them and the
+    input saturates on bitmasks."""
+    g = Matrix.build(RATIONALS, 3, 3, [[-2, -2, 1], [-2, -2, 0], [-2, 0, -1]])
+    rep = Representation(
+        RATIONALS,
+        (RepObject("o0", 1), RepObject("o1", 0), RepObject("o2", 3), RepObject("o3", 3)),
+        (
+            Generator("g0", "o1", "o1", Matrix.zeros(RATIONALS, 0, 0)),
+            Generator("g1", "o2", "o3", g),
+        ),
+    )
+    assert quiver_shape(rep).has_undirected_cycle
+    raw = analyze(rep, saturate=False)
+    assert raw.passed
+    _, _, coordinates = saturation_maps(rep, raw.bases)
+    assert coordinates is not None
+    a = analyze(rep)
+    assert a.flag.saturated and a.saturation_note is None
