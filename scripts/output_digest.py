@@ -3,9 +3,10 @@
 
 Usage: python scripts/output_digest.py SEED
 
-Runs ``check``, ``flag``, ``mobius``, ``decompose`` and ``envelope`` on every
-file in ``data/`` and on every instance of the three benchmark corpora
-(``perfbench/corpus.py`` at SEED, at the benchmark's corpus sizes), through
+Runs ``check``, ``check --mu literal``, ``flag``, ``mobius``, ``decompose`` and
+``envelope`` on every file in ``data/`` and on every instance of the three
+benchmark corpora (``perfbench/corpus.py`` at SEED, at the benchmark's corpus
+sizes), through
 ``invcat.cli.main`` in process.  ``verify`` runs too wherever there is a
 certificate to check: the one ``decompose`` printed, or a corpus instance's
 decoy.  Two source trees that print the same digest for a seed gave the same
@@ -31,7 +32,15 @@ from run import CORPUS_SIZES, run_cli  # noqa: E402
 
 from invcat.cli import main as cli_main  # noqa: E402
 
-COMMANDS = ("check", "flag", "mobius", "decompose", "envelope")
+# each command's arguments before the representation path
+COMMANDS = (
+    ("check",),
+    ("check", "--mu", "literal"),
+    ("flag",),
+    ("mobius",),
+    ("decompose",),
+    ("envelope",),
+)
 
 
 def inputs(seed):
@@ -47,10 +56,10 @@ def digest(seed, workdir):
     h = hashlib.sha256()
     runs = 0
 
-    def record(name, argv):
+    def record(name, words, paths):
         nonlocal runs
-        code, out, _ = run_cli(cli_main, argv)
-        h.update(f"{name} {argv[0]} {code}\n".encode())
+        code, out, _ = run_cli(cli_main, [*words, *paths])
+        h.update(f"{name} {' '.join(words)} {code}\n".encode())
         h.update(out.encode())
         runs += 1
         return code, out
@@ -60,14 +69,14 @@ def digest(seed, workdir):
         rep_path.write_bytes(data)
         certificate = None
         for command in COMMANDS:
-            code, out = record(name, [command, str(rep_path)])
-            if command == "decompose" and code == 0:
+            code, out = record(name, command, [str(rep_path)])
+            if command == ("decompose",) and code == 0:
                 certificate = out.encode()
         for cert in (certificate, decoy):
             if cert is not None:
                 cert_path = workdir / "cert.json"
                 cert_path.write_bytes(cert)
-                record(name, ["verify", str(rep_path), str(cert_path)])
+                record(name, ["verify"], [str(rep_path), str(cert_path)])
     return h.hexdigest(), runs
 
 

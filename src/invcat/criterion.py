@@ -28,26 +28,46 @@ commute, so they are simultaneously diagonalizable, and a joint eigenbasis
 makes the count come out equal.  So the count holds exactly when a
 projection family exists.
 
+The score never needs the two-variable Moebius table.  Let
+
+    rho(b) = dim b - sum(rho(a) for a < b)
+
+be the Moebius inverse of dimension, so that dim x = sum(rho(y) for
+y <= x).  Then the standard score of (b, c) is rho(b) when b is not below c,
+and 0 when it is.  For, with dim(a meet c) = sum(rho(y) for y <= a meet c)
+and sum(mu(a, b) for y <= a <= b) = [y = b] (Rota, *On the foundations of
+combinatorial theory I*, 1964),
+
+    sum over a <= b of mu(a, b) dim(a meet c)
+        = sum over y <= b meet c of rho(y) [y = b] = rho(b) [b <= c],
+
+while the same sum over dim a alone is rho(b).  Both scores depend on c only
+through b meet c, since a meet c = a meet (b meet c) for a <= b: they are
+summed once per element m of b's down-set and read off for every c with
+b meet c = m.  Nothing on the verdict or report path builds ``mobius``.
+
 A representation passes when, at every object, every ordered pair scores
 >= 0 and the count equals the ambient dimension.  Where the count holds the
-elements are coordinate sets in that basis, and then the standard score of
-(b, c) is the number of coordinates of C_b outside c, never negative.  So
-the count alone decides the standard verdict, and ``pipeline`` takes nothing
-else; the score is taken only for a report that gets printed.  In a report
-the score's witnesses take precedence: the count's distributivity witnesses
-are listed only when no pair scores negative.
+elements are coordinate sets in that basis, and then rho(b) = r(b) =
+dim C_b, so no standard score is negative.  So the count alone decides the
+standard verdict, and ``pipeline`` takes nothing else; the score is taken
+only for a report that gets printed.  In a report the score's witnesses take
+precedence: the count's distributivity witnesses are listed only when no
+pair scores negative.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
 from .linalg import Subspace, complement_within
-from .poset import MobiusTable, SubspacePoset, mobius
+from .poset import SubspacePoset, mobius_invert
+# unused here, kept bound so that per-layer tracers can wrap it by name
+from .poset import mobius  # noqa: F401
 from .rep import Representation
 
 MU_MODES = ("standard", "literal")
@@ -128,53 +148,53 @@ class CriterionReport:
         return doc
 
 
-def _pair_scores(
-    p: SubspacePoset,
-    mu: MobiusTable,
-    bs: Optional[Sequence[int]] = None,
-    cs: Optional[Sequence[int]] = None,
-) -> Iterator[Tuple[int, int, int, int]]:
-    """``(b, c, standard score, literal score)`` for b in ``bs`` and c in
-    ``cs`` (all elements by default), b-major.
+def _scores_of(p: SubspacePoset) -> Callable[[int], Dict[int, Tuple[int, int]]]:
+    """For one poset, the function that maps an element b to the scores of
+    its pairs by meet: ``{m: (standard, literal)}`` over the m <= b, each the
+    score of every (b, c) with b meet c = m.
 
-    For each b, the terms (a, two_var(a, b), one_var(a)) over the down-set
-    of b are listed once, keeping those with a nonzero weight; each c is then
-    scored over that list with the meet table.
+    The standard score is rho(b) unless m = b (see the module docstring).
+    rho (the Moebius inverse of dimension) and one_var (that of the
+    indicator of the zero element) are computed once, by ``mobius_invert``'s
+    recursion.  The literal score of (b, c) is the sum of
+    one_var(a) (dim a - dim(a meet m)) over the a <= b with one_var(a) != 0.
     """
     n = len(p.elements)
     dims = [s.dim for s in p.elements]
-    one, two = mu.one_var, mu.two_var
-    for bi in range(n) if bs is None else bs:
-        terms = [
-            (ai, two[ai][bi], one[ai])
-            for ai in range(n)
-            if p.leq[ai][bi] and (two[ai][bi] or one[ai])
-        ]
-        for ci in range(n) if cs is None else cs:
-            meet_c = p.meet_table[ci]
-            std = lit = 0
-            for ai, w_std, w_lit in terms:
-                drop = dims[ai] - dims[meet_c[ai]]
-                std += w_std * drop
-                lit += w_lit * drop
-            yield bi, ci, std, lit
+    rho = mobius_invert(p, dims)
+    one = mobius_invert(p, [1] + [0] * (n - 1))
+    leq, meet = p.leq, p.meet_table
+
+    def scores(bi: int) -> Dict[int, Tuple[int, int]]:
+        down = [ai for ai in range(bi + 1) if leq[ai][bi]]
+        terms = [(ai, one[ai]) for ai in down if one[ai]]
+        top = sum(w * dims[ai] for ai, w in terms)
+        return {
+            m: (
+                0 if m == bi else rho[bi],
+                top - sum(w * dims[meet[m][ai]] for ai, w in terms),
+            )
+            for m in down
+        }
+
+    return scores
 
 
 def evaluate_pair(
     p: SubspacePoset,
-    mu: MobiusTable,
     b: Subspace,
     c: Subspace,
     mode: str = "standard",
 ) -> int:
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    _, _, v_std, v_lit = next(_pair_scores(p, mu, [p.index_of(b)], [p.index_of(c)]))
+    bi, ci = p.index_of(b), p.index_of(c)
+    v_std, v_lit = _scores_of(p)(bi)[p.meet_table[bi][ci]]
     return v_std if mode == "standard" else v_lit
 
 
 def check_poset(
-    p: SubspacePoset, mu: Optional[MobiusTable] = None
+    p: SubspacePoset,
 ) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]], int]:
     """All-pairs scan of one poset, on element indices.
 
@@ -182,19 +202,28 @@ def check_poset(
     where the two modes land on different sides of zero).  A negative is
     ``(b index, c index, score)``; both lists are in index order, b-major,
     which is the order of ``Subspace.sort_key`` since the elements are
-    sorted by it.
+    sorted by it.  A b none of whose meets scores negative in either mode
+    contributes nothing, and its row of the meet table is not read.
     """
-    mu = mu if mu is not None else mobius(p)
+    scores = _scores_of(p)
     std_neg: List[Tuple[int, int, int]] = []
     lit_neg: List[Tuple[int, int, int]] = []
     disagreements = 0
-    for bi, ci, v_std, v_lit in _pair_scores(p, mu):
-        if v_std < 0:
-            std_neg.append((bi, ci, v_std))
-        if v_lit < 0:
-            lit_neg.append((bi, ci, v_lit))
-        if (v_std < 0) != (v_lit < 0):
-            disagreements += 1
+    for bi, row in enumerate(p.meet_table):
+        negative = {m: v for m, v in scores(bi).items() if v[0] < 0 or v[1] < 0}
+        if not negative:
+            continue
+        for ci, m in enumerate(row):
+            v = negative.get(m)
+            if v is None:
+                continue
+            v_std, v_lit = v
+            if v_std < 0:
+                std_neg.append((bi, ci, v_std))
+            if v_lit < 0:
+                lit_neg.append((bi, ci, v_lit))
+            if (v_std < 0) != (v_lit < 0):
+                disagreements += 1
     return std_neg, lit_neg, disagreements
 
 
@@ -259,12 +288,19 @@ def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
     return None
 
 
-def poset_passes(p: SubspacePoset, mu: Optional[MobiusTable] = None, mode: str = "standard") -> bool:
-    """The verdict on one poset: every pair scores >= 0 and the rank count
-    holds, i.e. a multiplicative projection family exists (in standard mode)."""
-    mu = mu if mu is not None else mobius(p)
-    k = 2 if mode == "standard" else 3
-    return all(v[k] >= 0 for v in _pair_scores(p, mu)) and rank_count_excess(p) is None
+def poset_passes(p: SubspacePoset, mode: str = "standard") -> bool:
+    """The verdict on one poset: every pair scores >= 0 in ``mode`` and the
+    rank count holds, i.e. a multiplicative projection family exists (in
+    standard mode).  Every m <= b is the meet of (b, m), so a score by meet
+    stands for at least one pair."""
+    if mode not in MU_MODES:
+        raise ValidationError(f"unknown mu mode {mode!r}")
+    k = MU_MODES.index(mode)
+    scores = _scores_of(p)
+    return (
+        all(v[k] >= 0 for bi in range(len(p.elements)) for v in scores(bi).values())
+        and rank_count_excess(p) is None
+    )
 
 
 def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitness]:

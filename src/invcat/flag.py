@@ -24,8 +24,23 @@ of intersecting again.  A meet that dimension and containment already give
 full space) is a known element and is recorded without intersecting; every
 other pair is intersected and its meet offered.
 
+On subspaces every intersection of a round is made once.  The preimage of b
+under g is the lift of its key b meet im g (``preimage_of_meet``), and im g,
+the image of the full seed, is an element from round 2 on, so the key is
+the meet of a pair of the round's meet step (in round 1, b is 0 or the full
+space, and the key is known).  A round runs in two steps:
+
+1. the image and the preimage offers, map by map; a preimage's key is a
+   known meet (``_known_meet``), or one kept earlier in the round, or it is
+   intersected and kept under the ordinals of its pair;
+2. the meet offers, pair by pair in ``sort_key`` order; a pair whose meet
+   was kept in step 1 takes it instead of intersecting.
+
+The offers, the ordinals and the witnesses are those of a round that
+intersects every key anew.
+
 The same loop runs on one of two kinds of element.  By default an element is
-a ``Subspace``, and the rules are ``map_image``, ``map_preimage`` and
+a ``Subspace``, and the rules are ``map_image``, ``preimage_of_meet`` and
 ``sub_intersect``.  Given ``BasisCoordinates`` (a basis per object in which
 every map is a partial matching of basis indices, see ``Matching``), every
 element is a coordinate subspace and is held as the bitmask of its basis
@@ -34,9 +49,10 @@ bits plus the bits matched into the target, a meet a bitwise AND, and
 equal masks are equal subspaces.  A mask's ``Subspace``, the span of its
 basis vectors, is built once, when the mask first appears; it gives the
 sort key, the provenance sources and the reported form.  Only the
-``Subspace`` kind records known meets without offering them; an offer of a
-known element adds nothing, so both kinds add the same elements in the same
-order and give the same flag.
+``Subspace`` kind records known meets without offering them and keeps the
+keys of its preimages (a mask's preimage is one pass over its bits); an
+offer of a known element adds nothing, so both kinds add the same elements
+in the same order and give the same flag.
 """
 
 from __future__ import annotations
@@ -48,7 +64,7 @@ from operator import and_
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ClosureDivergence
-from .linalg import Matrix, Subspace, map_image, map_preimage, sub_intersect
+from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
 from .poset import SubspacePoset, build_poset, export_dot
 from .rep import Generator, Representation
 
@@ -256,7 +272,9 @@ Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
 # The closure rules on one kind of element: the seeds (zero, full) of a
 # dimension, the image and the preimage under each map, the meet, the known
 # meet (``_known_meet``, or None where every meet is computed), and the
-# Subspace of an element at an object, which is built once per element.
+# Subspace of an element at an object, which is built once per element.  A
+# Subspace preimage is taken of the element's meet with the map's image
+# (``preimage_of_meet``), a bitmask one of the element itself.
 _Rules = Tuple[
     Callable[[int], Tuple[Element, Element]],
     Sequence[Callable[[Element], Element]],
@@ -271,7 +289,7 @@ def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
     return (
         lambda n: (Subspace.zero(rep.field, n), Subspace.full(rep.field, n)),
         [partial(map_image, g.matrix) for g in maps],
-        [partial(map_preimage, g.matrix) for g in maps],
+        [partial(preimage_of_meet, g.matrix) for g in maps],
         sub_intersect,
         _known_meet,
         lambda oid, s: s,
@@ -313,6 +331,10 @@ def compute_flag(
     seeds, images, preimages, meet, known_meet, subspace = (
         _subspace_rules(rep, maps) if coordinates is None else _mask_rules(rep, coordinates)
     )
+    # on subspaces, each map's image, whose meet with an element is the key
+    # of the element's preimage: the one cached with the factorization that
+    # ``preimage_of_meet`` lifts keys by
+    ims = [g.matrix._factored()[1] for g in maps] if coordinates is None else None
     fam: Dict[str, Dict[Element, Witness]] = {}
     fresh: Dict[str, List[Element]] = {}
     # per object: each element's Subspace, in order of arrival
@@ -364,13 +386,38 @@ def compute_flag(
                     _check_budget(oid, k + 1, rule, limits, rounds)
                 return k
 
+            # the meets intersected for preimage keys, by object and the
+            # ordinals (lower first) of the pair; the meet step takes them
+            keyed: Dict[Tuple[str, int, int], Subspace] = {}
+
+            def key(oid: str, b: Subspace, im: Subspace) -> Subspace:
+                """b meet im, intersected at most once per round.  im
+                arrived in round 1 (as the image of the full space), so from
+                round 2 on the fresh b and im are a pair of this round's
+                meet step, unless b = im; in round 1, b is 0 or the full
+                space, and the meet is known."""
+                small, big = (b, im) if len(b.basis) <= len(im.basis) else (im, b)
+                if small.basis == big.basis:
+                    return b
+                m = known_meet(small, big, next(iter(fam[oid])))  # the seed 0 comes first
+                if m is None:
+                    kb, ki = ordinal[oid][b], ordinal[oid][im]
+                    pair = (oid, kb, ki) if kb < ki else (oid, ki, kb)
+                    m = keyed.get(pair)
+                    if m is None:
+                        m = keyed[pair] = meet(b, im)
+                return m
+
             # semi-naive: only derive from elements added in the previous round;
             # older combinations were already offered.
-            for g, image, preimage in zip(maps, images, preimages):
+            # step 1: the image and preimage offers
+            for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
                 for a in fresh[g.dom]:
-                    offer(g.cod, image(a), "image", g, a)
+                    offer(g.cod, image_of(a), "image", g, a)
                 for b in fresh[g.cod]:
-                    offer(g.dom, preimage(b), "preimage", g, b)
+                    arg = b if ims is None else key(g.cod, b, ims[gi])
+                    offer(g.dom, preimage(arg), "preimage", g, b)
+            # step 2: the meet offers
             for oid, members in fam.items():
                 space = spaces[oid]
                 elems = sorted(members, key=lambda s: space[s].sort_key)
@@ -390,16 +437,17 @@ def compute_flag(
                     for j in later:
                         b = elems[j]  # dim a <= dim b, by the sort
                         known = known_meet(a, b, zero) if known_meet else None
+                        kb = ords[j]
+                        lo, hi = (ka, kb) if ka < kb else (kb, ka)
                         if known is None:
-                            m = offer(oid, meet(a, b), "intersect", None, a, b)
+                            s = keyed.pop((oid, lo, hi), None) if keyed else None
+                            if s is None:
+                                s = meet(a, b)
+                            m = offer(oid, s, "intersect", None, a, b)
                         else:
                             # a known meet is a or zero
                             m = ka if known is a else ords[0]
-                        kb = ords[j]
-                        if ka < kb:
-                            record[kb][ka] = m
-                        else:
-                            record[ka][kb] = m
+                        record[hi][lo] = m
             if all(not added for added in new.values()):
                 break
             for oid, added in new.items():

@@ -196,7 +196,7 @@ class Matrix:
         return form
 
     def _factored(self) -> Tuple["Subspace", "Subspace", Tuple[IntRow, ...], dict]:
-        """``(ker, im, lift, memo)`` for :func:`map_preimage`.
+        """``(ker, im, lift, memo)`` for :func:`preimage_of_meet`.
 
         ``lift`` holds the integer rows of a matrix L, up to one scalar, with
         ``self @ L`` the identity on im's RREF basis: column i of L is
@@ -618,19 +618,27 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def map_preimage(m: Matrix, b: Subspace) -> Subspace:
-    """The preimage of ``b`` under ``m``: ker m + L(b & im m).
+    """The preimage of ``b`` under ``m``: ``preimage_of_meet`` at the key
+    b & im m, which is one intersection."""
+    if b.ambient_dim != m.rows or b.field != m.field:
+        raise ValidationError("subspace does not live in the codomain of the map")
+    return preimage_of_meet(m, sub_intersect(b, m._factored()[1]))
 
+
+def preimage_of_meet(m: Matrix, key: Subspace) -> Subspace:
+    """The preimage under ``m`` of every subspace b with b & im m = ``key``:
+    ker m + L(key), since m^-1(b) = m^-1(b & im m).
+
+    ``key`` must lie in im m; a caller that already holds b & im m (the flag
+    closure reads it off its meets) passes it here and intersects nothing.
     L lifts im m's RREF basis (``solve_particular``, one solve per basis
     vector), so a vector y of im m lifts to sum(y[c_i] L_i) over im m's pivot
     columns c_i.  ker m, im m and L are computed once per matrix and cached on
     it, as its integer form is, and the preimage is memoized per matrix,
-    keyed on ``b & im m``: preimages of subspaces that meet im m alike are
-    one computation.
+    keyed on ``key``: preimages of subspaces that meet im m alike are one
+    computation.
     """
-    if b.ambient_dim != m.rows or b.field != m.field:
-        raise ValidationError("subspace does not live in the codomain of the map")
     ker, im, lift, memo = m._factored()
-    key = sub_intersect(b, im)
     pre = memo.get(key)
     if pre is None:
         pivots = im._ints()[1]

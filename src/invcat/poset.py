@@ -12,9 +12,13 @@ Two Moebius variants are kept side by side:
 * ``two_var`` -- the standard incidence function mu(a, a) = 1,
   mu(a, b) = -sum(mu(a, z) for a <= z < b).
 
-The factorization criterion defaults to ``two_var``; ``one_var`` is retained
-because the two disagree on some posets and the divergence is worth
-reporting (see the criterion module).
+The factorization criterion's standard mode is defined by ``two_var``;
+``one_var`` is retained because the two disagree on some posets and the
+divergence is worth reporting (see the criterion module).  The criterion
+builds neither table: it takes the Moebius inverses of dimension and of
+the indicator of the zero element (which is ``one_var``) by the O(n^2)
+recursion of ``mobius_invert``.  ``mobius`` builds the tables for the
+``mobius`` command.
 """
 
 from __future__ import annotations
@@ -175,12 +179,8 @@ class MobiusTable:
 
 def mobius(p: SubspacePoset) -> MobiusTable:
     n = len(p.elements)
-    one = [0] * n
-    for j in range(n):
-        if j == p.zero_index:
-            one[j] = 1
-        else:
-            one[j] = -sum(one[i] for i in range(n) if p.leq[i][j] and i != j)
+    # one_var is the inverse of the indicator of the zero element (index 0)
+    one = mobius_invert(p, [1] + [0] * (n - 1))
     two = [[0] * n for _ in range(n)]
     for a in range(n):
         two[a][a] = 1
@@ -207,14 +207,22 @@ def mobius_invert(p: SubspacePoset, phi_hat: PointFunction, table: MobiusTable =
     """Recover phi from its down-set sums: phi(y) = sum mu(x, y) phi_hat(x).
 
     Inverse of the forward operator phi_hat(y) = sum(phi(x) for x <= y).
+    With a Moebius ``table`` it is that sum; without one, the recursion
+    phi(y) = phi_hat(y) - sum(phi(x) for x < y) in index order (a linear
+    extension), which takes O(n^2) steps and builds no table.
     """
-    mu = table if table is not None else mobius(p)
     vals = _as_values(p, phi_hat)
     n = len(p.elements)
-    return [
-        sum(mu.two_var[x][y] * vals[x] for x in range(n) if p.leq[x][y])
-        for y in range(n)
-    ]
+    if table is not None:
+        return [
+            sum(table.two_var[x][y] * vals[x] for x in range(n) if p.leq[x][y])
+            for y in range(n)
+        ]
+    leq = p.leq
+    phi: List[int] = []
+    for y in range(n):
+        phi.append(vals[y] - sum(phi[x] for x in range(y) if leq[x][y]))
+    return phi
 
 
 def forward_sum(p: SubspacePoset, phi: PointFunction) -> List[int]:

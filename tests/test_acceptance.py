@@ -104,7 +104,7 @@ def test_acceptance_2_bisection(bisection):
     a = analyze(bisection)
     p = a.flag.posets["plane"]
     flag_ok = set(p.elements) == {ZERO2, X_AXIS, Y_AXIS, FULL2}
-    pair = evaluate_pair(p, mobius(p), FULL2, ZERO2, "standard")
+    pair = evaluate_pair(p, FULL2, ZERO2, "standard")
     cycle_ok = False
     try:
         decompose(bisection)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +35,7 @@ DIAG = Subspace.span(RATIONALS, 2, [[1, 1]])
 def test_trisection_pair_value(trisection):
     a = analyze(trisection)
     p = a.flag.posets["center"]
-    mu = mobius(p)
-    assert evaluate_pair(p, mu, FULL2, ZERO2, "standard") == -1
+    assert evaluate_pair(p, FULL2, ZERO2, "standard") == -1
 
 
 def test_trisection_fails_with_witness(trisection):
@@ -48,32 +49,28 @@ def test_bisection_passes_with_zero_pair(bisection):
     a = analyze(bisection)
     assert a.report.passed
     p = a.flag.posets["plane"]
-    mu = mobius(p)
-    assert evaluate_pair(p, mu, FULL2, ZERO2, "standard") == 0
+    assert evaluate_pair(p, FULL2, ZERO2, "standard") == 0
 
 
 def test_pair_vanishes_when_b_below_c():
     p = build_poset([ZERO2, X_AXIS, FULL2])
-    mu = mobius(p)
-    assert evaluate_pair(p, mu, X_AXIS, FULL2, "standard") == 0
-    assert evaluate_pair(p, mu, X_AXIS, X_AXIS, "standard") == 0
+    assert evaluate_pair(p, X_AXIS, FULL2, "standard") == 0
+    assert evaluate_pair(p, X_AXIS, X_AXIS, "standard") == 0
 
 
 def test_mu_mode_divergence_pins_diamond(bisection):
     a = analyze(bisection)  # saturated diamond
     p = a.flag.posets["plane"]
-    mu = mobius(p)
-    assert evaluate_pair(p, mu, X_AXIS, Y_AXIS, "literal") == -1
-    assert evaluate_pair(p, mu, X_AXIS, Y_AXIS, "standard") == 1
+    assert evaluate_pair(p, X_AXIS, Y_AXIS, "literal") == -1
+    assert evaluate_pair(p, X_AXIS, Y_AXIS, "standard") == 1
 
 
 def test_element_not_in_poset(bisection):
     a = analyze(bisection)
     p = a.flag.posets["plane"]
-    mu = mobius(p)
     stranger = Subspace.span(RATIONALS, 2, [[1, 2]])
     with pytest.raises(ElementNotInPoset):
-        evaluate_pair(p, mu, stranger, ZERO2)
+        evaluate_pair(p, stranger, ZERO2)
 
 
 def test_chains_always_pass_standard(rng):
@@ -92,10 +89,9 @@ def test_chains_always_pass_standard(rng):
             for d in dims
         ]
         p = build_poset(chain)
-        mu = mobius(p)
         for b in p.elements:
             for c in p.elements:
-                assert evaluate_pair(p, mu, b, c, "standard") >= 0
+                assert evaluate_pair(p, b, c, "standard") >= 0
 
 
 def test_witnesses_are_exhaustive_and_sorted(trisection):
@@ -265,6 +261,31 @@ def test_check_representation_unsaturated(bisection):
     assert report.poset_sizes["plane"] == 3
 
 
+def pair_scores(p):
+    """``(b, c, standard score, literal score)`` for every pair, b-major, by
+    the definition with the two-variable Moebius table: for each b the terms
+    (a, two_var(a, b), one_var(a)) over the down-set of b with a nonzero
+    weight are listed once, and each c is scored over them."""
+    mu = mobius(p)
+    n = len(p.elements)
+    dims = [s.dim for s in p.elements]
+    one, two = mu.one_var, mu.two_var
+    for bi in range(n):
+        terms = [
+            (ai, two[ai][bi], one[ai])
+            for ai in range(n)
+            if p.leq[ai][bi] and (two[ai][bi] or one[ai])
+        ]
+        for ci in range(n):
+            meet_c = p.meet_table[ci]
+            std = lit = 0
+            for ai, w_std, w_lit in terms:
+                drop = dims[ai] - dims[meet_c[ai]]
+                std += w_std * drop
+                lit += w_lit * drop
+            yield bi, ci, std, lit
+
+
 def dense_pair_value(p, mu, bi, ci, mode):
     """The score of (b, c) by its definition: a scan over every element."""
     total = 0
@@ -275,8 +296,50 @@ def dense_pair_value(p, mu, bi, ci, mode):
     return total
 
 
+def assert_scores_match_dense(p):
+    """Every pair's score in both modes (``evaluate_pair``), the negatives
+    of both modes and the disagreement count (``check_poset``) are those of
+    the definition.  The standard negatives are exactly the pairs (b, c)
+    with rho(b) < 0 and b not below c, scored rho(b), where rho is the
+    Moebius inverse of dimension, here from the two-variable table.
+    Returns the dense scores by mode and the standard negatives."""
+    from invcat.criterion import check_poset
+
+    mu = mobius(p)
+    n = len(p)
+    dense = {
+        mode: [[dense_pair_value(p, mu, bi, ci, mode) for ci in range(n)] for bi in range(n)]
+        for mode in ("standard", "literal")
+    }
+    for bi, b in enumerate(p.elements):
+        for ci, c in enumerate(p.elements):
+            for mode in ("standard", "literal"):
+                assert evaluate_pair(p, b, c, mode) == dense[mode][bi][ci]
+    std_neg, lit_neg, disagreements = check_poset(p)
+    for negatives, mode in ((std_neg, "standard"), (lit_neg, "literal")):
+        assert negatives == [
+            (bi, ci, dense[mode][bi][ci])
+            for bi in range(n)
+            for ci in range(n)
+            if dense[mode][bi][ci] < 0
+        ]
+    rho = [sum(mu.two_var[ai][bi] * p.elements[ai].dim for ai in range(n)) for bi in range(n)]
+    assert std_neg == [
+        (bi, ci, rho[bi])
+        for bi in range(n)
+        for ci in range(n)
+        if rho[bi] < 0 and not p.leq[bi][ci]
+    ]
+    assert disagreements == sum(
+        (dense["standard"][bi][ci] < 0) != (dense["literal"][bi][ci] < 0)
+        for bi in range(n)
+        for ci in range(n)
+    )
+    return dense, std_neg
+
+
 def test_down_set_score_matches_dense_reference(rng):
-    from invcat.criterion import check_poset, poset_passes, rank_count_excess
+    from invcat.criterion import poset_passes, rank_count_excess
     from invcat.linalg import image
     from invcat.oracle import meet_closure
 
@@ -292,34 +355,12 @@ def test_down_set_score_matches_dense_reference(rng):
         seeds += [Subspace.zero(field, 3), Subspace.full(field, 3)]
         posets.append(build_poset(meet_closure(seeds)))
     for p in posets:
-        mu = mobius(p)
-        n = len(p)
-        dense = {
-            mode: [[dense_pair_value(p, mu, bi, ci, mode) for ci in range(n)] for bi in range(n)]
-            for mode in ("standard", "literal")
-        }
-        for bi, b in enumerate(p.elements):
-            for ci, c in enumerate(p.elements):
-                for mode in ("standard", "literal"):
-                    assert evaluate_pair(p, mu, b, c, mode) == dense[mode][bi][ci]
-        std_neg, lit_neg, disagreements = check_poset(p, mu)
-        for negatives, mode in ((std_neg, "standard"), (lit_neg, "literal")):
-            assert negatives == [
-                (bi, ci, dense[mode][bi][ci])
-                for bi in range(n)
-                for ci in range(n)
-                if dense[mode][bi][ci] < 0
-            ]
-        assert disagreements == sum(
-            (dense["standard"][bi][ci] < 0) != (dense["literal"][bi][ci] < 0)
-            for bi in range(n)
-            for ci in range(n)
-        )
+        dense, std_neg = assert_scores_match_dense(p)
         for mode in ("standard", "literal"):
             expected = all(v >= 0 for row in dense[mode] for v in row)
-            assert poset_passes(p, mu, mode) == (expected and rank_count_excess(p) is None)
+            assert poset_passes(p, mode) == (expected and rank_count_excess(p) is None)
         if rank_count_excess(p) is None:  # the count alone decides the standard verdict
-            assert std_neg == [] and poset_passes(p, mu)
+            assert std_neg == [] and poset_passes(p)
 
 
 @st.composite
@@ -343,17 +384,80 @@ def test_rank_count_implies_nonnegative_scores(p):
     assert poset_passes(p) == (rank_count_excess(p) is None)
 
 
+@st.composite
+def star_flag_posets(draw):
+    """The posets of the flag of a star of 2 to 6 random planes in
+    GF(10007)^3: the centre's and each plane's."""
+    from invcat.rep import Generator, RepObject, Representation
+
+    from conftest import random_matrix
+
+    field = GF(10007)
+    planes = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(planes))
+    gens = tuple(
+        Generator(f"g{i}", f"p{i}", "center", random_matrix(rng, field, 3, 2))
+        for i in range(planes)
+    )
+    flag = compute_flag(Representation(field, objs, gens))
+    return [flag.posets[oid] for oid in sorted(flag.posets)]
+
+
+@given(meet_closed_posets())
+@settings(max_examples=200, deadline=None)
+def test_standard_score_is_the_inverse_of_dimension(p):
+    """The scores by meet are the definition's on random meet-closed
+    posets, and the standard ones are rho(b) or 0."""
+    assert_scores_match_dense(p)
+
+
+@given(star_flag_posets())
+@settings(max_examples=15, deadline=None)
+def test_standard_score_is_the_inverse_of_dimension_on_star_flags(posets):
+    """The same on the flags of stars of planes, which mostly fail."""
+    for p in posets:
+        assert_scores_match_dense(p)
+
+
+def test_report_paths_build_no_moebius_table(trisection, bisection, monkeypatch):
+    """Neither the report nor the verdict on one poset builds the Moebius
+    table: the scores come from ``mobius_invert``'s recursion."""
+    import invcat.criterion as criterion
+    import invcat.poset as poset
+
+    def refuse(p):
+        raise AssertionError("mobius was called")
+
+    monkeypatch.setattr(poset, "mobius", refuse)
+    monkeypatch.setattr(criterion, "mobius", refuse)
+    for rep in (trisection, bisection):
+        flag = analyze(rep).flag
+        for mode in ("standard", "literal"):
+            check_representation(rep, flag, mode)
+            for p in flag.posets.values():
+                criterion.poset_passes(p, mode)
+
+
+def test_poset_passes_rejects_an_unknown_mode():
+    from invcat.criterion import poset_passes
+    from invcat.errors import ValidationError
+
+    with pytest.raises(ValidationError):
+        poset_passes(build_poset([ZERO2, X_AXIS, FULL2]), "dense")
+
+
 def reference_check_representation(flag, mode):
     """``check_representation`` as it was with a ``CriterionValue`` for every
     negative pair of either mode, sorted by ``sort_key`` and cut to ten
     disagreement examples; returns the fields the new one must reproduce."""
-    from invcat.criterion import CriterionValue, _pair_scores
+    from invcat.criterion import CriterionValue
 
     witnesses, examples, disagreements = [], [], 0
     for oid in sorted(flag.posets):
         p = flag.posets[oid]
         std_neg, lit_neg = [], []
-        for bi, ci, v_std, v_lit in _pair_scores(p, mobius(p)):
+        for bi, ci, v_std, v_lit in pair_scores(p):
             b, c = p.elements[bi], p.elements[ci]
             if v_std < 0:
                 std_neg.append(CriterionValue(oid, b, c, v_std, "standard"))

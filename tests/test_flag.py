@@ -357,15 +357,25 @@ def test_closure_meets_assemble_the_validated_poset(rep):
 @pytest.mark.parametrize("k", [8, 14])
 def test_known_meets_are_not_intersected(k, monkeypatch):
     """On a star of k planes in GF(10007)^3, every meet but those of two
-    planes is known from dimension and containment, so the closure makes
-    one intersection per pair of planes; the meet closure of a stopped
-    closure does the same.  The recorded meets still assemble the poset that
-    intersecting every pair validates."""
+    planes is known from dimension and containment, and a preimage's key
+    (its meet with the plane that is the map's image) is read off the
+    round's meets, so the whole closure makes one intersection per pair of
+    planes; the meet closure of a stopped closure does the same.  The spy
+    sits in ``linalg`` as well, where ``map_preimage`` would intersect.  The
+    recorded meets still assemble the poset that intersecting every pair
+    validates."""
     import invcat.flag as flag
+    import invcat.linalg as linalg
 
     calls = []
-    real = flag.sub_intersect
-    monkeypatch.setattr(flag, "sub_intersect", lambda a, b: calls.append(1) or real(a, b))
+    real = linalg.sub_intersect
+
+    def spy(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(flag, "sub_intersect", spy)
+    monkeypatch.setattr(linalg, "sub_intersect", spy)
     field = GF(10007)
     rng = random.Random(k)
     planes = [random_matrix(rng, field, 3, 2) for _ in range(k)]

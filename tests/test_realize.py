@@ -18,7 +18,6 @@ from invcat import (
     kernel,
     kernel_decomposition_check,
     map_preimage,
-    mobius,
     projection_onto,
     pseudo_inverse,
     realize_projections,
@@ -77,15 +76,14 @@ def _greedy_family(p):
     rows picked so far; their span is the kernel of the projection onto c.
     Every pair is scored and the family is verified exhaustively.
     """
-    mu = mobius(p)
-    if not poset_passes(p, mu, "standard"):
+    if not poset_passes(p, "standard"):
         raise CriterionViolated("criterion fails")
     field, n, elems = p.field, p.ambient_dim, p.elements
     projections = {}
     for c in elems:
         kernel_rows = []
         for bi, b in enumerate(elems):
-            count = evaluate_pair(p, mu, b, c, "standard")
+            count = evaluate_pair(p, b, c, "standard")
             if count < 0:
                 raise CriterionViolated("negative score", value=count)
             forbidden = [list(r) for r in c.basis] + kernel_rows
