@@ -27,8 +27,9 @@ from .errors import (
     InputSyntaxError,
     InternalError,
     ToolError,
+    TooLarge,
 )
-from .flag import ClosureLimits
+from .flag import ClosureLimits, FlagAssignment
 from .jsontext import dumps
 from .pipeline import analyze
 from .poset import mobius
@@ -71,30 +72,38 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if analysis.report.passed else 1
 
 
-def _cmd_flag(args: argparse.Namespace) -> int:
-    rep = _load_rep(args.input)
-    analysis = analyze(rep, _limits(args))
-    if analysis.stopped is not None:
+def _closed_flag(args: argparse.Namespace) -> FlagAssignment:
+    """The flag to report.  A closure stopped at a limit has none, and its
+    ``ClosureDivergence`` is raised instead."""
+    analysis = analyze(_load_rep(args.input), _limits(args))
+    if analysis.stopped is None:
+        return analysis.flag
+    try:
         raise analysis.stopped
-    doc = analysis.flag.to_json()
+    finally:
+        # the traceback holds this frame, and so would hold the error in a
+        # cycle through this local (see ``main``)
+        del analysis
+
+
+def _cmd_flag(args: argparse.Namespace) -> int:
+    flag = _closed_flag(args)
+    doc = flag.to_json()
     doc["command"] = "flag"
     _dump(doc, args.output)
     if args.dot:
         dot_dir = Path(args.dot)
         dot_dir.mkdir(parents=True, exist_ok=True)
-        for oid in sorted(analysis.flag.posets):
-            (dot_dir / f"{oid}.dot").write_text(analysis.flag.export_dot(oid), encoding="utf-8")
+        for oid in sorted(flag.posets):
+            (dot_dir / f"{oid}.dot").write_text(flag.export_dot(oid), encoding="utf-8")
     return 0
 
 
 def _cmd_mobius(args: argparse.Namespace) -> int:
-    rep = _load_rep(args.input)
-    analysis = analyze(rep, _limits(args))
-    if analysis.stopped is not None:
-        raise analysis.stopped
+    flag = _closed_flag(args)
     objects = {}
-    for oid in sorted(analysis.flag.posets):
-        p = analysis.flag.posets[oid]
+    for oid in sorted(flag.posets):
+        p = flag.posets[oid]
         table = mobius(p)
         objects[oid] = {
             "elements": [s.to_json() for s in p.elements],
@@ -124,6 +133,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputSyntaxError(f"certificate is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise InputSyntaxError(f"malformed certificate JSON: {e}") from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise TooLarge(f"certificate JSON integer too long: {e}") from e
     except RecursionError as e:
         raise InputSyntaxError("certificate JSON nests too deeply") from e
     dec = BlockcodeDecomposition.from_json(cert_doc, rep)

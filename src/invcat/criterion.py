@@ -314,29 +314,26 @@ def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitnes
     return found
 
 
-def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> Optional[CriterionReport]:
-    """The verdict on an input whose closure stopped at a limit, from the rank
-    count on ``flag``: the meet closure of the elements the completed rounds
-    reached.
+def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionReport:
+    """The refutation of an input whose closure stopped at a limit, where the
+    rank count fails on ``flag``: the meet closure of the elements the
+    completed rounds reached.
 
     An adapted basis of the final flag is adapted to every meet-closed
-    subfamily of it, so where the count fails on ``flag`` the input is
-    refuted: the report fails with the distributivity witnesses and a note
-    naming ``reason`` and the round.  A count that holds decides nothing, and
-    None is returned.  The score is not taken, so the report has no score
-    witnesses and no mode disagreements.
+    subfamily of it, so a count that fails on ``flag`` refutes the input
+    (a count that holds decides nothing, and ``pipeline.analyze`` raises the
+    divergence instead).  The report fails with the distributivity
+    witnesses and a note naming ``reason`` and the round.  The score is not
+    taken, so the report has no score witnesses and no mode disagreements.
     """
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
     start = time.perf_counter()
-    distributivity = _distributivity_witnesses(flag)
-    if not distributivity:
-        return None
     return CriterionReport(
         passed=False,
         mu_mode=mode,
         witnesses=(),
-        distributivity_witnesses=tuple(distributivity),
+        distributivity_witnesses=tuple(_distributivity_witnesses(flag)),
         poset_sizes=flag.sizes(),
         mode_disagreements=0,
         disagreement_examples=(),

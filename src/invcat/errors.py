@@ -58,8 +58,10 @@ class ClosureDivergence(ToolError):
     """Flag closure hit a limit before reaching a fixpoint.
 
     ``partial`` is the meet closure of the elements the completed rounds
-    reached (a ``flag.FlagAssignment``), or None where that closure would
-    itself exceed the element limit; it is not part of the JSON report."""
+    reached (a ``flag.FlagAssignment`` whose ``rounds`` counts them): the
+    closure undoes the round it stopped in and runs its meet step alone
+    until no meet is new.  It is None where that meet closure would itself
+    pass the element limit.  It is not part of the JSON report."""
 
     code = "ClosureDivergence"
     partial = None

@@ -22,6 +22,15 @@ from .errors import TooLarge, ValidationError
 
 Scalar = Union[int, Fraction]
 
+# The bit-length bound on the integers of a matrix entry: a raw int before it
+# is reduced mod p, and the numerator and the denominator of a rational
+# literal, whose text is refused unread where it is longer than that of
+# -2^MAX_ENTRY_BITS.  The largest such integer in any bundled example, test
+# or benchmark input or certificate has 14 bits (a residue mod 10007), 73x
+# below this bound.
+MAX_ENTRY_BITS = 1024
+_MAX_ENTRY_CHARS = len(str(-(1 << MAX_ENTRY_BITS)))
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every n below PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -50,6 +59,16 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _entry_int(x: Union[int, str], where: str) -> int:
+    """The int ``x``, or the int that the text ``x`` writes; ``TooLarge``
+    above ``MAX_ENTRY_BITS`` bits, or for a text too long to read."""
+    if isinstance(x, str) and len(x) <= _MAX_ENTRY_CHARS:
+        x = int(x)
+    if isinstance(x, str) or x.bit_length() > MAX_ENTRY_BITS:
+        raise TooLarge(f"{where}: an entry's integer exceeds {MAX_ENTRY_BITS} bits", path=where)
+    return x
 
 
 @dataclass(frozen=True)
@@ -123,18 +142,19 @@ class Field:
     # --- serialization -----------------------------------------------------
 
     def parse_entry(self, v: Any, where: str = "entry") -> Scalar:
-        """Parse a JSON matrix entry: an int, or ``"a/b"`` over the rationals."""
+        """Parse a JSON matrix entry: an int, or ``"a/b"`` over the rationals.
+
+        An integer of the entry above ``MAX_ENTRY_BITS`` bits is ``TooLarge``.
+        """
         if isinstance(v, bool):
             raise ValidationError(f"{where}: boolean is not a scalar", path=where)
         if isinstance(v, int):
-            return self.coerce(v)
+            return self.coerce(_entry_int(v, where))
         if self.p is None and isinstance(v, str):
             parts = v.split("/")
             try:
-                if len(parts) == 1:
-                    return Fraction(int(parts[0]))
-                if len(parts) == 2:
-                    return Fraction(int(parts[0]), int(parts[1]))
+                if len(parts) <= 2:
+                    return Fraction(*[_entry_int(x, where) for x in parts])
             except (ValueError, ZeroDivisionError):
                 pass
             raise ValidationError(f"{where}: bad rational literal {v!r}", path=where)

@@ -11,10 +11,7 @@ seed {0, full} at every object:
 Rounds are synchronous (each round derives only from the previous round's
 elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
-loudly instead of spinning.  When a limit stops it, the elements of the
-completed rounds are closed under meets (within the element limit) and
-handed over with the ``ClosureDivergence``, so that the pipeline can still
-refute the input by the rank count.
+loudly instead of spinning.
 
 The meet of every pair of final elements is recorded exactly once, in the
 round after the later of the two arrived, by element ordinal, and handed to
@@ -38,6 +35,17 @@ space, and the key is known).  A round runs in two steps:
 
 The offers, the ordinals and the witnesses are those of a round that
 intersects every key anew.
+
+When a limit stops the closure, the round it stopped in is undone: each
+object drops what the round added (the ordinals, Subspaces and meet rows
+past its count at the round's start).  Rounds of step 2 alone then run
+until no meet is new; the first records again each meet the stopped round
+recorded, and takes the keys its step 1 kept.  What they reach is the meet
+closure of the elements of the completed rounds, assembled from the meets
+already recorded and handed over with the ``ClosureDivergence`` (or None,
+where it passes the element limit), so that the pipeline can still refute
+the input by the rank count.  A closure stopped within a round hands over
+the part that the round limit would have handed over just before it.
 
 The same loop runs on one of two kinds of element.  By default an element is
 a ``Subspace``, and the rules are ``map_image``, ``preimage_of_meet`` and
@@ -162,49 +170,6 @@ def _known_meet(a: Subspace, b: Subspace, zero: Subspace) -> Optional[Subspace]:
     return None
 
 
-def _partial_flag(
-    fam: Dict[str, Dict[Subspace, Witness]], rounds: int, limits: ClosureLimits
-) -> Optional[FlagAssignment]:
-    """The meet closure of the elements in ``fam``, reached after ``rounds``
-    rounds, or None where an object would exceed the element limit.
-
-    Each element meets every element before it once, and a new meet joins
-    the end of the queue, so every pair's meet is recorded once; a known meet
-    (``_known_meet``) without intersecting.
-    """
-    posets: Dict[str, SubspacePoset] = {}
-    provenance: Dict[str, Dict[Subspace, Witness]] = {}
-    for oid, members in fam.items():
-        prov = dict(members)
-        elems = list(members)
-        index = {s: k for k, s in enumerate(elems)}
-        zero = next(s for s in elems if s.is_zero)
-        meets: List[List[Optional[int]]] = [[None] * k for k in range(len(elems))]
-        k = 0
-        while k < len(elems):
-            b = elems[k]
-            for i in range(k):
-                a = elems[i]
-                m = _known_meet(a, b, zero) if a.dim <= b.dim else _known_meet(b, a, zero)
-                if m is not None:
-                    meets[k][i] = index[m]
-                    continue
-                m = sub_intersect(a, b)
-                j = index.get(m)
-                if j is None:
-                    if len(elems) >= limits.max_elements_per_object:
-                        return None
-                    j = index[m] = len(elems)
-                    elems.append(m)
-                    meets.append([None] * j)
-                    prov[m] = Witness("intersect", None, (a, b))
-                meets[k][i] = j
-            k += 1
-        posets[oid] = build_poset(elems, meets)
-        provenance[oid] = prov
-    return FlagAssignment(posets=posets, provenance=provenance, rounds=rounds)
-
-
 class Matching(NamedTuple):
     """A map that sends each basis vector to a nonzero multiple of a basis
     vector, no two to the same one, or to zero: a partial matching of basis
@@ -326,6 +291,11 @@ def compute_flag(
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
     closure runs on bitmasks of basis indices (see the module docstring); the
     result is the same.
+
+    Where a limit stops the closure, the round it stopped in is undone and
+    the meet step alone runs until no meet is new (see the module
+    docstring); the ``ClosureDivergence`` carries the result as ``partial``,
+    or None where it passes the element limit.
     """
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
     seeds, images, preimages, meet, known_meet, subspace = (
@@ -352,71 +322,72 @@ def compute_flag(
         fresh[o.id] = sorted(space, key=lambda s: space[s].sort_key)
         ordinal[o.id] = {s: k for k, s in enumerate(fam[o.id])}
         meets[o.id] = [[None] * k for k in range(len(fam[o.id]))]
-
+    # per object, the elements the current round adds
+    new: Dict[str, Dict[Element, Witness]] = {oid: {} for oid in fam}
+    # the meets intersected for preimage keys, by object and the ordinals
+    # (lower first) of the pair; the round's meet step takes them
+    keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
     completed = 0  # rounds whose elements are all in ``fam``
-    try:
+
+    def offer(oid: str, s: Element, rule: str, g: Optional[Generator],
+              a: Element, b: Optional[Element] = None) -> int:
+        """Add ``s`` unless already known (then with its witness: the rule,
+        the map ``g`` and the source ``a``, or the sources ``a`` and ``b`` of
+        a meet); return its ordinal."""
+        ords = ordinal[oid]
+        k = ords.get(s)
+        if k is None:
+            k = ords[s] = len(ords)
+            spaces[oid][s] = subspace(oid, s)
+            if g is None:
+                new[oid][s] = Witness(rule, None, (spaces[oid][a], spaces[oid][b]))
+            else:
+                at = g.dom if rule == "image" else g.cod
+                new[oid][s] = Witness(rule, g.id, (spaces[at][a],))
+            meets[oid].append([None] * k)
+            _check_budget(oid, k + 1, rule, limits, rounds)
+        return k
+
+    def key(oid: str, b: Subspace, im: Subspace) -> Subspace:
+        """b meet im, intersected at most once.  im arrived in round 1 (as
+        the image of the full space), so from round 2 on the fresh b and im
+        are a pair of this round's meet step, unless b = im; in round 1, b
+        is 0 or the full space, and the meet is known."""
+        small, big = (b, im) if len(b.basis) <= len(im.basis) else (im, b)
+        if small.basis == big.basis:
+            return b
+        m = known_meet(small, big, next(iter(fam[oid])))  # the seed 0 comes first
+        if m is None:
+            kb, ki = ordinal[oid][b], ordinal[oid][im]
+            pair = (oid, kb, ki) if kb < ki else (oid, ki, kb)
+            m = keyed.get(pair)
+            if m is None:
+                m = keyed[pair] = meet(b, im)
+        return m
+
+    def close(offers: bool) -> None:
+        """Run rounds until one adds nothing; without ``offers``, each round
+        is the meet step alone.  Semi-naive: a round derives only from the
+        elements the previous one added; older combinations were offered."""
+        nonlocal rounds, completed
         while True:
-            if rounds >= limits.max_rounds:
-                raise ClosureDivergence(
-                    f"no fixpoint after {limits.max_rounds} rounds",
-                    rule="rounds",
-                    rounds=rounds,
-                    sizes={oid: len(members) for oid, members in fam.items()},
-                )
-            rounds += 1
-            new: Dict[str, Dict[Element, Witness]] = {oid: {} for oid in fam}
-
-            def offer(oid: str, s: Element, rule: str, g: Optional[Generator],
-                      a: Element, b: Optional[Element] = None) -> int:
-                """Add ``s`` unless already known (then with its witness: the
-                rule, the map ``g`` and the source ``a``, or the sources ``a``
-                and ``b`` of a meet); return its ordinal."""
-                ords = ordinal[oid]
-                k = ords.get(s)
-                if k is None:
-                    k = ords[s] = len(ords)
-                    spaces[oid][s] = subspace(oid, s)
-                    if g is None:
-                        new[oid][s] = Witness(rule, None, (spaces[oid][a], spaces[oid][b]))
-                    else:
-                        at = g.dom if rule == "image" else g.cod
-                        new[oid][s] = Witness(rule, g.id, (spaces[at][a],))
-                    meets[oid].append([None] * k)
-                    _check_budget(oid, k + 1, rule, limits, rounds)
-                return k
-
-            # the meets intersected for preimage keys, by object and the
-            # ordinals (lower first) of the pair; the meet step takes them
-            keyed: Dict[Tuple[str, int, int], Subspace] = {}
-
-            def key(oid: str, b: Subspace, im: Subspace) -> Subspace:
-                """b meet im, intersected at most once per round.  im
-                arrived in round 1 (as the image of the full space), so from
-                round 2 on the fresh b and im are a pair of this round's
-                meet step, unless b = im; in round 1, b is 0 or the full
-                space, and the meet is known."""
-                small, big = (b, im) if len(b.basis) <= len(im.basis) else (im, b)
-                if small.basis == big.basis:
-                    return b
-                m = known_meet(small, big, next(iter(fam[oid])))  # the seed 0 comes first
-                if m is None:
-                    kb, ki = ordinal[oid][b], ordinal[oid][im]
-                    pair = (oid, kb, ki) if kb < ki else (oid, ki, kb)
-                    m = keyed.get(pair)
-                    if m is None:
-                        m = keyed[pair] = meet(b, im)
-                return m
-
-            # semi-naive: only derive from elements added in the previous round;
-            # older combinations were already offered.
-            # step 1: the image and preimage offers
-            for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
-                for a in fresh[g.dom]:
-                    offer(g.cod, image_of(a), "image", g, a)
-                for b in fresh[g.cod]:
-                    arg = b if ims is None else key(g.cod, b, ims[gi])
-                    offer(g.dom, preimage(arg), "preimage", g, b)
+            if offers:
+                if rounds >= limits.max_rounds:
+                    raise ClosureDivergence(
+                        f"no fixpoint after {limits.max_rounds} rounds",
+                        rule="rounds",
+                        rounds=rounds,
+                        sizes={oid: len(members) for oid, members in fam.items()},
+                    )
+                rounds += 1
+                # step 1: the image and preimage offers
+                for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
+                    for a in fresh[g.dom]:
+                        offer(g.cod, image_of(a), "image", g, a)
+                    for b in fresh[g.cod]:
+                        arg = b if ims is None else key(g.cod, b, ims[gi])
+                        offer(g.dom, preimage(arg), "preimage", g, b)
             # step 2: the meet offers
             for oid, members in fam.items():
                 space = spaces[oid]
@@ -449,23 +420,44 @@ def compute_flag(
                             m = ka if known is a else ords[0]
                         record[hi][lo] = m
             if all(not added for added in new.values()):
-                break
+                return
             for oid, added in new.items():
                 fam[oid].update(added)
                 space = spaces[oid]
                 fresh[oid] = sorted(added, key=lambda s: space[s].sort_key)
-            completed = rounds
+                added.clear()
+            if offers:
+                completed = rounds
+
+    def assemble(done: int) -> FlagAssignment:
+        return FlagAssignment(
+            posets={oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam},
+            provenance={
+                oid: {spaces[oid][s]: w for s, w in members.items()}
+                for oid, members in fam.items()
+            },
+            rounds=done,
+        )
+
+    try:
+        close(offers=True)
     except ClosureDivergence as stop:
-        stop.partial = _partial_flag(_as_subspaces(fam, spaces), completed, limits)
+        # undo the round the limit stopped in (the round limit stops between
+        # rounds, with nothing to undo): drop what it added.  The meets it
+        # recorded are in the rows of the elements it found fresh, and the
+        # meet step records every entry of those rows again, taking the
+        # preimage keys the round left in ``keyed``.
+        for oid, members in fam.items():
+            new[oid].clear()
+            del meets[oid][len(members):]
+            while len(ordinal[oid]) > len(members):
+                ordinal[oid].popitem()
+                spaces[oid].popitem()
+        try:
+            close(offers=False)
+        except ClosureDivergence:
+            pass  # the meet closure passes the element limit: no partial
+        else:
+            stop.partial = assemble(completed)
         raise
-
-    posets = {oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam}
-    return FlagAssignment(posets=posets, provenance=_as_subspaces(fam, spaces), rounds=rounds)
-
-
-def _as_subspaces(
-    fam: Dict[str, Dict[Element, Witness]], spaces: Dict[str, Dict[Element, Subspace]]
-) -> Dict[str, Dict[Subspace, Witness]]:
-    return {
-        oid: {spaces[oid][s]: w for s, w in members.items()} for oid, members in fam.items()
-    }
+    return assemble(rounds)

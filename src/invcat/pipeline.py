@@ -35,10 +35,11 @@ flag it is discarded, with a note, and the raw flag and its families are
 reported.  Failing inputs are never saturated.
 
 When the raw closure stops at a limit, the rank count is taken on the meet
-closure of the elements it reached (``criterion.refute_partial``).  Where
-the count fails there, the input is refuted: an adapted basis of the final
-flag would be adapted to that part too.  Only where it holds is the
-``ClosureDivergence`` raised.
+closure of the elements it reached, which the closure hands over with the
+``ClosureDivergence``.  Where the count fails there, the input is refuted
+(``criterion.refute_partial``): an adapted basis of the final flag would be
+adapted to that part too.  Only where it holds, or where that meet closure
+passes the element limit, is the ``ClosureDivergence`` raised.
 """
 
 from __future__ import annotations

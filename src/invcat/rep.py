@@ -14,7 +14,9 @@ are ints reduced mod p.
 
 A document whose sizes pass ``MAX_OBJECT_DIM`` or ``MAX_TOTAL_ENTRIES`` is
 refused with ``TooLarge`` while it is parsed, before any entry of a matrix
-that would pass them is read and before any elimination.
+that would pass them is read and before any elimination.  So is one with an
+entry past ``fields.MAX_ENTRY_BITS``, or with a JSON integer too long for the
+interpreter to read.
 """
 
 from __future__ import annotations
@@ -219,6 +221,8 @@ def parse_representation(data: Union[str, bytes]) -> Representation:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise InputSyntaxError(f"malformed JSON: {e}") from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise TooLarge(f"JSON integer too long: {e}") from e
     except RecursionError as e:
         raise InputSyntaxError("JSON nests too deeply") from e
     return representation_from_json(doc)

@@ -290,13 +290,8 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert json.loads(out)["error"] == {"code": "InternalError", "message": "TypeError: boom"}
 
 
-def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
-    """A shear z and a projection w on Q^2: the images of the line im w
-    under the powers of z are the lines through (k, 1), so the closure never
-    ends.  Three distinct lines in the plane already break the rank
-    count, so ``check`` refutes the input on the part the closure reached
-    (exit 1), with a distributivity witness and a note naming the round.
-    ``flag`` has no flag to print and still reports the divergence."""
+def _shear(tmp_path):
+    """A shear z and a projection w on Q^2, whose closure never ends."""
     p = tmp_path / "shear.json"
     p.write_text(json.dumps({
         "field": {"kind": "rational"},
@@ -306,7 +301,18 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
             {"id": "w", "dom": "x", "cod": "x", "matrix": [[0, 0], [0, 1]]},
         ],
     }))
-    code, out = run_cli(capsys, "check", str(p))
+    return str(p)
+
+
+def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
+    """A shear z and a projection w on Q^2: the images of the line im w
+    under the powers of z are the lines through (k, 1), so the closure never
+    ends.  Three distinct lines in the plane already break the rank
+    count, so ``check`` refutes the input on the part the closure reached
+    (exit 1), with a distributivity witness and a note naming the round.
+    ``flag`` has no flag to print and still reports the divergence."""
+    p = _shear(tmp_path)
+    code, out = run_cli(capsys, "check", p)
     doc = json.loads(out)
     assert code == 1
     assert doc["verdict"] == "fail"
@@ -316,10 +322,10 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
     assert w["count"] == doc["poset_sizes"]["x"] - 2 > 2
     assert "no fixpoint after 64 rounds" in doc["closure_note"]
     assert "round 64" in doc["closure_note"]
-    code, out = run_cli(capsys, "check", str(p), "--max-rounds", "3")
+    code, out = run_cli(capsys, "check", p, "--max-rounds", "3")
     assert code == 1
     assert "round 3" in json.loads(out)["closure_note"]
-    code, out = run_cli(capsys, "flag", str(p))
+    code, out = run_cli(capsys, "flag", p)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "ClosureDivergence"
 
@@ -364,6 +370,65 @@ def test_oversized_input_is_refused_at_parse_time(capsys, tmp_path):
     assert code == 0 and doc["verdict"] == "pass"
 
 
+def test_overlong_entries_are_too_large(capsys, tmp_path):
+    """A matrix entry whose integer passes ``MAX_ENTRY_BITS`` bits exits 2
+    with TooLarge: a raw int over Q, or over GF(p) before it is reduced, the
+    numerator or the denominator of a rational literal, and a JSON integer
+    past the interpreter's digit limit, which ``json.loads`` refuses to
+    read.  At the bound the input is analyzed."""
+    from invcat.fields import MAX_ENTRY_BITS
+
+    past = 1 << MAX_ENTRY_BITS
+    unreadable = "1" * 5000  # more digits than the interpreter converts
+
+    def check(field, entry):
+        # the text is written by hand: json.dumps cannot print ``unreadable``
+        p = tmp_path / "rep.json"
+        p.write_text(
+            '{"field": %s, "objects": [{"id": "a", "dim": 1}], "generators": '
+            '[{"id": "f", "dom": "a", "cod": "a", "matrix": [[%s]]}]}' % (json.dumps(field), entry)
+        )
+        code, out = run_cli(capsys, "check", str(p))
+        return code, json.loads(out)
+
+    rational, gf7 = {"kind": "rational"}, {"kind": "prime", "p": 7}
+    for field in (rational, gf7):
+        code, doc = check(field, unreadable)
+        assert code == 2 and doc["error"]["code"] == "TooLarge"
+        assert doc["error"]["message"].startswith("JSON integer too long")
+    entry = {"path": "generators[0].matrix[0][0]"}
+    for field, text in (
+        (rational, str(past)),
+        (rational, str(-past)),
+        (gf7, str(past)),
+        (rational, f'"1/{past}"'),
+        (rational, f'"-{past}/3"'),
+        (rational, f'"{unreadable}/2"'),
+    ):
+        code, doc = check(field, text)
+        assert code == 2, text
+        assert (doc["error"]["code"], doc["error"]["detail"]) == ("TooLarge", entry)
+    for field, text in ((rational, str(past - 1)), (gf7, str(1 - past)), (rational, f'"{past - 1}/{1 - past}"')):
+        code, doc = check(field, text)
+        assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_overlong_certificate_entries_are_too_large(tmp_path, capsys):
+    """``verify`` refuses a certificate entry past ``MAX_ENTRY_BITS`` bits,
+    and a JSON integer that ``json.loads`` refuses to read, with TooLarge."""
+    from invcat.fields import MAX_ENTRY_BITS
+
+    rep_path, doc = _embed_certificate(tmp_path, capsys)
+    doc["objects"]["y"][0]["basis"][0][0] = "ENTRY"
+    template = json.dumps(doc)
+    bad = tmp_path / "bad.json"
+    for entry in ("1" * 5000, str(1 << MAX_ENTRY_BITS)):
+        bad.write_text(template.replace('"ENTRY"', entry))
+        code, out = run_cli(capsys, "verify", str(rep_path), str(bad))
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "TooLarge"
+
+
 def _refuted_star(tmp_path):
     """Eight random planes mapped into GF(10007)^3 at a shared centre; the
     criterion refutes it with a few hundred witnesses."""
@@ -402,21 +467,30 @@ def test_output_file_matches_stdout(tmp_path, capsys):
 
 
 def test_error_report_leaves_no_cyclic_garbage(tmp_path, capsys):
-    """A refutation raised as an error is freed by reference counting: no
-    cycle through ``main``'s frame keeps the exception and its witness
-    detail alive until a full collection."""
-    star = _refuted_star(tmp_path)
+    """An error is freed by reference counting: no cycle through the frames
+    it passed keeps the exception and its detail alive until a full
+    collection.  That covers a refutation raised as an error, the
+    divergence that ``flag`` and ``mobius`` raise on a closure the count
+    refutes, and one that ``check`` re-raises where the count holds on the
+    part the closure reached."""
+    runs = [
+        (("decompose", _refuted_star(tmp_path)), "CriterionViolated"),
+        (("flag", _shear(tmp_path)), "ClosureDivergence"),
+        (("mobius", _shear(tmp_path)), "ClosureDivergence"),
+        (("check", BISECTION, "--max-rounds", "1"), "ClosureDivergence"),
+    ]
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.disable()
     gc.collect()
     before = len(gc.garbage)
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        code, out = run_cli(capsys, "decompose", star)
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "CriterionViolated"
-        gc.collect()
-        assert not [o for o in gc.garbage[before:] if isinstance(o, ToolError)]
+        for argv, error in runs:
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            assert json.loads(out)["error"]["code"] == error
+            gc.collect()
+            assert not [o for o in gc.garbage[before:] if isinstance(o, ToolError)], argv
     finally:
         gc.set_debug(flags)
         del gc.garbage[before:]

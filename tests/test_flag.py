@@ -24,7 +24,7 @@ from invcat import (
 from invcat.flag import BasisCoordinates, Matching
 from invcat.rep import Generator, RepObject, Representation
 
-from conftest import interval_corpus_instance, random_invertible, random_matrix
+from conftest import interval_corpus_instance, random_invertible, random_matrix, random_representation
 
 X_AXIS = Subspace.span(RATIONALS, 2, [[1, 0]])
 Y_AXIS = Subspace.span(RATIONALS, 2, [[0, 1]])
@@ -241,15 +241,15 @@ def test_matching_of_a_matrix():
         assert Matching.of(Matrix.build(RATIONALS, len(rows), len(rows[0]), rows)) is None
 
 
-def _matching_representation(rng, field):
+def _matching_representation(rng, field, max_dim=3, max_objects=4, max_maps=4):
     """Random partial matchings with nonzero scalars between random objects
     (loops, parallel edges and cycles included), written in random bases;
     returns the representation and its ``BasisCoordinates``."""
-    dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    dims = [rng.randint(0, max_dim) for _ in range(rng.randint(1, max_objects))]
     objects = tuple(RepObject(f"o{i}", d) for i, d in enumerate(dims))
     bases = {o.id: random_invertible(rng, field, o.dim) for o in objects}
     gens, matchings = [], []
-    for k in range(rng.randint(1, 4)):
+    for k in range(rng.randint(1, max_maps)):
         a, b = rng.randrange(len(dims)), rng.randrange(len(dims))
         pairs = list(zip(rng.sample(range(dims[b]), dims[b]), range(dims[a])))
         coords = [[field.zero] * dims[a] for _ in range(dims[b])]
@@ -290,6 +290,53 @@ def test_closure_on_matchings_matches_subspace_closure():
                     p.elements, p.leq, p.covers, p.meet_table
                 )
     assert stopped >= 10
+
+
+def test_a_stopped_round_is_undone():
+    """Where the element limit stops a closure in step 1 (an image or a
+    preimage offer) or in step 2 (a meet offer), the round is undone, and
+    the part handed over is the one the round limit hands over where it
+    stops the same closure after the rounds completed, on subspaces and on
+    bitmasks.  It is None exactly where that part passes the element limit,
+    and ``build_poset`` validates it otherwise.  Every limit below the
+    largest flag of the input is tried."""
+    rng = random.Random(5)
+    seen = set()
+    for n in range(240):
+        # a random representation, or random matchings closed on subspaces
+        # or on bitmasks
+        if n % 3 == 0:
+            rep, coordinates = random_representation(rng), None
+        else:
+            rep, coordinates = _matching_representation(rng, GF(3), 5, 2, 6)
+            if n % 3 == 1:
+                coordinates = None
+        try:
+            flag = compute_flag(rep, ClosureLimits(8, 200), coordinates=coordinates)
+        except ClosureDivergence:
+            continue
+        for cap in range(3, max(len(p) for p in flag.posets.values())):
+            with pytest.raises(ClosureDivergence) as exc:
+                compute_flag(rep, ClosureLimits(max_elements_per_object=cap), coordinates=coordinates)
+            part = exc.value.partial
+            step = "meet" if exc.value.detail["rule"] == "intersect" else "map"
+            rounds = exc.value.detail["rounds"] - 1  # those before the one it stopped in
+            with pytest.raises(ClosureDivergence) as exc:
+                compute_flag(rep, ClosureLimits(max_rounds=rounds), coordinates=coordinates)
+            ref = exc.value.partial
+            if part is None:
+                assert max(len(p) for p in ref.posets.values()) > cap
+                continue
+            seen.add((step, coordinates is None))
+            assert part.rounds == ref.rounds == rounds
+            assert part.to_json() == ref.to_json()
+            for oid, p in part.posets.items():
+                q = ref.posets[oid]
+                assert (p.elements, p.leq, p.covers, p.meet_table) == (
+                    q.elements, q.leq, q.covers, q.meet_table
+                )
+                assert build_poset(p.elements).meet_table == p.meet_table
+    assert seen == {(step, on_subspaces) for step in ("map", "meet") for on_subspaces in (True, False)}
 
 
 @st.composite
@@ -360,7 +407,7 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     planes is known from dimension and containment, and a preimage's key
     (its meet with the plane that is the map's image) is read off the
     round's meets, so the whole closure makes one intersection per pair of
-    planes; the meet closure of a stopped closure does the same.  The spy
+    planes, also where a limit stops it and its part is closed under meets.  The spy
     sits in ``linalg`` as well, where ``map_preimage`` would intersect.  The
     recorded meets still assemble the poset that intersecting every pair
     validates."""
@@ -390,11 +437,11 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     assert len(calls) == pairs
 
     # stopped before the lines reach the planes: the closure intersects the
-    # planes in round 2, and the meet closure of its part once more
+    # planes in round 2, and the meet closure of its part takes those meets
     calls.clear()
     with pytest.raises(ClosureDivergence) as exc:
         compute_flag(star, ClosureLimits(max_rounds=2))
-    assert len(calls) == 2 * pairs
+    assert len(calls) == pairs
 
     for flag_ in (result, exc.value.partial):
         for p in flag_.posets.values():
