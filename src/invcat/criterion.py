@@ -58,7 +58,6 @@ pair scores negative.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -119,7 +118,6 @@ class CriterionReport:
     mode_disagreements: int
     disagreement_examples: Tuple[CriterionValue, ...]
     saturated: bool
-    timing_ms: float
     # set when the closure stopped at a limit and the count refuted its part
     closure_note: Optional[str] = None
 
@@ -128,8 +126,6 @@ class CriterionReport:
         return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
-        # timing is deliberately left out: output bytes must be a function of
-        # input bytes and flags alone.
         doc = {
             "verdict": self.verdict,
             "mu_mode": self.mu_mode,
@@ -316,19 +312,18 @@ def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitnes
 
 def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionReport:
     """The refutation of an input whose closure stopped at a limit, where the
-    rank count fails on ``flag``: the meet closure of the elements the
-    completed rounds reached.
+    rank count fails on ``flag``: a meet-closed part, at one object, of the
+    elements the closure reached (``pipeline._refuting_part``).
 
-    An adapted basis of the final flag is adapted to every meet-closed
-    subfamily of it, so a count that fails on ``flag`` refutes the input
-    (a count that holds decides nothing, and ``pipeline.analyze`` raises the
-    divergence instead).  The report fails with the distributivity
-    witnesses and a note naming ``reason`` and the round.  The score is not
-    taken, so the report has no score witnesses and no mode disagreements.
+    Every reached element lies in the least fixpoint, and an adapted basis
+    of the final flag is adapted to every meet-closed subfamily of it, so a
+    count that fails on ``flag`` refutes the input.  The report fails with
+    the distributivity witnesses and a note naming ``reason`` and the round.
+    The score is not taken, so the report has no score witnesses and no mode
+    disagreements.
     """
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    start = time.perf_counter()
     return CriterionReport(
         passed=False,
         mu_mode=mode,
@@ -338,10 +333,9 @@ def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionRep
         mode_disagreements=0,
         disagreement_examples=(),
         saturated=False,
-        timing_ms=(time.perf_counter() - start) * 1000.0,
         closure_note=(
             f"closure stopped ({reason}); the rank count fails on the meet closure "
-            f"of the elements reached by round {flag.rounds}"
+            f"of elements reached by round {flag.rounds}"
         ),
     )
 
@@ -365,7 +359,6 @@ def check_representation(
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
     other_mode = "literal" if mode == "standard" else "standard"
-    start = time.perf_counter()
     witnesses: List[CriterionValue] = []
     disagreement_examples: List[CriterionValue] = []
     disagreements = 0
@@ -385,7 +378,6 @@ def check_representation(
                     if len(disagreement_examples) == 10:
                         break
     distributivity = [] if witnesses else _distributivity_witnesses(flag)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return CriterionReport(
         passed=not witnesses and not distributivity,
         mu_mode=mode,
@@ -395,5 +387,4 @@ def check_representation(
         mode_disagreements=disagreements,
         disagreement_examples=tuple(disagreement_examples),
         saturated=flag.saturated,
-        timing_ms=elapsed,
     )

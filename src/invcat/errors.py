@@ -57,14 +57,15 @@ class ElementNotInPoset(ToolError):
 class ClosureDivergence(ToolError):
     """Flag closure hit a limit before reaching a fixpoint.
 
-    ``partial`` is the meet closure of the elements the completed rounds
-    reached (a ``flag.FlagAssignment`` whose ``rounds`` counts them): the
-    closure undoes the round it stopped in and runs its meet step alone
-    until no meet is new.  It is None where that meet closure would itself
-    pass the element limit.  It is not part of the JSON report."""
+    ``reached`` maps each object id to the elements (``Subspace``s) the
+    closure reached, in order of arrival: the seeds first, and the elements
+    of the round it stopped in included.  All of them lie in the least
+    fixpoint, so ``pipeline.analyze`` takes the rank count on a part of them
+    and refutes the input where it fails.  ``reached`` is not part of the
+    JSON report."""
 
     code = "ClosureDivergence"
-    partial = None
+    reached = None
 
 
 class CriterionViolated(ToolError):

@@ -36,16 +36,12 @@ space, and the key is known).  A round runs in two steps:
 The offers, the ordinals and the witnesses are those of a round that
 intersects every key anew.
 
-When a limit stops the closure, the round it stopped in is undone: each
-object drops what the round added (the ordinals, Subspaces and meet rows
-past its count at the round's start).  Rounds of step 2 alone then run
-until no meet is new; the first records again each meet the stopped round
-recorded, and takes the keys its step 1 kept.  What they reach is the meet
-closure of the elements of the completed rounds, assembled from the meets
-already recorded and handed over with the ``ClosureDivergence`` (or None,
-where it passes the element limit), so that the pipeline can still refute
-the input by the rank count.  A closure stopped within a round hands over
-the part that the round limit would have handed over just before it.
+When a limit stops the closure, the ``ClosureDivergence`` carries, per
+object, every element reached so far in order of arrival (``reached``): the
+seeds first, and the elements of the round it stopped in included.  Each is
+a seed or follows by a rule from elements that arrived before it, so each
+lies in the least fixpoint, and ``pipeline.analyze`` can refute the input by
+the rank count on a part of them.
 
 The same loop runs on one of two kinds of element.  By default an element is
 a ``Subspace``, and the rules are ``map_image``, ``preimage_of_meet`` and
@@ -292,10 +288,9 @@ def compute_flag(
     closure runs on bitmasks of basis indices (see the module docstring); the
     result is the same.
 
-    Where a limit stops the closure, the round it stopped in is undone and
-    the meet step alone runs until no meet is new (see the module
-    docstring); the ``ClosureDivergence`` carries the result as ``partial``,
-    or None where it passes the element limit.
+    Where a limit stops the closure, the ``ClosureDivergence`` carries each
+    object's elements in order of arrival as ``reached`` (see the module
+    docstring).
     """
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
     seeds, images, preimages, meet, known_meet, subspace = (
@@ -328,7 +323,6 @@ def compute_flag(
     # (lower first) of the pair; the round's meet step takes them
     keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
-    completed = 0  # rounds whose elements are all in ``fam``
 
     def offer(oid: str, s: Element, rule: str, g: Optional[Generator],
               a: Element, b: Optional[Element] = None) -> int:
@@ -366,28 +360,25 @@ def compute_flag(
                 m = keyed[pair] = meet(b, im)
         return m
 
-    def close(offers: bool) -> None:
-        """Run rounds until one adds nothing; without ``offers``, each round
-        is the meet step alone.  Semi-naive: a round derives only from the
-        elements the previous one added; older combinations were offered."""
-        nonlocal rounds, completed
+    # rounds until one adds nothing.  Semi-naive: a round derives only from
+    # the elements the previous one added; older combinations were offered.
+    try:
         while True:
-            if offers:
-                if rounds >= limits.max_rounds:
-                    raise ClosureDivergence(
-                        f"no fixpoint after {limits.max_rounds} rounds",
-                        rule="rounds",
-                        rounds=rounds,
-                        sizes={oid: len(members) for oid, members in fam.items()},
-                    )
-                rounds += 1
-                # step 1: the image and preimage offers
-                for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
-                    for a in fresh[g.dom]:
-                        offer(g.cod, image_of(a), "image", g, a)
-                    for b in fresh[g.cod]:
-                        arg = b if ims is None else key(g.cod, b, ims[gi])
-                        offer(g.dom, preimage(arg), "preimage", g, b)
+            if rounds >= limits.max_rounds:
+                raise ClosureDivergence(
+                    f"no fixpoint after {limits.max_rounds} rounds",
+                    rule="rounds",
+                    rounds=rounds,
+                    sizes={oid: len(members) for oid, members in fam.items()},
+                )
+            rounds += 1
+            # step 1: the image and preimage offers
+            for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
+                for a in fresh[g.dom]:
+                    offer(g.cod, image_of(a), "image", g, a)
+                for b in fresh[g.cod]:
+                    arg = b if ims is None else key(g.cod, b, ims[gi])
+                    offer(g.dom, preimage(arg), "preimage", g, b)
             # step 2: the meet offers
             for oid, members in fam.items():
                 space = spaces[oid]
@@ -420,44 +411,20 @@ def compute_flag(
                             m = ka if known is a else ords[0]
                         record[hi][lo] = m
             if all(not added for added in new.values()):
-                return
+                break
             for oid, added in new.items():
                 fam[oid].update(added)
                 space = spaces[oid]
                 fresh[oid] = sorted(added, key=lambda s: space[s].sort_key)
                 added.clear()
-            if offers:
-                completed = rounds
-
-    def assemble(done: int) -> FlagAssignment:
-        return FlagAssignment(
-            posets={oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam},
-            provenance={
-                oid: {spaces[oid][s]: w for s, w in members.items()}
-                for oid, members in fam.items()
-            },
-            rounds=done,
-        )
-
-    try:
-        close(offers=True)
     except ClosureDivergence as stop:
-        # undo the round the limit stopped in (the round limit stops between
-        # rounds, with nothing to undo): drop what it added.  The meets it
-        # recorded are in the rows of the elements it found fresh, and the
-        # meet step records every entry of those rows again, taking the
-        # preimage keys the round left in ``keyed``.
-        for oid, members in fam.items():
-            new[oid].clear()
-            del meets[oid][len(members):]
-            while len(ordinal[oid]) > len(members):
-                ordinal[oid].popitem()
-                spaces[oid].popitem()
-        try:
-            close(offers=False)
-        except ClosureDivergence:
-            pass  # the meet closure passes the element limit: no partial
-        else:
-            stop.partial = assemble(completed)
+        stop.reached = {oid: list(space.values()) for oid, space in spaces.items()}
         raise
-    return assemble(rounds)
+    return FlagAssignment(
+        posets={oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam},
+        provenance={
+            oid: {spaces[oid][s]: w for s, w in members.items()}
+            for oid, members in fam.items()
+        },
+        rounds=rounds,
+    )

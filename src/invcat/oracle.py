@@ -138,22 +138,6 @@ def oracle_exists_family(
     return True, None
 
 
-def meet_closure(subspaces: List[Subspace]) -> List[Subspace]:
-    """Close a family under pairwise intersection (fixpoint)."""
-    members = {s for s in subspaces}
-    while True:
-        fresh = set()
-        items = sorted(members, key=lambda s: s.sort_key)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                m = sub_intersect(a, b)
-                if m not in members:
-                    fresh.add(m)
-        if not fresh:
-            return sorted(members, key=lambda s: s.sort_key)
-        members |= fresh
-
-
 def oracle_blockcode_basis(rep: Representation) -> bool:
     """Exhaustive search, over a finite field, for a blockcode basis: a basis
     at every object, taken up to scalars, whose lines every generator sends

@@ -34,12 +34,21 @@ respect the transported bases; where the count then fails on the saturated
 flag it is discarded, with a note, and the raw flag and its families are
 reported.  Failing inputs are never saturated.
 
-When the raw closure stops at a limit, the rank count is taken on the meet
-closure of the elements it reached, which the closure hands over with the
-``ClosureDivergence``.  Where the count fails there, the input is refuted
-(``criterion.refute_partial``): an adapted basis of the final flag would be
-adapted to that part too.  Only where it holds, or where that meet closure
-passes the element limit, is the ``ClosureDivergence`` raised.
+When the raw closure stops at a limit, the ``ClosureDivergence`` carries
+the elements it reached, all of which lie in the least fixpoint.  The meet
+closure of some of them at an object is therefore a meet-closed part of the
+final flag there, and an adapted basis of the final flag would be adapted to
+it, so a count that fails on it refutes the input
+(``criterion.refute_partial``).  A meet-closed family in dimension n on
+which the count holds consists of coordinate sets of an adapted basis, so it
+has at most 2^n elements.  So ``_refuting_part`` takes, at each object, the
+meet closure of the first min(k, 2^n + 1) of its k reached elements: for
+k > 2^n it has more than 2^n elements and fails the count, and for
+k <= 2^n + 1 it contains the meet closure of the elements of the rounds
+before the stopped one, so it fails wherever that does.  The first object,
+by dimension and then id, where the count fails refutes the input with that
+one-object part; an object whose part would pass the element limit is
+skipped.  Only where none fails is the ``ClosureDivergence`` raised.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from .criterion import (
 from .errors import ClosureDivergence, ValidationError
 from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
+from .poset import build_poset, meet_closure
 from .realize import ProjectionFamily, basis_inverse, realize_projections, transported_bases
 from .realize import pseudo_inverse_from_coordinates as make_pseudo_inverse
 from .rep import Generator, Representation
@@ -76,8 +86,8 @@ class Analysis:
     # per object, the adapted basis (columns) of ``realize.transported_bases``
     bases: Optional[Dict[str, Matrix]] = None
     saturation_note: Optional[str] = None
-    # set when the closure stopped at a limit; ``flag`` is then the meet
-    # closure of the part it reached, and ``report`` refutes the input
+    # set when the closure stopped at a limit; ``flag`` is then the
+    # one-object part (without provenance) that ``report`` refutes the input on
     stopped: Optional[ClosureDivergence] = None
 
     def _report(self, mode: str) -> CriterionReport:
@@ -102,6 +112,22 @@ class Analysis:
 
 def _count_holds(flag: FlagAssignment) -> bool:
     return all(rank_count_excess(p) is None for p in flag.posets.values())
+
+
+def _refuting_part(
+    rep: Representation, stop: ClosureDivergence, limit: int
+) -> Optional[FlagAssignment]:
+    """The one-object part of a stopped closure on which the rank count
+    refutes the input, or None (see the module docstring).  The reached
+    elements are dropped from ``stop``."""
+    reached, stop.reached = stop.reached, None
+    for o in sorted(rep.objects, key=lambda o: (o.dim, o.id)):
+        closed = meet_closure(reached[o.id][: 2 ** o.dim + 1], limit)
+        if closed is not None:
+            p = build_poset(closed)
+            if rank_count_excess(p) is not None:
+                return FlagAssignment({o.id: p}, {}, stop.detail["rounds"])
+    return None
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
@@ -169,9 +195,12 @@ def analyze(
     try:
         flag = compute_flag(rep, limits)
     except ClosureDivergence as stop:
-        if stop.partial is None or _count_holds(stop.partial):
+        part = _refuting_part(rep, stop, limits.max_elements_per_object)
+        if part is None:
             raise
-        return Analysis(rep, limits, mu_mode, stop.partial, passed=False, stopped=stop)
+        # the traceback holds the closure's frames and its whole meet record
+        stopped = stop.with_traceback(None)
+        return Analysis(rep, limits, mu_mode, part, passed=False, stopped=stopped)
     analysis = Analysis(rep, limits, mu_mode, flag, passed=_count_holds(flag))
     if analysis.passed:
         analysis.bases = transported_bases(rep, flag)

@@ -3,7 +3,8 @@
 A poset is assembled from its meet table: the order and the covers are read
 off it, with no containment test.  ``build_poset`` intersects every pair
 itself when given a bare family (and so validates meet-closure); the flag
-closure hands over the meets it computed while closing.
+closure hands over the meets it computed while closing.  ``meet_closure``
+closes a bare family under meets, up to an element limit.
 
 Two Moebius variants are kept side by side:
 
@@ -169,6 +170,24 @@ def build_poset(
         meet_table=tuple(tuple(r) for r in meet),
         _index=index,
     )
+
+
+def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[List[Subspace]]:
+    """The closure of a family under pairwise intersection, in ``sort_key``
+    order, or None where it has more than ``limit`` members.  Each member in
+    turn meets those before it, and a new meet joins at the end, so every
+    pair is intersected once."""
+    members = list(dict.fromkeys(subspaces))
+    seen = set(members)
+    for k, b in enumerate(members):  # reaches the members appended on the way
+        if limit is not None and len(members) > limit:
+            return None
+        for a in members[:k]:
+            m = sub_intersect(a, b)
+            if m not in seen:
+                seen.add(m)
+                members.append(m)
+    return sorted(members, key=lambda s: s.sort_key)
 
 
 @dataclass(frozen=True, eq=False)

@@ -330,6 +330,38 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "ClosureDivergence"
 
 
+def test_a_refuted_stop_is_stored_without_its_traceback(tmp_path):
+    """``analyze`` stores the stop it refutes without its traceback, which
+    holds the closure's frames and its whole meet record, and drops the
+    reached elements once the part is built."""
+    from invcat import analyze
+
+    analysis = analyze(parse_representation(Path(_shear(tmp_path)).read_bytes()))
+    assert analysis.stopped is not None and not analysis.passed
+    assert analysis.stopped.__traceback__ is None
+    assert analysis.stopped.reached is None
+
+
+def test_check_times_the_whole_command(capsys, tmp_path, monkeypatch):
+    """The stderr line of ``check`` times the analysis and the report
+    together, so a long closure that stops shows in it."""
+    import time
+
+    import invcat.cli
+
+    now = [100.0]
+    real = invcat.cli.analyze
+
+    def slow(*args, **kwargs):
+        now[0] += 2.5
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(invcat.cli, "analyze", slow)
+    assert main(["check", _shear(tmp_path)]) == 1
+    assert capsys.readouterr().err == "check: fail (2500.0 ms)\n"
+
+
 def test_oversized_input_is_refused_at_parse_time(capsys, tmp_path):
     """An object above ``MAX_OBJECT_DIM``, or more than ``MAX_TOTAL_ENTRIES``
     matrix entries (dim^2 per object plus each generator's), exits 2 with

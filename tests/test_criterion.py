@@ -23,6 +23,7 @@ from conftest import (
     conjugate_representation,
     direct_sum,
     interval_corpus_instance,
+    random_invertible,
 )
 
 ZERO2 = Subspace.zero(RATIONALS, 2)
@@ -341,7 +342,6 @@ def assert_scores_match_dense(p):
 def test_down_set_score_matches_dense_reference(rng):
     from invcat.criterion import poset_passes, rank_count_excess
     from invcat.linalg import image
-    from invcat.oracle import meet_closure
 
     from conftest import random_matrix, random_meet_closed_family
 
@@ -513,3 +513,30 @@ def test_check_representation_matches_value_reference(rng):
         negative_in_both += len(set(pairs)) < len(pairs)
     # the ten are cut from more, and some pairs are negative in both modes
     assert examples_cut > 0 and negative_in_both > 0
+
+
+def test_a_family_that_passes_the_count_has_at_most_2_to_the_n_elements():
+    """The bound by which a stopped closure is refuted: where the rank count
+    holds on a meet-closed family in dimension n, its elements are
+    coordinate sets of an adapted basis, so there are at most 2^n of them.
+    The families are meet closures, on GF(2) and GF(3) in dimension at most
+    3, of coordinate sets of a random basis and of a few random subspaces."""
+    from invcat.criterion import rank_count_excess
+
+    rng = random.Random(16)
+    passing = largest = 0
+    for _ in range(300):
+        field = rng.choice([GF(2), GF(3)])
+        n = rng.randint(1, 3)
+        cols = list(zip(*random_invertible(rng, field, n).entries))
+        masks = rng.sample(range(2 ** n), rng.randint(0, 2 ** n))
+        seeds = [Subspace.span(field, n, [c for j, c in enumerate(cols) if m >> j & 1]) for m in masks]
+        seeds += rng.sample(all_subspaces(field, n), rng.randint(0, 2))
+        p = build_poset(meet_closure([Subspace.zero(field, n), Subspace.full(field, n), *seeds]))
+        if rank_count_excess(p) is None:
+            passing += 1
+            assert len(p) <= 2 ** n
+            largest += len(p) == 2 ** n
+        else:
+            assert len(p) > 2  # some family in between fails
+    assert passing >= 100 and largest >= 20

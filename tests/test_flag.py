@@ -174,12 +174,11 @@ def test_element_limit_raises():
     assert exc.value.detail["partial_size"] > 2
 
 
-def test_limit_hands_over_the_meet_closed_part():
-    """At a limit the elements of the completed rounds are closed under
-    meets and handed over with the error; where that closure would itself
-    pass the element limit, nothing is."""
-    from invcat.criterion import rank_count_excess
-
+def test_limit_hands_over_the_reached_elements():
+    """At a limit the error carries each object's reached elements in order
+    of arrival, the seeds first and the elements of the stopped round
+    included: the first elements of the closure stopped later, or of the
+    finished one."""
     shear = Representation(
         RATIONALS,
         (RepObject("x", 2),),
@@ -188,15 +187,16 @@ def test_limit_hands_over_the_meet_closed_part():
             Generator("w", "x", "x", Matrix.build(RATIONALS, 2, 2, [[0, 0], [0, 1]])),
         ),
     )
-    with pytest.raises(ClosureDivergence) as exc:
-        compute_flag(shear, ClosureLimits(max_rounds=3))
-    part = exc.value.partial
-    assert part.rounds == 3
-    p = part.posets["x"]
-    build_poset(p.elements)  # intersects every pair: NotMeetClosed unless meet-closed
-    assert {s.dim for s in p.elements[1:-1]} == {1} and len(p) > 4
-    assert set(p.elements) == set(part.provenance["x"])
-    assert rank_count_excess(p) is not None
+    reached = []
+    for rounds in (3, 4):
+        with pytest.raises(ClosureDivergence) as exc:
+            compute_flag(shear, ClosureLimits(max_rounds=rounds))
+        assert exc.value.detail["sizes"] == {"x": len(exc.value.reached["x"])}
+        reached.append(exc.value.reached["x"])
+    three, four = reached
+    assert three[:2] == [Subspace.zero(RATIONALS, 2), Subspace.full(RATIONALS, 2)]
+    assert {s.dim for s in three[2:]} == {1} and len(set(three)) == len(three) > 4
+    assert four[: len(three)] == three and len(four) > len(three)
 
     field = GF(10007)
     planes = tuple(RepObject(f"p{i}", 2) for i in range(3))
@@ -210,11 +210,15 @@ def test_limit_hands_over_the_meet_closed_part():
                                       [[0, 0], [1, 0], [0, 1]]))
         ),
     )
-    assert compute_flag(star).posets["c"].elements[1].dim == 1  # the planes meet in lines
+    finished = compute_flag(star)
+    assert finished.posets["c"].elements[1].dim == 1  # the planes meet in lines
     with pytest.raises(ClosureDivergence) as exc:
         compute_flag(star, ClosureLimits(max_elements_per_object=6))
     assert exc.value.detail["rule"] == "intersect"
-    assert exc.value.partial is None
+    # the meet that passed the limit is handed over with the rest
+    for oid, elems in exc.value.reached.items():
+        assert elems == list(finished.provenance[oid])[: len(elems)]
+    assert len(exc.value.reached["c"]) == 7
 
 
 def test_flag_report_json(bisection):
@@ -266,7 +270,7 @@ def _matching_representation(rng, field, max_dim=3, max_objects=4, max_maps=4):
 def test_closure_on_matchings_matches_subspace_closure():
     """For maps that are matchings in given bases, the closure on bitmasks
     gives the subspace closure's flag, and stops at the same element limit
-    with the same partial flag."""
+    with the same reached elements."""
     rng = random.Random(11)
     stopped = 0
     for _ in range(150):
@@ -278,8 +282,7 @@ def test_closure_on_matchings_matches_subspace_closure():
                 with pytest.raises(ClosureDivergence) as exc:
                     compute_flag(rep, limits, coordinates=coordinates)
                 assert exc.value.detail == stop.detail
-                got, ref = exc.value.partial, stop.partial
-                assert (got and got.to_json()) == (ref and ref.to_json())
+                assert exc.value.reached == stop.reached
                 stopped += 1
                 continue
             got = compute_flag(rep, limits, coordinates=coordinates)
@@ -292,14 +295,14 @@ def test_closure_on_matchings_matches_subspace_closure():
     assert stopped >= 10
 
 
-def test_a_stopped_round_is_undone():
+def test_a_stopped_closure_hands_over_a_prefix_of_each_arrival_order():
     """Where the element limit stops a closure in step 1 (an image or a
-    preimage offer) or in step 2 (a meet offer), the round is undone, and
-    the part handed over is the one the round limit hands over where it
-    stops the same closure after the rounds completed, on subspaces and on
-    bitmasks.  It is None exactly where that part passes the element limit,
-    and ``build_poset`` validates it otherwise.  Every limit below the
-    largest flag of the input is tried."""
+    preimage offer) or in step 2 (a meet offer), on subspaces and on
+    bitmasks, each object's reached elements are the first ones, in order
+    of arrival, of the finished closure, and the object that stopped it
+    has one more than the limit.  Where the round limit stops it, they are
+    the elements of the rounds before.  Every limit below the largest flag
+    of the input is tried."""
     rng = random.Random(5)
     seen = set()
     for n in range(240):
@@ -315,28 +318,21 @@ def test_a_stopped_round_is_undone():
             flag = compute_flag(rep, ClosureLimits(8, 200), coordinates=coordinates)
         except ClosureDivergence:
             continue
+        arrival = {oid: list(members) for oid, members in flag.provenance.items()}
         for cap in range(3, max(len(p) for p in flag.posets.values())):
             with pytest.raises(ClosureDivergence) as exc:
                 compute_flag(rep, ClosureLimits(max_elements_per_object=cap), coordinates=coordinates)
-            part = exc.value.partial
-            step = "meet" if exc.value.detail["rule"] == "intersect" else "map"
-            rounds = exc.value.detail["rounds"] - 1  # those before the one it stopped in
+            stop = exc.value
+            seen.add((stop.detail["rule"] == "intersect", coordinates is None))
+            assert len(stop.reached[stop.detail["object"]]) == cap + 1
+            for oid, elems in stop.reached.items():
+                assert elems == arrival[oid][: len(elems)]
+        for rounds in range(flag.rounds):
             with pytest.raises(ClosureDivergence) as exc:
                 compute_flag(rep, ClosureLimits(max_rounds=rounds), coordinates=coordinates)
-            ref = exc.value.partial
-            if part is None:
-                assert max(len(p) for p in ref.posets.values()) > cap
-                continue
-            seen.add((step, coordinates is None))
-            assert part.rounds == ref.rounds == rounds
-            assert part.to_json() == ref.to_json()
-            for oid, p in part.posets.items():
-                q = ref.posets[oid]
-                assert (p.elements, p.leq, p.covers, p.meet_table) == (
-                    q.elements, q.leq, q.covers, q.meet_table
-                )
-                assert build_poset(p.elements).meet_table == p.meet_table
-    assert seen == {(step, on_subspaces) for step in ("map", "meet") for on_subspaces in (True, False)}
+            sizes = exc.value.detail["sizes"]
+            assert exc.value.reached == {oid: arrival[oid][: sizes[oid]] for oid in arrival}
+    assert seen == {(meet_step, on_subspaces) for meet_step in (False, True) for on_subspaces in (True, False)}
 
 
 @st.composite
@@ -407,10 +403,9 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     planes is known from dimension and containment, and a preimage's key
     (its meet with the plane that is the map's image) is read off the
     round's meets, so the whole closure makes one intersection per pair of
-    planes, also where a limit stops it and its part is closed under meets.  The spy
-    sits in ``linalg`` as well, where ``map_preimage`` would intersect.  The
-    recorded meets still assemble the poset that intersecting every pair
-    validates."""
+    planes, also where a limit stops it.  The spy sits in ``linalg`` as
+    well, where ``map_preimage`` would intersect.  The recorded meets still
+    assemble the poset that intersecting every pair validates."""
     import invcat.flag as flag
     import invcat.linalg as linalg
 
@@ -437,15 +432,17 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     assert len(calls) == pairs
 
     # stopped before the lines reach the planes: the closure intersects the
-    # planes in round 2, and the meet closure of its part takes those meets
+    # planes in round 2, and hands over the elements of both rounds
     calls.clear()
     with pytest.raises(ClosureDivergence) as exc:
         compute_flag(star, ClosureLimits(max_rounds=2))
     assert len(calls) == pairs
+    reached = exc.value.reached["c"]
+    assert reached == list(result.provenance["c"])[: len(reached)]
+    assert {s.dim for s in reached} == {0, 1, 2, 3}
 
-    for flag_ in (result, exc.value.partial):
-        for p in flag_.posets.values():
-            ref = build_poset(p.elements)
-            assert (p.elements, p.leq, p.covers, p.meet_table) == (
-                ref.elements, ref.leq, ref.covers, ref.meet_table
-            )
+    for p in result.posets.values():
+        ref = build_poset(p.elements)
+        assert (p.elements, p.leq, p.covers, p.meet_table) == (
+            ref.elements, ref.leq, ref.covers, ref.meet_table
+        )

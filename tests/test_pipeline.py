@@ -9,6 +9,7 @@ import pytest
 
 from invcat import (
     RATIONALS,
+    Subspace,
     ClosureLimits,
     Matrix,
     analyze,
@@ -16,12 +17,13 @@ from invcat import (
     decompose,
     image,
     kernel,
+    meet_closure,
     parse_representation,
     quiver_shape,
     verify_decomposition,
 )
 from invcat.errors import ClosureDivergence, ValidationError
-from invcat.pipeline import saturation_maps
+from invcat.pipeline import _refuting_part, saturation_maps
 from invcat.rep import Generator, RepObject, Representation
 
 from conftest import random_representation
@@ -162,6 +164,66 @@ def test_random_representations_never_crash(rng):
             decomposed += 1
     assert decomposed >= 20
     assert diverged >= 1
+
+
+def test_stopped_draws_are_refuted_by_the_bound():
+    """Draws 222 and 316 of ``random_representation`` at seed 7 pass the
+    element limit of ClosureLimits(8, 200) at objects of dimension 3.  The
+    meet closure of the first 2^3 + 1 elements one object reached already
+    breaks the rank count, and that one-object part refutes the input."""
+    rng = random.Random(7)
+    draws = [random_representation(rng) for _ in range(317)]
+    limits = ClosureLimits(8, 200)
+    for i in (222, 316):
+        with pytest.raises(ClosureDivergence) as exc:
+            compute_flag(draws[i], limits)
+        analysis = analyze(draws[i], limits)
+        report = analysis.report
+        assert not analysis.passed and not report.passed and report.witnesses == ()
+        assert f"by round {exc.value.detail['rounds']}" in report.closure_note
+        [(oid, part)] = analysis.flag.posets.items()
+        assert part.ambient_dim == 3
+        assert part.elements == tuple(meet_closure(exc.value.reached[oid][:9]))
+        [w] = report.distributivity_witnesses
+        assert w.object_id == oid
+
+
+def test_the_refuting_part_is_taken_by_dimension_within_the_limit():
+    """Objects are taken by dimension, then id; at each, the meet closure of
+    the first 2^n + 1 reached elements; an object whose prefix or closure
+    passes the element limit is skipped."""
+    q = RATIONALS
+
+    def span(n, *rows):
+        return Subspace.span(q, n, list(rows))
+
+    def seeds(n):
+        return [Subspace.zero(q, n), Subspace.full(q, n)]
+
+    rep = Representation(q, (RepObject("a", 3), RepObject("b", 3), RepObject("c", 2), RepObject("d", 1)), ())
+    reached = {
+        # three planes through one line: their meet closure has 6 elements
+        "a": seeds(3) + [span(3, [1, 0, 0], [0, 1, 0]), span(3, [1, 0, 0], [0, 0, 1]),
+                         span(3, [1, 0, 0], [0, 1, 1])],
+        # three lines in one plane: meet-closed, 5 elements
+        "b": seeds(3) + [span(3, [1, 0, 0]), span(3, [0, 1, 0]), span(3, [1, 1, 0])],
+        # four lines in the plane, of which the first three are taken
+        "c": seeds(2) + [span(2, [1, k]) for k in range(4)],
+        "d": seeds(1),
+    }
+
+    def part(limit):
+        stop = ClosureDivergence("stopped", rounds=5)
+        stop.reached = reached
+        found = _refuting_part(rep, stop, limit)
+        assert stop.reached is None
+        return found and {oid: len(p) for oid, p in found.posets.items()}
+
+    assert part(4096) == {"c": 5}
+    del reached["c"][2:]
+    assert part(4096) == part(6) == {"a": 6}
+    assert part(5) == {"b": 5}
+    assert part(4) is None
 
 
 def test_cli_deterministic_across_processes():

@@ -11,10 +11,11 @@ from invcat import (
     build_poset,
     export_dot,
     forward_sum,
+    meet_closure,
     mobius,
     mobius_invert,
 )
-from invcat.oracle import all_subspaces, meet_closure
+from invcat.oracle import all_subspaces
 
 from conftest import random_meet_closed_family
 
