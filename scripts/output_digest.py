@@ -12,6 +12,11 @@ certificate to check: the one ``decompose`` printed, or a corpus instance's
 decoy.  Two source trees that print the same digest for a seed gave the same
 stdout bytes and exit codes on every one of those runs.
 
+Every stdout is also checked against the writer's byte contract: it must
+equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
+newline.  The first output that does not stops the script with exit 1 and
+names the input and the command.
+
 ``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11,
 and CI diffs this script's output at both seeds against them.  A change that
 alters report bytes on purpose updates that file.
@@ -19,6 +24,7 @@ alters report bytes on purpose updates that file.
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +58,17 @@ def inputs(seed):
             yield inst.name, inst.data, inst.decoy_certificate
 
 
+def check_bytes(name, words, out):
+    """Stop unless ``out`` is ``json``'s own rendering of the document it
+    holds."""
+    try:
+        expected = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    except json.JSONDecodeError as e:
+        sys.exit(f"{name} {' '.join(words)}: stdout is not JSON ({e})")
+    if out != expected:
+        sys.exit(f"{name} {' '.join(words)}: stdout differs from json.dumps of its document")
+
+
 def digest(seed, workdir):
     h = hashlib.sha256()
     runs = 0
@@ -59,6 +76,7 @@ def digest(seed, workdir):
     def record(name, words, paths):
         nonlocal runs
         code, out, _ = run_cli(cli_main, [*words, *paths])
+        check_bytes(name, words, out)
         h.update(f"{name} {' '.join(words)} {code}\n".encode())
         h.update(out.encode())
         runs += 1

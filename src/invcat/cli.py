@@ -6,9 +6,12 @@ are identical run to run.  Timing goes to stderr only.
 
 Every report is written by :func:`invcat.jsontext.dumps`, whose output is
 byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: it builds
-each container's text with one ``str.join`` and renders each repeated basis
-(a list of rows of ints or strings) once per indent depth, which matters for
-refutations that print the same subspaces in hundreds of witnesses.
+each container's text with one ``str.join``.  Within one report it renders
+each shared basis tuple once per indent depth, found by identity, and each
+repeated basis of equal rows once per content; a dict's sorted key order
+and quoted key prefixes are laid out once per key set.  That matters for
+refutations that print the same subspaces in hundreds of witnesses, each a
+dict with the same four keys.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ pair scores negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
@@ -72,8 +72,14 @@ from .rep import Representation
 MU_MODES = ("standard", "literal")
 
 
-@dataclass(frozen=True)
-class CriterionValue:
+class CriterionValue(NamedTuple):
+    """One pair (b, c) at an object that scores negative in ``mu_mode``.
+
+    A refutation lists every such pair, about 1,700 on a star of 14 planes,
+    so a witness is a plain tuple, which is built faster than a frozen
+    dataclass.  It compares and hashes by its fields, and so equals a plain
+    tuple of the same fields."""
+
     object_id: str
     b: Subspace
     c: Subspace

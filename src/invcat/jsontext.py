@@ -5,13 +5,24 @@ byte for byte.  On CPython that call skips the C encoder whenever ``indent``
 is set and yields every scalar through a chain of Python generators; here
 each container's text is built with one ``str.join``.
 
-A report repeats the same subspaces many times (every criterion witness
-prints both of its bases).  A matrix -- a list of rows whose entries are
-exact ``int`` or ``str`` -- is therefore rendered once per content and
-indent depth and looked up in a memo that lives for one ``dumps`` call.  The
-memo is keyed by value, not identity, so callers keep handing out fresh
-lists; bools and floats are left out of it because they compare equal to
-ints (``True == 1``) yet print differently.
+A refutation prints the same few subspaces in hundreds of witnesses, each
+witness a dict with the same keys.  Three memos, each living for one
+``dumps`` call, render that repetition once per indent depth:
+
+* *by identity*: a ``tuple`` is rendered once per ``(id, depth)``.  The memo
+  holds the tuple, so no id is reused within the call, and nothing in the
+  document changes while it is written.  Every witness hands out the same
+  cached ``Subspace.json_rows()`` tuples, which are then neither scanned nor
+  hashed again.
+* *by value*: a matrix -- a list of rows whose entries are exact ``int`` or
+  ``str`` -- is rendered once per content, so callers may hand out fresh
+  lists.  Bools and floats are left out of it because they compare equal to
+  ints (``True == 1``) yet print differently.
+* *by key set*: a ``dict`` whose keys are all exact ``str`` takes its sorted
+  key order and the pre-quoted ``{``/``,`` + newline + ``"key": `` prefixes
+  from a memo keyed by its keys in insertion order.  Other keys are never
+  stored, for the same reason as bools in rows: ``1``, ``True`` and ``1.0``
+  are equal keys that print differently.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from typing import Any, Dict, List, Tuple
 _INDENT = "  "
 _ROW_TYPES = frozenset((list, tuple))
 _ENTRY_TYPES = frozenset((int, str))
+_KEY_TYPES = frozenset((str,))
 
 
 def dumps(doc: Any) -> str:
@@ -52,10 +64,16 @@ def _block(parts: List[str], depth: int, brackets: str) -> str:
 
 
 class _Render:
-    """One ``dumps`` call: the matrix memo, keyed by (rows, depth)."""
+    """One ``dumps`` call and its three memos (see the module docstring)."""
 
     def __init__(self) -> None:
+        # (id, depth) -> (the tuple, kept alive, and its text)
+        self.by_id: Dict[Tuple[int, int], Tuple[tuple, str]] = {}
+        # (rows, depth) -> text
         self.memo: Dict[Tuple[tuple, int], str] = {}
+        # (keys in insertion order, depth) -> (sorted keys, one prefix per
+        # key, the closing line)
+        self.layouts: Dict[Tuple[tuple, int], Tuple[List[str], List[str], str]] = {}
 
     def value(self, o: Any, depth: int) -> str:
         t = type(o)
@@ -63,6 +81,15 @@ class _Render:
             return _quote(o)
         if t is int:
             return int.__repr__(o)
+        if t is tuple:
+            hit = self.by_id.get((id(o), depth))
+            if hit is None:
+                hit = self.by_id[id(o), depth] = (o, self.array(o, depth))
+            return hit[1]
+        if t is dict:
+            return self.object(o, depth)
+        if t is list:
+            return self.array(o, depth)
         if o is None:
             return "null"
         if o is True:
@@ -72,7 +99,7 @@ class _Render:
         if isinstance(o, (list, tuple)):
             return self.array(o, depth)
         if isinstance(o, dict):
-            return self.object(o, depth)
+            return self.sorted_object(o, depth)
         return json.dumps(o)  # str and int subclasses, floats; TypeError otherwise
 
     def array(self, o, depth: int) -> str:
@@ -92,7 +119,29 @@ class _Render:
             text = self.memo[key] = _block(lines, depth, "[]")
         return text
 
-    def object(self, o, depth: int) -> str:
+    def object(self, o: dict, depth: int) -> str:
+        """A plain dict: by its layout where every key is an exact ``str``."""
+        if not o:
+            return "{}"
+        keys = tuple(o)
+        layout = self.layouts.get((keys, depth))
+        if layout is None:
+            if not _KEY_TYPES.issuperset(map(type, keys)):
+                return self.sorted_object(o, depth)
+            order = sorted(keys)
+            nl = "\n" + _INDENT * (depth + 1)
+            prefixes = ["{" + nl + _quote(order[0]) + ": "]
+            prefixes += ["," + nl + _quote(k) + ": " for k in order[1:]]
+            layout = self.layouts[keys, depth] = (order, prefixes, "\n" + _INDENT * depth + "}")
+        order, prefixes, close = layout
+        parts = []
+        for prefix, k in zip(prefixes, order):
+            parts += (prefix, self.value(o[k], depth + 1))
+        parts.append(close)
+        return "".join(parts)
+
+    def sorted_object(self, o, depth: int) -> str:
+        """Any dict, its items sorted as ``json`` sorts them."""
         if not o:
             return "{}"
         parts = [_quote(_key(k)) + ": " + self.value(v, depth + 1) for k, v in sorted(o.items())]

@@ -173,11 +173,15 @@ def _saturate(
     """Close the passing flag under the pseudo-inverses read off ``bases``, on
     bitmasks where every generator is a matching in the bases.  Returns the
     flag to report, the pseudo-inverses and an optional note.
+
+    On bitmasks every saturated element is a coordinate set of ``bases`` and
+    the family is meet-closed, so the rank count holds by construction and
+    is not taken; on subspaces it decides whether the flag is kept.
     """
     pseudo_inverses, extra, coordinates = saturation_maps(rep, bases)
     saturated = compute_flag(rep, limits, extra_maps=extra, coordinates=coordinates)
     saturated.saturated = True
-    if not _count_holds(saturated):
+    if coordinates is None and not _count_holds(saturated):
         # The bases were not coherent across a cycle; enrichment would flip
         # the verdict, so it is dropped.  The raw-flag verdict stands.
         return flag, pseudo_inverses, "saturation discarded: enlarged flag goes criterion-negative"

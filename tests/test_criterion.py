@@ -114,6 +114,34 @@ def test_report_json_shape(trisection):
     assert doc["witnesses"][0]["object"] == "center"
 
 
+def test_criterion_value_compares_and_hashes_by_its_fields():
+    from invcat.criterion import CriterionValue
+
+    v = CriterionValue("center", FULL2, X_AXIS, -1, "standard")
+    w = CriterionValue(object_id="center", b=FULL2, c=X_AXIS, value=-1, mu_mode="standard")
+    assert (v.object_id, v.b, v.c, v.value, v.mu_mode) == ("center", FULL2, X_AXIS, -1, "standard")
+    assert v == w and hash(v) == hash(w)
+    # an equal Subspace built anew is the same field
+    assert v == CriterionValue("center", FULL2, Subspace.span(RATIONALS, 2, [[2, 0]]), -1, "standard")
+    changed = [
+        CriterionValue("p0", FULL2, X_AXIS, -1, "standard"),
+        CriterionValue("center", DIAG, X_AXIS, -1, "standard"),
+        CriterionValue("center", FULL2, Y_AXIS, -1, "standard"),
+        CriterionValue("center", FULL2, X_AXIS, -2, "standard"),
+        CriterionValue("center", FULL2, X_AXIS, -1, "literal"),
+    ]
+    assert all(u != v for u in changed)
+    assert len({v, w, *changed}) == 6
+    with pytest.raises(AttributeError):
+        v.value = 0
+    assert v.to_json() == {
+        "object": "center",
+        "b_basis": FULL2.json_rows(),
+        "c_basis": X_AXIS.json_rows(),
+        "value": -1,
+    }
+
+
 def test_direct_sums_of_blockcodes_pass(rng):
     for _ in range(10):
         rep, _ = interval_corpus_instance(rng)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -65,3 +66,63 @@ def test_unsupported_values_raise_type_error(bad):
         reference(bad)
     with pytest.raises(TypeError):
         dumps(bad)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_equal_keys_that_print_differently_render_apart(order):
+    # 1 == True == 1.0 as dict keys, yet they print "1", "true" and "1.0";
+    # siblings at one depth, in either order, each keep their own text
+    siblings = [{1: "a"}, {True: "a"}, {1.0: "a"}, {None: "a"}, {"1": "a"}, {"true": "a"}]
+    doc = {"s": siblings[::order], "n": [{"x": d} for d in siblings[::order]]}
+    assert dumps(doc) == reference(doc)
+
+
+def test_a_key_set_in_different_insertion_orders():
+    doc = [
+        {"b": 1, "a": 2, "c": 3},
+        {"a": 4, "c": 5, "b": 6},
+        {"c": {"b": 7, "a": 8}, "a": {"a": 9, "b": 10}, "b": [{"b": 11, "a": 12}]},
+        {"b": 13, "a": 14, "c": 15},
+    ]
+    assert dumps(doc) == reference(doc)
+
+
+def test_one_tuple_at_three_depths_under_several_parents():
+    basis = ((1, 0, -3), (0, 1, 2))
+    mixed = (1, "x", None, True, 2.5, basis)
+    doc = {
+        "a": basis,
+        "b": [basis, {"c": basis, "m": mixed}],
+        "d": [[basis, mixed]],
+        "e": (basis, basis, mixed),
+        "m": mixed,
+    }
+    assert dumps(doc) == reference(doc)
+
+
+def test_a_tuple_that_holds_a_list():
+    inner = [1, [2, "y"]]
+    held = (inner, {"k": inner}, ())
+    doc = {"a": held, "b": [held, [held]], "c": (held, inner)}
+    assert dumps(doc) == reference(doc)
+
+
+def test_a_refuted_star_report():
+    """A star of 8 random planes in GF(10007)^3: the refutation lists every
+    negative pair, each printing the same bases again."""
+    from invcat import GF, analyze
+    from invcat.rep import Generator, RepObject, Representation
+
+    from conftest import random_matrix
+
+    rng = random.Random(8)
+    field = GF(10007)
+    objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(8))
+    gens = tuple(
+        Generator(f"g{i}", f"p{i}", "center", random_matrix(rng, field, 3, 2))
+        for i in range(8)
+    )
+    report = analyze(Representation(field, objs, gens)).report
+    assert not report.passed and len(report.witnesses) > 100
+    doc = report.to_json()
+    assert dumps(doc) == reference(doc)

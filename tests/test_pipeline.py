@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcat import (
     RATIONALS,
@@ -23,10 +25,10 @@ from invcat import (
     verify_decomposition,
 )
 from invcat.errors import ClosureDivergence, ValidationError
-from invcat.pipeline import _refuting_part, saturation_maps
+from invcat.pipeline import _count_holds, _refuting_part, saturation_maps
 from invcat.rep import Generator, RepObject, Representation
 
-from conftest import random_representation
+from conftest import interval_corpus_instance, random_representation
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -290,6 +292,32 @@ def test_bitmask_saturation_matches_subspace_closure():
         got = compute_flag(rep, limits, extra_maps=extra, coordinates=coordinates)
         _assert_same_flag(got, ref)
     assert on_masks["tree"] >= 300 and on_masks["cyclic"] >= 100
+
+
+@st.composite
+def saturating_inputs(draw):
+    """Random representations (trees and cyclic quivers) and interval sums on
+    A_n quivers over Q."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return random_representation(rng)
+    return interval_corpus_instance(rng)[0]
+
+
+@given(saturating_inputs())
+@settings(max_examples=200, deadline=None)
+def test_bitmask_saturation_keeps_the_count(rep):
+    """A flag saturated on bitmasks is a meet-closed family of coordinate
+    sets, so the rank count holds on it, which is why ``_saturate`` does not
+    take it there."""
+    try:
+        a = analyze(rep, ClosureLimits(max_rounds=8, max_elements_per_object=200))
+    except ClosureDivergence:
+        return
+    if not a.passed or saturation_maps(rep, a.bases)[2] is None:
+        return
+    assert a.flag.saturated and a.saturation_note is None
+    assert _count_holds(a.flag)
 
 
 # draw 138 of random_representation at seed 7: an invertible loop, so its
