@@ -14,8 +14,11 @@ nonnegative everywhere while no multiplicative projection family exists, and
 only the rank count refutes them.  On the tree quivers (see
 ``small_tree_representations`` in tests/conftest.py), the verdict must pass
 exactly where a blockcode basis exists, and every pass must decompose to a
-certificate that ``verify_decomposition`` accepts.  Every disagreement is
-printed, and the exit status is 1 when there is any, 0 otherwise.
+certificate that ``verify_decomposition`` accepts, have projection families
+that pass the exhaustive ``verify_projection_family``, and have an envelope
+that ``verify_envelope`` closes within its limits with a pseudo-inverse for
+every morphism.  Every disagreement is printed, and the exit status is 1
+when there is any, 0 otherwise.
 
 Usage: python scripts/oracle_sweep.py [--samples N] [--seed S]
 """
@@ -44,6 +47,7 @@ from invcat import (  # noqa: E402
     oracle_exists_family,
     realize_projections,
     verify_decomposition,
+    verify_envelope,
     verify_projection_family,
 )
 from invcat.criterion import poset_passes  # noqa: E402
@@ -71,6 +75,25 @@ def decomposed(rep, analysis):
         return verify_decomposition(rep, decompose(rep, analysis=analysis)).ok
     except ToolError:
         return False
+
+
+def constructed(rep, analysis):
+    """The defects of a passing representation's constructions: families
+    that fail the exhaustive check, and an envelope that is bounded, raises
+    ``AxiomViolation`` or lacks a pseudo-inverse."""
+    defects = [
+        f"family {oid}: {problem}"
+        for oid, fam in sorted(analysis.families.items())
+        for problem in verify_projection_family(fam.poset, fam.projections)
+    ]
+    try:
+        env = verify_envelope(rep, analysis.families, analysis.pseudo_inverses)
+    except ToolError as e:
+        return defects + [f"envelope: {e.code}: {e.message}"]
+    if env.bounded or not env.all_have_pseudo_inverse:
+        defects.append(f"envelope: bounded={env.bounded} "
+                       f"all_have_pseudo_inverse={env.all_have_pseudo_inverse}")
+    return defects
 
 
 def main():
@@ -103,10 +126,12 @@ def main():
         a = analyze(rep)
         orc = oracle_blockcode_basis(rep)
         certified = decomposed(rep, a) if a.report.passed else None
-        if a.report.passed != orc or certified is False:
+        defects = constructed(rep, a) if a.report.passed else []
+        if a.report.passed != orc or certified is False or defects:
             tree_mismatches += 1
             print(f"[tree] criterion={a.report.passed} oracle={orc} "
-                  f"certified={certified} rep={json.dumps(rep.to_json())}")
+                  f"certified={certified} defects={defects} "
+                  f"rep={json.dumps(rep.to_json())}")
     print(f"{tree_mismatches}/{trees} tree disagreements in {time.time() - start:.1f} s")
     return 1 if mismatches or tree_mismatches else 0
 

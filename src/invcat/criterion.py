@@ -361,7 +361,9 @@ def check_representation(
     the witnesses and those ten.
 
     When no pair scores negative, the rank count is taken at every object and
-    each object where it fails contributes one distributivity witness."""
+    each object where it fails contributes one distributivity witness; a
+    flag closed on bitmasks passes it by construction, and it is not taken
+    there."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
     other_mode = "literal" if mode == "standard" else "standard"
@@ -383,7 +385,9 @@ def check_representation(
                     disagreement_examples.append(example)
                     if len(disagreement_examples) == 10:
                         break
-    distributivity = [] if witnesses else _distributivity_witnesses(flag)
+    # a flag closed on bitmasks is a meet-closed family of coordinate sets,
+    # on which the count holds by construction
+    distributivity = [] if witnesses or flag.masks is not None else _distributivity_witnesses(flag)
     return CriterionReport(
         passed=not witnesses and not distributivity,
         mu_mode=mode,

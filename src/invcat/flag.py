@@ -56,7 +56,9 @@ sort key, the provenance sources and the reported form.  Only the
 ``Subspace`` kind records known meets without offering them and keeps the
 keys of its preimages (a mask's preimage is one pass over its bits); an
 offer of a known element adds nothing, so both kinds add the same elements
-in the same order and give the same flag.
+in the same order and give the same flag.  A flag closed on bitmasks also
+hands out its coordinates and each element's mask (``FlagAssignment.masks``),
+off which ``pipeline.build_families`` reads the projections.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ class FlagAssignment:
     provenance: Dict[str, Dict[Subspace, Witness]]
     rounds: int
     saturated: bool = False
+    # set by a closure on bitmasks: its coordinates, and per object the
+    # bitmask of each poset element, in element order
+    coordinates: Optional[BasisCoordinates] = None
+    masks: Optional[Dict[str, Tuple[int, ...]]] = None
 
     @property
     def total_elements(self) -> int:
@@ -220,11 +226,13 @@ class BasisCoordinates(NamedTuple):
 
     ``bases[oid]`` holds a basis of object oid as its columns; ``matchings``
     has one entry per map, the generators first and then the extra maps, in
-    the order ``compute_flag`` takes them.
+    the order ``compute_flag`` takes them.  ``inverses``, where the caller
+    has them, holds each basis's inverse; the closure does not read them.
     """
 
     bases: Dict[str, Matrix]
     matchings: Tuple[Matching, ...]
+    inverses: Optional[Dict[str, Matrix]] = None
 
 
 Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
@@ -286,7 +294,7 @@ def compute_flag(
     touching the representation itself; the pipeline uses this to saturate a
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
     closure runs on bitmasks of basis indices (see the module docstring); the
-    result is the same.
+    result is the same, and carries ``coordinates`` and each element's mask.
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
@@ -420,11 +428,20 @@ def compute_flag(
     except ClosureDivergence as stop:
         stop.reached = {oid: list(space.values()) for oid, space in spaces.items()}
         raise
+    posets = {oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam}
+    masks = None
+    if coordinates is not None:
+        masks = {}
+        for oid, p in posets.items():
+            mask_of = {s: mask for mask, s in spaces[oid].items()}
+            masks[oid] = tuple(mask_of[s] for s in p.elements)
     return FlagAssignment(
-        posets={oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam},
+        posets=posets,
         provenance={
             oid: {spaces[oid][s]: w for s, w in members.items()}
             for oid, members in fam.items()
         },
         rounds=rounds,
+        coordinates=coordinates,
+        masks=masks,
     )

@@ -234,20 +234,42 @@ class Matrix:
     # --- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        self._check_product(other)
+        d, rows, _ = self._ints()
+        e, _, cols = other._ints()
+        return self._product(other.cols, d * e, rows, cols)
+
+    def through(self, other: "Matrix", keep: Sequence[int]) -> "Matrix":
+        """``self[:, keep] @ other[keep, :]``, the product through the inner
+        indices ``keep`` alone, sliced from the integer forms.  For a basis B
+        and a set S of its indices, ``B.through(B^-1, S)`` is the coordinate
+        projection B[:, S] B^-1[S, :]."""
+        self._check_product(other)
+        d, rows, _ = self._ints()
+        e, _, cols = other._ints()
+        rows = [[r[k] for k in keep] for r in rows]
+        cols = [[c[k] for k in keep] for c in cols]
+        return self._product(other.cols, d * e, rows, cols)
+
+    def _check_product(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise ValidationError("cannot multiply matrices over different fields")
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        d, rows, _ = self._ints()
-        e, _, cols = other._ints()
+
+    def _product(
+        self, ncols: int, d: int, rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+    ) -> "Matrix":
+        """The self.rows x ``ncols`` matrix of the dot products of integer
+        ``rows`` and ``cols``, over the denominator ``d``."""
         p = self.field.p
         if p is None:
             grid = [[sum(map(mul, r, c)) for c in cols] for r in rows]
-            return _rational_matrix(self.field, self.rows, other.cols, grid, d * e)
+            return _rational_matrix(self.field, self.rows, ncols, grid, d)
         ent = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
-        return Matrix(self.field, self.rows, other.cols, ent)
+        return Matrix(self.field, self.rows, ncols, ent)
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """``self + sign * other``."""

@@ -19,13 +19,19 @@ those pseudo-inverses as extra maps.  The saturated flag is what gets
 reported; it is the family of images reachable in the generated envelope,
 which is what published worked examples depict.
 
-Each object's basis inverse is computed once and gives every generator's
+Every object's basis inverse is computed once; it gives every generator's
 matrix in the bases, from which its pseudo-inverse is read.  When each of
 those matrices has at most one nonzero entry per row and per column, every
 generator is a partial matching of basis indices, and its pseudo-inverse
 the transposed matching; every saturated element is then spanned by basis
 vectors, and the saturation closure runs on bitmasks of basis indices
-(``flag.BasisCoordinates``).  The bases are transported along a spanning
+(``flag.BasisCoordinates``).  The saturated flag then carries the bases,
+their inverses and each element's mask, and stays in those coordinates to
+the end of the passing path: its report takes no rank count (it holds by
+construction), each projection is read off its element's mask
+(``build_families``), and the families hand the bases and inverses to
+``realize.verify_envelope``, which closes the envelope on monomial maps in
+them.  The bases are transported along a spanning
 forest of the quiver, so that always holds on a cycle-free quiver, where the
 bases stay adapted and the saturated flag passes.  Otherwise the saturation
 closure runs on subspaces, with the same result wherever both apply.  On a
@@ -68,7 +74,13 @@ from .errors import ClosureDivergence, ValidationError
 from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
 from .poset import build_poset, meet_closure
-from .realize import ProjectionFamily, basis_inverse, realize_projections, transported_bases
+from .realize import (
+    ProjectionFamily,
+    basis_inverse,
+    mask_projections,
+    realize_projections,
+    transported_bases,
+)
 from .realize import pseudo_inverse_from_coordinates as make_pseudo_inverse
 from .rep import Generator, Representation
 
@@ -131,10 +143,24 @@ def _refuting_part(
 
 
 def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
-    """Projection families of a passing flag, one per object, each read off
-    the adapted basis of ``criterion.adapted_complements``."""
+    """Projection families of a passing flag, one per object: on a flag
+    saturated on bitmasks each is read off the masks of its elements in the
+    flag's bases (``realize.mask_projections``), otherwise off the adapted
+    basis of ``criterion.adapted_complements`` (``realize_projections``)."""
+    if flag.masks is None:
+        return {
+            oid: realize_projections(flag.posets[oid], object_id=oid)
+            for oid in sorted(flag.posets)
+        }
+    bases, _, inverses = flag.coordinates
     return {
-        oid: realize_projections(flag.posets[oid], object_id=oid)
+        oid: mask_projections(
+            flag.posets[oid],
+            flag.masks[oid],
+            bases[oid],
+            None if inverses is None else inverses[oid],
+            oid,
+        )
         for oid in sorted(flag.posets)
     }
 
@@ -144,9 +170,10 @@ def saturation_maps(
 ) -> Tuple[Dict[str, Matrix], Tuple[Generator, ...], Optional[BasisCoordinates]]:
     """The pseudo-inverses read off ``bases``, the maps g† that adjoin them to
     the closure, and the ``BasisCoordinates`` of the generators and the g†,
-    or None unless every generator's matrix in ``bases`` is a matching."""
-    codomains = {g.cod for g in rep.generators}
-    inverses = {o.id: basis_inverse(bases[o.id]) for o in rep.objects if o.id in codomains}
+    or None unless every generator's matrix in ``bases`` is a matching.
+    Every basis is inverted once; the coordinates hand the inverses on to
+    the families."""
+    inverses = {o.id: basis_inverse(bases[o.id]) for o in rep.objects}
     coords = {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
     pseudo_inverses = {
         g.id: make_pseudo_inverse(coords[g.id], bases[g.dom], inverses[g.cod])
@@ -160,7 +187,9 @@ def saturation_maps(
     coordinates = None
     if None not in matchings:
         # a pseudo-inverse's matrix in the bases is the inverse matching
-        coordinates = BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
+        coordinates = BasisCoordinates(
+            bases, tuple(matchings + [m.dagger for m in matchings]), inverses
+        )
     return pseudo_inverses, extra, coordinates
 
 

@@ -1,14 +1,18 @@
 """Constructive side: adapted bases, commuting multiplicative projection
 families and pseudo-inverses.
 
-A family is read off the adapted basis of the flag: the complements C_b of
-``criterion.adapted_complements``, the same construction the rank count
-measures.  Each projection keeps the coordinates of the C_x below its target
-and zeroes the rest, so the family axioms hold by construction once the
-basis is invertible and each target gets as many coordinates as its
-dimension; those two facts are checked.  ``verify_projection_family`` is the
-exhaustive check of the axioms, kept as the reference for the oracle and the
-tests.
+A family is read off an adapted basis of the flag: each projection keeps the
+basis coordinates of its target and zeroes the rest, pi_c = B[:, S_c]
+B^-1[S_c, :], so the family axioms hold once the basis is invertible and
+every element is the span of its coordinates.  On a flag of coordinate sets
+(saturated on bitmasks, see ``flag.BasisCoordinates``) the basis is the
+flag's own and S_c is c's mask (``mask_projections``).  Otherwise it is the
+first-fit basis of the complements C_b of ``criterion.adapted_complements``,
+the same construction the rank count measures, with S_c the coordinates of
+the C_x below c; that the basis is invertible and that each target gets as
+many coordinates as its dimension is checked (``realize_projections``).
+``verify_projection_family`` is the exhaustive check of the axioms, kept as
+the reference for the oracle and the tests.
 
 ``transported_bases`` picks one adapted basis per object for a whole
 representation: it carries one object's basis along a spanning forest, so
@@ -17,15 +21,24 @@ basis vectors to basis vectors or to zero.  A pseudo-inverse is read off the
 bases at the two ends of its generator in closed form, from the generator's
 matrix in those bases; where that matrix is a partial matching the
 pseudo-inverse is the inverse matching.
+
 The envelope is closed one generator or pseudo-inverse at a time, as a set
 of morphisms per hom-set; once its idempotents commute, pseudo-inverses need
-checking only at the generators, by induction on the word (``verify_envelope``).
+checking only at the generators, by induction on the word.  Conjugation by
+the families' bases is a faithful functor, so the closure may run in those
+bases; where every generator and pseudo-inverse is monomial there, it runs
+on monomial maps (partial bijections of basis vectors, scaled), the
+Wagner-Preston form of the envelope, and otherwise on matrices
+(``verify_envelope``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import matmul
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .criterion import adapted_complements
 from .errors import (
@@ -34,7 +47,7 @@ from .errors import (
     CriterionViolated,
     ValidationError,
 )
-from .fields import Field
+from .fields import Field, Scalar
 from .flag import FlagAssignment
 from .linalg import (
     Matrix,
@@ -63,6 +76,16 @@ class ProjectionFamily:
     poset: SubspacePoset
     projections: Dict[Subspace, Matrix]
     basis: Matrix
+    # the inverse of ``basis`` where its builder had it; see ``inverse``
+    _inverse: Optional[Matrix] = None
+
+    @property
+    def inverse(self) -> Matrix:
+        """The inverse of ``basis``, computed on first read unless the
+        family's builder supplied it."""
+        if self._inverse is None:
+            self._inverse = basis_inverse(self.basis)
+        return self._inverse
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +142,20 @@ def _column_matrix(field: Field, n: int, vectors: Sequence[Vector]) -> Matrix:
     return Matrix(field, n, len(vectors), tuple(zip(*vectors)) if vectors else ((),) * n)
 
 
+def _coordinate_family(
+    p: SubspacePoset,
+    object_id: str,
+    basis: Matrix,
+    inv: Matrix,
+    keeps: Sequence[Sequence[int]],
+) -> ProjectionFamily:
+    """The family whose projection onto the element c of ``p`` keeps the
+    basis coordinates S_c = ``keeps[c's index]`` and zeroes the rest:
+    pi_c = B[:, S_c] B^-1[S_c, :], with B = ``basis`` and B^-1 = ``inv``."""
+    projections = {c: basis.through(inv, keep) for c, keep in zip(p.elements, keeps)}
+    return ProjectionFamily(object_id, p, projections, basis, _inverse=inv)
+
+
 def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFamily:
     """Build the projection family of one object's flag poset from its
     adapted basis.
@@ -138,16 +175,15 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
         raise CriterionViolated(
             f"criterion fails on flag({object_id or '?'}); no projection family exists"
         )
-    field = p.field
     cols = [v for c in comps for v in c.basis]
     owner = [bi for bi, c in enumerate(comps) for _ in c.basis]
-    basis = _column_matrix(field, n, cols)
+    basis = _column_matrix(p.field, n, cols)
     inv = inverse(basis)
     if inv is None:
         raise ConstructionFailure(
             f"adapted basis is singular at object {object_id!r}", object=object_id
         )
-    projections: Dict[Subspace, Matrix] = {}
+    keeps = []
     for ci, c in enumerate(p.elements):
         keep = [k for k in range(n) if p.leq[owner[k]][ci]]
         if len(keep) != c.dim:
@@ -156,17 +192,36 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
                 f"element at object {object_id!r}",
                 object=object_id,
             )
-        left = Matrix(field, n, c.dim, tuple(tuple(r[k] for k in keep) for r in basis.entries))
-        right = Matrix(field, c.dim, n, tuple(inv.entries[k] for k in keep))
-        projections[c] = left @ right
-    return ProjectionFamily(object_id=object_id, poset=p, projections=projections, basis=basis)
+        keeps.append(keep)
+    return _coordinate_family(p, object_id, basis, inv, keeps)
+
+
+def mask_projections(
+    p: SubspacePoset,
+    masks: Sequence[int],
+    basis: Matrix,
+    inv: Optional[Matrix] = None,
+    object_id: str = "",
+) -> ProjectionFamily:
+    """The projection family of a poset of coordinate sets, read off their
+    masks: ``masks[i]`` holds the basis indices (the columns of ``basis``)
+    that span element i.  The projection onto c keeps the coordinates of
+    c's mask, pi_c = B[:, S_c] B^-1[S_c, :]; S_b and S_c intersect in the
+    mask of b meet c, so the projections commute and multiply as meets do.
+    ``inv`` is B^-1, computed here when not given.
+    """
+    if inv is None:
+        inv = basis_inverse(basis)
+    n = p.ambient_dim
+    keeps = [[k for k in range(n) if mask >> k & 1] for mask in masks]
+    return _coordinate_family(p, object_id, basis, inv, keeps)
 
 
 def basis_inverse(q: Matrix) -> Matrix:
     """The inverse of a basis matrix; ConstructionFailure when it is singular."""
     q_inv = inverse(q)
     if q_inv is None:
-        raise ConstructionFailure("codomain basis is singular")
+        raise ConstructionFailure("basis is singular")
     return q_inv
 
 
@@ -284,8 +339,9 @@ class EnvelopeLimits:
 @dataclass(eq=False)
 class Envelope:
     pseudo_inverses: Dict[str, Matrix]
-    # per hom-set (dom, cod): its morphisms, as an insertion-ordered set
-    closure: Dict[Tuple[str, str], Dict[Matrix, None]]
+    # per hom-set (dom, cod): its morphisms, as an insertion-ordered set of
+    # matrices in the input's coordinates
+    closure: Dict[Tuple[str, str], Mapping[Matrix, None]]
     bounded: bool
     idempotents_commute: bool
     endomorphisms_idempotent: Optional[bool]  # None when the quiver has a cycle
@@ -312,8 +368,105 @@ class Envelope:
         }
 
 
-def _is_idempotent(m: Matrix) -> bool:
-    return m.rows == m.cols and m @ m == m
+Morphism = Hashable  # a Matrix, or a Monomial
+# A monomial map: per domain basis index, the target index and a nonzero
+# scalar, or None where that basis vector goes to zero.
+Monomial = Tuple[Optional[Tuple[int, Scalar]], ...]
+
+
+class _HomSet(Mapping):
+    """One hom-set of a closure, as an insertion-ordered set of matrices in
+    the input's coordinates.  Its size is that of the closure's own set; its
+    morphisms are mapped back to matrices when first read."""
+
+    def __init__(self, morphisms: Dict[Morphism, None], back: Callable[[Morphism], Matrix]):
+        self._morphisms = morphisms
+        self._back = back
+        self._matrices: Optional[Dict[Matrix, None]] = None
+
+    def _read(self) -> Dict[Matrix, None]:
+        if self._matrices is None:
+            self._matrices = dict.fromkeys(map(self._back, self._morphisms))
+        return self._matrices
+
+    def __len__(self) -> int:
+        return len(self._morphisms)
+
+    def __iter__(self) -> Iterator[Matrix]:
+        return iter(self._read())
+
+    def __getitem__(self, m: Matrix) -> None:
+        return self._read()[m]
+
+
+# The closure on one kind of morphism: the identity of a dimension, the
+# product (a, m) -> a m, the matrix in the input's coordinates of a morphism
+# dom -> cod, and each generator's (g, g*) as morphisms of the kind.
+_Kind = Tuple[
+    Callable[[int], Morphism],
+    Callable[[Morphism, Morphism], Morphism],
+    Callable[[str, str, Morphism], Matrix],
+    List[Tuple[Morphism, Morphism]],
+]
+
+
+def _matrix_kind(rep: Representation, pairs: List[Tuple[Matrix, Matrix]]) -> _Kind:
+    return partial(Matrix.identity, rep.field), matmul, lambda dom, cod, m: m, pairs
+
+
+def _monomial(m: Matrix) -> Optional[Monomial]:
+    """``m`` as a monomial map, or None when a column has two nonzero entries.
+    An integer scalar is held as an int, which multiplies faster than a
+    Fraction and compares and hashes equal to it."""
+    out = []
+    for col in zip(*m.entries) if m.rows else ((),) * m.cols:
+        nonzero = [(i, x.numerator if x.denominator == 1 else x) for i, x in enumerate(col) if x]
+        if len(nonzero) > 1:
+            return None
+        out.append(nonzero[0] if nonzero else None)
+    return tuple(out)
+
+
+def _monomial_kind(
+    rep: Representation,
+    families: Dict[str, ProjectionFamily],
+    pairs: List[Tuple[Matrix, Matrix]],
+) -> Optional[_Kind]:
+    """The kind of monomial maps in the bases of ``families``: each generator
+    g: x -> y as B_y^-1 g B_x and its g* as B_x^-1 g* B_y.  None where an
+    object has no family, or where one of those is not monomial."""
+    if not families or not all(o.id in families for o in rep.objects):
+        return None
+    bases = {o.id: families[o.id].basis for o in rep.objects}
+    inverses = {o.id: families[o.id].inverse for o in rep.objects}
+    monomial_pairs = []
+    for gen, (g, s) in zip(rep.generators, pairs):
+        g_hat = _monomial(inverses[gen.cod] @ g @ bases[gen.dom])
+        if g_hat is None:
+            return None
+        s_hat = _monomial(inverses[gen.dom] @ s @ bases[gen.cod])
+        if s_hat is None:
+            return None
+        monomial_pairs.append((g_hat, s_hat))
+    field = rep.field
+    mul, zero = field.mul, field.zero
+
+    def compose(a: Monomial, m: Monomial) -> Monomial:
+        out = []
+        for e in m:
+            f = None if e is None else a[e[0]]
+            out.append(None if f is None else (f[0], mul(f[1], e[1])))
+        return tuple(out)
+
+    def back(dom: str, cod: str, m: Monomial) -> Matrix:
+        rows = [[zero] * len(m) for _ in range(bases[cod].rows)]
+        for j, e in enumerate(m):
+            if e is not None:
+                rows[e[0]][j] = field.coerce(e[1])
+        hat = Matrix(field, len(rows), len(m), tuple(map(tuple, rows)))
+        return bases[cod] @ hat @ inverses[dom]
+
+    return lambda n: tuple((j, 1) for j in range(n)), compose, back, monomial_pairs
 
 
 def verify_envelope(
@@ -340,25 +493,40 @@ def verify_envelope(
     where the closure holds another candidate.  A generator without a
     pseudo-inverse raises ValidationError.
 
-    ``families`` is not read: the pseudo-inverses already encode its
-    projections (g* g = 1 - pi_ker, g g* = pi_im).  It stays for callers
-    that pass it positionally.
+    ``families`` supplies one basis B_x per object.  Conjugation,
+    m -> B_y^-1 m B_x for m: x -> y, is a faithful functor: it keeps
+    identities and products and tells distinct maps apart.  So the closure
+    in those bases has the same morphisms, words and hom-set sizes, hence
+    the same limits, and the same idempotents, commutations and identities
+    g g* g = g, as the closure on the input's matrices.  Where every
+    generator and every supplied g* is monomial in the bases (at most one
+    nonzero entry per column), so is every product, and the closure runs on
+    monomial maps: per domain index, a target index and a scalar, or
+    nothing.  The pipeline's families give such bases wherever the flag was
+    saturated on bitmasks (``flag.Matching``).  Otherwise, or where an
+    object has no family, it runs on the matrices.  ``closure`` and an
+    AxiomViolation's matrices are in the input's coordinates either way; on
+    monomial maps a hom-set's matrices are computed when first read.
     """
     cycle_free = not quiver_shape(rep).has_undirected_cycle
-    daggers: List[Tuple[Matrix, Matrix]] = []
-    arrows: Dict[str, List[Tuple[str, Matrix]]] = {o.id: [] for o in rep.objects}
+    pairs: List[Tuple[Matrix, Matrix]] = []
     for g in rep.generators:
         dag = pseudo_inverses.get(g.id)
         if dag is None:
             raise ValidationError(f"generator {g.id!r} has no pseudo-inverse", generator=g.id)
-        daggers.append((g.matrix, dag))
-        arrows[g.dom].append((g.cod, g.matrix))
-        arrows[g.cod].append((g.dom, dag))
+        pairs.append((g.matrix, dag))
+    identity, compose, back, daggers = (
+        _monomial_kind(rep, families, pairs) or _matrix_kind(rep, pairs)
+    )
+    arrows: Dict[str, List[Tuple[str, Morphism]]] = {o.id: [] for o in rep.objects}
+    for g, (m, s) in zip(rep.generators, daggers):
+        arrows[g.dom].append((g.cod, m))
+        arrows[g.cod].append((g.dom, s))
 
-    homs: Dict[Tuple[str, str], Dict[Matrix, None]] = {}
-    queue: List[Tuple[str, str, Matrix]] = []
+    homs: Dict[Tuple[str, str], Dict[Morphism, None]] = {}
+    queue: List[Tuple[str, str, Morphism]] = []
     for o in rep.objects:
-        one = Matrix.identity(rep.field, o.dim)
+        one = identity(o.dim)
         homs[(o.id, o.id)] = {one: None}
         queue.append((o.id, o.id, one))
     words = 0
@@ -369,7 +537,7 @@ def verify_envelope(
                 bounded = True
                 break
             words += 1
-            am = a @ m
+            am = compose(a, m)
             bucket = homs.setdefault((dom, target), {})
             if am in bucket:
                 continue
@@ -383,32 +551,37 @@ def verify_envelope(
         break  # the word limit ends the pass
 
     for o in rep.objects:
-        idempotents: List[Matrix] = []
-        others: List[Matrix] = []
+        idempotents: List[Morphism] = []
+        others: List[Morphism] = []
         for m in homs[(o.id, o.id)]:
-            (idempotents if _is_idempotent(m) else others).append(m)
+            (idempotents if compose(m, m) == m else others).append(m)
         for i, e in enumerate(idempotents):
             for f in idempotents[i + 1:]:
-                if e @ f != f @ e:
+                if compose(e, f) != compose(f, e):
                     raise AxiomViolation(
                         f"non-commuting idempotent endomorphisms at object {o.id!r}",
                         object=o.id,
-                        left=e.to_json(),
-                        right=f.to_json(),
+                        left=back(o.id, o.id, e).to_json(),
+                        right=back(o.id, o.id, f).to_json(),
                     )
         if cycle_free and others:
             raise AxiomViolation(
                 f"non-idempotent endomorphism at object {o.id!r} "
                 f"on a cycle-free quiver",
                 object=o.id,
-                matrix=others[0].to_json(),
+                matrix=back(o.id, o.id, others[0]).to_json(),
             )
 
-    all_have = None if bounded else all(g @ s @ g == g and s @ g @ s == s for g, s in daggers)
+    all_have = None if bounded else all(
+        compose(compose(g, s), g) == g and compose(compose(s, g), s) == s for g, s in daggers
+    )
 
     return Envelope(
         pseudo_inverses=dict(pseudo_inverses),
-        closure=homs,
+        closure={
+            (dom, cod): _HomSet(morphisms, partial(back, dom, cod))
+            for (dom, cod), morphisms in homs.items()
+        },
         bounded=bounded,
         idempotents_commute=True,
         endomorphisms_idempotent=True if cycle_free else None,

@@ -356,6 +356,26 @@ def test_inverse_roundtrip(rng):
         assert m @ mi == Matrix.identity(field, n)
 
 
+@st.composite
+def products_through(draw, max_dim=4):
+    """A product a @ b of random shapes, and a subset of its inner indices."""
+    field = draw(field_strategy())
+    rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a, b = matrix_of(draw, field, rows, inner), matrix_of(draw, field, inner, cols)
+    keep = sorted(draw(st.sets(st.integers(0, inner - 1))) if inner else ())
+    return a, b, keep
+
+
+@given(products_through())
+@settings(max_examples=200, deadline=None)
+def test_product_through_matches_the_sliced_product(case):
+    a, b, keep = case
+    left = Matrix(a.field, a.rows, len(keep), tuple(tuple(r[k] for k in keep) for r in a.entries))
+    right = Matrix(b.field, len(keep), b.cols, tuple(b.entries[k] for k in keep))
+    assert a.through(b, keep) == left @ right
+    assert a.through(b, range(a.cols)) == a @ b
+
+
 def test_projection_onto():
     img = Subspace.span(RATIONALS, 2, [[1, 0]])
     ker = Subspace.span(RATIONALS, 2, [[1, 1]])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import random
@@ -316,8 +317,27 @@ def test_bitmask_saturation_keeps_the_count(rep):
         return
     if not a.passed or saturation_maps(rep, a.bases)[2] is None:
         return
-    assert a.flag.saturated and a.saturation_note is None
+    assert a.flag.saturated and a.saturation_note is None and a.flag.masks is not None
     assert _count_holds(a.flag)
+
+
+def test_a_flag_on_masks_is_reported_without_the_count(monkeypatch):
+    """``check_representation`` does not take the rank count on a flag
+    saturated on bitmasks, which passes it by construction; the report is
+    the one the count would give."""
+    import invcat.criterion as criterion
+
+    tree = parse_representation(_benchmark_corpus().make_corpus("interval_q", 3, 4)[3].data)
+    a = analyze(tree)
+    assert a.flag.masks is not None
+    expected = criterion.check_representation(tree, dataclasses.replace(a.flag, masks=None))
+    assert expected.passed and not expected.distributivity_witnesses
+
+    def refused(p):
+        raise AssertionError("the count was taken")
+
+    monkeypatch.setattr(criterion, "rank_count_excess", refused)
+    assert a.report.to_json() == expected.to_json()
 
 
 # draw 138 of random_representation at seed 7: an invertible loop, so its

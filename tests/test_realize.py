@@ -1,4 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcat import (
     GF,
@@ -28,7 +33,7 @@ from invcat import (
 )
 from invcat.criterion import poset_passes, rank_count_excess
 from invcat.errors import ClosureDivergence
-from invcat.realize import Envelope, _is_idempotent
+from invcat.realize import Envelope
 from invcat.rep import Generator, RepObject, Representation, quiver_shape
 
 from conftest import (
@@ -157,6 +162,36 @@ def test_adapted_family_matches_greedy_on_saturated_flags(rng):
             assert a.standard_report.passed and a.flag.saturated
             for p in a.flag.posets.values():
                 assert _check_against_greedy(p)
+
+
+@st.composite
+def mask_family_inputs(draw):
+    """Random representations (trees and cyclic quivers), interval sums on
+    A_n quivers over Q, and their conjugates over GF(10007)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = draw(st.sampled_from(("random", "interval", "conjugate")))
+    if source == "random":
+        return random_representation(rng)
+    rep, _ = interval_corpus_instance(rng)
+    return rep if source == "interval" else conjugate_representation(rng, _over_gf(rep, GF(10007)))
+
+
+@given(mask_family_inputs())
+@settings(max_examples=200, deadline=None)
+def test_families_read_off_masks_match_the_adapted_families(rep):
+    """On a flag saturated on bitmasks, each family is read off its
+    elements' masks in the flag's bases, and its projections equal those
+    that ``realize_projections`` builds from the first-fit adapted basis of
+    the same poset."""
+    try:
+        a = analyze(rep, ClosureLimits(max_rounds=8, max_elements_per_object=200))
+    except ClosureDivergence:
+        return
+    if a.flag.masks is None:
+        return
+    for oid, fam in a.families.items():
+        assert fam.basis == a.bases[oid]
+        assert fam.projections == realize_projections(a.flag.posets[oid], oid).projections
 
 
 def test_families_on_corpus(rng):
@@ -354,19 +389,27 @@ def test_envelope_identity_only():
     assert env.total_morphisms == 1
 
 
-def test_envelope_limit_sets_bounded_flag():
-    # invertible scaling loop generates an infinite cyclic envelope
+def test_envelope_limit_sets_bounded_flag(monkeypatch):
+    # invertible scaling loop generates an infinite cyclic envelope; it is
+    # monomial in its family's basis, and both kinds stop at the same powers
+    kinds = _count_kinds(monkeypatch)
     rep = Representation(
         RATIONALS,
         (RepObject("x", 1),),
         (Generator("d", "x", "x", Matrix.build(RATIONALS, 1, 1, [[2]])),),
     )
     a = analyze(rep)
-    env = verify_envelope(
-        rep, a.families, a.pseudo_inverses, EnvelopeLimits(max_words=50, max_matrices_per_hom=10)
-    )
-    assert env.bounded
-    assert env.all_have_pseudo_inverse is None
+    powers = [
+        Matrix.build(RATIONALS, 1, 1, [[Fraction(2) ** k]]) for k in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5)
+    ]
+    for families in (a.families, {}):
+        env = verify_envelope(
+            rep, families, a.pseudo_inverses, EnvelopeLimits(max_words=50, max_matrices_per_hom=10)
+        )
+        assert env.bounded
+        assert env.all_have_pseudo_inverse is None
+        assert list(env.closure[("x", "x")]) == powers
+    assert kinds == [True, False]
     # one word per arrow applied: the zero loop and its pseudo-inverse give two
     # words from the identity and two from the zero map, and the closure
     # {1, 0} is complete after the fourth
@@ -433,6 +476,10 @@ def test_generator_check_reads_the_supplied_pseudo_inverses():
         assert all(_back_pseudo_inverses(env, "x", "x", m) for m in (one, zero))
         assert env.all_have_pseudo_inverse is False
         assert verify_envelope(_loop(loop), {}, {"z": loop}).all_have_pseudo_inverse is True
+
+
+def _is_idempotent(m):
+    return m.rows == m.cols and m @ m == m
 
 
 def _reference_envelope(rep, families, pseudo_inverses, limits=EnvelopeLimits()):
@@ -521,18 +568,39 @@ def _reference_envelope(rep, families, pseudo_inverses, limits=EnvelopeLimits())
     )
 
 
-def _envelope_outcome(fn, rep, pseudo_inverses):
+def _envelope_outcome(fn, rep, families, pseudo_inverses):
     try:
-        return fn(rep, {}, pseudo_inverses)
+        return fn(rep, families, pseudo_inverses)
     except AxiomViolation as e:
         return type(e)
 
 
-def test_word_closure_matches_two_sided_reference(rng, bisection):
+def _count_kinds(monkeypatch):
+    """Record, per ``verify_envelope`` call, whether it closed on monomial
+    maps (True) or on matrices (False)."""
+    import invcat.realize as realize
+
+    kinds = []
+    real = realize._monomial_kind
+
+    def spied(*args):
+        kind = real(*args)
+        kinds.append(kind is not None)
+        return kind
+
+    monkeypatch.setattr(realize, "_monomial_kind", spied)
+    return kinds
+
+
+def test_word_closure_matches_two_sided_reference(rng, bisection, monkeypatch):
     """Wherever the two-sided closure completes, the word closure finds the
     same morphisms in every hom-set and prints the same report; it raises
     the same exception class everywhere; and where only the reference is cut
-    short, a complete word closure contains its fragment."""
+    short, a complete word closure contains its fragment.  Each case runs
+    with the pipeline's families, whose bases make the closure run on
+    monomial maps wherever the generators and pseudo-inverses are monomial
+    in them, and without families, on matrices."""
+    kinds = _count_kinds(monkeypatch)
     limits = ClosureLimits(max_rounds=8, max_elements_per_object=200)
     p1 = Matrix.build(RATIONALS, 2, 2, [[1, 0], [0, 0]])
     p2 = Matrix.build(RATIONALS, 2, 2, [[1, 1], [0, 0]])
@@ -541,24 +609,30 @@ def test_word_closure_matches_two_sided_reference(rng, bisection):
         (RepObject("x", 2),),
         (Generator("p", "x", "x", p1), Generator("q", "x", "x", p2)),
     )
-    cases = [(two_loops, {"p": p1, "q": p2})]
+    cases = [(two_loops, {}, {"p": p1, "q": p2})]
     for rep in [bisection] + [random_representation(rng) for _ in range(200)]:
         try:
             a = analyze(rep, limits)
         except ClosureDivergence:
             continue
         if a.report.passed:
-            cases.append((rep, a.pseudo_inverses))
+            cases.append((rep, a.families, a.pseudo_inverses))
     seen = {"complete": 0, "bounded": 0, "violation": 0, "cyclic": 0}
-    for rep, pseudo_inverses in cases:
-        ref = _envelope_outcome(_reference_envelope, rep, pseudo_inverses)
-        env = _envelope_outcome(verify_envelope, rep, pseudo_inverses)
+    for rep, families, pseudo_inverses in cases:
+        ref = _envelope_outcome(_reference_envelope, rep, {}, pseudo_inverses)
         seen["cyclic"] += quiver_shape(rep).has_undirected_cycle
+        envs = [_envelope_outcome(verify_envelope, rep, f, pseudo_inverses) for f in (families, {})]
         if not isinstance(ref, Envelope):
-            assert env is ref
+            assert envs == [ref, ref]
             seen["violation"] += 1
             continue
-        assert isinstance(env, Envelope)
+        # the two kinds give one closure, in one order, and one report
+        on_monomials, on_matrices = envs
+        assert {k: list(v) for k, v in on_monomials.closure.items()} == {
+            k: list(v) for k, v in on_matrices.closure.items()
+        }
+        assert on_monomials.to_json() == on_matrices.to_json()
+        env = on_matrices
         if ref.bounded:
             seen["bounded"] += 1
             if not env.bounded:
@@ -572,6 +646,37 @@ def test_word_closure_matches_two_sided_reference(rng, bisection):
         assert env.to_json() == ref.to_json()
     assert seen["complete"] >= 100 and seen["cyclic"] >= 50
     assert seen["bounded"] >= 5 and seen["violation"] >= 1
+    assert kinds.count(True) >= 50 and kinds.count(False) >= 50
+
+
+def test_a_wrong_monomial_pseudo_inverse_is_refused_alike_on_both_kinds(rng, monkeypatch):
+    """Doubling a generator's pseudo-inverse on a tree keeps it monomial in
+    the families' bases, and the envelope then holds the non-idempotent
+    endomorphism 2 g* g: both kinds raise the same AxiomViolation, with the
+    same matrix in the input's coordinates."""
+    kinds = _count_kinds(monkeypatch)
+    found = 0
+    for _ in range(6):
+        rep, _ = interval_corpus_instance(rng, max_vertices=4)
+        a = analyze(rep)
+        g = next((g for g in rep.generators if not g.matrix.is_zero), None)
+        if g is None:
+            continue
+        dag = a.pseudo_inverses[g.id]
+        wrong = dict(a.pseudo_inverses)
+        wrong[g.id] = Matrix(
+            dag.field, dag.rows, dag.cols,
+            tuple(tuple(2 * x for x in r) for r in dag.entries),
+        )
+        payloads = []
+        for families in (a.families, {}):
+            with pytest.raises(AxiomViolation) as err:
+                verify_envelope(rep, families, wrong)
+            payloads.append(err.value.to_json())
+        assert kinds[-2:] == [True, False]
+        assert payloads[0] == payloads[1]
+        found += 1
+    assert found >= 3
 
 
 def test_every_morphism_has_one_pseudo_inverse_in_its_back_hom_set(rng, bisection):
