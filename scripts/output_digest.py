@@ -2,29 +2,37 @@
 """Print one sha256 over the exit codes and stdout of the CLI on fixed inputs.
 
 Usage: python scripts/output_digest.py SEED
+       python scripts/output_digest.py draws
 
-Runs ``check``, ``check --mu literal``, ``flag``, ``mobius``, ``decompose`` and
-``envelope`` on every file in ``data/`` and on every instance of the three
-benchmark corpora (``perfbench/corpus.py`` at SEED, at the benchmark's corpus
-sizes), through
-``invcat.cli.main`` in process.  ``verify`` runs too wherever there is a
-certificate to check: the one ``decompose`` printed, or a corpus instance's
-decoy.  Two source trees that print the same digest for a seed gave the same
-stdout bytes and exit codes on every one of those runs.
+With a SEED, runs ``check``, ``check --mu literal``, ``flag``, ``mobius``,
+``decompose`` and ``envelope`` on every file in ``data/`` and on every
+instance of the three benchmark corpora (``perfbench/corpus.py`` at SEED, at
+the benchmark's corpus sizes), through ``invcat.cli.main`` in process.
+``verify`` runs too wherever there is a certificate to check: the one
+``decompose`` printed, or a corpus instance's decoy.  Two source trees that
+print the same digest for a seed gave the same stdout bytes and exit codes on
+every one of those runs.
+
+With ``draws``, runs the same commands at ``--max-rounds 8 --max-elements
+200`` on the first 500 draws of ``random_representation(random.Random(7))``
+(``tests/conftest.py``).  Most of those draws have an undirected cycle, so
+this line covers the subspace saturation, the first-fit families and the
+matrix envelope, which the corpora reach only through ``bisection.json``.
 
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
 newline.  The first output that does not stops the script with exit 1 and
 names the input and the command.
 
-``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11,
-and CI diffs this script's output at both seeds against them.  A change that
-alters report bytes on purpose updates that file.
+``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11
+and for the draws, and CI diffs this script's output against them.  A change
+that alters report bytes on purpose updates that file.
 """
 
 import argparse
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -32,7 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from conftest import random_representation  # noqa: E402
 from corpus import make_corpus  # noqa: E402
 from run import CORPUS_SIZES, run_cli  # noqa: E402
 
@@ -48,14 +58,23 @@ COMMANDS = (
     ("envelope",),
 )
 
+DRAWS, DRAW_SEED = 500, 7
+DRAW_LIMITS = ("--max-rounds", "8", "--max-elements", "200")
 
-def inputs(seed):
+
+def corpus_inputs(seed):
     """(name, representation bytes, decoy certificate bytes or None)."""
     for path in sorted((ROOT / "data").glob("*.json")):
         yield path.name, path.read_bytes(), None
     for workload in sorted(CORPUS_SIZES):
         for inst in make_corpus(workload, seed, CORPUS_SIZES[workload]):
             yield inst.name, inst.data, inst.decoy_certificate
+
+
+def draw_inputs():
+    rng = random.Random(DRAW_SEED)
+    for i in range(DRAWS):
+        yield f"draw{i}", random_representation(rng).serialize().encode(), None
 
 
 def check_bytes(name, words, out):
@@ -69,7 +88,7 @@ def check_bytes(name, words, out):
         sys.exit(f"{name} {' '.join(words)}: stdout differs from json.dumps of its document")
 
 
-def digest(seed, workdir):
+def digest(inputs, limits, workdir):
     h = hashlib.sha256()
     runs = 0
 
@@ -82,12 +101,12 @@ def digest(seed, workdir):
         runs += 1
         return code, out
 
-    for name, data, decoy in inputs(seed):
+    for name, data, decoy in inputs:
         rep_path = workdir / "rep.json"
         rep_path.write_bytes(data)
         certificate = None
         for command in COMMANDS:
-            code, out = record(name, command, [str(rep_path)])
+            code, out = record(name, (*command, *limits), [str(rep_path)])
             if command == ("decompose",) and code == 0:
                 certificate = out.encode()
         for cert in (certificate, decoy):
@@ -100,11 +119,15 @@ def digest(seed, workdir):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("seed", type=int)
+    ap.add_argument("seed", help="a corpus seed, or 'draws'")
     args = ap.parse_args()
+    if args.seed == "draws":
+        inputs, limits, label = draw_inputs(), DRAW_LIMITS, f"draws={DRAWS} seed={DRAW_SEED}"
+    else:
+        inputs, limits, label = corpus_inputs(int(args.seed)), (), f"seed={args.seed}"
     with tempfile.TemporaryDirectory() as tmp:
-        value, runs = digest(args.seed, Path(tmp))
-    print(f"{value}  seed={args.seed} runs={runs}")
+        value, runs = digest(inputs, limits, Path(tmp))
+    print(f"{value}  {label} runs={runs}")
 
 
 if __name__ == "__main__":

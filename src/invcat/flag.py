@@ -58,7 +58,8 @@ keys of its preimages (a mask's preimage is one pass over its bits); an
 offer of a known element adds nothing, so both kinds add the same elements
 in the same order and give the same flag.  A flag closed on bitmasks also
 hands out its coordinates and each element's mask (``FlagAssignment.masks``),
-off which ``pipeline.build_families`` reads the projections.
+off which ``pipeline.build_families`` reads the projections.  ``Matching.of``
+reads a map with ``monomial``, the scan ``realize.verify_envelope`` shares.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from operator import and_
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ClosureDivergence
+from .fields import Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
 from .poset import SubspacePoset, build_poset, export_dot
 from .rep import Generator, Representation
@@ -172,6 +174,24 @@ def _known_meet(a: Subspace, b: Subspace, zero: Subspace) -> Optional[Subspace]:
     return None
 
 
+# A monomial map: per domain basis index, the target index and a nonzero
+# scalar, or None where that basis vector goes to zero.
+Monomial = Tuple[Optional[Tuple[int, Scalar]], ...]
+
+
+def monomial(m: Matrix) -> Optional[Monomial]:
+    """``m`` as a monomial map, or None when a column has two nonzero entries.
+    An integer scalar is held as an int, which multiplies faster than a
+    Fraction and compares and hashes equal to it."""
+    out = []
+    for col in zip(*m.entries) if m.rows else ((),) * m.cols:
+        nonzero = [(i, x.numerator if x.denominator == 1 else x) for i, x in enumerate(col) if x]
+        if len(nonzero) > 1:
+            return None
+        out.append(nonzero[0] if nonzero else None)
+    return tuple(out)
+
+
 class Matching(NamedTuple):
     """A map that sends each basis vector to a nonzero multiple of a basis
     vector, no two to the same one, or to zero: a partial matching of basis
@@ -183,18 +203,19 @@ class Matching(NamedTuple):
 
     @classmethod
     def of(cls, m: Matrix) -> Optional["Matching"]:
-        """The matching of ``m``, or None when a row or a column of ``m`` has
-        two nonzero entries."""
-        image_bits = [0] * m.cols
+        """The matching of ``m``, or None when ``m`` is not ``monomial`` or
+        two of its columns hit the same row."""
+        hat = monomial(m)
+        if hat is None:
+            return None
         preimage_bits = [0] * m.rows
-        for i, row in enumerate(m.entries):
-            for j, x in enumerate(row):
-                if x:
-                    if image_bits[j] or preimage_bits[i]:
-                        return None
-                    image_bits[j] = 1 << i
-                    preimage_bits[i] = 1 << j
-        return cls._of_bits(tuple(image_bits), tuple(preimage_bits))
+        for j, e in enumerate(hat):
+            if e is not None:
+                if preimage_bits[e[0]]:
+                    return None
+                preimage_bits[e[0]] = 1 << j
+        image_bits = tuple(0 if e is None else 1 << e[0] for e in hat)
+        return cls._of_bits(image_bits, tuple(preimage_bits))
 
     @classmethod
     def _of_bits(cls, image_bits: Tuple[int, ...], preimage_bits: Tuple[int, ...]) -> "Matching":
@@ -226,13 +247,11 @@ class BasisCoordinates(NamedTuple):
 
     ``bases[oid]`` holds a basis of object oid as its columns; ``matchings``
     has one entry per map, the generators first and then the extra maps, in
-    the order ``compute_flag`` takes them.  ``inverses``, where the caller
-    has them, holds each basis's inverse; the closure does not read them.
+    the order ``compute_flag`` takes them.
     """
 
     bases: Dict[str, Matrix]
     matchings: Tuple[Matching, ...]
-    inverses: Optional[Dict[str, Matrix]] = None
 
 
 Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace

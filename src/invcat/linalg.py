@@ -14,8 +14,8 @@ Elimination over Q is fraction-free: rows are cross-multiplied and kept
 primitive, and are divided by their pivot only when the canonical rows are
 emitted.  ``Matrix.entries`` and ``Subspace.basis`` stay canonical Fraction
 (or int mod p) tuples.  Each value lazily caches its integer form and its
-hash, and a hyperplane its normal row; a cache is a pure function of the
-frozen value and takes no part in equality or repr.
+hash, a matrix its inverse, and a hyperplane its normal row; a cache is a
+pure function of the frozen value and takes no part in equality or repr.
 """
 
 from __future__ import annotations
@@ -166,6 +166,7 @@ class Matrix:
     _hash = None
     _int_form = None  # (d, int rows, int columns) with entries == rows / d
     _preimage_form = None  # see ``_factored``
+    _inverse_form = None  # (inverse or None,), see ``inverse``
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -377,7 +378,14 @@ def solve_particular(m: Matrix, v: Sequence[Scalar]) -> Optional[Vector]:
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
-    """Exact inverse of a square matrix, or None when singular."""
+    """Exact inverse of a square matrix, or None when singular.  The
+    elimination runs once per matrix and is cached on it."""
+    if m._inverse_form is None:
+        object.__setattr__(m, "_inverse_form", (_invert(m),))
+    return m._inverse_form[0]
+
+
+def _invert(m: Matrix) -> Optional[Matrix]:
     if m.rows != m.cols:
         return None
     n = m.rows

@@ -19,26 +19,28 @@ those pseudo-inverses as extra maps.  The saturated flag is what gets
 reported; it is the family of images reachable in the generated envelope,
 which is what published worked examples depict.
 
-Every object's basis inverse is computed once; it gives every generator's
-matrix in the bases, from which its pseudo-inverse is read.  When each of
-those matrices has at most one nonzero entry per row and per column, every
-generator is a partial matching of basis indices, and its pseudo-inverse
-the transposed matching; every saturated element is then spanned by basis
-vectors, and the saturation closure runs on bitmasks of basis indices
-(``flag.BasisCoordinates``).  The saturated flag then carries the bases,
-their inverses and each element's mask, and stays in those coordinates to
-the end of the passing path: its report takes no rank count (it holds by
+Each basis is inverted at most once: the inverse is cached on its ``Matrix``
+(``linalg.inverse``), and every reader calls ``realize.basis_inverse``.  The
+inverse of each generator's codomain basis gives the generator's matrix in
+the bases, from which its pseudo-inverse is read; ``check`` inverts no other
+basis.  When each of those matrices has at most one nonzero entry per row
+and per column, every generator is a partial matching of basis indices, and
+its pseudo-inverse the transposed matching; every saturated element is then
+spanned by basis vectors, and the saturation closure runs on bitmasks of
+basis indices (``flag.BasisCoordinates``).  The saturated flag then carries
+the bases and each element's mask, and stays in those coordinates to the end
+of the passing path: its report takes no rank count (it holds by
 construction), each projection is read off its element's mask
-(``build_families``), and the families hand the bases and inverses to
+(``build_families``), and the families hand the bases to
 ``realize.verify_envelope``, which closes the envelope on monomial maps in
-them.  The bases are transported along a spanning
-forest of the quiver, so that always holds on a cycle-free quiver, where the
-bases stay adapted and the saturated flag passes.  Otherwise the saturation
-closure runs on subspaces, with the same result wherever both apply.  On a
-quiver with an undirected cycle the edges that close a cycle need not
-respect the transported bases; where the count then fails on the saturated
-flag it is discarded, with a note, and the raw flag and its families are
-reported.  Failing inputs are never saturated.
+them.  The bases are transported along a spanning forest of the quiver, so
+that always holds on a cycle-free quiver, where the bases stay adapted and
+the saturated flag passes.  Otherwise the saturation closure runs on
+subspaces, with the same result wherever both apply.  On a quiver with an
+undirected cycle the edges that close a cycle need not respect the
+transported bases; where the count then fails on the saturated flag it is
+discarded, with a note, and the raw flag and its families are reported.
+Failing inputs are never saturated.
 
 When the raw closure stops at a limit, the ``ClosureDivergence`` carries
 the elements it reached, all of which lie in the least fixpoint.  The meet
@@ -54,7 +56,12 @@ k <= 2^n + 1 it contains the meet closure of the elements of the rounds
 before the stopped one, so it fails wherever that does.  The first object,
 by dimension and then id, where the count fails refutes the input with that
 one-object part; an object whose part would pass the element limit is
-skipped.  Only where none fails is the ``ClosureDivergence`` raised.
+skipped.  Where no part fails, a second pass, over the objects in the same
+order, closes the first 2, 4, 8, ... reached elements below that bound: the
+meet closure of any prefix is a meet-closed part of the final flag too, so
+the first that fails the count refutes the input as soundly, also where the
+bound's part passes the element limit.  Only where none fails is the
+``ClosureDivergence`` raised.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ from .rep import Generator, Representation
 @dataclass(eq=False)
 class Analysis:
     rep: Representation
-    limits: ClosureLimits
     mu_mode: str
     flag: FlagAssignment
     # the standard verdict: the rank count holds at every object of ``flag``
@@ -133,12 +139,18 @@ def _refuting_part(
     refutes the input, or None (see the module docstring).  The reached
     elements are dropped from ``stop``."""
     reached, stop.reached = stop.reached, None
-    for o in sorted(rep.objects, key=lambda o: (o.dim, o.id)):
-        closed = meet_closure(reached[o.id][: 2 ** o.dim + 1], limit)
+    objects = sorted(rep.objects, key=lambda o: (o.dim, o.id))
+    bound = {o.id: min(len(reached[o.id]), 2 ** o.dim + 1) for o in objects}
+    # (object, prefix length): the bound's parts first, then 2, 4, 8, ... below it
+    prefixes = [(o.id, bound[o.id]) for o in objects] + [
+        (o.id, 1 << j) for o in objects for j in range(1, (bound[o.id] - 1).bit_length())
+    ]
+    for oid, k in prefixes:
+        closed = meet_closure(reached[oid][:k], limit)
         if closed is not None:
             p = build_poset(closed)
             if rank_count_excess(p) is not None:
-                return FlagAssignment({o.id: p}, {}, stop.detail["rounds"])
+                return FlagAssignment({oid: p}, {}, stop.detail["rounds"])
     return None
 
 
@@ -152,15 +164,9 @@ def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
             oid: realize_projections(flag.posets[oid], object_id=oid)
             for oid in sorted(flag.posets)
         }
-    bases, _, inverses = flag.coordinates
+    bases = flag.coordinates.bases
     return {
-        oid: mask_projections(
-            flag.posets[oid],
-            flag.masks[oid],
-            bases[oid],
-            None if inverses is None else inverses[oid],
-            oid,
-        )
+        oid: mask_projections(flag.posets[oid], flag.masks[oid], bases[oid], oid)
         for oid in sorted(flag.posets)
     }
 
@@ -171,9 +177,8 @@ def saturation_maps(
     """The pseudo-inverses read off ``bases``, the maps g† that adjoin them to
     the closure, and the ``BasisCoordinates`` of the generators and the g†,
     or None unless every generator's matrix in ``bases`` is a matching.
-    Every basis is inverted once; the coordinates hand the inverses on to
-    the families."""
-    inverses = {o.id: basis_inverse(bases[o.id]) for o in rep.objects}
+    Only the codomains' bases are inverted."""
+    inverses = {g.cod: basis_inverse(bases[g.cod]) for g in rep.generators}
     coords = {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
     pseudo_inverses = {
         g.id: make_pseudo_inverse(coords[g.id], bases[g.dom], inverses[g.cod])
@@ -187,9 +192,7 @@ def saturation_maps(
     coordinates = None
     if None not in matchings:
         # a pseudo-inverse's matrix in the bases is the inverse matching
-        coordinates = BasisCoordinates(
-            bases, tuple(matchings + [m.dagger for m in matchings]), inverses
-        )
+        coordinates = BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
     return pseudo_inverses, extra, coordinates
 
 
@@ -233,8 +236,8 @@ def analyze(
             raise
         # the traceback holds the closure's frames and its whole meet record
         stopped = stop.with_traceback(None)
-        return Analysis(rep, limits, mu_mode, part, passed=False, stopped=stopped)
-    analysis = Analysis(rep, limits, mu_mode, flag, passed=_count_holds(flag))
+        return Analysis(rep, mu_mode, part, passed=False, stopped=stopped)
+    analysis = Analysis(rep, mu_mode, flag, passed=_count_holds(flag))
     if analysis.passed:
         analysis.bases = transported_bases(rep, flag)
         if saturate:

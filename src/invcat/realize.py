@@ -12,7 +12,9 @@ the same construction the rank count measures, with S_c the coordinates of
 the C_x below c; that the basis is invertible and that each target gets as
 many coordinates as its dimension is checked (``realize_projections``).
 ``verify_projection_family`` is the exhaustive check of the axioms, kept as
-the reference for the oracle and the tests.
+the reference for the oracle and the tests.  Every reader of a basis's
+inverse calls ``basis_inverse``, and the inverse is cached on the basis
+matrix, so each basis is eliminated once however many readers it has.
 
 ``transported_bases`` picks one adapted basis per object for a whole
 representation: it carries one object's basis along a spanning forest, so
@@ -47,8 +49,8 @@ from .errors import (
     CriterionViolated,
     ValidationError,
 )
-from .fields import Field, Scalar
-from .flag import FlagAssignment
+from .fields import Field
+from .flag import FlagAssignment, Monomial, monomial
 from .linalg import (
     Matrix,
     Subspace,
@@ -76,16 +78,6 @@ class ProjectionFamily:
     poset: SubspacePoset
     projections: Dict[Subspace, Matrix]
     basis: Matrix
-    # the inverse of ``basis`` where its builder had it; see ``inverse``
-    _inverse: Optional[Matrix] = None
-
-    @property
-    def inverse(self) -> Matrix:
-        """The inverse of ``basis``, computed on first read unless the
-        family's builder supplied it."""
-        if self._inverse is None:
-            self._inverse = basis_inverse(self.basis)
-        return self._inverse
 
     def to_json(self) -> dict:
         return {
@@ -143,17 +135,14 @@ def _column_matrix(field: Field, n: int, vectors: Sequence[Vector]) -> Matrix:
 
 
 def _coordinate_family(
-    p: SubspacePoset,
-    object_id: str,
-    basis: Matrix,
-    inv: Matrix,
-    keeps: Sequence[Sequence[int]],
+    p: SubspacePoset, object_id: str, basis: Matrix, keeps: Sequence[Sequence[int]]
 ) -> ProjectionFamily:
     """The family whose projection onto the element c of ``p`` keeps the
     basis coordinates S_c = ``keeps[c's index]`` and zeroes the rest:
-    pi_c = B[:, S_c] B^-1[S_c, :], with B = ``basis`` and B^-1 = ``inv``."""
+    pi_c = B[:, S_c] B^-1[S_c, :], with B = ``basis``."""
+    inv = basis_inverse(basis)
     projections = {c: basis.through(inv, keep) for c, keep in zip(p.elements, keeps)}
-    return ProjectionFamily(object_id, p, projections, basis, _inverse=inv)
+    return ProjectionFamily(object_id, p, projections, basis)
 
 
 def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFamily:
@@ -178,8 +167,7 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
     cols = [v for c in comps for v in c.basis]
     owner = [bi for bi, c in enumerate(comps) for _ in c.basis]
     basis = _column_matrix(p.field, n, cols)
-    inv = inverse(basis)
-    if inv is None:
+    if inverse(basis) is None:
         raise ConstructionFailure(
             f"adapted basis is singular at object {object_id!r}", object=object_id
         )
@@ -193,32 +181,26 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
                 object=object_id,
             )
         keeps.append(keep)
-    return _coordinate_family(p, object_id, basis, inv, keeps)
+    return _coordinate_family(p, object_id, basis, keeps)
 
 
 def mask_projections(
-    p: SubspacePoset,
-    masks: Sequence[int],
-    basis: Matrix,
-    inv: Optional[Matrix] = None,
-    object_id: str = "",
+    p: SubspacePoset, masks: Sequence[int], basis: Matrix, object_id: str = ""
 ) -> ProjectionFamily:
     """The projection family of a poset of coordinate sets, read off their
     masks: ``masks[i]`` holds the basis indices (the columns of ``basis``)
     that span element i.  The projection onto c keeps the coordinates of
     c's mask, pi_c = B[:, S_c] B^-1[S_c, :]; S_b and S_c intersect in the
     mask of b meet c, so the projections commute and multiply as meets do.
-    ``inv`` is B^-1, computed here when not given.
     """
-    if inv is None:
-        inv = basis_inverse(basis)
     n = p.ambient_dim
     keeps = [[k for k in range(n) if mask >> k & 1] for mask in masks]
-    return _coordinate_family(p, object_id, basis, inv, keeps)
+    return _coordinate_family(p, object_id, basis, keeps)
 
 
 def basis_inverse(q: Matrix) -> Matrix:
-    """The inverse of a basis matrix; ConstructionFailure when it is singular."""
+    """The inverse of a basis matrix, cached on it (``linalg.inverse``);
+    ConstructionFailure when it is singular."""
     q_inv = inverse(q)
     if q_inv is None:
         raise ConstructionFailure("basis is singular")
@@ -282,7 +264,8 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
     z(z^-1(c)) at y, and c = (c meet ker w) + (c meet K) with
     w(c meet K) = w(c) at u.  Every forest edge, so every generator of a
     cycle-free quiver, then carries each basis vector to a basis vector or
-    to zero.
+    to zero.  Each basis matrix is built once, so the inverse a pull takes
+    of it is the one cached for every later reader.
     """
     field = rep.field
     dims = {o.id: o.dim for o in rep.objects}
@@ -290,32 +273,31 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
         oid: [v for c in adapted_complements(flag.posets[oid]) for v in c.basis]
         for oid in dims
     }
-    bases: Dict[str, List[Vector]] = {}
+    bases: Dict[str, Matrix] = {}
     for o in rep.objects:
         if o.id in bases:
             continue
-        bases[o.id] = first_fit[o.id]
+        bases[o.id] = _column_matrix(field, o.dim, first_fit[o.id])
         queue = [o.id]
         for here in queue:
+            vectors = list(zip(*bases[here].entries))  # its columns
             for g in rep.generators:
                 if g.dom == here and g.cod not in bases:
                     im = image(g.matrix)
-                    pushed = [w for w in map(g.matrix.apply, bases[here]) if any(w)]
+                    pushed = [w for w in map(g.matrix.apply, vectors) if any(w)]
                     kept = [a for a in first_fit[g.cod] if not im.contains_vector(a)]
-                    bases[g.cod] = pushed + kept
+                    bases[g.cod] = _column_matrix(field, dims[g.cod], pushed + kept)
                     queue.append(g.cod)
                 elif g.cod == here and g.dom not in bases:
                     own = first_fit[g.dom]
                     dagger = pseudo_inverse(
-                        g.matrix,
-                        _column_matrix(field, dims[g.dom], own),
-                        _column_matrix(field, dims[here], bases[here]),
+                        g.matrix, _column_matrix(field, dims[g.dom], own), bases[here]
                     )
                     kept = [a for a in own if not any(g.matrix.apply(a))]
-                    pulled = [v for v in map(dagger.apply, bases[here]) if any(v)]
-                    bases[g.dom] = kept + pulled
+                    pulled = [v for v in map(dagger.apply, vectors) if any(v)]
+                    bases[g.dom] = _column_matrix(field, dims[g.dom], kept + pulled)
                     queue.append(g.dom)
-    return {oid: _column_matrix(field, n, bases[oid]) for oid, n in dims.items()}
+    return {oid: bases[oid] for oid in dims}
 
 
 def kernel_decomposition_check(alpha: Matrix, beta: Matrix, beta_dagger: Matrix) -> bool:
@@ -368,10 +350,7 @@ class Envelope:
         }
 
 
-Morphism = Hashable  # a Matrix, or a Monomial
-# A monomial map: per domain basis index, the target index and a nonzero
-# scalar, or None where that basis vector goes to zero.
-Monomial = Tuple[Optional[Tuple[int, Scalar]], ...]
+Morphism = Hashable  # a Matrix, or a flag.Monomial
 
 
 class _HomSet(Mapping):
@@ -414,19 +393,6 @@ def _matrix_kind(rep: Representation, pairs: List[Tuple[Matrix, Matrix]]) -> _Ki
     return partial(Matrix.identity, rep.field), matmul, lambda dom, cod, m: m, pairs
 
 
-def _monomial(m: Matrix) -> Optional[Monomial]:
-    """``m`` as a monomial map, or None when a column has two nonzero entries.
-    An integer scalar is held as an int, which multiplies faster than a
-    Fraction and compares and hashes equal to it."""
-    out = []
-    for col in zip(*m.entries) if m.rows else ((),) * m.cols:
-        nonzero = [(i, x.numerator if x.denominator == 1 else x) for i, x in enumerate(col) if x]
-        if len(nonzero) > 1:
-            return None
-        out.append(nonzero[0] if nonzero else None)
-    return tuple(out)
-
-
 def _monomial_kind(
     rep: Representation,
     families: Dict[str, ProjectionFamily],
@@ -438,13 +404,13 @@ def _monomial_kind(
     if not families or not all(o.id in families for o in rep.objects):
         return None
     bases = {o.id: families[o.id].basis for o in rep.objects}
-    inverses = {o.id: families[o.id].inverse for o in rep.objects}
+    inverses = {oid: basis_inverse(b) for oid, b in bases.items()}
     monomial_pairs = []
     for gen, (g, s) in zip(rep.generators, pairs):
-        g_hat = _monomial(inverses[gen.cod] @ g @ bases[gen.dom])
+        g_hat = monomial(inverses[gen.cod] @ g @ bases[gen.dom])
         if g_hat is None:
             return None
-        s_hat = _monomial(inverses[gen.dom] @ s @ bases[gen.cod])
+        s_hat = monomial(inverses[gen.dom] @ s @ bases[gen.cod])
         if s_hat is None:
             return None
         monomial_pairs.append((g_hat, s_hat))
@@ -503,7 +469,8 @@ def verify_envelope(
     nonzero entry per column), so is every product, and the closure runs on
     monomial maps: per domain index, a target index and a scalar, or
     nothing.  The pipeline's families give such bases wherever the flag was
-    saturated on bitmasks (``flag.Matching``).  Otherwise, or where an
+    saturated on bitmasks: a map is read as monomial by ``flag.monomial``,
+    the scan ``flag.Matching.of`` makes.  Otherwise, or where an
     object has no family, it runs on the matrices.  ``closure`` and an
     AxiomViolation's matrices are in the input's coordinates either way; on
     monomial maps a hom-set's matrices are computed when first read.

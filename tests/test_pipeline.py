@@ -229,6 +229,39 @@ def test_the_refuting_part_is_taken_by_dimension_within_the_limit():
     assert part(4) is None
 
 
+def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
+    """Two loops on Q^9: a random a and the projection p onto the first two
+    coordinates.  At ClosureLimits(max_elements_per_object=100) the meet
+    closure of the first 2^9 + 1 reached elements passes the element limit,
+    so the bound's part is skipped; the second pass closes the first 8
+    reached elements to 14, which fail the count and refute the input."""
+    rng = random.Random(9)
+    a = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(9)] for _ in range(9)]
+    p = [[int(i == j < 2) for j in range(9)] for i in range(9)]
+    rep = Representation(
+        RATIONALS,
+        (RepObject("x", 9),),
+        (
+            Generator("a", "x", "x", Matrix.build(RATIONALS, 9, 9, a)),
+            Generator("p", "x", "x", Matrix.build(RATIONALS, 9, 9, p)),
+        ),
+    )
+    limits = ClosureLimits(max_elements_per_object=100)
+    with pytest.raises(ClosureDivergence) as exc:
+        compute_flag(rep, limits)
+    reached = exc.value.reached["x"]
+    assert meet_closure(reached[:2**9 + 1], 100) is None
+    analysis = analyze(rep, limits)
+    report = analysis.report
+    assert not analysis.passed and not report.passed
+    assert f"by round {exc.value.detail['rounds']}" in report.closure_note
+    [part] = analysis.flag.posets.values()
+    assert part.elements == tuple(meet_closure(reached[:8]))
+    assert len(part) == 14
+    [w] = report.distributivity_witnesses
+    assert w.object_id == "x"
+
+
 def test_cli_deterministic_across_processes():
     """Reports must not depend on hash randomization."""
     outs = []

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,61 @@ def test_families_read_off_masks_match_the_adapted_families(rep):
     for oid, fam in a.families.items():
         assert fam.basis == a.bases[oid]
         assert fam.projections == realize_projections(a.flag.posets[oid], oid).projections
+
+
+def _spy_eliminations(monkeypatch):
+    """Each matrix the cached elimination inverts, with the function that
+    asked ``inverse`` for it."""
+    import invcat.linalg as linalg
+
+    real = linalg._invert
+    eliminated = []
+
+    def spied(m):
+        eliminated.append((m, sys._getframe(2).f_code.co_name))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_invert", spied)
+    return eliminated
+
+
+def test_each_basis_is_eliminated_once(rng, monkeypatch):
+    """A basis's inverse is cached on its Matrix.  A passing ``check``
+    (``analyze`` and the report) inverts only the bases the pipeline hands
+    out for the generators' codomains, never another object's and never a
+    copy.  Through the families and ``verify_envelope`` as well, no matrix
+    is eliminated twice, and every basis inverted is one handed out.  The
+    blocks that ``pseudo_inverse_from_coordinates`` inverts are not
+    bases."""
+    eliminated = _spy_eliminations(monkeypatch)
+
+    def bases_inverted():
+        return {id(m) for m, caller in eliminated if caller != "pseudo_inverse_from_coordinates"}
+
+    reps = []
+    for _ in range(20):
+        rep, _ = interval_corpus_instance(rng)
+        reps += [rep, conjugate_representation(rng, _over_gf(rep, GF(10007)))]
+    reps += [random_representation(rng) for _ in range(150)]
+    passed = 0
+    for rep in reps:
+        eliminated.clear()
+        try:
+            a = analyze(rep, ClosureLimits(max_rounds=8, max_elements_per_object=200))
+        except ClosureDivergence:
+            continue
+        if not a.report.passed:
+            continue
+        passed += 1
+        assert bases_inverted() <= {id(a.bases[g.cod]) for g in rep.generators}
+        try:
+            verify_envelope(rep, a.families, a.pseudo_inverses)
+        except AxiomViolation:
+            pass
+        handed = {id(b) for b in a.bases.values()} | {id(f.basis) for f in a.families.values()}
+        assert bases_inverted() <= handed
+        assert len({id(m) for m, _ in eliminated}) == len(eliminated)
+    assert passed >= 120
 
 
 def test_families_on_corpus(rng):
