@@ -21,8 +21,9 @@ matrix envelope, which the corpora reach only through ``bisection.json``.
 
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
-newline.  The first output that does not stops the script with exit 1 and
-names the input and the command.
+newline.  It must not report an ``InternalError`` either, which is a defect
+and not a verdict.  The first output that fails either check stops the
+script with exit 1 and names the input and the command.
 
 ``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11
 and for the draws, and CI diffs this script's output against them.  A change
@@ -77,15 +78,18 @@ def draw_inputs():
         yield f"draw{i}", random_representation(rng).serialize().encode(), None
 
 
-def check_bytes(name, words, out):
+def check_output(name, words, out):
     """Stop unless ``out`` is ``json``'s own rendering of the document it
-    holds."""
+    holds, and that document reports no ``InternalError``."""
+    where = f"{name} {' '.join(words)}"
     try:
-        expected = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        doc = json.loads(out)
     except json.JSONDecodeError as e:
-        sys.exit(f"{name} {' '.join(words)}: stdout is not JSON ({e})")
-    if out != expected:
-        sys.exit(f"{name} {' '.join(words)}: stdout differs from json.dumps of its document")
+        sys.exit(f"{where}: stdout is not JSON ({e})")
+    if out != json.dumps(doc, indent=2, sort_keys=True) + "\n":
+        sys.exit(f"{where}: stdout differs from json.dumps of its document")
+    if doc.get("error", {}).get("code") == "InternalError":
+        sys.exit(f"{where}: InternalError: {doc['error']['message']}")
 
 
 def digest(inputs, limits, workdir):
@@ -95,7 +99,7 @@ def digest(inputs, limits, workdir):
     def record(name, words, paths):
         nonlocal runs
         code, out, _ = run_cli(cli_main, [*words, *paths])
-        check_bytes(name, words, out)
+        check_output(name, words, out)
         h.update(f"{name} {' '.join(words)} {code}\n".encode())
         h.update(out.encode())
         runs += 1

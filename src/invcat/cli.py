@@ -17,7 +17,6 @@ dict with the same four keys.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import traceback
@@ -26,19 +25,13 @@ from pathlib import Path
 from typing import Optional
 
 from .decompose import BlockcodeDecomposition, decompose, verify_decomposition
-from .errors import (
-    AxiomViolation,
-    InputSyntaxError,
-    InternalError,
-    ToolError,
-    TooLarge,
-)
+from .errors import AxiomViolation, InputSyntaxError, InternalError, ToolError
 from .flag import ClosureLimits, FlagAssignment
 from .jsontext import dumps
 from .pipeline import analyze
 from .poset import mobius
 from .realize import EnvelopeLimits, verify_envelope
-from .rep import parse_representation
+from .rep import decode_json, expect, parse_representation
 
 
 def _dump(doc: dict, out: Optional[str]) -> None:
@@ -49,12 +42,15 @@ def _dump(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_rep(path: str):
+def _read(path: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as e:
         raise InputSyntaxError(f"cannot read {path}: {e}") from e
-    return parse_representation(data)
+
+
+def _load_rep(path: str):
+    return parse_representation(_read(path))
 
 
 def _limits(args: argparse.Namespace) -> ClosureLimits:
@@ -78,10 +74,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if analysis.report.passed else 1
 
 
-def _closed_flag(args: argparse.Namespace) -> FlagAssignment:
+def _closed_flag(rep, args: argparse.Namespace) -> FlagAssignment:
     """The flag to report.  A closure stopped at a limit has none, and its
     ``ClosureDivergence`` is raised instead."""
-    analysis = analyze(_load_rep(args.input), _limits(args))
+    analysis = analyze(rep, _limits(args))
     if analysis.stopped is None:
         return analysis.flag
     try:
@@ -93,7 +89,12 @@ def _closed_flag(args: argparse.Namespace) -> FlagAssignment:
 
 
 def _cmd_flag(args: argparse.Namespace) -> int:
-    flag = _closed_flag(args)
+    rep = _load_rep(args.input)
+    if args.dot:  # each object's file is named by its id, which must stay in DIR
+        for i, o in enumerate(rep.objects):
+            expect(o.id not in ("", ".", "..") and "/" not in o.id and "\0" not in o.id,
+                   "--dot needs object ids that are plain file names", f"objects[{i}].id")
+    flag = _closed_flag(rep, args)
     doc = flag.to_json()
     doc["command"] = "flag"
     _dump(doc, args.output)
@@ -106,7 +107,7 @@ def _cmd_flag(args: argparse.Namespace) -> int:
 
 
 def _cmd_mobius(args: argparse.Namespace) -> int:
-    flag = _closed_flag(args)
+    flag = _closed_flag(_load_rep(args.input), args)
     objects = {}
     for oid in sorted(flag.posets):
         p = flag.posets[oid]
@@ -131,18 +132,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rep = _load_rep(args.input)
-    try:
-        cert_doc = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise InputSyntaxError(f"cannot read {args.certificate}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise InputSyntaxError(f"certificate is not UTF-8: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputSyntaxError(f"malformed certificate JSON: {e}") from e
-    except ValueError as e:  # an integer past the interpreter's digit limit
-        raise TooLarge(f"certificate JSON integer too long: {e}") from e
-    except RecursionError as e:
-        raise InputSyntaxError("certificate JSON nests too deeply") from e
+    cert_doc = decode_json(_read(args.certificate), "certificate JSON")
     dec = BlockcodeDecomposition.from_json(cert_doc, rep)
     outcome = verify_decomposition(rep, dec)
     _dump(

@@ -16,19 +16,14 @@ never trusts the decomposer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    AlignmentFailure,
-    CriterionViolated,
-    CycleError,
-    ValidationError,
-)
+from .errors import AlignmentFailure, CriterionViolated, CycleError
 from .fields import Field, Scalar
 from .flag import ClosureLimits
 from .linalg import Matrix, Subspace, inverse
 from .pipeline import Analysis, analyze
-from .rep import Representation, quiver_shape
+from .rep import EntryBudget, Representation, expect, quiver_shape, read_rows
 
 AtomKey = Tuple[str, int]  # (object id, atom index)
 
@@ -85,111 +80,81 @@ class BlockcodeDecomposition:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, rep: Representation) -> "BlockcodeDecomposition":
+    def from_json(cls, doc: Any, rep: Representation) -> "BlockcodeDecomposition":
         """Parse a certificate against a representation's shapes.
 
-        Structural problems raise ValidationError; semantic defects are the
-        verifier's job.
+        Structural problems raise ValidationError.  The atom bases and blocks
+        are charged to one ``EntryBudget``, matrix by matrix before each is
+        read, so the first that passes ``MAX_TOTAL_ENTRIES`` raises TooLarge
+        unread.  Semantic defects are the verifier's job.
         """
-        if not isinstance(doc, dict):
-            raise ValidationError("certificate must be an object", path="$")
+        expect(isinstance(doc, dict), "certificate must be an object", "$")
         field = Field.from_json(doc.get("field"))
+        dims = {o.id: o.dim for o in rep.objects}
+        gens = {g.id: g for g in rep.generators}
+        budget = EntryBudget("certificate", "rows x cols per atom basis and per block")
         objects = doc.get("objects")
-        if not isinstance(objects, dict):
-            raise ValidationError("certificate needs an 'objects' map", path="objects")
+        expect(isinstance(objects, dict), "certificate needs an 'objects' map", "objects")
         atoms: Dict[str, Tuple[Subspace, ...]] = {}
         index_by_id: Dict[str, AtomKey] = {}
         for oid, lst in objects.items():
-            if not isinstance(lst, list):
-                raise ValidationError("object atoms must be an array", path=f"objects.{oid}")
-            dim = rep.object_dim(oid) if any(o.id == oid for o in rep.objects) else None
+            expect(oid in dims, f"unknown object id {oid!r}", f"objects.{oid}")
+            expect(isinstance(lst, list), "object atoms must be an array", f"objects.{oid}")
             subs = []
             for k, entry in enumerate(lst):
                 where = f"objects.{oid}[{k}]"
-                if not isinstance(entry, dict) or "basis" not in entry or "atom" not in entry:
-                    raise ValidationError("atom entry needs 'atom' and 'basis'", path=where)
-                basis = entry["basis"]
-                if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
-                    raise ValidationError("atom basis must be an array of rows", path=where)
-                ambient = dim if dim is not None else (len(basis[0]) if basis else 0)
-                if any(len(r) != ambient for r in basis):
-                    raise ValidationError(f"atom basis rows must have {ambient} entries", path=where)
-                rows = [
-                    [field.parse_entry(x, f"{where}.basis") for x in row] for row in basis
-                ]
-                subs.append(Subspace.span(field, ambient, rows))
-                index_by_id[entry["atom"]] = (oid, k)
+                expect(isinstance(entry, dict) and "basis" in entry and "atom" in entry,
+                       "atom entry needs 'atom' and 'basis'", where)
+                aid = entry["atom"]
+                expect(isinstance(aid, str), "atom id must be a string", f"{where}.atom")
+                expect(aid not in index_by_id, f"duplicate atom id {aid!r}", f"{where}.atom")
+                rows = read_rows(field, entry["basis"], dims[oid], f"{where}.basis", budget)
+                subs.append(Subspace.span(field, dims[oid], rows))
+                index_by_id[aid] = (oid, k)
             atoms[oid] = tuple(subs)
+
+        def atom(aid: Any, path: str, at: Optional[str] = None) -> AtomKey:
+            expect(isinstance(aid, str), "atom id must be a string", path)
+            expect(aid in index_by_id, f"unknown atom {aid!r}", path)
+            key = index_by_id[aid]
+            expect(at is None or key[0] == at, f"atom {aid!r} does not live at {at!r}", path)
+            return key
+
         gens_doc = doc.get("generators")
-        if not isinstance(gens_doc, dict):
-            raise ValidationError("certificate needs a 'generators' map", path="generators")
+        expect(isinstance(gens_doc, dict), "certificate needs a 'generators' map", "generators")
         gen_ends: Dict[str, Tuple[str, str]] = {}
         action: Dict[str, Dict[int, Optional[int]]] = {}
         blocks: Dict[str, Dict[int, Matrix]] = {}
         for gid, body in gens_doc.items():
             where = f"generators.{gid}"
-            try:
-                g = rep.generator(gid)
-            except ValidationError:
-                raise ValidationError(f"unknown generator {gid!r} in certificate", path=where)
-            gen_ends[gid] = (g.dom, g.cod)
+            expect(gid in gens, f"unknown generator {gid!r} in certificate", where)
+            g = gens[gid]
+            expect(isinstance(body, dict) and isinstance(body.get("action"), dict),
+                   "generator entry needs an 'action' map", where)
+            blocks_doc = body.get("blocks", {})
+            expect(isinstance(blocks_doc, dict), "generator blocks must be a map", f"{where}.blocks")
             act: Dict[int, Optional[int]] = {}
-            blk: Dict[int, Matrix] = {}
-            if not isinstance(body, dict) or not isinstance(body.get("action"), dict):
-                raise ValidationError("generator entry needs an 'action' map", path=where)
             for src_id, tgt_id in body["action"].items():
-                if src_id not in index_by_id:
-                    raise ValidationError(f"unknown atom {src_id!r}", path=f"{where}.action")
-                src = index_by_id[src_id]
-                if src[0] != g.dom:
-                    raise ValidationError(
-                        f"atom {src_id!r} does not live at dom({gid})", path=f"{where}.action"
-                    )
-                if tgt_id == "zero":
-                    act[src[1]] = None
-                else:
-                    if tgt_id not in index_by_id:
-                        raise ValidationError(f"unknown atom {tgt_id!r}", path=f"{where}.action")
-                    tgt = index_by_id[tgt_id]
-                    if tgt[0] != g.cod:
-                        raise ValidationError(
-                            f"atom {tgt_id!r} does not live at cod({gid})",
-                            path=f"{where}.action",
-                        )
-                    act[src[1]] = tgt[1]
-            for src_id, rows in (body.get("blocks") or {}).items():
-                if src_id not in index_by_id:
-                    raise ValidationError(f"unknown atom {src_id!r}", path=f"{where}.blocks")
-                src = index_by_id[src_id]
-                tgt = act.get(src[1])
-                if tgt is None:
-                    raise ValidationError(
-                        f"block given for zero-mapped atom {src_id!r}", path=f"{where}.blocks"
-                    )
-                nrows = atoms[g.cod][tgt].dim
-                ncols = atoms[g.dom][src[1]].dim
-                if not isinstance(rows, list) or len(rows) != nrows:
-                    raise ValidationError("block has wrong row count", path=f"{where}.blocks")
-                parsed = [
-                    [field.parse_entry(x, f"{where}.blocks.{src_id}") for x in row]
-                    for row in rows
-                ]
-                blk[src[1]] = Matrix.build(field, nrows, ncols, parsed)
+                path = f"{where}.action.{src_id}"
+                i = atom(src_id, path, g.dom)[1]
+                act[i] = None if tgt_id == "zero" else atom(tgt_id, path, g.cod)[1]
+            blk: Dict[int, Matrix] = {}
+            for src_id, raw in blocks_doc.items():
+                path = f"{where}.blocks.{src_id}"
+                i = atom(src_id, path, g.dom)[1]
+                tgt = act.get(i)
+                expect(tgt is not None, f"block given for zero-mapped atom {src_id!r}", path)
+                nrows, ncols = atoms[g.cod][tgt].dim, atoms[g.dom][i].dim
+                blk[i] = Matrix(field, nrows, ncols, read_rows(field, raw, ncols, path, budget, nrows))
+            gen_ends[gid] = (g.dom, g.cod)
             action[gid] = act
             blocks[gid] = blk
         summands_doc = doc.get("summands")
-        if not isinstance(summands_doc, list):
-            raise ValidationError("certificate needs a 'summands' array", path="summands")
+        expect(isinstance(summands_doc, list), "certificate needs a 'summands' array", "summands")
         summands = []
         for i, group in enumerate(summands_doc):
-            if not isinstance(group, list):
-                raise ValidationError("summand must be an array of atom ids", path=f"summands[{i}]")
-            keys = []
-            for aid in group:
-                if aid not in index_by_id:
-                    raise ValidationError(f"unknown atom {aid!r}", path=f"summands[{i}]")
-                keys.append(index_by_id[aid])
-            summands.append(tuple(keys))
+            expect(isinstance(group, list), "summand must be an array of atom ids", f"summands[{i}]")
+            summands.append(tuple(atom(aid, f"summands[{i}][{j}]") for j, aid in enumerate(group)))
         summand_dims = tuple(
             tuple(sorted((oid, atoms[oid][k].dim) for (oid, k) in summand))
             for summand in summands

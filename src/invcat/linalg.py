@@ -272,34 +272,18 @@ class Matrix:
         ent = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
         return Matrix(self.field, self.rows, ncols, ent)
 
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        """``self + sign * other``."""
+    def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
-            raise ValidationError("shape mismatch in matrix sum")
+            raise ValidationError("shape mismatch in matrix difference")
         d, a, _ = self._ints()
         e, b, _ = other._ints()
         p = self.field.p
         if p is None:
             m = lcm(d, e)
-            s, t = m // d, sign * (m // e)
-            grid = [[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+            s, t = m // d, m // e
+            grid = [[s * x - t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
             return _rational_matrix(self.field, self.rows, self.cols, grid, m)
-        ent = tuple(tuple((x + sign * y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-        return Matrix(self.field, self.rows, self.cols, ent)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Matrix":
-        d, rows, _ = self._ints()
-        p = self.field.p
-        if p is None:
-            grid = [[-x for x in r] for r in rows]
-            return _rational_matrix(self.field, self.rows, self.cols, grid, d)
-        ent = tuple(tuple(-x % p for x in r) for r in rows)
+        ent = tuple(tuple((x - y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
         return Matrix(self.field, self.rows, self.cols, ent)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:

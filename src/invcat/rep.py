@@ -17,6 +17,11 @@ refused with ``TooLarge`` while it is parsed, before any entry of a matrix
 that would pass them is read and before any elimination.  So is one with an
 entry past ``fields.MAX_ENTRY_BITS``, or with a JSON integer too long for the
 interpreter to read.
+
+This module is the one reader of input documents: ``decode_json`` turns bytes
+into a document and ``read_rows`` reads a matrix's rows against an
+``EntryBudget``, for representations here and for the certificates of
+``decompose.BlockcodeDecomposition.from_json``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, InputSyntaxError, TooLarge, ValidationError
-from .fields import Field
+from .fields import Field, Scalar
 from .jsontext import dumps
 from .linalg import Matrix
 
@@ -149,36 +154,62 @@ def quiver_shape(rep: Representation) -> QuiverShape:
     )
 
 
-def _expect(cond: bool, msg: str, path: str) -> None:
+def expect(cond: bool, msg: str, path: str) -> None:
     if not cond:
         raise ValidationError(msg, path=path)
 
 
-def _count_entries(total: int, more: int, path: str) -> int:
-    total += more
-    if total > MAX_TOTAL_ENTRIES:
-        raise TooLarge(
-            f"the input has more than {MAX_TOTAL_ENTRIES} matrix entries "
-            "(dim^2 per object, rows x cols per generator)",
-            path=path,
-        )
-    return total
+class EntryBudget:
+    """The ``MAX_TOTAL_ENTRIES`` matrix entries one document may hold;
+    ``counted`` says, for the message, what its count covers."""
+
+    def __init__(self, document: str, counted: str):
+        self.left = MAX_TOTAL_ENTRIES
+        self.document, self.counted = document, counted
+
+    def charge(self, entries: int, path: str) -> None:
+        self.left -= entries
+        if self.left < 0:
+            raise TooLarge(
+                f"the {self.document} has more than {MAX_TOTAL_ENTRIES} matrix entries "
+                f"({self.counted})",
+                path=path,
+            )
+
+
+def read_rows(
+    field: Field, raw: Any, ncols: int, where: str, budget: EntryBudget, nrows: Optional[int] = None
+) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The entries of the matrix at ``where``: an array of ``nrows`` rows (of
+    any number where ``nrows`` is None), each an array of ``ncols`` entries.
+    They are charged to ``budget`` before any is read."""
+    expect(isinstance(raw, list), "matrix must be an array of rows", where)
+    if nrows is None:
+        nrows = len(raw)
+    budget.charge(nrows * ncols, where)
+    expect(len(raw) == nrows, f"matrix must have {nrows} rows", where)
+    parse = field.parse_entry
+    rows = []
+    for r, row in enumerate(raw):
+        expect(isinstance(row, list) and len(row) == ncols, f"row must have {ncols} entries", f"{where}[{r}]")
+        rows.append(tuple([parse(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]))
+    return tuple(rows)
 
 
 def representation_from_json(doc: Any) -> Representation:
-    _expect(isinstance(doc, dict), "top-level document must be an object", "$")
+    expect(isinstance(doc, dict), "top-level document must be an object", "$")
     for key in ("field", "objects", "generators"):
-        _expect(key in doc, f"missing required key {key!r}", key)
+        expect(key in doc, f"missing required key {key!r}", key)
     field = Field.from_json(doc["field"])
-    _expect(isinstance(doc["objects"], list), "'objects' must be an array", "objects")
+    expect(isinstance(doc["objects"], list), "'objects' must be an array", "objects")
     objects = []
     dims: Dict[str, int] = {}
     for i, o in enumerate(doc["objects"]):
         where = f"objects[{i}]"
-        _expect(isinstance(o, dict), "object entry must be an object", where)
-        _expect(isinstance(o.get("id"), str), "object id must be a string", f"{where}.id")
-        _expect(isinstance(o.get("dim"), int) and not isinstance(o["dim"], bool),
-                "object dim must be an integer", f"{where}.dim")
+        expect(isinstance(o, dict), "object entry must be an object", where)
+        expect(isinstance(o.get("id"), str), "object id must be a string", f"{where}.id")
+        expect(isinstance(o.get("dim"), int) and not isinstance(o["dim"], bool),
+               "object dim must be an integer", f"{where}.dim")
         if o["dim"] > MAX_OBJECT_DIM:
             raise TooLarge(
                 f"object dimension {o['dim']} exceeds the limit {MAX_OBJECT_DIM}",
@@ -186,46 +217,42 @@ def representation_from_json(doc: Any) -> Representation:
             )
         objects.append(RepObject(o["id"], o["dim"]))
         dims[o["id"]] = o["dim"]
-    _expect(isinstance(doc["generators"], list), "'generators' must be an array", "generators")
-    entries = _count_entries(0, sum(o.dim * o.dim for o in objects), "objects")
+    expect(isinstance(doc["generators"], list), "'generators' must be an array", "generators")
+    budget = EntryBudget("input", "dim^2 per object, rows x cols per generator")
+    budget.charge(sum(o.dim * o.dim for o in objects), "objects")
     gens = []
     for i, g in enumerate(doc["generators"]):
         where = f"generators[{i}]"
-        _expect(isinstance(g, dict), "generator entry must be an object", where)
+        expect(isinstance(g, dict), "generator entry must be an object", where)
         for key in ("id", "dom", "cod"):
-            _expect(isinstance(g.get(key), str), f"generator {key} must be a string", f"{where}.{key}")
-        _expect(isinstance(g.get("matrix"), list), "generator matrix must be an array of rows", f"{where}.matrix")
-        _expect(g["dom"] in dims, f"unknown object id {g.get('dom')!r}", f"{where}.dom")
-        _expect(g["cod"] in dims, f"unknown object id {g.get('cod')!r}", f"{where}.cod")
+            expect(isinstance(g.get(key), str), f"generator {key} must be a string", f"{where}.{key}")
+        expect(g["dom"] in dims, f"unknown object id {g['dom']!r}", f"{where}.dom")
+        expect(g["cod"] in dims, f"unknown object id {g['cod']!r}", f"{where}.cod")
         nrows, ncols = dims[g["cod"]], dims[g["dom"]]
-        entries = _count_entries(entries, nrows * ncols, f"{where}.matrix")
-        raw = g["matrix"]
-        _expect(len(raw) == nrows, f"matrix must have {nrows} rows", f"{where}.matrix")
-        rows = []
-        for r, row in enumerate(raw):
-            _expect(isinstance(row, list) and len(row) == ncols,
-                    f"row must have {ncols} entries", f"{where}.matrix[{r}]")
-            rows.append([field.parse_entry(x, f"{where}.matrix[{r}][{c}]") for c, x in enumerate(row)])
-        gens.append(Generator(g["id"], g["dom"], g["cod"], Matrix.build(field, nrows, ncols, rows)))
+        rows = read_rows(field, g.get("matrix"), ncols, f"{where}.matrix", budget, nrows)
+        gens.append(Generator(g["id"], g["dom"], g["cod"], Matrix(field, nrows, ncols, rows)))
     return Representation(field, tuple(objects), tuple(gens))
+
+
+def decode_json(data: Union[str, bytes], what: str = "JSON") -> Any:
+    """The document that ``data`` holds; ``what`` names it in the messages."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as e:
+        raise InputSyntaxError(f"{what} is not UTF-8: {e}") from e
+    except json.JSONDecodeError as e:
+        raise InputSyntaxError(f"malformed {what}: {e}") from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise TooLarge(f"{what} integer too long: {e}") from e
+    except RecursionError as e:
+        raise InputSyntaxError(f"{what} nests too deeply") from e
 
 
 def parse_representation(data: Union[str, bytes]) -> Representation:
     """Parse and fully validate a representation document."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise InputSyntaxError(f"input is not UTF-8: {e}") from e
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise InputSyntaxError(f"malformed JSON: {e}") from e
-    except ValueError as e:  # an integer past the interpreter's digit limit
-        raise TooLarge(f"JSON integer too long: {e}") from e
-    except RecursionError as e:
-        raise InputSyntaxError("JSON nests too deeply") from e
-    return representation_from_json(doc)
+    return representation_from_json(decode_json(data))
 
 
 def evaluate_word(rep: Representation, word: Sequence[str], at: Optional[str] = None) -> Matrix:
