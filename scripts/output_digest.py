@@ -3,6 +3,7 @@
 
 Usage: python scripts/output_digest.py SEED
        python scripts/output_digest.py draws
+       python scripts/output_digest.py stars
 
 With a SEED, runs ``check``, ``check --mu literal``, ``flag``, ``mobius``,
 ``decompose`` and ``envelope`` on every file in ``data/`` and on every
@@ -19,15 +20,22 @@ With ``draws``, runs the same commands at ``--max-rounds 8 --max-elements
 this line covers the subspace saturation, the first-fit families and the
 matrix envelope, which the corpora reach only through ``bisection.json``.
 
+With ``stars``, runs the same commands on 60 seeded stars
+(``random_star`` in ``tests/conftest.py``): 2 to 10 arms of dimension 1 to
+n - 1 into one centre, over GF(10007)^4, Q^4 and GF(2)^3 in turn.  The
+benchmark's stars are all planes in a 3-space, so only this line meets a
+line against a plane that is not a hyperplane, and lines, planes and
+hyperplanes in one flag.
+
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
 newline.  It must not report an ``InternalError`` either, which is a defect
 and not a verdict.  The first output that fails either check stops the
 script with exit 1 and names the input and the command.
 
-``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11
-and for the draws, and CI diffs this script's output against them.  A change
-that alters report bytes on purpose updates that file.
+``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11,
+for the draws and for the stars, and CI diffs this script's output against
+them.  A change that alters report bytes on purpose updates that file.
 """
 
 import argparse
@@ -43,10 +51,11 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import random_representation  # noqa: E402
+from conftest import random_representation, random_star  # noqa: E402
 from corpus import make_corpus  # noqa: E402
 from run import CORPUS_SIZES, run_cli  # noqa: E402
 
+from invcat import GF, RATIONALS  # noqa: E402
 from invcat.cli import main as cli_main  # noqa: E402
 
 # each command's arguments before the representation path
@@ -62,6 +71,9 @@ COMMANDS = (
 DRAWS, DRAW_SEED = 500, 7
 DRAW_LIMITS = ("--max-rounds", "8", "--max-elements", "200")
 
+STARS, STAR_SEED = 60, 3
+STAR_CENTRES = ((GF(10007), 4), (RATIONALS, 4), (GF(2), 3))
+
 
 def corpus_inputs(seed):
     """(name, representation bytes, decoy certificate bytes or None)."""
@@ -76,6 +88,14 @@ def draw_inputs():
     rng = random.Random(DRAW_SEED)
     for i in range(DRAWS):
         yield f"draw{i}", random_representation(rng).serialize().encode(), None
+
+
+def star_inputs():
+    rng = random.Random(STAR_SEED)
+    for i in range(STARS):
+        field, centre = STAR_CENTRES[i % len(STAR_CENTRES)]
+        star = random_star(rng, field, centre, rng.randint(2, 10))
+        yield f"star{i}", star.serialize().encode(), None
 
 
 def check_output(name, words, out):
@@ -123,10 +143,12 @@ def digest(inputs, limits, workdir):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("seed", help="a corpus seed, or 'draws'")
+    ap.add_argument("seed", help="a corpus seed, 'draws' or 'stars'")
     args = ap.parse_args()
     if args.seed == "draws":
         inputs, limits, label = draw_inputs(), DRAW_LIMITS, f"draws={DRAWS} seed={DRAW_SEED}"
+    elif args.seed == "stars":
+        inputs, limits, label = star_inputs(), (), f"stars={STARS} seed={STAR_SEED}"
     else:
         inputs, limits, label = corpus_inputs(int(args.seed)), (), f"seed={args.seed}"
     with tempfile.TemporaryDirectory() as tmp:

@@ -171,6 +171,15 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """A limit flag's value: an integer of at least 1.  Anything else is an
+    argument error (exit 2, naming the flag)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -186,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="representation JSON file")
-        p.add_argument("--max-rounds", type=int, default=64, help="closure round limit")
-        p.add_argument("--max-elements", type=int, default=4096,
+        p.add_argument("--max-rounds", type=positive_int, default=64, help="closure round limit")
+        p.add_argument("--max-elements", type=positive_int, default=4096,
                        help="per-object flag size limit")
         p.add_argument("-o", "--output", default=None, help="write the JSON report here")
 
@@ -219,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_env = sub.add_parser("envelope", help="synthesize pseudo-inverses and verify axioms")
     common(p_env)
-    p_env.add_argument("--max-words", type=int, default=10_000)
-    p_env.add_argument("--max-matrices", type=int, default=1_000)
+    p_env.add_argument("--max-words", type=positive_int, default=10_000)
+    p_env.add_argument("--max-matrices", type=positive_int, default=1_000)
     p_env.set_defaults(fn=_cmd_envelope)
 
     return parser

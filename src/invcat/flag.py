@@ -16,25 +16,35 @@ loudly instead of spinning.
 The meet of every pair of final elements is recorded exactly once, in the
 round after the later of the two arrived, by element ordinal, and handed to
 ``build_poset``, which reads the order and the covers off the record instead
-of intersecting again.  A meet that dimension and containment already give
-(``_known_meet``: the smaller element is zero or a line, or the larger is the
-full space) is a known element and is recorded without intersecting; every
-other pair is intersected and its meet offered.
+of intersecting again.  The meet step takes each object's members in
+``sort_key`` order, by dimension, and dimension decides most meets: 0 and the
+full space meet every element in 0 and in the element, and two lines meet in
+0, so these are recorded in bulk.  A line and a larger element meet in the
+line or in 0, by one incidence test on cached integer rows (one dot product
+with the normal row of a hyperplane).  Only two elements of dimension 2 or
+more, neither the full space, are intersected, and their meets offered in
+``sort_key`` pair order.  The members keep that order across rounds: each
+round's fresh elements are merged in.
 
-On subspaces every intersection of a round is made once.  The preimage of b
-under g is the lift of its key b meet im g (``preimage_of_meet``), and im g,
-the image of the full seed, is an element from round 2 on, so the key is
-the meet of a pair of the round's meet step (in round 1, b is 0 or the full
-space, and the key is known).  A round runs in two steps:
+On subspaces every intersection and every incidence of a round is made
+once.  The preimage of b under g is the lift of its key b meet im g
+(``preimage_of_meet``), and im g, the image of the full seed, is an element
+from round 2 on, so the key is the meet of a pair of the round's meet step
+(in round 1, b is 0 or the full space, and the key is known).  A round runs
+in two steps:
 
-1. the image and the preimage offers, map by map; a preimage's key is a
-   known meet (``_known_meet``), or one kept earlier in the round, or it is
-   intersected and kept under the ordinals of its pair;
-2. the meet offers, pair by pair in ``sort_key`` order; a pair whose meet
-   was kept in step 1 takes it instead of intersecting.
+1. the image and the preimage offers, map by map.  A preimage's key is
+   known from dimension; or it is a line's incidence with a larger element,
+   recorded at once under the ordinals of the pair; or it is intersected
+   and kept under those ordinals.  From round 2 on, the preimages of the
+   keys 0 and im g (ker g and the full domain) are known since round 1, and
+   are not offered again.  The image of a preimage is the key it was lifted
+   from, which ``map_image`` reads off the map's factorization;
+2. the meet offers, by dimension class; a pair that step 1 recorded or kept
+   takes its meet instead of testing or intersecting again.
 
 The offers, the ordinals and the witnesses are those of a round that
-intersects every key anew.
+intersects every pair anew.
 
 When a limit stops the closure, the ``ClosureDivergence`` carries, per
 object, every element reached so far in order of arrival (``reached``): the
@@ -52,20 +62,21 @@ indices: an image is the OR of the matched bits, a preimage the unmatched
 bits plus the bits matched into the target, a meet a bitwise AND, and
 equal masks are equal subspaces.  A mask's ``Subspace``, the span of its
 basis vectors, is built once, when the mask first appears; it gives the
-sort key, the provenance sources and the reported form.  Only the
-``Subspace`` kind records known meets without offering them and keeps the
-keys of its preimages (a mask's preimage is one pass over its bits); an
-offer of a known element adds nothing, so both kinds add the same elements
-in the same order and give the same flag.  A flag closed on bitmasks also
-hands out its coordinates and each element's mask (``FlagAssignment.masks``),
-off which ``pipeline.build_families`` reads the projections.  ``Matching.of``
-reads a map with ``monomial``, the scan ``realize.verify_envelope`` shares.
+sort key, the provenance sources and the reported form.  Both kinds record
+meets by dimension class (a mask's incidence is one AND); only the
+``Subspace`` kind keeps the keys of its preimages (a mask's preimage is one
+pass over its bits).  An offer of a known element adds nothing, so both
+kinds add the same elements in the same order and give the same flag.  A
+flag closed on bitmasks also hands out its coordinates and each element's
+mask (``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
+the projections.  ``Matching.of`` reads a map with ``monomial``, the scan
+``realize.verify_envelope`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import partial
 from operator import and_
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
@@ -158,22 +169,6 @@ def _check_budget(oid: str, count: int, rule: str, limits: ClosureLimits, rounds
         )
 
 
-def _known_meet(a: Subspace, b: Subspace, zero: Subspace) -> Optional[Subspace]:
-    """The meet of distinct ``a`` and ``b``, dim a <= dim b, where dimension
-    and containment give it without intersecting, or None.
-
-    It is ``a`` when a is zero or b is the full space; ``zero`` when a and b
-    are distinct lines; and for a line a in a larger b, a if b contains it,
-    else ``zero``.  Either way it is an element already known.
-    """
-    k = len(a.basis)
-    if k == 0 or len(b.basis) == b.ambient_dim:
-        return a
-    if k == 1:
-        return a if len(b.basis) > 1 and b.contains(a) else zero
-    return None
-
-
 # A monomial map: per domain basis index, the target index and a nonzero
 # scalar, or None where that basis vector goes to zero.
 Monomial = Tuple[Optional[Tuple[int, Scalar]], ...]
@@ -258,17 +253,17 @@ Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
 
 
 # The closure rules on one kind of element: the seeds (zero, full) of a
-# dimension, the image and the preimage under each map, the meet, the known
-# meet (``_known_meet``, or None where every meet is computed), and the
-# Subspace of an element at an object, which is built once per element.  A
-# Subspace preimage is taken of the element's meet with the map's image
-# (``preimage_of_meet``), a bitmask one of the element itself.
+# dimension, the image and the preimage under each map, the meet, the
+# incidence of a line with a larger element (true when the line lies in it),
+# and the Subspace of an element at an object, which is built once per
+# element.  A Subspace preimage is taken of the element's meet with the
+# map's image (``preimage_of_meet``), a bitmask one of the element itself.
 _Rules = Tuple[
     Callable[[int], Tuple[Element, Element]],
     Sequence[Callable[[Element], Element]],
     Sequence[Callable[[Element], Element]],
     Callable[[Element, Element], Element],
-    Optional[Callable[[Element, Element, Element], Optional[Element]]],
+    Callable[[Element, Element], bool],
     Callable[[str, Element], Subspace],
 ]
 
@@ -279,7 +274,7 @@ def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
         [partial(map_image, g.matrix) for g in maps],
         [partial(preimage_of_meet, g.matrix) for g in maps],
         sub_intersect,
-        _known_meet,
+        lambda line, b: b._holds(line._ints()[0][0]),
         lambda oid, s: s,
     )
 
@@ -296,7 +291,7 @@ def _mask_rules(rep: Representation, coordinates: BasisCoordinates) -> _Rules:
         [m.image for m in coordinates.matchings],
         [m.preimage for m in coordinates.matchings],
         and_,
-        None,
+        lambda line, b: line & b == line,
         subspace,
     )
 
@@ -320,7 +315,7 @@ def compute_flag(
     docstring).
     """
     maps: List[Generator] = list(rep.generators) + list(extra_maps)
-    seeds, images, preimages, meet, known_meet, subspace = (
+    seeds, images, preimages, meet, incident, subspace = (
         _subspace_rules(rep, maps) if coordinates is None else _mask_rules(rep, coordinates)
     )
     # on subspaces, each map's image, whose meet with an element is the key
@@ -331,10 +326,17 @@ def compute_flag(
     fresh: Dict[str, List[Element]] = {}
     # per object: each element's Subspace, in order of arrival
     spaces: Dict[str, Dict[Element, Subspace]] = {}
-    # per object: each element's ordinal (order of arrival), and for the
-    # element of ordinal k, the ordinals of its meets with ordinals 0..k-1
+    # per object: each element's ordinal (order of arrival), the element of
+    # each ordinal, and for the element of ordinal k, the ordinals of its
+    # meets with ordinals 0..k-1.  The seed 0 has ordinal 0 and the full
+    # space ordinal 1 (in a space of dimension 0 they are one element).
     ordinal: Dict[str, Dict[Element, int]] = {}
+    element: Dict[str, List[Element]] = {}
     meets: Dict[str, List[List[Optional[int]]]] = {}
+    # per object: the ordinals of the members in ``sort_key`` order, and
+    # their sort keys; each round's fresh elements are merged in
+    order: Dict[str, List[int]] = {}
+    sort_keys: Dict[str, list] = {}
     for o in rep.objects:
         zero, full = seeds(o.dim)
         fam[o.id] = {zero: Witness("seed")}
@@ -342,12 +344,16 @@ def compute_flag(
             fam[o.id][full] = Witness("seed")
         space = spaces[o.id] = {s: subspace(o.id, s) for s in fam[o.id]}
         fresh[o.id] = sorted(space, key=lambda s: space[s].sort_key)
-        ordinal[o.id] = {s: k for k, s in enumerate(fam[o.id])}
-        meets[o.id] = [[None] * k for k in range(len(fam[o.id]))]
+        element[o.id] = list(fam[o.id])
+        ordinal[o.id] = {s: k for k, s in enumerate(element[o.id])}
+        meets[o.id] = [[None] * k for k in range(len(element[o.id]))]
+        order[o.id] = [ordinal[o.id][s] for s in fresh[o.id]]
+        sort_keys[o.id] = [space[s].sort_key for s in fresh[o.id]]
     # per object, the elements the current round adds
     new: Dict[str, Dict[Element, Witness]] = {oid: {} for oid in fam}
-    # the meets intersected for preimage keys, by object and the ordinals
-    # (lower first) of the pair; the round's meet step takes them
+    # the meets of two elements of dimension 2 or more intersected for
+    # preimage keys, by object and the ordinals (lower first) of the pair;
+    # the round's meet step takes them
     keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
 
@@ -360,6 +366,7 @@ def compute_flag(
         k = ords.get(s)
         if k is None:
             k = ords[s] = len(ords)
+            element[oid].append(s)
             spaces[oid][s] = subspace(oid, s)
             if g is None:
                 new[oid][s] = Witness(rule, None, (spaces[oid][a], spaces[oid][b]))
@@ -371,21 +378,80 @@ def compute_flag(
         return k
 
     def key(oid: str, b: Subspace, im: Subspace) -> Subspace:
-        """b meet im, intersected at most once.  im arrived in round 1 (as
-        the image of the full space), so from round 2 on the fresh b and im
-        are a pair of this round's meet step, unless b = im; in round 1, b
-        is 0 or the full space, and the meet is known."""
+        """b meet im, decided once.  In round 1, b is 0 or the full space,
+        and the meet is one of them or im.  From round 2 on, im is an
+        element (the image of the full space, from round 1), so b and im
+        are a pair of this round's meet step unless b = im: the meet of a
+        line and a larger element is one incidence, recorded here, and that
+        of two larger ones is intersected and kept for the meet step."""
         small, big = (b, im) if len(b.basis) <= len(im.basis) else (im, b)
-        if small.basis == big.basis:
+        k = len(small.basis)
+        if k == 0 or len(big.basis) == big.ambient_dim:
+            return small
+        if k == len(big.basis) and small.basis == big.basis:
             return b
-        m = known_meet(small, big, next(iter(fam[oid])))  # the seed 0 comes first
+        zero = element[oid][0]
+        if k == 1 and len(big.basis) == 1:
+            return zero
+        kb, ki = ordinal[oid][b], ordinal[oid][im]
+        lo, hi = (kb, ki) if kb < ki else (ki, kb)
+        if k == 1:
+            m = small if incident(small, big) else zero
+            meets[oid][hi][lo] = ordinal[oid][m]
+            return m
+        m = keyed.get((oid, lo, hi))
         if m is None:
-            kb, ki = ordinal[oid][b], ordinal[oid][im]
-            pair = (oid, kb, ki) if kb < ki else (oid, ki, kb)
-            m = keyed.get(pair)
-            if m is None:
-                m = keyed[pair] = meet(b, im)
+            m = keyed[oid, lo, hi] = meet(b, im)
         return m
+
+    def meet_step(oid: str) -> None:
+        """Record the meet of every pair of members in which a fresh element
+        takes part, by dimension class: 0 and the full space meet every
+        element in 0 and in the element; two lines meet in 0; a line and a
+        larger element meet in the line or in 0, by one incidence (unless
+        ``key`` recorded it); and every other pair, of two elements of
+        dimension 2 or more, is intersected (or takes its meet from ``key``)
+        and offered, in ``sort_key`` order."""
+        ords = order[oid]
+        top = len(ords) - 1  # the position of the full space
+        if not top:
+            return
+        elems, record = element[oid], meets[oid]
+        first_fresh = len(ords) - len(fresh[oid])
+        for k in range(max(first_fresh, 1), len(ords)):
+            row = record[k]
+            row[0] = 0
+            if k > 1:
+                row[1] = k
+        mid = max(1, min(bisect_left(sort_keys[oid], (2,)), top))
+        lines, mids = ords[1:mid], ords[mid:top]
+        fresh_mids = [m for m in mids if m >= first_fresh]
+        for ln in lines:
+            if ln >= first_fresh:
+                row = record[ln]
+                for other in lines:
+                    if other < ln:
+                        row[other] = 0
+            line = elems[ln]
+            for m in mids if ln >= first_fresh else fresh_mids:
+                lo, hi = (ln, m) if ln < m else (m, ln)
+                row = record[hi]
+                if row[lo] is None:
+                    row[lo] = ln if incident(line, elems[m]) else 0
+        # the pairs (i, j), i < j, in which a fresh element takes part
+        fresh_at = [j for j in range(mid, top) if ords[j] >= first_fresh]
+        for i in range(mid, top):
+            ka = ords[i]
+            a = elems[ka]
+            later = range(i + 1, top) if ka >= first_fresh else fresh_at[bisect_right(fresh_at, i):]
+            for j in later:
+                kb = ords[j]
+                b = elems[kb]
+                lo, hi = (ka, kb) if ka < kb else (kb, ka)
+                s = keyed.pop((oid, lo, hi), None) if keyed else None
+                if s is None:
+                    s = meet(a, b)
+                record[hi][lo] = offer(oid, s, "intersect", None, a, b)
 
     # rounds until one adds nothing.  Semi-naive: a round derives only from
     # the elements the previous one added; older combinations were offered.
@@ -404,45 +470,34 @@ def compute_flag(
                 for a in fresh[g.dom]:
                     offer(g.cod, image_of(a), "image", g, a)
                 for b in fresh[g.cod]:
-                    arg = b if ims is None else key(g.cod, b, ims[gi])
-                    offer(g.dom, preimage(arg), "preimage", g, b)
+                    if ims is None:
+                        offer(g.dom, preimage(b), "preimage", g, b)
+                        continue
+                    k = key(g.cod, b, ims[gi])
+                    # from round 2 on, the preimages of keys 0 and im g,
+                    # ker g and the full domain, are known (from round 1)
+                    if rounds == 1 or (k.basis and k is not ims[gi]):
+                        offer(g.dom, preimage(k), "preimage", g, b)
+            if rounds == 1 and ims is not None:
+                # the flag's own im g, which dict lookups find by identity
+                ims = [element[g.cod][ordinal[g.cod][im]] for g, im in zip(maps, ims)]
             # step 2: the meet offers
-            for oid, members in fam.items():
-                space = spaces[oid]
-                elems = sorted(members, key=lambda s: space[s].sort_key)
-                # each position's ordinal: ``members`` has 0..len-1, fresh last
-                ords = [ordinal[oid][s] for s in elems]
-                first_fresh = len(members) - len(fresh[oid])
-                # the pairs (i, j), i < j, in which a fresh element takes part
-                fresh_at = [j for j, k in enumerate(ords) if k >= first_fresh]
-                record = meets[oid]
-                zero = elems[0]  # first in sort_key order
-                for i, a in enumerate(elems):
-                    ka = ords[i]
-                    if ka >= first_fresh:
-                        later = range(i + 1, len(elems))
-                    else:
-                        later = fresh_at[bisect_right(fresh_at, i):]
-                    for j in later:
-                        b = elems[j]  # dim a <= dim b, by the sort
-                        known = known_meet(a, b, zero) if known_meet else None
-                        kb = ords[j]
-                        lo, hi = (ka, kb) if ka < kb else (kb, ka)
-                        if known is None:
-                            s = keyed.pop((oid, lo, hi), None) if keyed else None
-                            if s is None:
-                                s = meet(a, b)
-                            m = offer(oid, s, "intersect", None, a, b)
-                        else:
-                            # a known meet is a or zero
-                            m = ka if known is a else ords[0]
-                        record[hi][lo] = m
+            for oid in fam:
+                meet_step(oid)
             if all(not added for added in new.values()):
                 break
             for oid, added in new.items():
                 fam[oid].update(added)
                 space = spaces[oid]
                 fresh[oid] = sorted(added, key=lambda s: space[s].sort_key)
+                # merge the fresh elements into the members' sort order
+                ords, keys, at = order[oid], sort_keys[oid], 0
+                for s in fresh[oid]:
+                    sk = space[s].sort_key
+                    at = bisect_right(keys, sk, at)
+                    keys.insert(at, sk)
+                    ords.insert(at, ordinal[oid][s])
+                    at += 1
                 added.clear()
     except ClosureDivergence as stop:
         stop.reached = {oid: list(space.values()) for oid, space in spaces.items()}

@@ -14,8 +14,10 @@ Elimination over Q is fraction-free: rows are cross-multiplied and kept
 primitive, and are divided by their pivot only when the canonical rows are
 emitted.  ``Matrix.entries`` and ``Subspace.basis`` stay canonical Fraction
 (or int mod p) tuples.  Each value lazily caches its integer form and its
-hash, a matrix its inverse, and a hyperplane its normal row; a cache is a
-pure function of the frozen value and takes no part in equality or repr.
+hash, a matrix its inverse and its factorization for preimages (with the
+preimages made and their images), and a hyperplane its normal row; a cache
+is a pure function of the frozen value and takes no part in equality or
+repr.
 """
 
 from __future__ import annotations
@@ -196,13 +198,14 @@ class Matrix:
             object.__setattr__(self, "_int_form", form)
         return form
 
-    def _factored(self) -> Tuple["Subspace", "Subspace", Tuple[IntRow, ...], dict]:
-        """``(ker, im, lift, memo)`` for :func:`preimage_of_meet`.
+    def _factored(self) -> Tuple["Subspace", "Subspace", Tuple[IntRow, ...], dict, dict]:
+        """``(ker, im, lift, preimages, images)`` for :func:`preimage_of_meet`.
 
         ``lift`` holds the integer rows of a matrix L, up to one scalar, with
         ``self @ L`` the identity on im's RREF basis: column i of L is
-        ``solve_particular(self, im.basis[i])``.  ``memo`` maps each
-        ``b & im`` seen so far to its preimage.
+        ``solve_particular(self, im.basis[i])``.  ``preimages`` maps each
+        ``b & im`` seen so far to its preimage, and ``images`` maps that
+        preimage back to it, which is its image (see :func:`map_image`).
         """
         form = self._preimage_form
         if form is None:
@@ -210,7 +213,7 @@ class Matrix:
             lifts = [solve_particular(self, r) for r in im.basis]
             columns = tuple(zip(*lifts)) if lifts else ((),) * self.cols
             lift = Matrix(self.field, self.cols, len(lifts), columns)._ints()[1]
-            form = (ker, im, lift, {})
+            form = (ker, im, lift, {}, {})
             object.__setattr__(self, "_preimage_form", form)
         return form
 
@@ -463,9 +466,14 @@ class Subspace:
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, len(self.basis), self.ambient_dim, self.basis)
 
-    def _reduces_to_zero(self, w: Sequence[int]) -> bool:
-        """True when the integer vector ``w`` lies in this subspace."""
+    def _holds(self, w: Sequence[int]) -> bool:
+        """True when the integer vector ``w`` lies in this subspace: one dot
+        product with the cached normal row in a hyperplane, else ``w``
+        reduced against the basis rows."""
         p = self.field.p
+        if len(self.basis) + 1 == self.ambient_dim:
+            dot = sum(map(mul, self._normal_row(), w))
+            return not (dot if p is None else dot % p)
         for row, c in zip(*self._ints()):
             b = w[c]
             if b:
@@ -482,7 +490,7 @@ class Subspace:
         w = _int_vector(self.field, v)[1]
         if len(w) != self.ambient_dim:
             raise ValidationError("vector length differs from ambient dimension")
-        return self._reduces_to_zero(w)
+        return self._holds(w)
 
     def _normal_row(self) -> IntRow:
         """For a hyperplane (dimension ambient - 1), the integer row n with
@@ -509,21 +517,10 @@ class Subspace:
         return normal
 
     def contains(self, other: "Subspace") -> bool:
-        """True when ``other`` is a subspace of ``self``.
-
-        Each basis row of ``other`` is reduced against this basis, except in
-        a hyperplane, where each row takes one dot product with the cached
-        normal row.
-        """
+        """True when ``other`` is a subspace of ``self``: each basis row of
+        ``other`` holds in it (``_holds``)."""
         _check_same_ambient(self, other)
-        rows = other._ints()[0]
-        if len(self.basis) + 1 == self.ambient_dim:
-            normal = self._normal_row()
-            p = self.field.p
-            if p is None:
-                return not any(sum(map(mul, normal, r)) for r in rows)
-            return not any(sum(map(mul, normal, r)) % p for r in rows)
-        return all(self._reduces_to_zero(r) for r in rows)
+        return all(map(self._holds, other._ints()[0]))
 
     def json_rows(self) -> Tuple[tuple, ...]:
         """The basis rows as tuples of JSON scalars, converted once and
@@ -600,8 +597,16 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def map_image(m: Matrix, a: Subspace) -> Subspace:
+    """The image of ``a`` under ``m``.  The image of a preimage that
+    ``preimage_of_meet`` made is the key it was lifted from, and is read off
+    the factorization's memo without an elimination."""
     if a.ambient_dim != m.cols or a.field != m.field:
         raise ValidationError("subspace does not live in the domain of the map")
+    form = m._preimage_form
+    if form is not None:
+        key = form[4].get(a)
+        if key is not None:
+            return key
     rows = m._ints()[1]
     return Subspace.span(
         m.field, m.rows, [[sum(map(mul, r, v)) for r in rows] for v in a._ints()[0]]
@@ -650,17 +655,19 @@ def preimage_of_meet(m: Matrix, key: Subspace) -> Subspace:
     columns c_i.  ker m, im m and L are computed once per matrix and cached on
     it, as its integer form is, and the preimage is memoized per matrix,
     keyed on ``key``: preimages of subspaces that meet im m alike are one
-    computation.
+    computation.  As ``key`` lies in im m, m(m^-1(key)) = ``key``; the memo
+    records that too, and ``map_image`` reads it.
     """
-    ker, im, lift, memo = m._factored()
-    pre = memo.get(key)
+    ker, im, lift, preimages, images = m._factored()
+    pre = preimages.get(key)
     if pre is None:
         pivots = im._ints()[1]
         vectors = list(ker._ints()[0])
         for w in key._ints()[0]:
             coords = [w[c] for c in pivots]
             vectors.append([sum(map(mul, row, coords)) for row in lift])
-        pre = memo[key] = Subspace.span(m.field, m.cols, vectors)
+        pre = preimages[key] = Subspace.span(m.field, m.cols, vectors)
+        images[pre] = key
     return pre
 
 

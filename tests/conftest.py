@@ -83,6 +83,19 @@ def random_representation(rng):
     return Representation(field, objs, tuple(gens))
 
 
+def random_star(rng, field, centre, arms):
+    """``arms`` random maps into one object of dimension ``centre``, each
+    from an object of dimension 1 to centre - 1: up to rank, the arms are
+    lines, planes and hyperplanes of the centre."""
+    objects = [RepObject("c", centre)]
+    gens = []
+    for k in range(arms):
+        dim = rng.randint(1, centre - 1)
+        objects.append(RepObject(f"p{k}", dim))
+        gens.append(Generator(f"g{k}", f"p{k}", "c", random_matrix(rng, field, centre, dim)))
+    return Representation(field, tuple(objects), tuple(gens))
+
+
 def random_meet_closed_family(rng, field, ambient, max_seed=3, max_size=8):
     """A random meet-closed subspace family containing 0 and the full space."""
     pool = all_subspaces(field, ambient)

@@ -58,6 +58,32 @@ def test_mu_is_an_option_of_check_alone(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, code_at_1",
+    [
+        ("check", "--max-rounds", 2),
+        ("check", "--max-elements", 2),
+        ("envelope", "--max-words", 0),
+        ("envelope", "--max-matrices", 0),
+    ],
+)
+def test_limit_flags_take_positive_integers(command, flag, code_at_1, capsys):
+    """A limit below 1 is an argument error that names the flag, not a run
+    that stops at once, or a closure of nothing that verifies.  A limit of 1
+    runs: the closure limits stop the bisection's closure, and the envelope
+    limits bound its closure."""
+    for value in ("-3", "0"):
+        with pytest.raises(SystemExit) as e:
+            main([command, BISECTION, flag, value])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+    code, out = run_cli(capsys, command, BISECTION, flag, "1")
+    assert code == code_at_1
+    assert code == 0 or json.loads(out)["error"]["code"] == "ClosureDivergence"
+
+
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,13 @@ from invcat import (
 from invcat.flag import BasisCoordinates, Matching
 from invcat.rep import Generator, RepObject, Representation
 
-from conftest import interval_corpus_instance, random_invertible, random_matrix, random_representation
+from conftest import (
+    interval_corpus_instance,
+    random_invertible,
+    random_matrix,
+    random_representation,
+    random_star,
+)
 
 X_AXIS = Subspace.span(RATIONALS, 2, [[1, 0]])
 Y_AXIS = Subspace.span(RATIONALS, 2, [[0, 1]])
@@ -397,6 +405,79 @@ def test_closure_meets_assemble_the_validated_poset(rep):
             )
 
 
+def _pairwise_meets(elements):
+    """The meet record of ``elements`` (in order of arrival) pair by pair:
+    the smaller element where it is 0 or the larger is the full space, 0 for
+    two lines, a line or 0 by a containment test against a larger element,
+    and ``sub_intersect`` otherwise; row k holds the ordinals of the meets
+    of element k with elements 0..k-1."""
+    zero = elements[0]
+    ordinal = {s: k for k, s in enumerate(elements)}
+    record = []
+    for k, b in enumerate(elements):
+        row = []
+        for a in elements[:k]:
+            small, big = (a, b) if a.dim <= b.dim else (b, a)
+            if small.dim == 0 or big.is_full:
+                m = small
+            elif small.dim == 1:
+                m = small if big.dim > 1 and big.contains(small) else zero
+            else:
+                m = sub_intersect(a, b)
+            row.append(ordinal[m])
+        record.append(row)
+    return record
+
+
+@st.composite
+def stars_and_intervals(draw):
+    """One-centre stars whose arms are lines, planes and hyperplanes in F^3
+    and F^4, and interval sums on A_n quivers over Q."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return interval_corpus_instance(rng)[0]
+    field = draw(st.sampled_from((GF(2), GF(3), GF(10007), RATIONALS)))
+    return random_star(rng, field, draw(st.sampled_from((3, 4))), rng.randint(1, 8))
+
+
+@given(stars_and_intervals())
+@settings(max_examples=60, deadline=None)
+def test_meets_recorded_by_class_match_the_pairwise_record(rep):
+    """The meet step records known meets by dimension class and takes a
+    line's incidences from the preimage keys.  Every record it hands to
+    ``build_poset`` equals the pair-by-pair one, on the raw flag and on the
+    saturated one (closed on bitmasks where it passes); the posets equal
+    the ones ``build_poset`` builds by intersecting every pair; and a
+    closure stopped after 1 to 3 rounds reaches a prefix of the finished
+    closure's order of arrival."""
+    import invcat.flag as flag
+
+    records = []
+
+    def spy(elements, meets):
+        records.append((elements, meets))
+        return build_poset(elements, meets)
+
+    with patch.object(flag, "build_poset", spy):
+        raw = compute_flag(rep)
+        analysis = analyze(rep)
+    assert len(records) >= 2 * len(rep.objects)
+    for elements, meets in records:
+        assert meets == _pairwise_meets(elements)
+    for closed in (raw, analysis.flag) if analysis.flag.saturated else (raw,):
+        for p in closed.posets.values():
+            ref = build_poset(p.elements)
+            assert (p.elements, p.leq, p.covers, p.meet_table) == (
+                ref.elements, ref.leq, ref.covers, ref.meet_table
+            )
+    arrival = {oid: list(members) for oid, members in raw.provenance.items()}
+    for rounds in range(1, min(raw.rounds, 4)):
+        with pytest.raises(ClosureDivergence) as exc:
+            compute_flag(rep, ClosureLimits(max_rounds=rounds))
+        for oid, elems in exc.value.reached.items():
+            assert elems == arrival[oid][: len(elems)]
+
+
 @pytest.mark.parametrize("k", [8, 14])
 def test_known_meets_are_not_intersected(k, monkeypatch):
     """On a star of k planes in GF(10007)^3, every meet but those of two
@@ -404,8 +485,11 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     (its meet with the plane that is the map's image) is read off the
     round's meets, so the whole closure makes one intersection per pair of
     planes, also where a limit stops it.  The spy sits in ``linalg`` as
-    well, where ``map_preimage`` would intersect.  The recorded meets still
-    assemble the poset that intersecting every pair validates."""
+    well, where ``map_preimage`` would intersect.  Each pair of a line and
+    a plane of the centre takes at most one incidence test, in the preimage
+    keys or in the meet step, and the image of a preimage is read off the
+    key it was lifted from, without an elimination.  The recorded meets
+    still assemble the poset that intersecting every pair validates."""
     import invcat.flag as flag
     import invcat.linalg as linalg
 
@@ -418,6 +502,39 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
 
     monkeypatch.setattr(flag, "sub_intersect", spy)
     monkeypatch.setattr(linalg, "sub_intersect", spy)
+
+    # incidence tests: ``contains`` tests each row of its argument by ``_holds``
+    tested = Counter()
+    real_holds = linalg.Subspace._holds
+
+    def holds_spy(self, w):
+        tested[self, tuple(w)] += 1
+        return real_holds(self, w)
+
+    monkeypatch.setattr(linalg.Subspace, "_holds", holds_spy)
+
+    # eliminations made while taking the image of a preimage
+    spans = []
+    real_span = linalg.Subspace.span.__func__
+
+    def span_spy(cls, *args):
+        spans.append(1)
+        return real_span(cls, *args)
+
+    lifted = []
+    real_image = flag.map_image
+
+    def image_spy(m, a):
+        form = m._preimage_form
+        made = form is not None and a in form[3].values()
+        before = len(spans)
+        out = real_image(m, a)
+        if made:
+            lifted.append(len(spans) - before)
+        return out
+
+    monkeypatch.setattr(linalg.Subspace, "span", classmethod(span_spy))
+    monkeypatch.setattr(flag, "map_image", image_spy)
     field = GF(10007)
     rng = random.Random(k)
     planes = [random_matrix(rng, field, 3, 2) for _ in range(k)]
@@ -430,6 +547,15 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     pairs = k * (k - 1) // 2
     result = compute_flag(star)
     assert len(calls) == pairs
+
+    centre = result.posets["c"].elements
+    lines = {s.basis[0] for s in centre if s.dim == 1}
+    assert len(lines) == pairs
+    # every test is of a line against a plane of the centre, and none twice
+    assert all(plane.ambient_dim == 3 and plane.dim == 2 for plane, _ in tested)
+    assert max(tested.values()) == 1
+    assert len(tested) <= len(lines) * k
+    assert lifted and not any(lifted)
 
     # stopped before the lines reach the planes: the closure intersects the
     # planes in round 2, and hands over the elements of both rounds
