@@ -4,6 +4,7 @@
 Usage: python scripts/output_digest.py SEED
        python scripts/output_digest.py draws
        python scripts/output_digest.py stars
+       python scripts/output_digest.py stopped
 
 With a SEED, runs ``check``, ``check --mu literal``, ``flag``, ``mobius``,
 ``decompose`` and ``envelope`` on every file in ``data/`` and on every
@@ -27,6 +28,13 @@ benchmark's stars are all planes in a 3-space, so only this line meets a
 line against a plane that is not a hyperplane, and lines, planes and
 hyperplanes in one flag.
 
+With ``stopped``, runs ``check`` and ``flag`` at the default limits on
+``tests/inputs/random7_draw59.json`` and ``random7_draw375.json``, whose
+closures pass 4096 elements: ``check`` refutes each on a part of the
+elements reached, and ``flag`` reports the ``ClosureDivergence``.  The other
+lines stop their closures at 200 elements at most, so only this one pins the
+order of arrival of a large stopped closure.
+
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
 newline.  It must not report an ``InternalError`` either, which is a defect
@@ -34,7 +42,7 @@ and not a verdict.  The first output that fails either check stops the
 script with exit 1 and names the input and the command.
 
 ``scripts/expected_digests.txt`` holds this tree's lines for seeds 5 and 11,
-for the draws and for the stars, and CI diffs this script's output against
+for the draws, the stars and the stopped closures, and CI diffs this script's output against
 them.  A change that alters report bytes on purpose updates that file.
 """
 
@@ -74,6 +82,8 @@ DRAW_LIMITS = ("--max-rounds", "8", "--max-elements", "200")
 STARS, STAR_SEED = 60, 3
 STAR_CENTRES = ((GF(10007), 4), (RATIONALS, 4), (GF(2), 3))
 
+STOPPED_DRAWS = (59, 375)
+
 
 def corpus_inputs(seed):
     """(name, representation bytes, decoy certificate bytes or None)."""
@@ -98,6 +108,12 @@ def star_inputs():
         yield f"star{i}", star.serialize().encode(), None
 
 
+def stopped_inputs():
+    for i in STOPPED_DRAWS:
+        path = ROOT / "tests" / "inputs" / f"random7_draw{i}.json"
+        yield path.name, path.read_bytes(), None
+
+
 def check_output(name, words, out):
     """Stop unless ``out`` is ``json``'s own rendering of the document it
     holds, and that document reports no ``InternalError``."""
@@ -112,7 +128,7 @@ def check_output(name, words, out):
         sys.exit(f"{where}: InternalError: {doc['error']['message']}")
 
 
-def digest(inputs, limits, workdir):
+def digest(inputs, limits, workdir, commands=COMMANDS):
     h = hashlib.sha256()
     runs = 0
 
@@ -129,7 +145,7 @@ def digest(inputs, limits, workdir):
         rep_path = workdir / "rep.json"
         rep_path.write_bytes(data)
         certificate = None
-        for command in COMMANDS:
+        for command in commands:
             code, out = record(name, (*command, *limits), [str(rep_path)])
             if command == ("decompose",) and code == 0:
                 certificate = out.encode()
@@ -143,16 +159,20 @@ def digest(inputs, limits, workdir):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("seed", help="a corpus seed, 'draws' or 'stars'")
+    ap.add_argument("seed", help="a corpus seed, 'draws', 'stars' or 'stopped'")
     args = ap.parse_args()
+    commands = COMMANDS
     if args.seed == "draws":
         inputs, limits, label = draw_inputs(), DRAW_LIMITS, f"draws={DRAWS} seed={DRAW_SEED}"
     elif args.seed == "stars":
         inputs, limits, label = star_inputs(), (), f"stars={STARS} seed={STAR_SEED}"
+    elif args.seed == "stopped":
+        inputs, limits, label = stopped_inputs(), (), "stopped=" + ",".join(map(str, STOPPED_DRAWS))
+        commands = (("check",), ("flag",))
     else:
         inputs, limits, label = corpus_inputs(int(args.seed)), (), f"seed={args.seed}"
     with tempfile.TemporaryDirectory() as tmp:
-        value, runs = digest(inputs, limits, Path(tmp))
+        value, runs = digest(inputs, limits, Path(tmp), commands)
     print(f"{value}  {label} runs={runs}")
 
 

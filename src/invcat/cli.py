@@ -2,7 +2,9 @@
 
 Exit codes: 0 = pass/verified, 1 = fail/refuted, 2 = error.  All reports are
 JSON on stdout (or -o FILE); for fixed input bytes and flags the output bytes
-are identical run to run.  Timing goes to stderr only.
+are identical run to run.  Timing goes to stderr only.  Each command returns
+its document and exit code, and ``main`` writes the one document; where the
+report cannot be written to -o, an ``OutputError`` goes to stdout instead.
 
 Every report is written by :func:`invcat.jsontext.dumps`, whose output is
 byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: it builds
@@ -22,16 +24,19 @@ import time
 import traceback
 from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from .decompose import BlockcodeDecomposition, decompose, verify_decomposition
-from .errors import AxiomViolation, InputSyntaxError, InternalError, ToolError
+from .errors import AxiomViolation, InputSyntaxError, InternalError, OutputError, ToolError
 from .flag import ClosureLimits, FlagAssignment
 from .jsontext import dumps
 from .pipeline import analyze
 from .poset import mobius
 from .realize import EnvelopeLimits, verify_envelope
 from .rep import decode_json, expect, parse_representation
+
+
+Result = Tuple[dict, int]  # a command's document and exit code
 
 
 def _dump(doc: dict, out: Optional[str]) -> None:
@@ -60,18 +65,13 @@ def _limits(args: argparse.Namespace) -> ClosureLimits:
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def _cmd_check(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args), mu_mode=args.mu)
     doc = analysis.report.to_json()
-    doc["command"] = "check"
     if analysis.saturation_note:
         doc["saturation_note"] = analysis.saturation_note
-    _dump(doc, args.output)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    print(f"check: {analysis.report.verdict} ({elapsed_ms:.1f} ms)", file=sys.stderr)
-    return 0 if analysis.report.passed else 1
+    return doc, 0 if analysis.report.passed else 1
 
 
 def _closed_flag(rep, args: argparse.Namespace) -> FlagAssignment:
@@ -88,25 +88,25 @@ def _closed_flag(rep, args: argparse.Namespace) -> FlagAssignment:
         del analysis
 
 
-def _cmd_flag(args: argparse.Namespace) -> int:
+def _cmd_flag(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     if args.dot:  # each object's file is named by its id, which must stay in DIR
         for i, o in enumerate(rep.objects):
             expect(o.id not in ("", ".", "..") and "/" not in o.id and "\0" not in o.id,
                    "--dot needs object ids that are plain file names", f"objects[{i}].id")
     flag = _closed_flag(rep, args)
-    doc = flag.to_json()
-    doc["command"] = "flag"
-    _dump(doc, args.output)
-    if args.dot:
+    if args.dot:  # before the report, which is then the one document written
         dot_dir = Path(args.dot)
-        dot_dir.mkdir(parents=True, exist_ok=True)
-        for oid in sorted(flag.posets):
-            (dot_dir / f"{oid}.dot").write_text(flag.export_dot(oid), encoding="utf-8")
-    return 0
+        try:
+            dot_dir.mkdir(parents=True, exist_ok=True)
+            for oid in sorted(flag.posets):
+                (dot_dir / f"{oid}.dot").write_text(flag.export_dot(oid), encoding="utf-8")
+        except OSError as e:
+            raise OutputError(f"cannot write the DOT files to {args.dot}: {e}") from None
+    return flag.to_json(), 0
 
 
-def _cmd_mobius(args: argparse.Namespace) -> int:
+def _cmd_mobius(args: argparse.Namespace) -> Result:
     flag = _closed_flag(_load_rep(args.input), args)
     objects = {}
     for oid in sorted(flag.posets):
@@ -117,40 +117,28 @@ def _cmd_mobius(args: argparse.Namespace) -> int:
             "one_var": list(table.one_var),
             "two_var": [list(r) for r in table.two_var],
         }
-    _dump({"command": "mobius", "objects": objects}, args.output)
-    return 0
+    return {"objects": objects}, 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    rep = _load_rep(args.input)
-    dec = decompose(rep, _limits(args))
-    doc = dec.to_json()
-    doc["command"] = "decompose"
-    _dump(doc, args.output)
-    return 0
+def _cmd_decompose(args: argparse.Namespace) -> Result:
+    return decompose(_load_rep(args.input), _limits(args)).to_json(), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     cert_doc = decode_json(_read(args.certificate), "certificate JSON")
     dec = BlockcodeDecomposition.from_json(cert_doc, rep)
     outcome = verify_decomposition(rep, dec)
-    _dump(
-        {"command": "verify", "verified": outcome.ok, "problems": outcome.problems},
-        args.output,
-    )
-    return 0 if outcome.ok else 1
+    return {"verified": outcome.ok, "problems": outcome.problems}, 0 if outcome.ok else 1
 
 
-def _cmd_envelope(args: argparse.Namespace) -> int:
+def _cmd_envelope(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args))
     if not analysis.passed:
         doc = analysis.standard_report.to_json()
-        doc["command"] = "envelope"
         doc["note"] = "criterion fails; no inverse envelope exists"
-        _dump(doc, args.output)
-        return 1
+        return doc, 1
     try:
         env = verify_envelope(
             rep,
@@ -159,16 +147,13 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
             EnvelopeLimits(max_words=args.max_words, max_matrices_per_hom=args.max_matrices),
         )
     except AxiomViolation as e:
-        _dump({"command": "envelope", "verified": False, "violation": e.to_json()}, args.output)
-        return 1
+        return {"verified": False, "violation": e.to_json()}, 1
     doc = env.to_json()
-    doc["command"] = "envelope"
     doc["verified"] = True
     doc["families"] = {
         oid: fam.to_json() for oid, fam in sorted(analysis.families.items())
     }
-    _dump(doc, args.output)
-    return 0
+    return doc, 0
 
 
 def positive_int(text: str) -> int:
@@ -235,25 +220,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(error: ToolError, args: argparse.Namespace) -> int:
-    _dump({"error": error.to_json()}, getattr(args, "output", None))
+def _error(error: ToolError) -> Result:
     print(f"error: {error.code}: {error.message}", file=sys.stderr)
-    return 2
+    return {"error": error.to_json()}, 2
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Report inside the ``except`` clause, which unbinds the exception on exit:
-    # a local holding it would close the cycle exception -> traceback -> this
-    # frame, and keep the error's detail alive until a full collection.
+    start = time.perf_counter()
+    # Build the error document inside the ``except`` clause, which unbinds the
+    # exception on exit: a local holding it would close the cycle exception ->
+    # traceback -> this frame, and keep the error's detail alive until a full
+    # collection.
     try:
-        return args.fn(args)
+        doc, code = args.fn(args)
+        doc["command"] = args.command
     except ToolError as e:
-        return _report_error(e, args)
+        doc, code = _error(e)
     except Exception as e:  # the exit-code contract: a defect is an error, never a refutation
         traceback.print_exc(file=sys.stderr)
-        return _report_error(InternalError(f"{type(e).__name__}: {e}"), args)
+        doc, code = _error(InternalError(f"{type(e).__name__}: {e}"))
+    try:
+        _dump(doc, args.output)
+    except OSError as e:  # -o is unwritable: the error goes to stdout
+        doc, code = _error(OutputError(f"cannot write {args.output}: {e}"))
+        _dump(doc, None)
+    if args.command == "check" and code != 2:  # the whole command's wall time
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        print(f"check: {doc['verdict']} ({elapsed_ms:.1f} ms)", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -96,6 +96,12 @@ class TooLarge(ToolError):
     code = "TooLarge"
 
 
+class OutputError(ToolError):
+    """A report or a DOT file could not be written where the flags asked."""
+
+    code = "OutputError"
+
+
 class InternalError(ToolError):
     """An unexpected exception reached the CLI boundary (a defect, not bad input)."""
 

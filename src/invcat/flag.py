@@ -13,35 +13,38 @@ elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
 loudly instead of spinning.
 
-The meet of every pair of final elements is recorded exactly once, in the
-round after the later of the two arrived, by element ordinal, and handed to
-``build_poset``, which reads the order and the covers off the record instead
-of intersecting again.  The meet step takes each object's members in
-``sort_key`` order, by dimension, and dimension decides most meets: 0 and the
-full space meet every element in 0 and in the element, and two lines meet in
-0, so these are recorded in bulk.  A line and a larger element meet in the
-line or in 0, by one incidence test on cached integer rows (one dot product
-with the normal row of a hyperplane).  Only two elements of dimension 2 or
-more, neither the full space, are intersected, and their meets offered in
-``sort_key`` pair order.  The members keep that order across rounds: each
-round's fresh elements are merged in.
+Each object's state is one record by ordinal, the order of arrival: the
+element, its ``Subspace``, its witness and, once it is a member, the
+ordinals of its meets with the lower ordinals.  Offers take their sources
+by ordinal.  The elements a round adds join the members at the round's end
+(the seeds before round 1); those of the last join are the fresh ones, in
+``sort_key`` order, and the members keep that order across rounds.  A
+round that adds nothing ends the closure.  The record then holds the meet
+of every pair of elements exactly once, and ``build_poset`` reads the order
+and the covers off it instead of intersecting again.
 
-On subspaces every intersection and every incidence of a round is made
-once.  The preimage of b under g is the lift of its key b meet im g
-(``preimage_of_meet``), and im g, the image of the full seed, is an element
-from round 2 on, so the key is the meet of a pair of the round's meet step
-(in round 1, b is 0 or the full space, and the key is known).  A round runs
-in two steps:
+When an element joins, each of its meets that dimension decides is
+recorded: 0 and the full space meet every element in 0 and in the element,
+two lines meet in 0, and a line and a larger element meet in the line or
+in 0, by one incidence test (dot products with the larger one's cached
+normal rows, for all the lines to test at once).  A round's meet step
+intersects only pairs of two elements of dimension 2 or more, neither the
+full space, at least one of them fresh, and offers their meets in
+``sort_key`` pair order.
 
-1. the image and the preimage offers, map by map.  A preimage's key is
-   known from dimension; or it is a line's incidence with a larger element,
-   recorded at once under the ordinals of the pair; or it is intersected
-   and kept under those ordinals.  From round 2 on, the preimages of the
-   keys 0 and im g (ker g and the full domain) are known since round 1, and
-   are not offered again.  The image of a preimage is the key it was lifted
-   from, which ``map_image`` reads off the map's factorization;
-2. the meet offers, by dimension class; a pair that step 1 recorded or kept
-   takes its meet instead of testing or intersecting again.
+On subspaces the preimage of b under g is the lift of its key b meet im g
+(``preimage_of_meet``), read off the record.  In round 1, b is a seed, and
+the key is 0 or im g.  From round 2 on, b and im g (the image of the full
+seed) are members, and the key is their recorded meet, or for two elements
+of dimension 2 or more one intersection, kept for the meet step.  The
+preimages of the keys 0 and im g, ker g and the full domain, arrived in
+round 1 and are not offered again.  The image of a preimage is the key it
+was lifted from, which ``map_image`` reads off the map's factorization.
+So a round runs in three steps:
+
+1. the image and the preimage offers, map by map;
+2. the meet offers, object by object;
+3. the join of the elements the round added.
 
 The offers, the ordinals and the witnesses are those of a round that
 intersects every pair anew.
@@ -67,10 +70,10 @@ meets by dimension class (a mask's incidence is one AND); only the
 ``Subspace`` kind keeps the keys of its preimages (a mask's preimage is one
 pass over its bits).  An offer of a known element adds nothing, so both
 kinds add the same elements in the same order and give the same flag.  A
-flag closed on bitmasks also hands out its coordinates and each element's
-mask (``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
-the projections.  ``Matching.of`` reads a map with ``monomial``, the scan
-``realize.verify_envelope`` shares.
+flag closed on bitmasks also hands out each element's mask
+(``FlagAssignment.masks``), off which ``pipeline.build_families`` reads the
+projections in the bases it was closed in.  ``Matching.of`` reads a map
+with ``monomial``, the scan ``realize.verify_envelope`` shares.
 """
 
 from __future__ import annotations
@@ -117,9 +120,8 @@ class FlagAssignment:
     provenance: Dict[str, Dict[Subspace, Witness]]
     rounds: int
     saturated: bool = False
-    # set by a closure on bitmasks: its coordinates, and per object the
-    # bitmask of each poset element, in element order
-    coordinates: Optional[BasisCoordinates] = None
+    # set by a closure on bitmasks: per object, the bitmask of each poset
+    # element, in element order
     masks: Optional[Dict[str, Tuple[int, ...]]] = None
 
     @property
@@ -254,18 +256,24 @@ Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
 
 # The closure rules on one kind of element: the seeds (zero, full) of a
 # dimension, the image and the preimage under each map, the meet, the
-# incidence of a line with a larger element (true when the line lies in it),
-# and the Subspace of an element at an object, which is built once per
-# element.  A Subspace preimage is taken of the element's meet with the
-# map's image (``preimage_of_meet``), a bitmask one of the element itself.
+# incidence of lines with larger elements (given the lines, a test that
+# returns the positions of those that lie in an element), and the Subspace
+# of an element at an object, which is built once per element.  A Subspace
+# preimage is taken of the element's meet with the map's image
+# (``preimage_of_meet``), a bitmask one of the element itself.
 _Rules = Tuple[
     Callable[[int], Tuple[Element, Element]],
     Sequence[Callable[[Element], Element]],
     Sequence[Callable[[Element], Element]],
     Callable[[Element, Element], Element],
-    Callable[[Element, Element], bool],
+    Callable[[Sequence[Element]], Callable[[Element], List[int]]],
     Callable[[str, Element], Subspace],
 ]
+
+
+def _lines_in(lines: Sequence[Subspace]) -> Callable[[Subspace], List[int]]:
+    rows = [line._ints()[0][0] for line in lines]
+    return lambda b: b._holding(rows)
 
 
 def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
@@ -274,7 +282,7 @@ def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
         [partial(map_image, g.matrix) for g in maps],
         [partial(preimage_of_meet, g.matrix) for g in maps],
         sub_intersect,
-        lambda line, b: b._holds(line._ints()[0][0]),
+        _lines_in,
         lambda oid, s: s,
     )
 
@@ -291,7 +299,7 @@ def _mask_rules(rep: Representation, coordinates: BasisCoordinates) -> _Rules:
         [m.image for m in coordinates.matchings],
         [m.preimage for m in coordinates.matchings],
         and_,
-        lambda line, b: line & b == line,
+        lambda lines: lambda b: [i for i, line in enumerate(lines) if line & b == line],
         subspace,
     )
 
@@ -308,7 +316,7 @@ def compute_flag(
     touching the representation itself; the pipeline uses this to saturate a
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
     closure runs on bitmasks of basis indices (see the module docstring); the
-    result is the same, and carries ``coordinates`` and each element's mask.
+    result is the same, and carries each element's mask.
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
@@ -318,143 +326,140 @@ def compute_flag(
     seeds, images, preimages, meet, incident, subspace = (
         _subspace_rules(rep, maps) if coordinates is None else _mask_rules(rep, coordinates)
     )
-    # on subspaces, each map's image, whose meet with an element is the key
-    # of the element's preimage: the one cached with the factorization that
-    # ``preimage_of_meet`` lifts keys by
+    # on subspaces, each map's image: the one cached with the factorization
+    # that ``preimage_of_meet`` lifts keys by, and from round 2 on its ordinal
     ims = [g.matrix._factored()[1] for g in maps] if coordinates is None else None
-    fam: Dict[str, Dict[Element, Witness]] = {}
-    fresh: Dict[str, List[Element]] = {}
-    # per object: each element's Subspace, in order of arrival
-    spaces: Dict[str, Dict[Element, Subspace]] = {}
-    # per object: each element's ordinal (order of arrival), the element of
-    # each ordinal, and for the element of ordinal k, the ordinals of its
+    im_at: List[int] = []
+    # per object, by ordinal (order of arrival): each element, its Subspace
+    # and its witness; and for a member of ordinal k, the ordinals of its
     # meets with ordinals 0..k-1.  The seed 0 has ordinal 0 and the full
     # space ordinal 1 (in a space of dimension 0 they are one element).
     ordinal: Dict[str, Dict[Element, int]] = {}
     element: Dict[str, List[Element]] = {}
+    space: Dict[str, List[Subspace]] = {}
+    witness: Dict[str, List[Witness]] = {}
     meets: Dict[str, List[List[Optional[int]]]] = {}
-    # per object: the ordinals of the members in ``sort_key`` order, and
-    # their sort keys; each round's fresh elements are merged in
+    # per object: the members' ordinals in ``sort_key`` order and their sort
+    # keys, the ordinals of the last join (the fresh ones), in that order,
+    # and the members of dimension 2 or more but not the full space, in
+    # that order
     order: Dict[str, List[int]] = {}
     sort_keys: Dict[str, list] = {}
-    for o in rep.objects:
-        zero, full = seeds(o.dim)
-        fam[o.id] = {zero: Witness("seed")}
-        if full not in fam[o.id]:
-            fam[o.id][full] = Witness("seed")
-        space = spaces[o.id] = {s: subspace(o.id, s) for s in fam[o.id]}
-        fresh[o.id] = sorted(space, key=lambda s: space[s].sort_key)
-        element[o.id] = list(fam[o.id])
-        ordinal[o.id] = {s: k for k, s in enumerate(element[o.id])}
-        meets[o.id] = [[None] * k for k in range(len(element[o.id]))]
-        order[o.id] = [ordinal[o.id][s] for s in fresh[o.id]]
-        sort_keys[o.id] = [space[s].sort_key for s in fresh[o.id]]
-    # per object, the elements the current round adds
-    new: Dict[str, Dict[Element, Witness]] = {oid: {} for oid in fam}
+    fresh: Dict[str, List[int]] = {}
+    larger: Dict[str, List[int]] = {}
     # the meets of two elements of dimension 2 or more intersected for
     # preimage keys, by object and the ordinals (lower first) of the pair;
     # the round's meet step takes them
     keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
 
-    def offer(oid: str, s: Element, rule: str, g: Optional[Generator],
-              a: Element, b: Optional[Element] = None) -> int:
-        """Add ``s`` unless already known (then with its witness: the rule,
-        the map ``g`` and the source ``a``, or the sources ``a`` and ``b`` of
-        a meet); return its ordinal."""
+    def offer(oid: str, s: Element, rule: str, g: Optional[Generator], *sources: int) -> int:
+        """Add ``s`` unless already known, with its witness: the rule, the
+        map ``g`` and the ordinals of the sources (an element at g's other
+        end, or the two elements of a meet); return its ordinal."""
         ords = ordinal[oid]
         k = ords.get(s)
         if k is None:
             k = ords[s] = len(ords)
             element[oid].append(s)
-            spaces[oid][s] = subspace(oid, s)
-            if g is None:
-                new[oid][s] = Witness(rule, None, (spaces[oid][a], spaces[oid][b]))
-            else:
-                at = g.dom if rule == "image" else g.cod
-                new[oid][s] = Witness(rule, g.id, (spaces[at][a],))
-            meets[oid].append([None] * k)
+            space[oid].append(subspace(oid, s))
+            at = space[oid if g is None else g.dom if rule == "image" else g.cod]
+            sources_at = tuple(at[x] for x in sources)
+            witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
             _check_budget(oid, k + 1, rule, limits, rounds)
         return k
 
-    def key(oid: str, b: Subspace, im: Subspace) -> Subspace:
-        """b meet im, decided once.  In round 1, b is 0 or the full space,
-        and the meet is one of them or im.  From round 2 on, im is an
-        element (the image of the full space, from round 1), so b and im
-        are a pair of this round's meet step unless b = im: the meet of a
-        line and a larger element is one incidence, recorded here, and that
-        of two larger ones is intersected and kept for the meet step."""
-        small, big = (b, im) if len(b.basis) <= len(im.basis) else (im, b)
-        k = len(small.basis)
-        if k == 0 or len(big.basis) == big.ambient_dim:
-            return small
-        if k == len(big.basis) and small.basis == big.basis:
-            return b
-        zero = element[oid][0]
-        if k == 1 and len(big.basis) == 1:
-            return zero
-        kb, ki = ordinal[oid][b], ordinal[oid][im]
-        lo, hi = (kb, ki) if kb < ki else (ki, kb)
-        if k == 1:
-            m = small if incident(small, big) else zero
-            meets[oid][hi][lo] = ordinal[oid][m]
-            return m
-        m = keyed.get((oid, lo, hi))
+    def join(oid: str) -> None:
+        """Make the elements offered since the last join members and the
+        fresh ones, and record each one's meets that dimension decides: 0
+        and the full space meet it in 0 and in it, two lines meet in 0, and
+        a line and a larger element meet in the line or in 0, by one
+        incidence."""
+        elems, spaces, ords, keys, record = (
+            element[oid], space[oid], order[oid], sort_keys[oid], meets[oid]
+        )
+        first = len(ords)
+        joining = sorted((spaces[k].sort_key, k) for k in range(first, len(elems)))
+        fresh[oid] = [k for _, k in joining]
+        if not joining:
+            return
+        record.extend([None] * len(joining))
+        at = 0
+        for sk, k in joining:
+            at = bisect_right(keys, sk, at)
+            keys.insert(at, sk)
+            ords.insert(at, k)
+            at += 1
+            # 0 with ordinal 0, k with the full space, and 0 with every
+            # other ordinal below a line (its incidences follow)
+            record[k] = [0, k][:k] + [0 if sk[0] == 1 else None] * (k - 2)
+        # each pair of a line and a larger element, one of them fresh
+        top = len(ords) - 1  # the position of the full space
+        mid = max(1, min(bisect_left(keys, (2,)), top))
+        lines, mids = ords[1:mid], ords[mid:top]
+        larger[oid] = mids
+        if not (lines and mids):
+            return
+        fresh_lines = [ln for ln in lines if ln >= first]
+        for tested, against in (
+            (lines, [m for m in mids if m >= first]),
+            (fresh_lines, [m for m in mids if m < first]),
+        ):
+            lines_in = incident([elems[ln] for ln in tested])
+            for m in against:
+                inside = set(lines_in(elems[m]))
+                for i, ln in enumerate(tested):
+                    lo, hi = (ln, m) if ln < m else (m, ln)
+                    record[hi][lo] = ln if i in inside else 0
+
+    def key(oid: str, b: int, gi: int) -> Optional[Subspace]:
+        """The key b meet im g of the preimage of member b under map gi, or
+        None where that preimage is known.  In round 1, b is a seed, and the
+        key is 0 or im g.  From round 2 on, b and im g are members, and the
+        key is their recorded meet, or for two elements of dimension 2 or
+        more one intersection, kept for the meet step; the preimages of the
+        keys 0 and im g, ker g and the full domain, arrived in round 1."""
+        if rounds == 1:
+            return ims[gi] if b else element[oid][0]
+        im = im_at[gi]
+        if b == im:
+            return None
+        lo, hi = (b, im) if b < im else (im, b)
+        m = meets[oid][hi][lo]
         if m is None:
-            m = keyed[oid, lo, hi] = meet(b, im)
-        return m
+            s = keyed.get((oid, lo, hi))
+            if s is None:
+                s = keyed[oid, lo, hi] = meet(element[oid][b], element[oid][im])
+            return s
+        return None if m == 0 or m == im else element[oid][m]
 
     def meet_step(oid: str) -> None:
-        """Record the meet of every pair of members in which a fresh element
-        takes part, by dimension class: 0 and the full space meet every
-        element in 0 and in the element; two lines meet in 0; a line and a
-        larger element meet in the line or in 0, by one incidence (unless
-        ``key`` recorded it); and every other pair, of two elements of
-        dimension 2 or more, is intersected (or takes its meet from ``key``)
-        and offered, in ``sort_key`` order."""
-        ords = order[oid]
-        top = len(ords) - 1  # the position of the full space
-        if not top:
-            return
-        elems, record = element[oid], meets[oid]
-        first_fresh = len(ords) - len(fresh[oid])
-        for k in range(max(first_fresh, 1), len(ords)):
-            row = record[k]
-            row[0] = 0
-            if k > 1:
-                row[1] = k
-        mid = max(1, min(bisect_left(sort_keys[oid], (2,)), top))
-        lines, mids = ords[1:mid], ords[mid:top]
-        fresh_mids = [m for m in mids if m >= first_fresh]
-        for ln in lines:
-            if ln >= first_fresh:
-                row = record[ln]
-                for other in lines:
-                    if other < ln:
-                        row[other] = 0
-            line = elems[ln]
-            for m in mids if ln >= first_fresh else fresh_mids:
-                lo, hi = (ln, m) if ln < m else (m, ln)
-                row = record[hi]
-                if row[lo] is None:
-                    row[lo] = ln if incident(line, elems[m]) else 0
-        # the pairs (i, j), i < j, in which a fresh element takes part
-        fresh_at = [j for j in range(mid, top) if ords[j] >= first_fresh]
-        for i in range(mid, top):
-            ka = ords[i]
+        """Intersect every pair of members of dimension 2 or more, neither
+        the full space, in which a fresh one takes part (or take the meet
+        ``key`` kept), and offer the meets, in ``sort_key`` pair order."""
+        mids, elems, record = larger[oid], element[oid], meets[oid]
+        first = len(order[oid]) - len(fresh[oid])
+        fresh_at = [j for j, k in enumerate(mids) if k >= first]
+        for i, ka in enumerate(mids):
             a = elems[ka]
-            later = range(i + 1, top) if ka >= first_fresh else fresh_at[bisect_right(fresh_at, i):]
+            later = range(i + 1, len(mids)) if ka >= first else fresh_at[bisect_right(fresh_at, i):]
             for j in later:
-                kb = ords[j]
-                b = elems[kb]
+                kb = mids[j]
                 lo, hi = (ka, kb) if ka < kb else (kb, ka)
                 s = keyed.pop((oid, lo, hi), None) if keyed else None
                 if s is None:
-                    s = meet(a, b)
-                record[hi][lo] = offer(oid, s, "intersect", None, a, b)
+                    s = meet(a, elems[kb])
+                record[hi][lo] = offer(oid, s, "intersect", None, ka, kb)
 
+    for o in rep.objects:
+        elems = element[o.id] = list(dict.fromkeys(seeds(o.dim)))
+        ordinal[o.id] = {s: k for k, s in enumerate(elems)}
+        space[o.id] = [subspace(o.id, s) for s in elems]
+        witness[o.id] = [Witness("seed")] * len(elems)
+        meets[o.id], order[o.id], sort_keys[o.id], larger[o.id] = [], [], [], []
+        join(o.id)
     # rounds until one adds nothing.  Semi-naive: a round derives only from
-    # the elements the previous one added; older combinations were offered.
+    # the elements of the last join; older combinations were offered.
     try:
         while True:
             if rounds >= limits.max_rounds:
@@ -462,60 +467,34 @@ def compute_flag(
                     f"no fixpoint after {limits.max_rounds} rounds",
                     rule="rounds",
                     rounds=rounds,
-                    sizes={oid: len(members) for oid, members in fam.items()},
+                    sizes={oid: len(elems) for oid, elems in element.items()},
                 )
             rounds += 1
             # step 1: the image and preimage offers
             for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
                 for a in fresh[g.dom]:
-                    offer(g.cod, image_of(a), "image", g, a)
+                    offer(g.cod, image_of(element[g.dom][a]), "image", g, a)
                 for b in fresh[g.cod]:
-                    if ims is None:
-                        offer(g.dom, preimage(b), "preimage", g, b)
-                        continue
-                    k = key(g.cod, b, ims[gi])
-                    # from round 2 on, the preimages of keys 0 and im g,
-                    # ker g and the full domain, are known (from round 1)
-                    if rounds == 1 or (k.basis and k is not ims[gi]):
+                    k = element[g.cod][b] if ims is None else key(g.cod, b, gi)
+                    if k is not None:
                         offer(g.dom, preimage(k), "preimage", g, b)
             if rounds == 1 and ims is not None:
-                # the flag's own im g, which dict lookups find by identity
-                ims = [element[g.cod][ordinal[g.cod][im]] for g, im in zip(maps, ims)]
+                im_at = [ordinal[g.cod][im] for g, im in zip(maps, ims)]
             # step 2: the meet offers
-            for oid in fam:
+            for oid in element:
                 meet_step(oid)
-            if all(not added for added in new.values()):
+            if all(len(order[oid]) == len(elems) for oid, elems in element.items()):
                 break
-            for oid, added in new.items():
-                fam[oid].update(added)
-                space = spaces[oid]
-                fresh[oid] = sorted(added, key=lambda s: space[s].sort_key)
-                # merge the fresh elements into the members' sort order
-                ords, keys, at = order[oid], sort_keys[oid], 0
-                for s in fresh[oid]:
-                    sk = space[s].sort_key
-                    at = bisect_right(keys, sk, at)
-                    keys.insert(at, sk)
-                    ords.insert(at, ordinal[oid][s])
-                    at += 1
-                added.clear()
+            for oid in element:
+                join(oid)
     except ClosureDivergence as stop:
-        stop.reached = {oid: list(space.values()) for oid, space in spaces.items()}
+        stop.reached = {oid: list(spaces) for oid, spaces in space.items()}
         raise
-    posets = {oid: build_poset(list(spaces[oid].values()), meets[oid]) for oid in fam}
-    masks = None
-    if coordinates is not None:
-        masks = {}
-        for oid, p in posets.items():
-            mask_of = {s: mask for mask, s in spaces[oid].items()}
-            masks[oid] = tuple(mask_of[s] for s in p.elements)
     return FlagAssignment(
-        posets=posets,
-        provenance={
-            oid: {spaces[oid][s]: w for s, w in members.items()}
-            for oid, members in fam.items()
-        },
+        posets={oid: build_poset(space[oid], meets[oid]) for oid in element},
+        provenance={oid: dict(zip(space[oid], witness[oid])) for oid in element},
         rounds=rounds,
-        coordinates=coordinates,
-        masks=masks,
+        masks=None if coordinates is None else {
+            oid: tuple(elems[k] for k in order[oid]) for oid, elems in element.items()
+        },
     )

@@ -15,7 +15,7 @@ primitive, and are divided by their pivot only when the canonical rows are
 emitted.  ``Matrix.entries`` and ``Subspace.basis`` stay canonical Fraction
 (or int mod p) tuples.  Each value lazily caches its integer form and its
 hash, a matrix its inverse and its factorization for preimages (with the
-preimages made and their images), and a hyperplane its normal row; a cache
+preimages made and their images), and a subspace its normal rows; a cache
 is a pure function of the frozen value and takes no part in equality or
 repr.
 """
@@ -152,6 +152,24 @@ def _emit(field: Field, rows: List[Sequence[int]], pivots: List[int]) -> List[Ve
     if field.p is not None:
         return [tuple(r) for r in rows[: len(pivots)]]
     return [_fraction_row(r, r[c]) for r, c in zip(rows, pivots)]
+
+
+def _null_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> List[List[int]]:
+    """Integer rows spanning the kernel of the matrix whose rows
+    :func:`_eliminate` reduced to ``rows`` with ``pivots``: one per free
+    column j, with x_j = den and x_c = -rows[i][j] / rows[i][c] at the pivot
+    c of each row i, scaled by den, the lcm of the pivot entries."""
+    den = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    pivot_set = set(pivots)
+    out = []
+    for j in range(ncols):
+        if j not in pivot_set:
+            x = [0] * ncols
+            x[j] = den
+            for row, c in zip(rows, pivots):
+                x[c] = -row[j] * (den // row[c])
+            out.append(x)
+    return out
 
 
 # --- matrices ------------------------------------------------------------------
@@ -404,7 +422,7 @@ class Subspace:
     # Lazy caches (not dataclass fields, so equality and repr ignore them).
     _hash = None
     _int_form = None  # (primitive int rows with positive pivots, pivot columns)
-    _normal = None  # of a hyperplane: an integer row whose kernel it is
+    _normal = None  # integer rows whose common kernel it is
     _json_rows = None  # the basis rows as JSON scalars, tuples of tuples
 
     def __hash__(self) -> int:
@@ -466,61 +484,54 @@ class Subspace:
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, len(self.basis), self.ambient_dim, self.basis)
 
-    def _holds(self, w: Sequence[int]) -> bool:
-        """True when the integer vector ``w`` lies in this subspace: one dot
-        product with the cached normal row in a hyperplane, else ``w``
-        reduced against the basis rows."""
+    def _holding(self, ws: Sequence[Sequence[int]]) -> List[int]:
+        """The positions of the integer vectors in ``ws`` that lie in this
+        subspace: those whose dot product with each cached normal row
+        (``_normal_rows``) is 0.  Each normal row is tested on the vectors
+        the rows before it left, so over a large field most vectors outside
+        take one dot product."""
         p = self.field.p
-        if len(self.basis) + 1 == self.ambient_dim:
-            dot = sum(map(mul, self._normal_row(), w))
-            return not (dot if p is None else dot % p)
-        for row, c in zip(*self._ints()):
-            b = w[c]
-            if b:
-                if p is None:
-                    a = row[c]
-                    g = gcd(a, b)
-                    s, t = a // g, b // g
-                    w = [s * x - t * y for x, y in zip(w, row)]
-                else:
-                    w = [(x - b * y) % p for x, y in zip(w, row)]
-        return not any(w)
+        left = range(len(ws))
+        for normal in self._normal_rows():
+            if not left:
+                break
+            if p is None:
+                left = [i for i in left if not sum(map(mul, normal, ws[i]))]
+            else:
+                left = [i for i in left if not sum(map(mul, normal, ws[i])) % p]
+        return list(left)
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         w = _int_vector(self.field, v)[1]
         if len(w) != self.ambient_dim:
             raise ValidationError("vector length differs from ambient dimension")
-        return self._holds(w)
+        return bool(self._holding([w]))
 
-    def _normal_row(self) -> IntRow:
-        """For a hyperplane (dimension ambient - 1), the integer row n with
-        n . v = 0 exactly for the v in it: primitive over Q, reduced mod p
-        over GF(p).  Computed once and cached."""
-        normal = self._normal
-        if normal is None:
-            rows, pivots = self._ints()
-            free = next(j for j in range(self.ambient_dim) if j not in pivots)
-            # n[free] = 1 and n[c] = -row[free] / row[c] for the pivot c of
-            # each RREF row, scaled by den
-            den = lcm(*[row[c] for row, c in zip(rows, pivots)])
-            v = [0] * self.ambient_dim
-            v[free] = den
-            for row, c in zip(rows, pivots):
-                v[c] = -row[free] * (den // row[c])
+    def _normal_rows(self) -> Tuple[IntRow, ...]:
+        """Integer rows n, one per non-pivot column, with n . v = 0 for
+        every v in this subspace and for no other v: the kernel of its basis
+        rows (``_null_rows``), primitive over Q, reduced mod p over GF(p).
+        Computed once and cached."""
+        normals = self._normal
+        if normals is None:
             p = self.field.p
-            if p is None:
-                g = gcd(*v)
-                normal = tuple(x // g for x in v)
-            else:
-                normal = tuple(x % p for x in v)
-            object.__setattr__(self, "_normal", normal)
-        return normal
+            normals = []
+            for v in _null_rows(*self._ints(), self.ambient_dim):
+                if p is None:
+                    g = gcd(*v)
+                    normals.append(tuple(x // g for x in v))
+                else:
+                    normals.append(tuple(x % p for x in v))
+            normals = tuple(normals)
+            object.__setattr__(self, "_normal", normals)
+        return normals
 
     def contains(self, other: "Subspace") -> bool:
         """True when ``other`` is a subspace of ``self``: each basis row of
-        ``other`` holds in it (``_holds``)."""
+        ``other`` lies in it (``_holding``)."""
         _check_same_ambient(self, other)
-        return all(map(self._holds, other._ints()[0]))
+        rows = other._ints()[0]
+        return len(self._holding(rows)) == len(rows)
 
     def json_rows(self) -> Tuple[tuple, ...]:
         """The basis rows as tuples of JSON scalars, converted once and
@@ -572,12 +583,12 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     Equal subspaces are their own intersection.  Two distinct ones of equal
     dimension do not contain each other (distinct canonical forms are
     distinct subspaces), so no containment test is made for them; otherwise,
-    when the smaller one lies in the larger, it is the intersection (in a
-    hyperplane that test is one dot product per row, see ``contains``).  When
-    the smaller does not lie in the larger and has dimension at most 1, the
-    intersection is zero.  Otherwise the Zassenhaus block trick: row-reduce
-    [A | A; B | 0]; rows whose pivot lies in the right half carry, in that
-    half, a spanning set of the intersection.
+    when the smaller one lies in the larger, it is the intersection (one dot
+    product per row and normal row, see ``contains``).  When the smaller
+    does not lie in the larger and has dimension at most 1, the intersection
+    is zero.  Otherwise it is spanned by the combinations x of the smaller
+    one's rows S that every normal row n of the larger one annihilates: x
+    runs over the kernel of the small matrix of the n . S_i.
     """
     _check_same_ambient(a, b)
     small, big = (a, b) if len(a.basis) <= len(b.basis) else (b, a)
@@ -589,11 +600,18 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
         return small
     if k <= 1:
         return Subspace.zero(a.field, a.ambient_dim)
-    n = a.ambient_dim
-    zero_row = (0,) * n
-    rows = [r + r for r in a._ints()[0]] + [r + zero_row for r in b._ints()[0]]
-    pivots = _eliminate(a.field.p, rows, 2 * n)
-    return Subspace.span(a.field, n, [row[n:] for row, c in zip(rows, pivots) if c >= n])
+    p = a.field.p
+    rows = small._ints()[0]
+    conditions = [[sum(map(mul, normal, r)) for r in rows] for normal in big._normal_rows()]
+    if p is not None:
+        conditions = [[x % p for x in c] for c in conditions]
+    pivots = _eliminate(p, conditions, k)
+    columns = list(zip(*rows))
+    return Subspace.span(
+        a.field,
+        a.ambient_dim,
+        [[sum(map(mul, x, col)) for col in columns] for x in _null_rows(conditions, pivots, k)],
+    )
 
 
 def map_image(m: Matrix, a: Subspace) -> Subspace:
@@ -618,22 +636,9 @@ def image(m: Matrix) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    f = m.field
     rows = list(m._ints()[1])
-    pivots = _eliminate(f.p, rows, m.cols)
-    pivot_set = set(pivots)
-    # x_c = -rows[i][j] / rows[i][c] for the free column j, scaled by den
-    den = 1 if f.p is not None else lcm(*[row[c] for row, c in zip(rows, pivots)])
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[j] = den
-        for row, c in zip(rows, pivots):
-            v[c] = -row[j] * (den // row[c])
-        basis.append(v)
-    return Subspace.span(f, m.cols, basis)
+    pivots = _eliminate(m.field.p, rows, m.cols)
+    return Subspace.span(m.field, m.cols, _null_rows(rows, pivots, m.cols))
 
 
 def map_preimage(m: Matrix, b: Subspace) -> Subspace:

@@ -28,9 +28,9 @@ and per column, every generator is a partial matching of basis indices, and
 its pseudo-inverse the transposed matching; every saturated element is then
 spanned by basis vectors, and the saturation closure runs on bitmasks of
 basis indices (``flag.BasisCoordinates``).  The saturated flag then carries
-the bases and each element's mask, and stays in those coordinates to the end
-of the passing path: its report takes no rank count (it holds by
-construction), each projection is read off its element's mask
+each element's mask, and the passing path stays in the bases
+(``Analysis.bases``) to the end: its report takes no rank count (it holds by
+construction), each projection is read off its element's mask in the bases
 (``build_families``), and the families hand the bases to
 ``realize.verify_envelope``, which closes the envelope on monomial maps in
 them.  The bases are transported along a spanning forest of the quiver, so
@@ -125,7 +125,7 @@ class Analysis:
     def families(self) -> Optional[Dict[str, ProjectionFamily]]:
         """The projection families of the reported flag; None unless it passed
         and was saturated."""
-        return None if self.pseudo_inverses is None else build_families(self.flag)
+        return None if self.pseudo_inverses is None else build_families(self.flag, self.bases)
 
 
 def _count_holds(flag: FlagAssignment) -> bool:
@@ -154,17 +154,16 @@ def _refuting_part(
     return None
 
 
-def build_families(flag: FlagAssignment) -> Dict[str, ProjectionFamily]:
+def build_families(flag: FlagAssignment, bases: Dict[str, Matrix]) -> Dict[str, ProjectionFamily]:
     """Projection families of a passing flag, one per object: on a flag
-    saturated on bitmasks each is read off the masks of its elements in the
-    flag's bases (``realize.mask_projections``), otherwise off the adapted
-    basis of ``criterion.adapted_complements`` (``realize_projections``)."""
+    saturated on bitmasks in ``bases`` each is read off the masks of its
+    elements (``realize.mask_projections``), otherwise off the adapted basis
+    of ``criterion.adapted_complements`` (``realize_projections``)."""
     if flag.masks is None:
         return {
             oid: realize_projections(flag.posets[oid], object_id=oid)
             for oid in sorted(flag.posets)
         }
-    bases = flag.coordinates.bases
     return {
         oid: mask_projections(flag.posets[oid], flag.masks[oid], bases[oid], oid)
         for oid in sorted(flag.posets)

@@ -554,3 +554,34 @@ def test_error_report_leaves_no_cyclic_garbage(tmp_path, capsys):
         del gc.garbage[before:]
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("command", ["check", "flag", "mobius", "decompose", "envelope"])
+def test_an_unwritable_output_path_is_an_output_error(command, tmp_path, capsys):
+    """``-o F/x.json``, where F is a regular file: the report cannot be
+    written, so exactly one document, an ``OutputError``, goes to stdout,
+    and the command exits 2 (not 1 with a traceback)."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    code, out = run_cli(capsys, command, TRISECTION, "-o", str(blocker / "x.json"))
+    assert code == 2
+    doc = json.loads(out)  # one document: a second would not parse
+    assert doc["error"]["code"] == "OutputError"
+    assert str(blocker / "x.json") in doc["error"]["message"]
+
+
+def test_an_unwritable_dot_directory_is_an_output_error(tmp_path, capsys):
+    """``flag --dot F``, where F is a regular file: the DOT files are written
+    before the report, so stdout holds one document, the ``OutputError``,
+    and no flag report; a writable ``-o`` receives that error report."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    code, out = run_cli(capsys, "flag", TRISECTION, "--dot", str(blocker))
+    assert code == 2
+    doc = json.loads(out)  # one document: a second would not parse
+    assert list(doc) == ["error"] and doc["error"]["code"] == "OutputError"
+    assert str(blocker) in doc["error"]["message"]
+    out_path = tmp_path / "out.json"
+    code_o, out_o = run_cli(capsys, "flag", TRISECTION, "--dot", str(blocker), "-o", str(out_path))
+    assert (code_o, out_o) == (2, "")
+    assert out_path.read_text() == out

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from invcat import (
     ClosureDivergence,
     ClosureLimits,
+    FlagAssignment,
     GF,
     Matrix,
     RATIONALS,
@@ -22,6 +23,7 @@ from invcat import (
     map_image,
     map_preimage,
     sub_intersect,
+    Witness,
 )
 from invcat.flag import BasisCoordinates, Matching
 from invcat.rep import Generator, RepObject, Representation
@@ -304,9 +306,9 @@ def test_closure_on_matchings_matches_subspace_closure():
 
 
 def test_a_stopped_closure_hands_over_a_prefix_of_each_arrival_order():
-    """Where the element limit stops a closure in step 1 (an image or a
-    preimage offer) or in step 2 (a meet offer), on subspaces and on
-    bitmasks, each object's reached elements are the first ones, in order
+    """Where the element limit stops a closure in a round's image or
+    preimage offers, or in its meet offers (before the round's elements
+    join the members), on subspaces and on bitmasks, each object's reached elements are the first ones, in order
     of arrival, of the finished closure, and the object that stopped it
     has one more than the limit.  Where the round limit stops it, they are
     the elements of the rounds before.  Every limit below the largest flag
@@ -443,8 +445,8 @@ def stars_and_intervals(draw):
 @given(stars_and_intervals())
 @settings(max_examples=60, deadline=None)
 def test_meets_recorded_by_class_match_the_pairwise_record(rep):
-    """The meet step records known meets by dimension class and takes a
-    line's incidences from the preimage keys.  Every record it hands to
+    """Each member's meets that dimension decides are recorded when it
+    joins, and the meet step intersects the rest.  Every record handed to
     ``build_poset`` equals the pair-by-pair one, on the raw flag and on the
     saturated one (closed on bitmasks where it passes); the posets equal
     the ones ``build_poset`` builds by intersecting every pair; and a
@@ -478,17 +480,96 @@ def test_meets_recorded_by_class_match_the_pairwise_record(rep):
             assert elems == arrival[oid][: len(elems)]
 
 
+def _reference_closure(rep):
+    """The flag closure straight from its rules, in synchronous rounds and
+    with no meet record.  Each round offers, for each map in order, the
+    images of the fresh elements at its domain, then the ``map_preimage``
+    of the fresh elements at its codomain, each in ``sort_key`` order; then,
+    at each object, the ``sub_intersect`` of every pair of members in which
+    a fresh element takes part, in ``sort_key`` pair order.  A round's
+    offers join the members at its end, and the fresh elements are those
+    that joined.  Returns each object's members with their witnesses in
+    order of arrival, the number of rounds (the last adds nothing), and
+    each object's member count after each round (the seeds first)."""
+    members = {}
+    for o in rep.objects:
+        seeds = (Subspace.zero(rep.field, o.dim), Subspace.full(rep.field, o.dim))
+        members[o.id] = dict.fromkeys(seeds, Witness("seed"))
+    fresh = {oid: sorted(m, key=lambda s: s.sort_key) for oid, m in members.items()}
+    counts = [{oid: len(m) for oid, m in members.items()}]
+    rounds = 0
+    while True:
+        rounds += 1
+        added = {oid: {} for oid in members}
+
+        def offer(oid, s, witness):
+            if s not in members[oid] and s not in added[oid]:
+                added[oid][s] = witness
+
+        for g in rep.generators:
+            for a in fresh[g.dom]:
+                offer(g.cod, map_image(g.matrix, a), Witness("image", g.id, (a,)))
+            for b in fresh[g.cod]:
+                offer(g.dom, map_preimage(g.matrix, b), Witness("preimage", g.id, (b,)))
+        for oid, m in members.items():
+            elems, new = sorted(m, key=lambda s: s.sort_key), set(fresh[oid])
+            for i, a in enumerate(elems):
+                for b in elems[i + 1:]:
+                    if a in new or b in new:
+                        offer(oid, sub_intersect(a, b), Witness("intersect", None, (a, b)))
+        if not any(added.values()):
+            return members, rounds, counts
+        for oid, m in added.items():
+            members[oid].update(m)
+            fresh[oid] = sorted(m, key=lambda s: s.sort_key)
+        counts.append({oid: len(m) for oid, m in members.items()})
+
+
+def _assert_matches_reference(rep):
+    flag = compute_flag(rep)
+    members, rounds, counts = _reference_closure(rep)
+    ref = FlagAssignment({oid: build_poset(list(m)) for oid, m in members.items()}, members, rounds)
+    assert flag.to_json() == ref.to_json()
+    for oid, m in members.items():
+        assert list(flag.provenance[oid].items()) == list(m.items())
+        p, q = flag.posets[oid], ref.posets[oid]
+        assert (p.elements, p.leq, p.covers, p.meet_table) == (
+            q.elements, q.leq, q.covers, q.meet_table
+        )
+    for r in range(rounds):
+        with pytest.raises(ClosureDivergence) as exc:
+            compute_flag(rep, ClosureLimits(max_rounds=r))
+        assert exc.value.reached == {oid: list(m)[: counts[r][oid]] for oid, m in members.items()}
+
+
+@given(representations())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_the_reference_closure(rep):
+    """``compute_flag`` gives the reference closure's report (witnesses and
+    rounds included), its order of arrival, its posets, and at every round
+    limit below its round count, its elements of those rounds."""
+    _assert_matches_reference(rep)
+
+
+@given(stars_and_intervals())
+@settings(max_examples=60, deadline=None)
+def test_closure_of_stars_matches_the_reference_closure(rep):
+    """The same on stars of lines, planes and hyperplanes, where most meets
+    are recorded by dimension class, and on interval sums."""
+    _assert_matches_reference(rep)
+
+
 @pytest.mark.parametrize("k", [8, 14])
 def test_known_meets_are_not_intersected(k, monkeypatch):
     """On a star of k planes in GF(10007)^3, every meet but those of two
     planes is known from dimension and containment, and a preimage's key
     (its meet with the plane that is the map's image) is read off the
-    round's meets, so the whole closure makes one intersection per pair of
-    planes, also where a limit stops it.  The spy sits in ``linalg`` as
+    record of meets, so the whole closure makes one intersection per pair
+    of planes, also where a limit stops it.  The spy sits in ``linalg`` as
     well, where ``map_preimage`` would intersect.  Each pair of a line and
-    a plane of the centre takes at most one incidence test, in the preimage
-    keys or in the meet step, and the image of a preimage is read off the
-    key it was lifted from, without an elimination.  The recorded meets
+    a plane of the centre takes at most one incidence test, when the later
+    of the two joins the members, and the image of a preimage is read off
+    the key it was lifted from, without an elimination.  The recorded meets
     still assemble the poset that intersecting every pair validates."""
     import invcat.flag as flag
     import invcat.linalg as linalg
@@ -503,15 +584,17 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     monkeypatch.setattr(flag, "sub_intersect", spy)
     monkeypatch.setattr(linalg, "sub_intersect", spy)
 
-    # incidence tests: ``contains`` tests each row of its argument by ``_holds``
+    # incidence tests: ``contains`` tests the rows of its argument by
+    # ``_holding`` too
     tested = Counter()
-    real_holds = linalg.Subspace._holds
+    real_holding = linalg.Subspace._holding
 
-    def holds_spy(self, w):
-        tested[self, tuple(w)] += 1
-        return real_holds(self, w)
+    def holding_spy(self, ws):
+        for w in ws:
+            tested[self, tuple(w)] += 1
+        return real_holding(self, ws)
 
-    monkeypatch.setattr(linalg.Subspace, "_holds", holds_spy)
+    monkeypatch.setattr(linalg.Subspace, "_holding", holding_spy)
 
     # eliminations made while taking the image of a preimage
     spans = []

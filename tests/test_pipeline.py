@@ -61,12 +61,14 @@ def test_saturation_hands_back_the_final_families(bisection, monkeypatch):
 
     built = []
     real = pipeline.build_families
-    monkeypatch.setattr(pipeline, "build_families", lambda flag: built.append(flag) or real(flag))
+    monkeypatch.setattr(
+        pipeline, "build_families", lambda flag, bases: built.append(flag) or real(flag, bases)
+    )
     a = analyze(bisection)
     assert built == [] and a.flag.sizes() == {"plane": 4}
     families = a.families
     assert built == [a.flag] and a.flag.saturated
-    fresh = real(a.flag)
+    fresh = real(a.flag, a.bases)
     assert {oid: f.projections for oid, f in families.items()} == {
         oid: f.projections for oid, f in fresh.items()
     }
@@ -104,19 +106,19 @@ def test_nothing_is_built_before_it_is_read(trisection, monkeypatch):
     assert a.report.passed and a.standard_report is a.report
     assert scores == [(tree, a.flag, "standard")]
     assert a.families is a.families
-    assert builds == [(a.flag,)]
+    assert builds == [(a.flag, a.bases)]
 
     scores.clear()
     dec = decompose(tree)
     assert verify_decomposition(tree, dec).ok
-    assert scores == [] and builds == [(a.flag,)]
+    assert scores == [] and builds == [(a.flag, a.bases)]
 
     b = analyze(trisection)
     assert not b.passed and scores == []
     doc = b.report.to_json()
     assert doc["verdict"] == "fail" and doc["witnesses"]
     assert scores == [(trisection, b.flag, "standard")]
-    assert b.families is None and builds == [(a.flag,)]
+    assert b.families is None and builds == [(a.flag, a.bases)]
 
 
 def test_unknown_mu_mode_is_rejected_before_the_closure(bisection, monkeypatch):
