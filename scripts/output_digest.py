@@ -28,12 +28,14 @@ benchmark's stars are all planes in a 3-space, so only this line meets a
 line against a plane that is not a hyperplane, and lines, planes and
 hyperplanes in one flag.
 
-With ``stopped``, runs ``check`` and ``flag`` at the default limits on
-``tests/inputs/random7_draw59.json`` and ``random7_draw375.json``, whose
-closures pass 4096 elements: ``check`` refutes each on a part of the
-elements reached, and ``flag`` reports the ``ClosureDivergence``.  The other
-lines stop their closures at 200 elements at most, so only this one pins the
-order of arrival of a large stopped closure.
+With ``stopped``, runs ``check``, ``check --mu literal``, ``flag`` and
+``envelope`` at the default limits on ``tests/inputs/random7_draw59.json``
+and ``random7_draw375.json``, whose closures pass 4096 elements: ``check``
+and ``envelope`` refute each on a part of the elements reached, and
+``flag`` reports the ``ClosureDivergence``.  The other lines stop their
+closures at 200 elements at most, so only this one pins the order of arrival
+of a large stopped closure, and the literal and envelope reports of a
+refutation on a part.
 
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a
@@ -168,7 +170,7 @@ def main():
         inputs, limits, label = star_inputs(), (), f"stars={STARS} seed={STAR_SEED}"
     elif args.seed == "stopped":
         inputs, limits, label = stopped_inputs(), (), "stopped=" + ",".join(map(str, STOPPED_DRAWS))
-        commands = (("check",), ("flag",))
+        commands = (("check",), ("check", "--mu", "literal"), ("flag",), ("envelope",))
     else:
         inputs, limits, label = corpus_inputs(int(args.seed)), (), f"seed={args.seed}"
     with tempfile.TemporaryDirectory() as tmp:

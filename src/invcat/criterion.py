@@ -41,10 +41,21 @@ combinatorial theory I*, 1964),
     sum over a <= b of mu(a, b) dim(a meet c)
         = sum over y <= b meet c of rho(y) [y = b] = rho(b) [b <= c],
 
-while the same sum over dim a alone is rho(b).  Both scores depend on c only
-through b meet c, since a meet c = a meet (b meet c) for a <= b: they are
-summed once per element m of b's down-set and read off for every c with
-b meet c = m.  Nothing on the verdict or report path builds ``mobius``.
+while the same sum over dim a alone is rho(b).  So the standard negatives
+of b are the c outside b's up-set, where rho(b) < 0, and no meet is read.
+The literal score depends on c only through m = b meet c, since
+a meet c = a meet (b meet c) for a <= b, and with F_b(y) the sum of one_var
+over [y, b],
+
+    sum over a <= b of one_var(a) dim(a meet m)
+        = sum over y <= m of rho(y) F_b(y),
+
+so it is summed once per element m of b's down-set.  The c with
+b meet c = m are those above m and above no element of (m, b], so the pairs
+of each meet class are counted by a popcount of up-set masks, and listed
+only where they are printed.  Everything is read off the poset's down-set
+masks: nothing on the verdict or report path builds ``mobius`` or an
+n x n view of the order.
 
 A representation passes when, at every object, every ordered pair scores
 >= 0 and the count equals the ambient dimension.  Where the count holds the
@@ -53,18 +64,23 @@ dim C_b, so no standard score is negative.  So the count alone decides the
 standard verdict, and ``pipeline`` takes nothing else; the score is taken
 only for a report that gets printed.  In a report the score's witnesses take
 precedence: the count's distributivity witnesses are listed only when no
-pair scores negative.
+pair scores negative.  The literal mode is scored only where it is read: for
+the witnesses of a literal report, and for a report's mode disagreements
+and examples, which are counted when first read (``to_json`` reads them,
+``decompose``'s refusal does not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from operator import mul
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
 from .linalg import Subspace, complement_within
-from .poset import SubspacePoset, mobius_invert
+from .poset import SubspacePoset, members, mobius_invert
 # unused here, kept bound so that per-layer tracers can wrap it by name
 from .poset import mobius  # noqa: F401
 from .rep import Representation
@@ -121,15 +137,37 @@ class CriterionReport:
     witnesses: Tuple[CriterionValue, ...]
     distributivity_witnesses: Tuple[DistributivityWitness, ...]
     poset_sizes: Dict[str, int]
-    mode_disagreements: int
-    disagreement_examples: Tuple[CriterionValue, ...]
     saturated: bool
     # set when the closure stopped at a limit and the count refuted its part
     closure_note: Optional[str] = None
+    # the scored posets by object id, in id order, off which the mode
+    # disagreements are counted when first read; none where the score is
+    # not taken
+    scored: Tuple[Tuple[str, SubspacePoset], ...] = ()
 
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
+
+    @cached_property
+    def mode_disagreements(self) -> int:
+        """The number of pairs on which the two modes land on different
+        sides of zero."""
+        return sum(_scores_of(p).disagreements() for _, p in self.scored)
+
+    @cached_property
+    def disagreement_examples(self) -> Tuple[CriterionValue, ...]:
+        """The first ten pairs, in the witnesses' order, that score negative
+        in the other mode alone, valued in that mode."""
+        other = "literal" if self.mu_mode == "standard" else "standard"
+        found: List[CriterionValue] = []
+        for oid, p in self.scored:
+            elems = p.elements
+            for bi, ci, v in _scores_of(p).negatives_of(other, alone=True):
+                found.append(CriterionValue(oid, elems[bi], elems[ci], v, other))
+                if len(found) == 10:
+                    return tuple(found)
+        return tuple(found)
 
     def to_json(self) -> dict:
         doc = {
@@ -150,35 +188,105 @@ class CriterionReport:
         return doc
 
 
-def _scores_of(p: SubspacePoset) -> Callable[[int], Dict[int, Tuple[int, int]]]:
-    """For one poset, the function that maps an element b to the scores of
-    its pairs by meet: ``{m: (standard, literal)}`` over the m <= b, each the
-    score of every (b, c) with b meet c = m.
+class _Scores:
+    """The scores of one poset's pairs, by meet class, on its down-set masks.
 
-    The standard score is rho(b) unless m = b (see the module docstring).
     rho (the Moebius inverse of dimension) and one_var (that of the
     indicator of the zero element) are computed once, by ``mobius_invert``'s
-    recursion.  The literal score of (b, c) is the sum of
-    one_var(a) (dim a - dim(a meet m)) over the a <= b with one_var(a) != 0.
+    recursion.  The standard score of (b, c) is rho(b) unless b <= c (see
+    the module docstring), so the standard negatives of b are the c outside
+    up(b) where rho(b) < 0.  The literal score of every (b, c) with
+    b meet c = m is top_b - sum(rho(y) F_b(y) for y <= m), where top_b is
+    the sum of one_var(a) dim a over the a <= b and F_b(y) that of one_var
+    over [y, b]; it is computed per b, when first asked for.  The c with
+    b meet c = m are those of up(m) in no up(x) for x in (m, b]
+    (``meeting``), so a count of pairs needs no list of them.
     """
-    n = len(p.elements)
-    dims = [s.dim for s in p.elements]
-    rho = mobius_invert(p, dims)
-    one = mobius_invert(p, [1] + [0] * (n - 1))
-    leq, meet = p.leq, p.meet_table
 
-    def scores(bi: int) -> Dict[int, Tuple[int, int]]:
-        down = [ai for ai in range(bi + 1) if leq[ai][bi]]
-        terms = [(ai, one[ai]) for ai in down if one[ai]]
-        top = sum(w * dims[ai] for ai, w in terms)
-        return {
-            m: (
-                0 if m == bi else rho[bi],
-                top - sum(w * dims[meet[m][ai]] for ai, w in terms),
-            )
-            for m in down
-        }
+    def __init__(self, p: SubspacePoset):
+        n = len(p.elements)
+        self.down, self.up = p.down, p.up
+        self.dims = [s.dim for s in p.elements]
+        self.rho = mobius_invert(p, self.dims)
+        self.one = mobius_invert(p, [1] + [0] * (n - 1))
+        self.all = (1 << n) - 1
+        # each down-set's members, ascending
+        self.lower = [list(members(mask)) for mask in self.down]
+        self._literal: List[Optional[Dict[int, int]]] = [None] * n
 
+    def meeting(self, bi: int, m: int) -> int:
+        """The mask of the c with b meet c = m, for an m <= b."""
+        up = self.up
+        above = 0
+        for x in members(self.down[bi] & up[m] & ~(1 << m)):
+            above |= up[x]
+        return up[m] & ~above
+
+    def literal(self, bi: int) -> Dict[int, int]:
+        """``{m: literal score}`` over the m <= b, in index order: the score
+        of every (b, c) with b meet c = m."""
+        found = self._literal[bi]
+        if found is None:
+            up, one, rho, lower = self.up, self.one, self.rho, self.lower
+            below, down_b = self.down[bi], lower[bi]
+            top = sum(map(mul, map(one.__getitem__, down_b), map(self.dims.__getitem__, down_b)))
+            terms = [0] * (bi + 1)  # rho(y) F_b(y)
+            for y in down_b:
+                if rho[y]:
+                    terms[y] = rho[y] * sum(map(one.__getitem__, members(up[y] & below)))
+            at = terms.__getitem__
+            found = self._literal[bi] = {m: top - sum(map(at, lower[m])) for m in down_b}
+        return found
+
+    def by_meet(self, bi: int) -> Iterator[Tuple[int, int, int]]:
+        """``(m, standard, literal)`` over the m <= b, in index order."""
+        r = self.rho[bi]
+        for m, v in self.literal(bi).items():
+            yield m, 0 if m == bi else r, v
+
+    def pairs(self, bi: int, values: Dict[int, int]) -> List[Tuple[int, int, int]]:
+        """``(b, c, values[b meet c])`` for every c whose meet with b is a
+        key of ``values``, in c order."""
+        found = sorted((ci, v) for m, v in values.items() for ci in members(self.meeting(bi, m)))
+        return [(bi, ci, v) for ci, v in found]
+
+    def negatives_of(self, mode: str, alone: bool = False) -> Iterator[Tuple[int, int, int]]:
+        """The pairs ``(b, c, score)`` that score negative in ``mode``, b-major
+        and then in c order; with ``alone``, only those that do not score
+        negative in the other mode.  The standard negatives alone take no
+        literal score."""
+        standard = mode == "standard"
+        for bi, r in enumerate(self.rho):
+            if standard and r >= 0:
+                continue
+            if standard and not alone:
+                yield from ((bi, ci, r) for ci in members(self.all & ~self.up[bi]))
+                continue
+            values = {}
+            for m, v_std, v_lit in self.by_meet(bi):
+                v, v_other = (v_std, v_lit) if standard else (v_lit, v_std)
+                if v < 0 and not (alone and v_other < 0):
+                    values[m] = v
+            if values:
+                yield from self.pairs(bi, values)
+
+    def disagreements(self) -> int:
+        """The number of pairs on which the two modes land on different
+        sides of zero."""
+        count = 0
+        for bi in range(len(self.rho)):
+            for m, v_std, v_lit in self.by_meet(bi):
+                if (v_std < 0) != (v_lit < 0):
+                    count += self.meeting(bi, m).bit_count()
+        return count
+
+
+def _scores_of(p: SubspacePoset) -> _Scores:
+    """The scores of ``p``, computed once per poset and cached on it."""
+    scores = p._scores
+    if scores is None:
+        scores = _Scores(p)
+        object.__setattr__(p, "_scores", scores)
     return scores
 
 
@@ -191,8 +299,11 @@ def evaluate_pair(
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
     bi, ci = p.index_of(b), p.index_of(c)
-    v_std, v_lit = _scores_of(p)(bi)[p.meet_table[bi][ci]]
-    return v_std if mode == "standard" else v_lit
+    scores = _scores_of(p)
+    m = p.meet(bi, ci)
+    if mode == "standard":
+        return 0 if m == bi else scores.rho[bi]
+    return scores.literal(bi)[m]
 
 
 def check_poset(
@@ -204,29 +315,14 @@ def check_poset(
     where the two modes land on different sides of zero).  A negative is
     ``(b index, c index, score)``; both lists are in index order, b-major,
     which is the order of ``Subspace.sort_key`` since the elements are
-    sorted by it.  A b none of whose meets scores negative in either mode
-    contributes nothing, and its row of the meet table is not read.
+    sorted by it.
     """
     scores = _scores_of(p)
-    std_neg: List[Tuple[int, int, int]] = []
-    lit_neg: List[Tuple[int, int, int]] = []
-    disagreements = 0
-    for bi, row in enumerate(p.meet_table):
-        negative = {m: v for m, v in scores(bi).items() if v[0] < 0 or v[1] < 0}
-        if not negative:
-            continue
-        for ci, m in enumerate(row):
-            v = negative.get(m)
-            if v is None:
-                continue
-            v_std, v_lit = v
-            if v_std < 0:
-                std_neg.append((bi, ci, v_std))
-            if v_lit < 0:
-                lit_neg.append((bi, ci, v_lit))
-            if (v_std < 0) != (v_lit < 0):
-                disagreements += 1
-    return std_neg, lit_neg, disagreements
+    return (
+        list(scores.negatives_of("standard")),
+        list(scores.negatives_of("literal")),
+        scores.disagreements(),
+    )
 
 
 def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
@@ -282,7 +378,7 @@ def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
     for bi, c in enumerate(p._complements or _complements_in_order(p)):
         found.append(c)
         r.append(c.dim)
-        count = sum(r[ai] for ai in range(bi + 1) if p.leq[ai][bi])
+        count = sum(r[ai] for ai in members(p.down[bi]))
         if count > p.elements[bi].dim:
             object.__setattr__(p, "_excess", (bi, count))
             return bi, count
@@ -294,15 +390,18 @@ def poset_passes(p: SubspacePoset, mode: str = "standard") -> bool:
     """The verdict on one poset: every pair scores >= 0 in ``mode`` and the
     rank count holds, i.e. a multiplicative projection family exists (in
     standard mode).  Every m <= b is the meet of (b, m), so a score by meet
-    stands for at least one pair."""
+    stands for at least one pair; a standard score is rho(b) or 0, and
+    rho(0) = 0."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    k = MU_MODES.index(mode)
     scores = _scores_of(p)
-    return (
-        all(v[k] >= 0 for bi in range(len(p.elements)) for v in scores(bi).values())
-        and rank_count_excess(p) is None
-    )
+    if mode == "standard":
+        nonnegative = all(r >= 0 for r in scores.rho)
+    else:
+        nonnegative = all(
+            v >= 0 for bi in range(len(p.elements)) for v in scores.literal(bi).values()
+        )
+    return nonnegative and rank_count_excess(p) is None
 
 
 def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitness]:
@@ -336,8 +435,6 @@ def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionRep
         witnesses=(),
         distributivity_witnesses=tuple(_distributivity_witnesses(flag)),
         poset_sizes=flag.sizes(),
-        mode_disagreements=0,
-        disagreement_examples=(),
         saturated=False,
         closure_note=(
             f"closure stopped ({reason}); the rank count fails on the meet closure "
@@ -353,12 +450,13 @@ def check_representation(
 ) -> CriterionReport:
     """Evaluate every object and every ordered pair; collect all violations.
 
-    Each poset gets one ``check_poset`` scan.  The witnesses are the
-    negatives of ``mode``, ordered by object id and then by the ``sort_key``
-    of b and of c, which is the scan's index order.  The disagreement
-    examples are the first ten pairs in the same order that score negative
-    in the other mode alone; ``CriterionValue`` objects are made only for
-    the witnesses and those ten.
+    The witnesses are the negatives of ``mode``, ordered by object id and
+    then by the ``sort_key`` of b and of c, which is the posets' index
+    order; standard witnesses take no literal score.  The mode disagreements
+    and the disagreement examples, the first ten pairs in the same order
+    that score negative in the other mode alone, are counted when the report
+    first reads them; ``CriterionValue`` objects are made only for the
+    witnesses and those ten.
 
     When no pair scores negative, the rank count is taken at every object and
     each object where it fails contributes one distributivity witness; a
@@ -366,35 +464,21 @@ def check_representation(
     there."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    other_mode = "literal" if mode == "standard" else "standard"
-    witnesses: List[CriterionValue] = []
-    disagreement_examples: List[CriterionValue] = []
-    disagreements = 0
-    for oid in sorted(flag.posets):
-        p = flag.posets[oid]
-        elems = p.elements
-        std_neg, lit_neg, dis = check_poset(p)
-        disagreements += dis
-        chosen, other = (std_neg, lit_neg) if mode == "standard" else (lit_neg, std_neg)
-        witnesses.extend(CriterionValue(oid, elems[bi], elems[ci], v, mode) for bi, ci, v in chosen)
-        if len(disagreement_examples) < 10:
-            seen = {(bi, ci) for bi, ci, _ in chosen}
-            for bi, ci, v in other:
-                if (bi, ci) not in seen:
-                    example = CriterionValue(oid, elems[bi], elems[ci], v, other_mode)
-                    disagreement_examples.append(example)
-                    if len(disagreement_examples) == 10:
-                        break
+    scored = tuple((oid, flag.posets[oid]) for oid in sorted(flag.posets))
+    witnesses = tuple(
+        CriterionValue(oid, p.elements[bi], p.elements[ci], v, mode)
+        for oid, p in scored
+        for bi, ci, v in _scores_of(p).negatives_of(mode)
+    )
     # a flag closed on bitmasks is a meet-closed family of coordinate sets,
     # on which the count holds by construction
     distributivity = [] if witnesses or flag.masks is not None else _distributivity_witnesses(flag)
     return CriterionReport(
         passed=not witnesses and not distributivity,
         mu_mode=mode,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         distributivity_witnesses=tuple(distributivity),
         poset_sizes=flag.sizes(),
-        mode_disagreements=disagreements,
-        disagreement_examples=tuple(disagreement_examples),
         saturated=flag.saturated,
+        scored=scored,
     )

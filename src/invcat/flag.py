@@ -20,8 +20,9 @@ by ordinal.  The elements a round adds join the members at the round's end
 (the seeds before round 1); those of the last join are the fresh ones, in
 ``sort_key`` order, and the members keep that order across rounds.  A
 round that adds nothing ends the closure.  The record then holds the meet
-of every pair of elements exactly once, and ``build_poset`` reads the order
-and the covers off it instead of intersecting again.
+of every pair of elements exactly once, and ``build_poset`` reads the
+down-sets and the covers off it, in the members' ``sort_key`` order,
+instead of intersecting again.
 
 When an element joins, each of its meets that dimension decides is
 recorded: 0 and the full space meet every element in 0 and in the element,
@@ -491,7 +492,7 @@ def compute_flag(
         stop.reached = {oid: list(spaces) for oid, spaces in space.items()}
         raise
     return FlagAssignment(
-        posets={oid: build_poset(space[oid], meets[oid]) for oid in element},
+        posets={oid: build_poset(space[oid], meets[oid], order[oid]) for oid in element},
         provenance={oid: dict(zip(space[oid], witness[oid])) for oid in element},
         rounds=rounds,
         masks=None if coordinates is None else {

@@ -1,10 +1,14 @@
 """Finite meet-closed posets of subspaces, Hasse diagrams, Moebius functions.
 
-A poset is assembled from its meet table: the order and the covers are read
-off it, with no containment test.  ``build_poset`` intersects every pair
-itself when given a bare family (and so validates meet-closure); the flag
-closure hands over the meets it computed while closing.  ``meet_closure``
-closes a bare family under meets, up to an element limit.
+A poset stores its order once, as one down-set bitmask per element, and
+reads the meet of two elements off their masks: the highest index in the
+common down-set.  ``build_poset`` reads the down-sets and the covers off the
+meets, with no containment test.  It intersects every pair itself when given
+a bare family (and so validates meet-closure); the flag closure hands over
+the meets it computed while closing, and its members' sort order.  The
+relation ``leq`` and the ``meet_table`` remain as n x n views of the masks,
+built only when read; no command reads them.  ``meet_closure`` closes a bare
+family under meets, up to an element limit.
 
 Two Moebius variants are kept side by side:
 
@@ -17,15 +21,18 @@ The factorization criterion's standard mode is defined by ``two_var``;
 ``one_var`` is retained because the two disagree on some posets and the
 divergence is worth reporting (see the criterion module).  The criterion
 builds neither table: it takes the Moebius inverses of dimension and of
-the indicator of the zero element (which is ``one_var``) by the O(n^2)
-recursion of ``mobius_invert``.  ``mobius`` builds the tables for the
-``mobius`` command.
+the indicator of the zero element (which is ``one_var``) by the recursion
+of ``mobius_invert`` over each down-set, one step per comparable pair.
+``mobius`` builds the tables for the ``mobius`` command.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from itertools import compress, repeat
+from operator import eq
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ElementNotInPoset, MissingBounds, NotMeetClosed
@@ -39,21 +46,26 @@ class SubspacePoset:
 
     ``elements`` are sorted by (dim, basis), which is a linear extension of
     containment: every index order scan from 0 upward visits subspaces before
-    their superspaces.
+    their superspaces.  The order is stored once, as down-set bitmasks: bit i
+    of ``down[j]`` is set when elements[i] <= elements[j].  Since the order
+    is by dimension first, the meet of i and j is the highest index in their
+    common down-set.  ``up``, ``leq`` and ``meet_table`` are views of the
+    masks, built when first read.
     """
 
     field: Field
     ambient_dim: int
     elements: Tuple[Subspace, ...]
-    leq: Tuple[Tuple[bool, ...], ...]       # leq[i][j]: elements[i] <= elements[j]
+    down: Tuple[int, ...]                   # bit i of down[j]: elements[i] <= elements[j]
     covers: Tuple[Tuple[int, int], ...]     # (i, j): j covers i
-    meet_table: Tuple[Tuple[int, ...], ...]
     _index: Dict[Subspace, int] = dc_field(repr=False, default_factory=dict)
 
-    # Lazy caches of ``criterion.adapted_complements`` and, where the rank
-    # count fails, of ``criterion.rank_count_excess`` (not dataclass fields).
+    # Lazy caches of ``criterion.adapted_complements``, where the rank count
+    # fails of ``criterion.rank_count_excess``, and of the criterion's scores
+    # (not dataclass fields).
     _complements = None
     _excess = None
+    _scores = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,13 +85,34 @@ class SubspacePoset:
         return len(self.elements) - 1
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        return (self.down[i] & self.down[j]).bit_length() - 1
+
+    @cached_property
+    def up(self) -> Tuple[int, ...]:
+        """Up-set bitmasks: bit j of ``up[i]`` is set when elements[i] <= elements[j]."""
+        up = [0] * len(self.down)
+        for j, mask in enumerate(self.down):
+            bit = 1 << j
+            for i in members(mask):
+                up[i] |= bit
+        return tuple(up)
+
+    @cached_property
+    def leq(self) -> Tuple[Tuple[bool, ...], ...]:
+        """leq[i][j]: elements[i] <= elements[j]."""
+        return tuple(tuple(bool(d >> i & 1) for d in self.down) for i in range(len(self.down)))
+
+    @cached_property
+    def meet_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """meet_table[i][j]: the index of elements[i] meet elements[j]."""
+        n = len(self.down)
+        return tuple(tuple(self.meet(i, j) for j in range(n)) for i in range(n))
 
     def atoms(self) -> List[int]:
         return [j for (i, j) in self.covers if i == self.zero_index]
 
 
-def _members(mask: int) -> Iterator[int]:
+def members(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
@@ -90,22 +123,26 @@ def _members(mask: int) -> Iterator[int]:
 def build_poset(
     subspaces: Iterable[Subspace],
     meets: Optional[Sequence[Sequence[Optional[int]]]] = None,
+    order: Optional[Sequence[int]] = None,
 ) -> SubspacePoset:
-    """Validate bounds and meet-closure, then assemble order/cover/meet data.
+    """Validate bounds and meet-closure, then assemble the down-sets and covers.
 
     Without ``meets`` every pair is intersected, and the first pair (in index
     order) whose meet is not in the family raises ``NotMeetClosed``.  The flag
     closure passes the record of the intersections it has already computed
     instead: ``subspaces`` is then a sequence without repeats, and for i < k,
     ``meets[k][i]`` is the position in it of the meet of its elements i and k.
+    It may pass ``order`` too, the positions in ``subspaces`` in ``sort_key``
+    order, which are then not sorted again.
 
-    The order and the Hasse diagram are read off the meet table alone:
-    a <= b exactly when a meet b = a, and the lower covers of b are the
+    The down-sets are read off the meets in one pass: a meet that equals
+    one of its pair is a containment.  The lower covers of b are the
     elements of its strict down-set that lie in no other element's strict
     down-set within it (transitive reduction over down-set bitmasks).
     """
     given = list(subspaces) if meets is not None else list(set(subspaces))
-    order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
+    if order is None:
+        order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
     elems = [given[k] for k in order]
     if not elems:
         raise MissingBounds("empty subspace family")
@@ -120,54 +157,52 @@ def build_poset(
         raise MissingBounds("family does not contain the full space")
     n = len(elems)
     index = {s: i for i, s in enumerate(elems)}
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        meet[i][i] = i
+    down = [1 << i for i in range(n)]
     if meets is None:
         for i in range(n):
+            a = elems[i]
             for j in range(i + 1, n):
-                m = sub_intersect(elems[i], elems[j])
+                m = sub_intersect(a, elems[j])
                 k = index.get(m)
                 if k is None:
                     raise NotMeetClosed(
                         "family is not closed under intersection",
-                        left=elems[i].to_json(),
+                        left=a.to_json(),
                         right=elems[j].to_json(),
                         missing=m.to_json(),
                     )
-                meet[i][j] = meet[j][i] = k
+                if k == i:  # a later element is never below an earlier one
+                    down[j] |= 1 << i
     else:
         position = [0] * n  # ordinal in ``subspaces`` -> index in ``elems``
         for i, k in enumerate(order):
             position[k] = i
         for k in range(n):
             row = meets[k]
-            for i in range(k):
-                m = row[i]
-                if m is None:
-                    raise LookupError(f"no recorded meet for elements {i} and {k}")
-                meet[position[i]][position[k]] = meet[position[k]][position[i]] = position[m]
-    down = [0] * n  # down[j]: bitmask of the i with elements[i] <= elements[j]
-    for j in range(n):
-        mask = 0
-        for i, m in enumerate(meet[j]):
-            if m == i:
-                mask |= 1 << i
-        down[j] = mask
+            if len(row) < k or None in row:
+                raise LookupError(f"no recorded meet for element {k} and a lower one")
+            lower = range(k)
+            mask = down[position[k]]
+            for i in compress(lower, map(eq, row, lower)):  # i <= k
+                mask |= 1 << position[i]
+            down[position[k]] = mask
+            if k in row:  # k <= i
+                bit = 1 << position[k]
+                for i in compress(lower, map(eq, row, repeat(k))):
+                    down[position[i]] |= bit
     covers = []
     for j in range(n):
         strict = down[j] & ~(1 << j)
         below = 0
-        for z in _members(strict):
+        for z in members(strict):
             below |= down[z] & ~(1 << z)
-        covers.extend((i, j) for i in _members(strict & ~below))
+        covers.extend((i, j) for i in members(strict & ~below))
     return SubspacePoset(
         field=field,
         ambient_dim=ambient,
         elements=tuple(elems),
-        leq=tuple(tuple(m == i for m in row) for i, row in enumerate(meet)),
+        down=tuple(down),
         covers=tuple(sorted(covers)),
-        meet_table=tuple(tuple(r) for r in meet),
         _index=index,
     )
 
@@ -201,12 +236,11 @@ def mobius(p: SubspacePoset) -> MobiusTable:
     # one_var is the inverse of the indicator of the zero element (index 0)
     one = mobius_invert(p, [1] + [0] * (n - 1))
     two = [[0] * n for _ in range(n)]
-    for a in range(n):
-        two[a][a] = 1
-        for b in range(n):
-            if b == a or not p.leq[a][b]:
-                continue
-            two[a][b] = -sum(two[a][z] for z in range(n) if p.leq[a][z] and p.leq[z][b] and z != b)
+    for a, above in enumerate(p.up):
+        row = two[a]
+        row[a] = 1
+        for b in members(above & ~(1 << a)):  # ascending: a linear extension
+            row[b] = -sum(row[z] for z in members(above & p.down[b] & ~(1 << b)))
     return MobiusTable(tuple(one), tuple(tuple(r) for r in two))
 
 
@@ -228,26 +262,24 @@ def mobius_invert(p: SubspacePoset, phi_hat: PointFunction, table: MobiusTable =
     Inverse of the forward operator phi_hat(y) = sum(phi(x) for x <= y).
     With a Moebius ``table`` it is that sum; without one, the recursion
     phi(y) = phi_hat(y) - sum(phi(x) for x < y) in index order (a linear
-    extension), which takes O(n^2) steps and builds no table.
+    extension), one step per comparable pair, which builds no table.
     """
     vals = _as_values(p, phi_hat)
-    n = len(p.elements)
     if table is not None:
         return [
-            sum(table.two_var[x][y] * vals[x] for x in range(n) if p.leq[x][y])
-            for y in range(n)
+            sum(table.two_var[x][y] * vals[x] for x in members(mask))
+            for y, mask in enumerate(p.down)
         ]
-    leq = p.leq
     phi: List[int] = []
-    for y in range(n):
-        phi.append(vals[y] - sum(phi[x] for x in range(y) if leq[x][y]))
+    at = phi.__getitem__
+    for y, mask in enumerate(p.down):
+        phi.append(vals[y] - sum(map(at, members(mask ^ (1 << y)))))
     return phi
 
 
 def forward_sum(p: SubspacePoset, phi: PointFunction) -> List[int]:
     vals = _as_values(p, phi)
-    n = len(p.elements)
-    return [sum(vals[x] for x in range(n) if p.leq[x][y]) for y in range(n)]
+    return [sum(vals[x] for x in members(mask)) for mask in p.down]
 
 
 def _dot_label(s: Subspace) -> str:

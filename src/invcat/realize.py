@@ -172,8 +172,8 @@ def realize_projections(p: SubspacePoset, object_id: str = "") -> ProjectionFami
             f"adapted basis is singular at object {object_id!r}", object=object_id
         )
     keeps = []
-    for ci, c in enumerate(p.elements):
-        keep = [k for k in range(n) if p.leq[owner[k]][ci]]
+    for c, below in zip(p.elements, p.down):
+        keep = [k for k in range(n) if below >> owner[k] & 1]
         if len(keep) != c.dim:
             raise ConstructionFailure(
                 f"adapted basis spans {len(keep)} dimensions of a dim-{c.dim} "

@@ -16,7 +16,7 @@ from invcat import (
     compute_flag,
     evaluate_pair,
     meet_closure,
-    mobius,
+    sub_intersect,
 )
 
 from conftest import (
@@ -290,23 +290,54 @@ def test_check_representation_unsaturated(bisection):
     assert report.poset_sizes["plane"] == 3
 
 
+def reference_order(p):
+    """``(leq, meet)`` of ``p`` by containment and intersection of its
+    subspaces (``Subspace.contains``, ``sub_intersect``), not by its down-set
+    masks: leq[a][b] holds when element a lies in element b, and meet[a][b]
+    is the index of their intersection."""
+    elems = p.elements
+    leq = [[b.contains(a) for b in elems] for a in elems]
+    meet = [[0] * len(elems) for _ in elems]
+    for i, a in enumerate(elems):
+        for j in range(i, len(elems)):
+            meet[i][j] = meet[j][i] = p.index_of(sub_intersect(a, elems[j]))
+    return leq, meet
+
+
+def reference_mobius(leq):
+    """``(one_var, two_var)`` by their recursions over ``leq``; index order
+    is a linear extension."""
+    n = len(leq)
+    one = []
+    for y in range(n):
+        one.append((y == 0) - sum(one[x] for x in range(y) if leq[x][y]))
+    two = [[0] * n for _ in range(n)]
+    for a in range(n):
+        two[a][a] = 1
+        for b in range(a + 1, n):
+            if leq[a][b]:
+                two[a][b] = -sum(two[a][z] for z in range(a, b) if leq[a][z] and leq[z][b])
+    return one, two
+
+
 def pair_scores(p):
     """``(b, c, standard score, literal score)`` for every pair, b-major, by
-    the definition with the two-variable Moebius table: for each b the terms
+    the definition with the two-variable Moebius table, on the order and
+    meets of ``reference_order``: for each b the terms
     (a, two_var(a, b), one_var(a)) over the down-set of b with a nonzero
     weight are listed once, and each c is scored over them."""
-    mu = mobius(p)
+    leq, meet = reference_order(p)
+    one, two = reference_mobius(leq)
     n = len(p.elements)
     dims = [s.dim for s in p.elements]
-    one, two = mu.one_var, mu.two_var
     for bi in range(n):
         terms = [
             (ai, two[ai][bi], one[ai])
             for ai in range(n)
-            if p.leq[ai][bi] and (two[ai][bi] or one[ai])
+            if leq[ai][bi] and (two[ai][bi] or one[ai])
         ]
         for ci in range(n):
-            meet_c = p.meet_table[ci]
+            meet_c = meet[ci]
             std = lit = 0
             for ai, w_std, w_lit in terms:
                 drop = dims[ai] - dims[meet_c[ai]]
@@ -315,13 +346,15 @@ def pair_scores(p):
             yield bi, ci, std, lit
 
 
-def dense_pair_value(p, mu, bi, ci, mode):
-    """The score of (b, c) by its definition: a scan over every element."""
+def dense_pair_value(p, order, mu, bi, ci, mode):
+    """The score of (b, c) by its definition: a scan over every element,
+    with the ``reference_order`` and the ``reference_mobius`` tables."""
+    (leq, meet), (one, two) = order, mu
     total = 0
     for ai, a in enumerate(p.elements):
-        if p.leq[ai][bi]:
-            weight = mu.two_var[ai][bi] if mode == "standard" else mu.one_var[ai]
-            total += weight * (a.dim - p.elements[p.meet(ai, ci)].dim)
+        if leq[ai][bi]:
+            weight = two[ai][bi] if mode == "standard" else one[ai]
+            total += weight * (a.dim - p.elements[meet[ai][ci]].dim)
     return total
 
 
@@ -334,10 +367,13 @@ def assert_scores_match_dense(p):
     Returns the dense scores by mode and the standard negatives."""
     from invcat.criterion import check_poset
 
-    mu = mobius(p)
+    order = reference_order(p)
+    leq = order[0]
+    mu = reference_mobius(leq)
+    two = mu[1]
     n = len(p)
     dense = {
-        mode: [[dense_pair_value(p, mu, bi, ci, mode) for ci in range(n)] for bi in range(n)]
+        mode: [[dense_pair_value(p, order, mu, bi, ci, mode) for ci in range(n)] for bi in range(n)]
         for mode in ("standard", "literal")
     }
     for bi, b in enumerate(p.elements):
@@ -352,12 +388,12 @@ def assert_scores_match_dense(p):
             for ci in range(n)
             if dense[mode][bi][ci] < 0
         ]
-    rho = [sum(mu.two_var[ai][bi] * p.elements[ai].dim for ai in range(n)) for bi in range(n)]
+    rho = [sum(two[ai][bi] * p.elements[ai].dim for ai in range(n)) for bi in range(n)]
     assert std_neg == [
         (bi, ci, rho[bi])
         for bi in range(n)
         for ci in range(n)
-        if rho[bi] < 0 and not p.leq[bi][ci]
+        if rho[bi] < 0 and not leq[bi][ci]
     ]
     assert disagreements == sum(
         (dense["standard"][bi][ci] < 0) != (dense["literal"][bi][ci] < 0)
@@ -465,6 +501,82 @@ def test_report_paths_build_no_moebius_table(trisection, bisection, monkeypatch)
             check_representation(rep, flag, mode)
             for p in flag.posets.values():
                 criterion.poset_passes(p, mode)
+
+
+def plane_star(rng, planes):
+    """A star of ``planes`` random planes in GF(10007)^3."""
+    from invcat.rep import Generator, RepObject, Representation
+
+    from conftest import random_matrix
+
+    field = GF(10007)
+    objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(planes))
+    gens = tuple(
+        Generator(f"g{i}", f"p{i}", "center", random_matrix(rng, field, 3, 2))
+        for i in range(planes)
+    )
+    return Representation(field, objs, gens)
+
+
+def test_command_paths_read_the_down_sets_alone(monkeypatch):
+    """``check``, ``decompose`` and ``envelope`` (through ``analyze``, the
+    report, ``decompose`` and ``verify_envelope``) build neither the ``leq``
+    nor the ``meet_table`` view, on a star of 14 planes over GF(10007)^3 and
+    on an interval sum.  The refusal of ``decompose`` takes no literal
+    score; a standard report lists literal negatives only at the b of its
+    ten examples; ``check --mu literal`` lists every literal negative."""
+    import invcat.criterion as criterion
+    from invcat.decompose import decompose
+    from invcat.errors import CriterionViolated
+    from invcat.poset import SubspacePoset
+    from invcat.realize import verify_envelope
+
+    def refuse(self):
+        raise AssertionError("an n x n view of the order was built")
+
+    monkeypatch.setattr(SubspacePoset, "leq", property(refuse))
+    monkeypatch.setattr(SubspacePoset, "meet_table", property(refuse))
+    literal_scores, listed = [], []
+    real_literal, real_pairs = criterion._Scores.literal, criterion._Scores.pairs
+
+    def literal(self, bi):
+        literal_scores.append(bi)
+        return real_literal(self, bi)
+
+    def pairs(self, bi, values):
+        found = real_pairs(self, bi, values)
+        listed.extend(found)
+        return found
+
+    monkeypatch.setattr(criterion._Scores, "literal", literal)
+    monkeypatch.setattr(criterion._Scores, "pairs", pairs)
+
+    star = plane_star(random.Random(24), 14)
+    with pytest.raises(CriterionViolated):
+        decompose(star)
+    assert literal_scores == [] and listed == []
+    report = analyze(star).standard_report
+    assert report.witnesses and listed == []
+    doc = report.to_json()
+    assert literal_scores and len(doc["disagreement_examples"]) == 10
+    centre = report.scored[0][1]
+    assert {centre.elements[bi] for bi, _, _ in listed} == {
+        w.b for w in report.disagreement_examples
+    }
+    assert len(listed) < report.mode_disagreements
+
+    listed.clear()
+    literal_report = analyze(star, mu_mode="literal").report
+    assert literal_report.witnesses and len(listed) == len(literal_report.witnesses)
+    assert all(w.mu_mode == "literal" for w in literal_report.witnesses)
+    literal_report.to_json()
+
+    rep = interval_corpus_instance(random.Random(5))[0]
+    analysis = analyze(rep)
+    assert analysis.passed
+    analysis.report.to_json()
+    decompose(rep)
+    verify_envelope(rep, analysis.families, analysis.pseudo_inverses)
 
 
 def test_poset_passes_rejects_an_unknown_mode():

@@ -380,7 +380,9 @@ def representations(draw):
 def test_closure_meets_assemble_the_validated_poset(rep):
     """The posets built from the closure's own meets equal the ones
     ``build_poset`` builds by intersecting every pair, on the raw flag and
-    on the saturated one (closed with the synthesized pseudo-inverses)."""
+    on the saturated one (closed with the synthesized pseudo-inverses).
+    Their down-sets are containment and the meets read off them are the
+    intersections."""
     flags = [compute_flag(rep)]
     analysis = analyze(rep)
     if analysis.flag.saturated:
@@ -394,6 +396,12 @@ def test_closure_meets_assemble_the_validated_poset(rep):
             assert p.meet_table == ref.meet_table
             # and the order is containment, the covers its transitive reduction
             n = len(p)
+            assert p.down == ref.down == tuple(
+                sum(1 << i for i, a in enumerate(p.elements) if b.contains(a)) for b in p.elements
+            )
+            for i, a in enumerate(p.elements):
+                for j, b in enumerate(p.elements):
+                    assert p.meet(i, j) == p.index_of(sub_intersect(a, b))
             assert p.leq == tuple(
                 tuple(b.contains(a) for b in p.elements) for a in p.elements
             )
@@ -456,9 +464,10 @@ def test_meets_recorded_by_class_match_the_pairwise_record(rep):
 
     records = []
 
-    def spy(elements, meets):
+    def spy(elements, meets, order):
         records.append((elements, meets))
-        return build_poset(elements, meets)
+        assert order == sorted(range(len(elements)), key=lambda k: elements[k].sort_key)
+        return build_poset(elements, meets, order)
 
     with patch.object(flag, "build_poset", spy):
         raw = compute_flag(rep)
