@@ -20,6 +20,9 @@ With ``draws``, runs the same commands at ``--max-rounds 8 --max-elements
 (``tests/conftest.py``).  Most of those draws have an undirected cycle, so
 this line covers the subspace saturation, the first-fit families and the
 matrix envelope, which the corpora reach only through ``bisection.json``.
+At those limits 17 of the 500 closures stop and are refuted on a part
+(``pipeline._refuting_part``), so this line also pins the bytes of the
+refutation kernel, the rank count on ``poset.meet_closure``'s poset.
 
 With ``stars``, runs the same commands on 60 seeded stars
 (``random_star`` in ``tests/conftest.py``): 2 to 10 arms of dimension 1 to
@@ -34,8 +37,9 @@ and ``random7_draw375.json``, whose closures pass 4096 elements: ``check``
 and ``envelope`` refute each on a part of the elements reached, and
 ``flag`` reports the ``ClosureDivergence``.  The other lines stop their
 closures at 200 elements at most, so only this one pins the order of arrival
-of a large stopped closure, and the literal and envelope reports of a
-refutation on a part.
+of a large stopped closure, the refutation kernel's parts of draws 59 and
+375 at the default element limit, and the literal and envelope reports of
+a refutation on a part.
 
 Every stdout is also checked against the writer's byte contract: it must
 equal ``json.dumps(json.loads(out), indent=2, sort_keys=True)`` plus a

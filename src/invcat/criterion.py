@@ -389,19 +389,17 @@ def rank_count_excess(p: SubspacePoset) -> Optional[Tuple[int, int]]:
 def poset_passes(p: SubspacePoset, mode: str = "standard") -> bool:
     """The verdict on one poset: every pair scores >= 0 in ``mode`` and the
     rank count holds, i.e. a multiplicative projection family exists (in
-    standard mode).  Every m <= b is the meet of (b, m), so a score by meet
-    stands for at least one pair; a standard score is rho(b) or 0, and
-    rho(0) = 0."""
+    standard mode).  Where the count holds no standard score is negative
+    (see the module docstring), so the standard verdict is the count alone,
+    as in ``pipeline``.  Every m <= b is the meet of (b, m), so a literal
+    score by meet stands for at least one pair."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    scores = _scores_of(p)
-    if mode == "standard":
-        nonnegative = all(r >= 0 for r in scores.rho)
-    else:
-        nonnegative = all(
-            v >= 0 for bi in range(len(p.elements)) for v in scores.literal(bi).values()
-        )
-    return nonnegative and rank_count_excess(p) is None
+    if mode == "literal":
+        scores = _scores_of(p)
+        if any(v < 0 for bi in range(len(p)) for v in scores.literal(bi).values()):
+            return False
+    return rank_count_excess(p) is None
 
 
 def _distributivity_witnesses(flag: FlagAssignment) -> List[DistributivityWitness]:

@@ -23,7 +23,7 @@ from .fields import Field, Scalar
 from .flag import ClosureLimits
 from .linalg import Matrix, Subspace, inverse
 from .pipeline import Analysis, analyze
-from .rep import EntryBudget, Representation, expect, quiver_shape, read_rows
+from .rep import EntryBudget, Representation, connected_components, expect, quiver_shape, read_rows
 
 AtomKey = Tuple[str, int]  # (object id, atom index)
 
@@ -229,24 +229,16 @@ def _components(
     keys: List[AtomKey] = [
         (o.id, i) for o in rep.objects for i in range(len(atoms[o.id]))
     ]
-    parent: Dict[AtomKey, AtomKey] = {k: k for k in keys}
-
-    def find(k: AtomKey) -> AtomKey:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for g in rep.generators:
-        for i, tgt in action[g.id].items():
-            if tgt is not None:
-                a, b = find((g.dom, i)), find((g.cod, tgt))
-                if a != b:
-                    parent[a] = b
-    groups: Dict[AtomKey, List[AtomKey]] = {}
-    for k in keys:
-        groups.setdefault(find(k), []).append(k)
-    return [sorted(v) for v in sorted(groups.values())]
+    groups = connected_components(
+        keys,
+        (
+            ((g.dom, i), (g.cod, tgt))
+            for g in rep.generators
+            for i, tgt in action[g.id].items()
+            if tgt is not None
+        ),
+    )
+    return [sorted(v) for v in sorted(groups)]
 
 
 def decompose(

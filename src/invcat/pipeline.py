@@ -61,7 +61,10 @@ order, closes the first 2, 4, 8, ... reached elements below that bound: the
 meet closure of any prefix is a meet-closed part of the final flag too, so
 the first that fails the count refutes the input as soundly, also where the
 bound's part passes the element limit.  Only where none fails is the
-``ClosureDivergence`` raised.
+``ClosureDivergence`` raised.  Each part is one call of the refutation
+kernel, the count on the poset ``poset.meet_closure`` returns for a prefix:
+it intersects each pair of the part once and reads the poset off those
+meets.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from .criterion import (
 from .errors import ClosureDivergence, ValidationError
 from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
-from .poset import build_poset, meet_closure
+from .poset import meet_closure
 from .realize import (
     ProjectionFamily,
     basis_inverse,
@@ -136,8 +139,10 @@ def _refuting_part(
     rep: Representation, stop: ClosureDivergence, limit: int
 ) -> Optional[FlagAssignment]:
     """The one-object part of a stopped closure on which the rank count
-    refutes the input, or None (see the module docstring).  The reached
-    elements are dropped from ``stop``."""
+    refutes the input, or None (see the module docstring): the first poset
+    ``meet_closure`` closes on a prefix, within ``limit``, on which
+    ``rank_count_excess`` finds an excess.  The reached elements are dropped
+    from ``stop``."""
     reached, stop.reached = stop.reached, None
     objects = sorted(rep.objects, key=lambda o: (o.dim, o.id))
     bound = {o.id: min(len(reached[o.id]), 2 ** o.dim + 1) for o in objects}
@@ -146,11 +151,9 @@ def _refuting_part(
         (o.id, 1 << j) for o in objects for j in range(1, (bound[o.id] - 1).bit_length())
     ]
     for oid, k in prefixes:
-        closed = meet_closure(reached[oid][:k], limit)
-        if closed is not None:
-            p = build_poset(closed)
-            if rank_count_excess(p) is not None:
-                return FlagAssignment({oid: p}, {}, stop.detail["rounds"])
+        p = meet_closure(reached[oid][:k], limit)
+        if p is not None and rank_count_excess(p) is not None:
+            return FlagAssignment({oid: p}, {}, stop.detail["rounds"])
     return None
 
 

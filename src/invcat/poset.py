@@ -2,13 +2,14 @@
 
 A poset stores its order once, as one down-set bitmask per element, and
 reads the meet of two elements off their masks: the highest index in the
-common down-set.  ``build_poset`` reads the down-sets and the covers off the
-meets, with no containment test.  It intersects every pair itself when given
-a bare family (and so validates meet-closure); the flag closure hands over
-the meets it computed while closing, and its members' sort order.  The
-relation ``leq`` and the ``meet_table`` remain as n x n views of the masks,
-built only when read; no command reads them.  ``meet_closure`` closes a bare
-family under meets, up to an element limit.
+common down-set.  Every poset is assembled from a record of the meets of
+its pairs, read in one pass with no containment test.  One loop fills that
+record for a family given bare: each member in turn meets those before it,
+so every pair is intersected once.  ``meet_closure`` lets the loop append
+the meets it has not seen, up to an element limit, and returns the poset it
+closed; ``build_poset`` refuses growth, and so validates meet-closure.  The
+flag closure hands over the record it filled while closing instead, and its
+members' sort order.
 
 Two Moebius variants are kept side by side:
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import eq
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ElementNotInPoset, MissingBounds, NotMeetClosed
 from .fields import Field
@@ -49,8 +50,7 @@ class SubspacePoset:
     their superspaces.  The order is stored once, as down-set bitmasks: bit i
     of ``down[j]`` is set when elements[i] <= elements[j].  Since the order
     is by dimension first, the meet of i and j is the highest index in their
-    common down-set.  ``up``, ``leq`` and ``meet_table`` are views of the
-    masks, built when first read.
+    common down-set.  ``up`` holds the up-set masks, built when first read.
     """
 
     field: Field
@@ -97,20 +97,6 @@ class SubspacePoset:
                 up[i] |= bit
         return tuple(up)
 
-    @cached_property
-    def leq(self) -> Tuple[Tuple[bool, ...], ...]:
-        """leq[i][j]: elements[i] <= elements[j]."""
-        return tuple(tuple(bool(d >> i & 1) for d in self.down) for i in range(len(self.down)))
-
-    @cached_property
-    def meet_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """meet_table[i][j]: the index of elements[i] meet elements[j]."""
-        n = len(self.down)
-        return tuple(tuple(self.meet(i, j) for j in range(n)) for i in range(n))
-
-    def atoms(self) -> List[int]:
-        return [j for (i, j) in self.covers if i == self.zero_index]
-
 
 def members(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, ascending."""
@@ -120,6 +106,41 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _record_meets(
+    family: List[Subspace], limit: Optional[int] = None, grow: bool = True
+) -> Optional[List[List[int]]]:
+    """The record of the meets of every pair of ``family``: for i < k, row k
+    holds at i the position of the meet of its members i and k.  Each
+    member k in turn meets members 0, 1, ..., k - 1, so every pair is
+    intersected once, in that order.  Where ``grow``, a meet that is not a
+    member joins at the end, the loop reaches it in turn, and the record is
+    None once there are more than ``limit`` members.  Otherwise the first
+    missing meet raises ``NotMeetClosed``, with the lower member of its pair
+    on the left."""
+    index = {s: k for k, s in enumerate(family)}
+    meets = []
+    for k, b in enumerate(family):  # reaches the members appended on the way
+        if limit is not None and len(family) > limit:
+            return None
+        row = []
+        for a in family[:k]:
+            m = sub_intersect(a, b)
+            i = index.get(m)
+            if i is None:
+                if not grow:
+                    raise NotMeetClosed(
+                        "family is not closed under intersection",
+                        left=a.to_json(),
+                        right=b.to_json(),
+                        missing=m.to_json(),
+                    )
+                i = index[m] = len(family)
+                family.append(m)
+            row.append(i)
+        meets.append(row)
+    return meets
+
+
 def build_poset(
     subspaces: Iterable[Subspace],
     meets: Optional[Sequence[Sequence[Optional[int]]]] = None,
@@ -127,13 +148,14 @@ def build_poset(
 ) -> SubspacePoset:
     """Validate bounds and meet-closure, then assemble the down-sets and covers.
 
-    Without ``meets`` every pair is intersected, and the first pair (in index
-    order) whose meet is not in the family raises ``NotMeetClosed``.  The flag
-    closure passes the record of the intersections it has already computed
-    instead: ``subspaces`` is then a sequence without repeats, and for i < k,
-    ``meets[k][i]`` is the position in it of the meet of its elements i and k.
-    It may pass ``order`` too, the positions in ``subspaces`` in ``sort_key``
-    order, which are then not sorted again.
+    The record ``meets`` says, for i < k, that ``meets[k][i]`` is the position
+    in ``subspaces`` (then a sequence without repeats) of the meet of its
+    elements i and k.  The flag closure passes the record it filled while
+    closing, and ``order``, the positions in ``subspaces`` in ``sort_key``
+    order, which are then not sorted again.  A bare family (no ``meets``)
+    is sorted and its record filled by ``_record_meets`` with growth
+    refused: the first missing meet in that loop's order (each element, in
+    sort order, against the ones before it) raises ``NotMeetClosed``.
 
     The down-sets are read off the meets in one pass: a meet that equals
     one of its pair is a containment.  The lower covers of b are the
@@ -156,40 +178,26 @@ def build_poset(
     if not elems[-1].is_full:
         raise MissingBounds("family does not contain the full space")
     n = len(elems)
-    index = {s: i for i, s in enumerate(elems)}
-    down = [1 << i for i in range(n)]
     if meets is None:
-        for i in range(n):
-            a = elems[i]
-            for j in range(i + 1, n):
-                m = sub_intersect(a, elems[j])
-                k = index.get(m)
-                if k is None:
-                    raise NotMeetClosed(
-                        "family is not closed under intersection",
-                        left=a.to_json(),
-                        right=elems[j].to_json(),
-                        missing=m.to_json(),
-                    )
-                if k == i:  # a later element is never below an earlier one
-                    down[j] |= 1 << i
-    else:
-        position = [0] * n  # ordinal in ``subspaces`` -> index in ``elems``
-        for i, k in enumerate(order):
-            position[k] = i
-        for k in range(n):
-            row = meets[k]
-            if len(row) < k or None in row:
-                raise LookupError(f"no recorded meet for element {k} and a lower one")
-            lower = range(k)
-            mask = down[position[k]]
-            for i in compress(lower, map(eq, row, lower)):  # i <= k
-                mask |= 1 << position[i]
-            down[position[k]] = mask
-            if k in row:  # k <= i
-                bit = 1 << position[k]
-                for i in compress(lower, map(eq, row, repeat(k))):
-                    down[position[i]] |= bit
+        order = range(n)
+        meets = _record_meets(elems, grow=False)
+    position = [0] * n  # ordinal in ``subspaces`` -> index in ``elems``
+    for i, k in enumerate(order):
+        position[k] = i
+    down = [1 << i for i in range(n)]
+    for k in range(n):
+        row = meets[k]
+        if len(row) < k or None in row:
+            raise LookupError(f"no recorded meet for element {k} and a lower one")
+        lower = range(k)
+        mask = down[position[k]]
+        for i in compress(lower, map(eq, row, lower)):  # i <= k
+            mask |= 1 << position[i]
+        down[position[k]] = mask
+        if k in row:  # k <= i
+            bit = 1 << position[k]
+            for i in compress(lower, map(eq, row, repeat(k))):
+                down[position[i]] |= bit
     covers = []
     for j in range(n):
         strict = down[j] & ~(1 << j)
@@ -203,26 +211,18 @@ def build_poset(
         elements=tuple(elems),
         down=tuple(down),
         covers=tuple(sorted(covers)),
-        _index=index,
+        _index={s: i for i, s in enumerate(elems)},
     )
 
 
-def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[List[Subspace]]:
-    """The closure of a family under pairwise intersection, in ``sort_key``
-    order, or None where it has more than ``limit`` members.  Each member in
-    turn meets those before it, and a new meet joins at the end, so every
-    pair is intersected once."""
-    members = list(dict.fromkeys(subspaces))
-    seen = set(members)
-    for k, b in enumerate(members):  # reaches the members appended on the way
-        if limit is not None and len(members) > limit:
-            return None
-        for a in members[:k]:
-            m = sub_intersect(a, b)
-            if m not in seen:
-                seen.add(m)
-                members.append(m)
-    return sorted(members, key=lambda s: s.sort_key)
+def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[SubspacePoset]:
+    """The poset of the closure of a family under pairwise intersection, or
+    None where it has more than ``limit`` members.  ``_record_meets`` closes
+    the family, intersecting each pair once, and ``build_poset`` assembles
+    the poset off its record, so the family must hold 0 and the full space."""
+    closed = list(dict.fromkeys(subspaces))
+    meets = _record_meets(closed, limit)
+    return None if meets is None else build_poset(closed, meets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,32 +244,22 @@ def mobius(p: SubspacePoset) -> MobiusTable:
     return MobiusTable(tuple(one), tuple(tuple(r) for r in two))
 
 
-PointFunction = Union[Sequence[int], Callable[[int], int]]
-
-
-def _as_values(p: SubspacePoset, f: PointFunction) -> List[int]:
-    if callable(f):
-        return [f(i) for i in range(len(p.elements))]
+def _as_values(p: SubspacePoset, f: Sequence[int]) -> List[int]:
     vals = list(f)
     if len(vals) != len(p.elements):
         raise ElementNotInPoset("function values do not cover the poset")
     return vals
 
 
-def mobius_invert(p: SubspacePoset, phi_hat: PointFunction, table: MobiusTable = None) -> List[int]:
+def mobius_invert(p: SubspacePoset, phi_hat: Sequence[int]) -> List[int]:
     """Recover phi from its down-set sums: phi(y) = sum mu(x, y) phi_hat(x).
 
-    Inverse of the forward operator phi_hat(y) = sum(phi(x) for x <= y).
-    With a Moebius ``table`` it is that sum; without one, the recursion
-    phi(y) = phi_hat(y) - sum(phi(x) for x < y) in index order (a linear
-    extension), one step per comparable pair, which builds no table.
+    Inverse of the forward operator phi_hat(y) = sum(phi(x) for x <= y), by
+    the recursion phi(y) = phi_hat(y) - sum(phi(x) for x < y) in index order
+    (a linear extension), one step per comparable pair, which builds no
+    table.
     """
     vals = _as_values(p, phi_hat)
-    if table is not None:
-        return [
-            sum(table.two_var[x][y] * vals[x] for x in members(mask))
-            for y, mask in enumerate(p.down)
-        ]
     phi: List[int] = []
     at = phi.__getitem__
     for y, mask in enumerate(p.down):
@@ -277,7 +267,7 @@ def mobius_invert(p: SubspacePoset, phi_hat: PointFunction, table: MobiusTable =
     return phi
 
 
-def forward_sum(p: SubspacePoset, phi: PointFunction) -> List[int]:
+def forward_sum(p: SubspacePoset, phi: Sequence[int]) -> List[int]:
     vals = _as_values(p, phi)
     return [sum(vals[x] for x in members(mask)) for mask in p.down]
 

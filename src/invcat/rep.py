@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, InputSyntaxError, TooLarge, ValidationError
 from .fields import Field, Scalar
@@ -130,27 +130,37 @@ class QuiverShape:
     has_undirected_cycle: bool
 
 
-def quiver_shape(rep: Representation) -> QuiverShape:
-    """Union-find cycle detection; loops and parallel edges count as cycles."""
-    parent: Dict[str, str] = {o.id: o.id for o in rep.objects}
+def connected_components(
+    vertices: Iterable[Hashable], edges: Iterable[Tuple[Hashable, Hashable]]
+) -> List[List[Hashable]]:
+    """The connected components of an undirected graph by union-find with
+    path halving: each in the order of ``vertices``, in the order of their
+    first vertices."""
+    parent = {v: v for v in vertices}
 
-    def find(x: str) -> str:
+    def find(x: Hashable) -> Hashable:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    cyclic = False
-    for g in rep.generators:
-        a, b = find(g.dom), find(g.cod)
-        if a == b:
-            cyclic = True
-        else:
-            parent[a] = b
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: Dict[Hashable, List[Hashable]] = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def quiver_shape(rep: Representation) -> QuiverShape:
+    """Cycle detection: a graph is a forest exactly when it has one edge
+    fewer than vertices per component, so loops and parallel edges count as
+    cycles."""
+    components = connected_components(rep.object_ids, ((g.dom, g.cod) for g in rep.generators))
     return QuiverShape(
         vertices=rep.object_ids,
         edges=tuple((g.id, g.dom, g.cod) for g in rep.generators),
-        has_undirected_cycle=cyclic,
+        has_undirected_cycle=len(rep.generators) > len(rep.objects) - len(components),
     )
 
 

@@ -102,7 +102,7 @@ def random_meet_closed_family(rng, field, ambient, max_seed=3, max_size=8):
     while True:
         seeds = [Subspace.zero(field, ambient), Subspace.full(field, ambient)]
         seeds += rng.sample(pool, k=rng.randint(0, max_seed))
-        fam = meet_closure(seeds)
+        fam = list(meet_closure(seeds).elements)
         if len(fam) <= max_size:
             return fam
 

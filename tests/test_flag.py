@@ -299,9 +299,7 @@ def test_closure_on_matchings_matches_subspace_closure():
             assert got.to_json() == ref.to_json()
             for oid, p in ref.posets.items():
                 q = got.posets[oid]
-                assert (q.elements, q.leq, q.covers, q.meet_table) == (
-                    p.elements, p.leq, p.covers, p.meet_table
-                )
+                assert (q.elements, q.down, q.covers) == (p.elements, p.down, p.covers)
     assert stopped >= 10
 
 
@@ -390,28 +388,23 @@ def test_closure_meets_assemble_the_validated_poset(rep):
     for flag in flags:
         for p in flag.posets.values():
             ref = build_poset(p.elements)
-            assert p.elements == ref.elements
-            assert p.leq == ref.leq
-            assert p.covers == ref.covers
-            assert p.meet_table == ref.meet_table
+            assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)
             # and the order is containment, the covers its transitive reduction
             n = len(p)
-            assert p.down == ref.down == tuple(
-                sum(1 << i for i, a in enumerate(p.elements) if b.contains(a)) for b in p.elements
+            leq = [[b.contains(a) for b in p.elements] for a in p.elements]
+            assert p.down == tuple(
+                sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)
             )
             for i, a in enumerate(p.elements):
                 for j, b in enumerate(p.elements):
                     assert p.meet(i, j) == p.index_of(sub_intersect(a, b))
-            assert p.leq == tuple(
-                tuple(b.contains(a) for b in p.elements) for a in p.elements
-            )
             assert p.covers == tuple(
                 (i, j)
                 for i in range(n)
                 for j in range(n)
                 if i != j
-                and p.leq[i][j]
-                and not any(p.leq[i][z] and p.leq[z][j] for z in range(n) if z not in (i, j))
+                and leq[i][j]
+                and not any(leq[i][z] and leq[z][j] for z in range(n) if z not in (i, j))
             )
 
 
@@ -478,9 +471,7 @@ def test_meets_recorded_by_class_match_the_pairwise_record(rep):
     for closed in (raw, analysis.flag) if analysis.flag.saturated else (raw,):
         for p in closed.posets.values():
             ref = build_poset(p.elements)
-            assert (p.elements, p.leq, p.covers, p.meet_table) == (
-                ref.elements, ref.leq, ref.covers, ref.meet_table
-            )
+            assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)
     arrival = {oid: list(members) for oid, members in raw.provenance.items()}
     for rounds in range(1, min(raw.rounds, 4)):
         with pytest.raises(ClosureDivergence) as exc:
@@ -542,9 +533,7 @@ def _assert_matches_reference(rep):
     for oid, m in members.items():
         assert list(flag.provenance[oid].items()) == list(m.items())
         p, q = flag.posets[oid], ref.posets[oid]
-        assert (p.elements, p.leq, p.covers, p.meet_table) == (
-            q.elements, q.leq, q.covers, q.meet_table
-        )
+        assert (p.elements, p.down, p.covers) == (q.elements, q.down, q.covers)
     for r in range(rounds):
         with pytest.raises(ClosureDivergence) as exc:
             compute_flag(rep, ClosureLimits(max_rounds=r))
@@ -661,6 +650,4 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
 
     for p in result.posets.values():
         ref = build_poset(p.elements)
-        assert (p.elements, p.leq, p.covers, p.meet_table) == (
-            ref.elements, ref.leq, ref.covers, ref.meet_table
-        )
+        assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)

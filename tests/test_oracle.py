@@ -94,11 +94,11 @@ def test_meet_closure_adds_missing_meets():
     a = Subspace.span(GF2, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.span(GF2, 3, [[0, 1, 0], [0, 0, 1]])
     family = [Subspace.zero(GF2, 3), a, b, Subspace.full(GF2, 3)]
-    closed = meet_closure(family)
+    closed = meet_closure(family).elements
     assert Subspace.span(GF2, 3, [[0, 1, 0]]) in closed
     assert len(closed) == 5
     # at the element limit the closure stops, and a family within it is kept
-    assert meet_closure(family, 5) == closed
+    assert meet_closure(family, 5).elements == closed
     assert meet_closure(family, 4) is None and meet_closure(family, 3) is None
 
 

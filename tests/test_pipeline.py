@@ -23,6 +23,7 @@ from invcat import (
     meet_closure,
     parse_representation,
     quiver_shape,
+    sub_intersect,
     verify_decomposition,
 )
 from invcat.errors import ClosureDivergence, ValidationError
@@ -188,7 +189,7 @@ def test_stopped_draws_are_refuted_by_the_bound():
         assert f"by round {exc.value.detail['rounds']}" in report.closure_note
         [(oid, part)] = analysis.flag.posets.items()
         assert part.ambient_dim == 3
-        assert part.elements == tuple(meet_closure(exc.value.reached[oid][:9]))
+        assert part.elements == meet_closure(exc.value.reached[oid][:9]).elements
         [w] = report.distributivity_witnesses
         assert w.object_id == oid
 
@@ -231,16 +232,13 @@ def test_the_refuting_part_is_taken_by_dimension_within_the_limit():
     assert part(4) is None
 
 
-def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
+def _two_loops_on_q9():
     """Two loops on Q^9: a random a and the projection p onto the first two
-    coordinates.  At ClosureLimits(max_elements_per_object=100) the meet
-    closure of the first 2^9 + 1 reached elements passes the element limit,
-    so the bound's part is skipped; the second pass closes the first 8
-    reached elements to 14, which fail the count and refute the input."""
+    coordinates."""
     rng = random.Random(9)
     a = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(9)] for _ in range(9)]
     p = [[int(i == j < 2) for j in range(9)] for i in range(9)]
-    rep = Representation(
+    return Representation(
         RATIONALS,
         (RepObject("x", 9),),
         (
@@ -248,6 +246,15 @@ def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
             Generator("p", "x", "x", Matrix.build(RATIONALS, 9, 9, p)),
         ),
     )
+
+
+def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
+    """On the two loops on Q^9, at ClosureLimits(max_elements_per_object=100)
+    the meet closure of the first 2^9 + 1 reached elements passes the
+    element limit, so the bound's part is skipped; the second pass closes
+    the first 8 reached elements to 14, which fail the count and refute the
+    input."""
+    rep = _two_loops_on_q9()
     limits = ClosureLimits(max_elements_per_object=100)
     with pytest.raises(ClosureDivergence) as exc:
         compute_flag(rep, limits)
@@ -258,10 +265,45 @@ def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
     assert not analysis.passed and not report.passed
     assert f"by round {exc.value.detail['rounds']}" in report.closure_note
     [part] = analysis.flag.posets.values()
-    assert part.elements == tuple(meet_closure(reached[:8]))
+    assert part.elements == meet_closure(reached[:8]).elements
     assert len(part) == 14
     [w] = report.distributivity_witnesses
     assert w.object_id == "x"
+
+
+def test_the_refuting_part_is_intersected_once(monkeypatch):
+    """On the two loops on Q^9 at an element limit of 100, every meet the
+    refutation takes is taken inside a ``meet_closure``, and the one that
+    returns the reported part intersects each pair of its elements once:
+    the part's poset is read off those meets, with no second pass."""
+    import invcat.pipeline as pipeline
+    import invcat.poset as poset
+
+    pairs = []  # every pair poset.py intersects, in order
+    closures = []  # per meet_closure call: its first and end index in pairs, its poset
+
+    def intersect(a, b):
+        pairs.append(frozenset((a, b)))
+        return sub_intersect(a, b)
+
+    def closure(elements, limit):
+        start = len(pairs)
+        p = meet_closure(elements, limit)
+        closures.append((start, len(pairs), p))
+        return p
+
+    monkeypatch.setattr(poset, "sub_intersect", intersect)
+    monkeypatch.setattr(pipeline, "meet_closure", closure)
+    analysis = analyze(_two_loops_on_q9(), ClosureLimits(max_elements_per_object=100))
+    [part] = analysis.flag.posets.values()
+    assert sum(end - start for start, end, _ in closures) == len(pairs)
+    start, end, last = closures[-1]
+    assert last is part and end == len(pairs)
+    n = len(part)
+    assert set(pairs[start:end]) == {
+        frozenset((a, b)) for i, a in enumerate(part.elements) for b in part.elements[:i]
+    }
+    assert end - start == n * (n - 1) // 2
 
 
 def test_cli_deterministic_across_processes():
@@ -289,10 +331,7 @@ def _assert_same_flag(got, ref):
     assert got.to_json() == ref.to_json()
     for oid, p in ref.posets.items():
         q = got.posets[oid]
-        assert q.elements == p.elements
-        assert q.leq == p.leq
-        assert q.covers == p.covers
-        assert q.meet_table == p.meet_table
+        assert (q.elements, q.down, q.covers) == (p.elements, p.down, p.covers)
 
 
 def test_bitmask_saturation_matches_subspace_closure():

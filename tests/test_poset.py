@@ -14,6 +14,7 @@ from invcat import (
     meet_closure,
     mobius,
     mobius_invert,
+    sub_intersect,
 )
 from invcat.oracle import all_subspaces
 
@@ -41,7 +42,7 @@ def chain_poset():
 def test_trisection_poset_shape():
     p = trisection_poset()
     assert len(p) == 5
-    assert len(p.atoms()) == 3
+    assert len([j for i, j in p.covers if i == p.zero_index]) == 3  # atoms
     assert len(p.covers) == 6
 
 
@@ -84,6 +85,33 @@ def test_not_meet_closed():
         "right": [[1, 0, 0], [0, 0, 1]],
         "missing": [[0, 0, 1]],
     }
+
+
+def test_each_pair_is_intersected_once(rng, monkeypatch):
+    """``meet_closure`` of a family whose closure has k members intersects
+    k(k-1)/2 pairs, each once, and its poset equals the one ``build_poset``
+    assembles from the same number of intersections of the closed family."""
+    import invcat.poset as poset
+
+    pairs = []
+
+    def intersect(a, b):
+        pairs.append(frozenset((a, b)))
+        return sub_intersect(a, b)
+
+    monkeypatch.setattr(poset, "sub_intersect", intersect)
+    field = GF(2)
+    pool = all_subspaces(field, 3)
+    for _ in range(20):
+        seeds = [Subspace.zero(field, 3), Subspace.full(field, 3), *rng.sample(pool, rng.randint(0, 4))]
+        pairs.clear()
+        p = meet_closure(seeds)
+        k = len(p)
+        assert len(pairs) == len(set(pairs)) == k * (k - 1) // 2
+        pairs.clear()
+        ref = build_poset(p.elements)
+        assert len(pairs) == k * (k - 1) // 2
+        assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)
 
 
 def test_missing_recorded_meet_raises():
@@ -129,7 +157,7 @@ def test_two_var_delta_property(rng):
         p = build_poset(fam)
         mu = mobius(p)
         for y in range(len(p.elements)):
-            total = sum(mu.two_var[x][y] for x in range(len(p.elements)) if p.leq[x][y])
+            total = sum(mu.two_var[x][y] for x in range(len(p.elements)) if p.down[y] >> x & 1)
             assert total == (1 if y == p.zero_index else 0)
 
 
@@ -139,22 +167,23 @@ def test_recursions_hold_by_resummation(rng):
         p = build_poset(fam)
         mu = mobius(p)
         n = len(p.elements)
+        leq = [[b.contains(a) for b in p.elements] for a in p.elements]
         for y in range(n):
             if y == p.zero_index:
                 assert mu.one_var[y] == 1
             else:
                 assert mu.one_var[y] == -sum(
-                    mu.one_var[x] for x in range(n) if p.leq[x][y] and x != y
+                    mu.one_var[x] for x in range(n) if leq[x][y] and x != y
                 )
         for a in range(n):
             for b in range(n):
-                if not p.leq[a][b]:
+                if not leq[a][b]:
                     assert mu.two_var[a][b] == 0
                 elif a != b:
                     assert mu.two_var[a][b] == -sum(
                         mu.two_var[a][z]
                         for z in range(n)
-                        if p.leq[a][z] and p.leq[z][b] and z != b
+                        if leq[a][z] and leq[z][b] and z != b
                     )
 
 
@@ -191,8 +220,7 @@ def all_small_gf2_families(n, max_size):
     for k in range(0, max_size - 1):
         for extra in combinations(middle, k):
             fam = [zero, full] + list(extra)
-            closed = meet_closure(fam)
-            if len(closed) == len(fam):
+            if len(meet_closure(fam)) == len(fam):
                 out.append(fam)
     return out
 

@@ -94,7 +94,7 @@ def _greedy_family(p):
                 raise CriterionViolated("negative score", value=count)
             forbidden = [list(r) for r in c.basis] + kernel_rows
             for ai, a in enumerate(elems):
-                if p.leq[ai][bi] and ai != bi:
+                if p.down[bi] >> ai & 1 and ai != bi:
                     forbidden.extend(list(r) for r in a.basis)
             taken = 0
             for row in b.basis:
