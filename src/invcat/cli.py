@@ -13,7 +13,12 @@ each shared basis tuple once per indent depth, found by identity, and each
 repeated basis of equal rows once per content; a dict's sorted key order
 and quoted key prefixes are laid out once per key set.  That matters for
 refutations that print the same subspaces in hundreds of witnesses, each a
-dict with the same four keys.
+dict with the same four keys.  So ``check`` and ``envelope`` print a
+criterion report's ``spliced_json()``, and an error prints its
+``spliced_json()``: the witness list of a report, or of ``decompose``'s
+``CriterionViolated`` refusal, is a ``jsontext.Splice`` that writes the
+witnesses run by run off the score, with the bytes of the plain list that
+``to_json()`` returns and no witness object or dict built.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def _limits(args: argparse.Namespace) -> ClosureLimits:
 def _cmd_check(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args), mu_mode=args.mu)
-    doc = analysis.report.to_json()
+    doc = analysis.report.spliced_json()
     if analysis.saturation_note:
         doc["saturation_note"] = analysis.saturation_note
     return doc, 0 if analysis.report.passed else 1
@@ -136,7 +141,7 @@ def _cmd_envelope(args: argparse.Namespace) -> Result:
     rep = _load_rep(args.input)
     analysis = analyze(rep, _limits(args))
     if not analysis.passed:
-        doc = analysis.standard_report.to_json()
+        doc = analysis.standard_report.spliced_json()
         doc["note"] = "criterion fails; no inverse envelope exists"
         return doc, 1
     try:
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error(error: ToolError) -> Result:
     print(f"error: {error.code}: {error.message}", file=sys.stderr)
-    return {"error": error.to_json()}, 2
+    return {"error": error.spliced_json()}, 2
 
 
 def main(argv: Optional[list] = None) -> int:

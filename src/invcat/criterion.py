@@ -67,20 +67,34 @@ precedence: the count's distributivity witnesses are listed only when no
 pair scores negative.  The literal mode is scored only where it is read: for
 the witnesses of a literal report, and for a report's mode disagreements
 and examples, which are counted when first read (``to_json`` reads them,
-``decompose``'s refusal does not).
+``decompose``'s refusal does not).  An atom b, with down(b) = {0, b}, meets
+every c outside up(b) in 0, where it scores rho(b) > 0 in standard mode and
+-rho(b) in literal mode, so its disagreements are those c, counted by one
+popcount.
+
+A report reads its witnesses off runs (``_Scores.runs``): b, a score and the
+mask of the c, as long as b and the score stay the same, so a standard run
+is the whole product b x (complement of up(b)).  ``CriterionReport.to_json``
+returns them as plain lists of ``CriterionValue.to_json`` dicts, for
+library callers.  The CLI prints ``spliced_json`` instead, where the witness
+list is a ``jsontext.Splice``: it renders each element's basis once and
+writes each run as one join of its c's bases within a frame fixed by b, the
+object and the score, with the same bytes and no witness built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import compress, groupby
+from operator import itemgetter, mul
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ValidationError
 from .flag import FlagAssignment
+from .jsontext import Splice, block, separator
 from .linalg import Subspace, complement_within
-from .poset import SubspacePoset, members, mobius_invert
+from .poset import SubspacePoset, bits, members, mobius_invert
 # unused here, kept bound so that per-layer tracers can wrap it by name
 from .poset import mobius  # noqa: F401
 from .rep import Representation
@@ -91,10 +105,12 @@ MU_MODES = ("standard", "literal")
 class CriterionValue(NamedTuple):
     """One pair (b, c) at an object that scores negative in ``mu_mode``.
 
-    A refutation lists every such pair, about 1,700 on a star of 14 planes,
-    so a witness is a plain tuple, which is built faster than a frozen
-    dataclass.  It compares and hashes by its fields, and so equals a plain
-    tuple of the same fields."""
+    A refutation has about 1,700 such pairs on a star of 14 planes.  They
+    are built only for a caller that reads ``CriterionReport.witnesses`` or
+    ``to_json()``, and for the ten disagreement examples; a printed report
+    writes its witnesses off the score's runs without them.  A witness
+    compares and hashes by its fields, and so equals a plain tuple of the
+    same fields."""
 
     object_id: str
     b: Subspace
@@ -130,24 +146,66 @@ class DistributivityWitness:
         }
 
 
+# a witness's keys in the order of ``CriterionValue.to_json``; sorted, they
+# are b_basis, c_basis, object, value
+_WITNESS_KEYS = ("object", "b_basis", "c_basis", "value")
+
+
 @dataclass(eq=False)
 class CriterionReport:
     passed: bool
     mu_mode: str
-    witnesses: Tuple[CriterionValue, ...]
     distributivity_witnesses: Tuple[DistributivityWitness, ...]
     poset_sizes: Dict[str, int]
     saturated: bool
     # set when the closure stopped at a limit and the count refuted its part
     closure_note: Optional[str] = None
-    # the scored posets by object id, in id order, off which the mode
-    # disagreements are counted when first read; none where the score is
-    # not taken
+    # the scored posets by object id, in id order, off which the witnesses
+    # and the mode disagreements are read when first asked for; none where
+    # the score is not taken
     scored: Tuple[Tuple[str, SubspacePoset], ...] = ()
 
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
+
+    def _runs(self) -> Iterator[Tuple[str, SubspacePoset, int, int, int]]:
+        """The witnesses as runs ``(object id, poset, b, score, the mask of
+        the c)`` (``_Scores.runs``), ordered by object id and then by the
+        ``sort_key`` of b and of c: the one source of ``witnesses`` and of
+        both documents."""
+        for oid, p in self.scored:
+            for bi, v, cs in _scores_of(p).runs(self.mu_mode):
+                yield oid, p, bi, v, cs
+
+    @cached_property
+    def witnesses(self) -> Tuple[CriterionValue, ...]:
+        """Every pair that scores negative in ``mu_mode``, in the runs' order."""
+        return tuple(
+            CriterionValue(oid, p.elements[bi], c, v, self.mu_mode)
+            for oid, p, bi, v, cs in self._runs()
+            for c in compress(p.elements, bits(cs))
+        )
+
+    def _write_witnesses(self, render: Any, depth: int) -> str:
+        """The text ``jsontext.dumps`` writes for ``to_json()``'s witness list
+        at ``depth``, written off the runs.  Each element's basis is rendered
+        once, through the render's memos, and each run is one join of its c's
+        bases within a frame fixed by b, the object and the score."""
+        order, prefixes, close = render.layout(_WITNESS_KEYS, depth + 1)
+        key = dict(zip(order, prefixes))
+        sep = separator(depth)
+        runs: List[str] = []
+        shown = None
+        for oid, p, bi, v, cs in self._runs():
+            if p is not shown:
+                shown = p
+                bases = [render.value(s.json_rows(), depth + 2) for s in p.elements]
+                object_text = key["object"] + render.value(oid, depth + 2)
+            head = key["b_basis"] + bases[bi] + key["c_basis"]
+            tail = object_text + key["value"] + render.value(v, depth + 2) + close
+            runs.append(head + (tail + sep + head).join(compress(bases, bits(cs))) + tail)
+        return block(runs, depth) if runs else "[]"
 
     @cached_property
     def mode_disagreements(self) -> int:
@@ -170,19 +228,40 @@ class CriterionReport:
         return tuple(found)
 
     def to_json(self) -> dict:
-        doc = {
-            "verdict": self.verdict,
-            "mu_mode": self.mu_mode,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "poset_sizes": dict(sorted(self.poset_sizes.items())),
-            "mode_disagreements": self.mode_disagreements,
-            "disagreement_examples": [w.to_json() for w in self.disagreement_examples],
-            "saturated": self.saturated,
+        """The report as plain JSON values."""
+        return self._json(spliced=False)
+
+    def spliced_json(self) -> dict:
+        """``to_json()``'s document for ``jsontext.dumps`` alone: the witness
+        list is a ``jsontext.Splice`` that writes the same text off the runs,
+        and no witness is built."""
+        return self._json(spliced=True)
+
+    def witness_json(self, spliced: bool = False) -> dict:
+        """The witness lists: ``witnesses`` and, where there are any,
+        ``distributivity_witnesses``, as plain lists, or with ``spliced`` the
+        first as ``spliced_json()`` has it.  ``decompose``'s refusal prints
+        them as its detail."""
+        doc: Dict[str, Any] = {
+            "witnesses": Splice(self._write_witnesses) if spliced
+            else [w.to_json() for w in self.witnesses],
         }
         if self.distributivity_witnesses:
             doc["distributivity_witnesses"] = [
                 w.to_json() for w in self.distributivity_witnesses
             ]
+        return doc
+
+    def _json(self, spliced: bool) -> dict:
+        doc = self.witness_json(spliced)
+        doc.update(
+            verdict=self.verdict,
+            mu_mode=self.mu_mode,
+            poset_sizes=dict(sorted(self.poset_sizes.items())),
+            mode_disagreements=self.mode_disagreements,
+            disagreement_examples=[w.to_json() for w in self.disagreement_examples],
+            saturated=self.saturated,
+        )
         if self.closure_note:
             doc["closure_note"] = self.closure_note
         return doc
@@ -210,9 +289,17 @@ class _Scores:
         self.rho = mobius_invert(p, self.dims)
         self.one = mobius_invert(p, [1] + [0] * (n - 1))
         self.all = (1 << n) - 1
-        # each down-set's members, ascending
-        self.lower = [list(members(mask)) for mask in self.down]
+        # each down-set's members, ascending, listed when a literal score
+        # first reads it
+        self._lower: List[Optional[List[int]]] = [None] * n
         self._literal: List[Optional[Dict[int, int]]] = [None] * n
+
+    def lower(self, i: int) -> List[int]:
+        """The members of i's down-set, ascending."""
+        found = self._lower[i]
+        if found is None:
+            found = self._lower[i] = list(members(self.down[i]))
+        return found
 
     def meeting(self, bi: int, m: int) -> int:
         """The mask of the c with b meet c = m, for an m <= b."""
@@ -226,16 +313,19 @@ class _Scores:
         """``{m: literal score}`` over the m <= b, in index order: the score
         of every (b, c) with b meet c = m."""
         found = self._literal[bi]
-        if found is None:
+        if found is None and self.down[bi].bit_count() == 2:
+            # an atom: see ``disagreements``
+            found = self._literal[bi] = {0: -self.rho[bi], bi: 0}
+        elif found is None:
             up, one, rho, lower = self.up, self.one, self.rho, self.lower
-            below, down_b = self.down[bi], lower[bi]
+            below, down_b = self.down[bi], lower(bi)
             top = sum(map(mul, map(one.__getitem__, down_b), map(self.dims.__getitem__, down_b)))
             terms = [0] * (bi + 1)  # rho(y) F_b(y)
             for y in down_b:
                 if rho[y]:
                     terms[y] = rho[y] * sum(map(one.__getitem__, members(up[y] & below)))
             at = terms.__getitem__
-            found = self._literal[bi] = {m: top - sum(map(at, lower[m])) for m in down_b}
+            found = self._literal[bi] = {m: top - sum(map(at, lower(m))) for m in down_b}
         return found
 
     def by_meet(self, bi: int) -> Iterator[Tuple[int, int, int]]:
@@ -250,17 +340,37 @@ class _Scores:
         found = sorted((ci, v) for m, v in values.items() for ci in members(self.meeting(bi, m)))
         return [(bi, ci, v) for ci, v in found]
 
+    def refutes(self, mode: str) -> bool:
+        """Whether some pair scores negative in ``mode``.  The bottom lies
+        outside up(b) for every other b, and every m <= b is the meet of
+        (b, m), so a negative rho(b) or literal score by meet stands for at
+        least one pair; no pair is listed."""
+        if mode == "standard":
+            return any(r < 0 for r in self.rho)
+        return any(v < 0 for bi in range(len(self.rho)) for v in self.literal(bi).values())
+
+    def runs(self, mode: str) -> Iterator[Tuple[int, int, int]]:
+        """The pairs that score negative in ``mode`` as runs ``(b, score, the
+        mask of the c)``, b-major and then in c order, each run as long as b
+        and the score stay the same.  A standard run is all of b's
+        negatives, the c outside up(b) where rho(b) < 0, and takes no
+        literal score."""
+        if mode == "standard":
+            up, everything = self.up, self.all
+            return ((bi, r, everything & ~up[bi]) for bi, r in enumerate(self.rho) if r < 0)
+        return (
+            (bi, v, sum(1 << ci for _, ci, _ in run))
+            for (bi, v), run in groupby(self.negatives_of(mode), key=itemgetter(0, 2))
+        )
+
     def negatives_of(self, mode: str, alone: bool = False) -> Iterator[Tuple[int, int, int]]:
         """The pairs ``(b, c, score)`` that score negative in ``mode``, b-major
         and then in c order; with ``alone``, only those that do not score
-        negative in the other mode.  The standard negatives alone take no
-        literal score."""
+        negative in the other mode.  Each b visited takes its literal score,
+        so the standard negatives are listed by ``runs``."""
         standard = mode == "standard"
         for bi, r in enumerate(self.rho):
             if standard and r >= 0:
-                continue
-            if standard and not alone:
-                yield from ((bi, ci, r) for ci in members(self.all & ~self.up[bi]))
                 continue
             values = {}
             for m, v_std, v_lit in self.by_meet(bi):
@@ -272,11 +382,19 @@ class _Scores:
 
     def disagreements(self) -> int:
         """The number of pairs on which the two modes land on different
-        sides of zero."""
+        sides of zero.  An atom b, with down(b) = {0, b}, scores 0 in both
+        modes against the c above it.  Against every other c, whose meet
+        with b is 0, it scores rho(b) = dim b - dim 0 > 0 in standard mode
+        and -rho(b) in literal mode.  So an atom adds the c outside up(b),
+        with no literal score and no ``meeting``."""
         count = 0
-        for bi in range(len(self.rho)):
-            for m, v_std, v_lit in self.by_meet(bi):
-                if (v_std < 0) != (v_lit < 0):
+        down, up, everything = self.down, self.up, self.all
+        for bi, r in enumerate(self.rho):
+            if down[bi].bit_count() == 2:
+                count += (everything & ~up[bi]).bit_count()
+                continue
+            for m, v in self.literal(bi).items():
+                if ((r < 0) and m != bi) != (v < 0):
                     count += self.meeting(bi, m).bit_count()
         return count
 
@@ -318,11 +436,11 @@ def check_poset(
     sorted by it.
     """
     scores = _scores_of(p)
-    return (
-        list(scores.negatives_of("standard")),
-        list(scores.negatives_of("literal")),
-        scores.disagreements(),
-    )
+
+    def negatives(mode: str) -> List[Tuple[int, int, int]]:
+        return [(bi, ci, v) for bi, v, cs in scores.runs(mode) for ci in members(cs)]
+
+    return negatives("standard"), negatives("literal"), scores.disagreements()
 
 
 def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
@@ -391,14 +509,11 @@ def poset_passes(p: SubspacePoset, mode: str = "standard") -> bool:
     rank count holds, i.e. a multiplicative projection family exists (in
     standard mode).  Where the count holds no standard score is negative
     (see the module docstring), so the standard verdict is the count alone,
-    as in ``pipeline``.  Every m <= b is the meet of (b, m), so a literal
-    score by meet stands for at least one pair."""
+    as in ``pipeline``."""
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
-    if mode == "literal":
-        scores = _scores_of(p)
-        if any(v < 0 for bi in range(len(p)) for v in scores.literal(bi).values()):
-            return False
+    if mode == "literal" and _scores_of(p).refutes(mode):
+        return False
     return rank_count_excess(p) is None
 
 
@@ -430,7 +545,6 @@ def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionRep
     return CriterionReport(
         passed=False,
         mu_mode=mode,
-        witnesses=(),
         distributivity_witnesses=tuple(_distributivity_witnesses(flag)),
         poset_sizes=flag.sizes(),
         saturated=False,
@@ -448,13 +562,16 @@ def check_representation(
 ) -> CriterionReport:
     """Evaluate every object and every ordered pair; collect all violations.
 
-    The witnesses are the negatives of ``mode``, ordered by object id and
-    then by the ``sort_key`` of b and of c, which is the posets' index
-    order; standard witnesses take no literal score.  The mode disagreements
-    and the disagreement examples, the first ten pairs in the same order
-    that score negative in the other mode alone, are counted when the report
-    first reads them; ``CriterionValue`` objects are made only for the
-    witnesses and those ten.
+    The report fails where some pair scores negative in ``mode``
+    (``_Scores.refutes``, which lists no pair).  Its witnesses, the
+    negatives of ``mode`` ordered by object id and then by the ``sort_key``
+    of b and of c (the posets' index order), are read off the score's runs
+    when first asked for: as ``CriterionValue`` objects by
+    ``CriterionReport.witnesses`` and ``to_json``, and as text by
+    ``spliced_json``, which builds none.  Standard witnesses take no literal
+    score.  The mode disagreements and the disagreement examples, the first
+    ten pairs in the same order that score negative in the other mode alone,
+    are also counted when first read.
 
     When no pair scores negative, the rank count is taken at every object and
     each object where it fails contributes one distributivity witness; a
@@ -463,18 +580,13 @@ def check_representation(
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
     scored = tuple((oid, flag.posets[oid]) for oid in sorted(flag.posets))
-    witnesses = tuple(
-        CriterionValue(oid, p.elements[bi], p.elements[ci], v, mode)
-        for oid, p in scored
-        for bi, ci, v in _scores_of(p).negatives_of(mode)
-    )
+    refuted = any(_scores_of(p).refutes(mode) for _, p in scored)
     # a flag closed on bitmasks is a meet-closed family of coordinate sets,
     # on which the count holds by construction
-    distributivity = [] if witnesses or flag.masks is not None else _distributivity_witnesses(flag)
+    distributivity = [] if refuted or flag.masks is not None else _distributivity_witnesses(flag)
     return CriterionReport(
-        passed=not witnesses and not distributivity,
+        passed=not refuted and not distributivity,
         mu_mode=mode,
-        witnesses=witnesses,
         distributivity_witnesses=tuple(distributivity),
         poset_sizes=flag.sizes(),
         saturated=flag.saturated,

@@ -252,13 +252,9 @@ def decompose(
     if analysis is None:
         analysis = analyze(rep, limits, "standard", saturate=False)
     if not analysis.passed:
-        report = analysis.standard_report
-        detail = {"witnesses": [w.to_json() for w in report.witnesses]}
-        if report.distributivity_witnesses:
-            detail["distributivity_witnesses"] = [
-                w.to_json() for w in report.distributivity_witnesses
-            ]
-        raise CriterionViolated("criterion fails; the representation does not factor", **detail)
+        raise CriterionViolated(
+            "criterion fails; the representation does not factor", report=analysis.standard_report
+        )
     atoms, action, blocks = _read_off(rep, analysis.bases)
     components = _components(rep, atoms, action)
     summands = tuple(tuple(comp) for comp in components)

@@ -6,6 +6,7 @@ string so reports stay machine readable.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Dict
 
 
@@ -20,9 +21,18 @@ class ToolError(Exception):
         self.detail: Dict[str, Any] = detail
 
     def to_json(self) -> Dict[str, Any]:
+        return self._json(self.detail)
+
+    def spliced_json(self) -> Dict[str, Any]:
+        """``to_json()``'s document for ``jsontext.dumps`` alone, which the CLI
+        prints; a subclass may write part of its detail as a
+        ``jsontext.Splice``."""
+        return self.to_json()
+
+    def _json(self, detail: Dict[str, Any]) -> Dict[str, Any]:
         obj: Dict[str, Any] = {"code": self.code, "message": self.message}
-        if self.detail:
-            obj["detail"] = self.detail
+        if detail:
+            obj["detail"] = detail
         return obj
 
 
@@ -69,7 +79,29 @@ class ClosureDivergence(ToolError):
 
 
 class CriterionViolated(ToolError):
+    """The criterion refutes an input that a construction needs to factor.
+
+    Raised with ``report``, the refuting ``criterion.CriterionReport``, its
+    detail is the report's witness lists (``CriterionReport.witness_json``),
+    read off the report when first asked for; ``spliced_json`` writes the
+    witness list as a ``jsontext.Splice`` and builds no witness."""
+
     code = "CriterionViolated"
+
+    def __init__(self, message: str, report: Any = None, **detail: Any):
+        super().__init__(message, **detail)
+        self.report = report
+        if report is not None:
+            del self.detail  # read off the report by the property below
+
+    @cached_property
+    def detail(self) -> Dict[str, Any]:
+        return self.report.witness_json()
+
+    def spliced_json(self) -> Dict[str, Any]:
+        if self.report is None:
+            return self.to_json()
+        return self._json(self.report.witness_json(spliced=True))
 
 
 class ConstructionFailure(ToolError):

@@ -23,14 +23,28 @@ witness a dict with the same keys.  Three memos, each living for one
   from a memo keyed by its keys in insertion order.  Other keys are never
   stored, for the same reason as bools in rows: ``1``, ``True`` and ``1.0``
   are equal keys that print differently.
+
+One value that is not JSON is accepted: a ``Splice``, whose maker writes
+its text.  ``dumps`` calls its ``write(render, depth)`` with the call's
+``_Render`` and the depth at which the value stands, and copies the text
+returned.  The maker writes the text ``dumps`` would write for the value it
+stands for.  It may reuse the memos through ``render.value`` (any value at
+any depth) and ``render.layout`` (a dict's key frame), and lay out a
+container with ``block`` and ``separator``.  A refutation's witness list is
+one: each element's basis is rendered once, and each run of witnesses that
+share b is one join of the c's fragments within a fixed frame.  A splice is
+for ``dumps`` alone; the values callers read, the reports' ``to_json()``,
+hold plain lists.  Matrices are also written from a frame fixed per depth,
+with one join per row.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 _INDENT = "  "
 _ROW_TYPES = frozenset((list, tuple))
@@ -39,8 +53,25 @@ _KEY_TYPES = frozenset((str,))
 
 
 def dumps(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, built without generators."""
+    """``json.dumps(doc, indent=2, sort_keys=True)``, built without generators;
+    each ``Splice`` in ``doc`` is written as the text it gives."""
     return _Render().value(doc, 0)
+
+
+class Splice:
+    """A value whose text its maker writes: ``write(render, depth)`` returns
+    the text ``dumps`` would write, at ``depth``, for the JSON value the
+    splice stands for (see the module docstring)."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[["_Render", int], str]) -> None:
+        self.write = write
+
+
+def separator(depth: int) -> str:
+    """The text between two items of a non-empty container at ``depth``."""
+    return ",\n" + _INDENT * (depth + 1)
 
 
 def _scalar(o: Any) -> str:
@@ -57,10 +88,20 @@ def _key(k: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _block(parts: List[str], depth: int, brackets: str) -> str:
+def block(parts: List[str], depth: int, brackets: str = "[]") -> str:
     """A non-empty container at ``depth``: one part per line, one level in."""
-    nl = "\n" + _INDENT * (depth + 1)
-    return brackets[0] + nl + ("," + nl).join(parts) + "\n" + _INDENT * depth + brackets[1]
+    inner = separator(depth).join(parts)
+    return brackets[0] + "\n" + _INDENT * (depth + 1) + inner + "\n" + _INDENT * depth + brackets[1]
+
+
+@cache
+def _matrix_frame(depth: int) -> Tuple[str, ...]:
+    """The fixed text of a non-empty matrix at ``depth``: its opening, the
+    text between its rows and its closing line, and the same three for a
+    non-empty row."""
+    outer, inner = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * (depth + 2)
+    close = "\n" + _INDENT * depth + "]"
+    return "[" + outer, "," + outer, close, "[" + inner, "," + inner, outer + "]"
 
 
 class _Render:
@@ -96,6 +137,8 @@ class _Render:
             return "true"
         if o is False:
             return "false"
+        if isinstance(o, Splice):
+            return o.write(self, depth)
         if isinstance(o, (list, tuple)):
             return self.array(o, depth)
         if isinstance(o, dict):
@@ -109,14 +152,17 @@ class _Render:
             rows = tuple(map(tuple, o))
             if _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(rows))):
                 return self.matrix(rows, depth)
-        return _block([self.value(x, depth + 1) for x in o], depth, "[]")
+        return block([self.value(x, depth + 1) for x in o], depth, "[]")
 
     def matrix(self, rows: tuple, depth: int) -> str:
         key = (rows, depth)
         text = self.memo.get(key)
         if text is None:
-            lines = [_block(list(map(_scalar, r)), depth + 1, "[]") if r else "[]" for r in rows]
-            text = self.memo[key] = _block(lines, depth, "[]")
+            start, between, end, row_start, row_between, row_end = _matrix_frame(depth)
+            lines = [
+                row_start + row_between.join(map(_scalar, r)) + row_end if r else "[]" for r in rows
+            ]
+            text = self.memo[key] = start + between.join(lines) + end
         return text
 
     def object(self, o: dict, depth: int) -> str:
@@ -128,11 +174,7 @@ class _Render:
         if layout is None:
             if not _KEY_TYPES.issuperset(map(type, keys)):
                 return self.sorted_object(o, depth)
-            order = sorted(keys)
-            nl = "\n" + _INDENT * (depth + 1)
-            prefixes = ["{" + nl + _quote(order[0]) + ": "]
-            prefixes += ["," + nl + _quote(k) + ": " for k in order[1:]]
-            layout = self.layouts[keys, depth] = (order, prefixes, "\n" + _INDENT * depth + "}")
+            layout = self.layout(keys, depth)
         order, prefixes, close = layout
         parts = []
         for prefix, k in zip(prefixes, order):
@@ -140,9 +182,23 @@ class _Render:
         parts.append(close)
         return "".join(parts)
 
+    def layout(self, keys: Tuple[str, ...], depth: int) -> Tuple[List[str], List[str], str]:
+        """The frame of a non-empty dict at ``depth`` whose keys, all exact
+        ``str``, are ``keys`` in insertion order: the keys sorted, the text
+        before each one's value in that order (the first opens the dict),
+        and the closing line."""
+        layout = self.layouts.get((keys, depth))
+        if layout is None:
+            order = sorted(keys)
+            nl = "\n" + _INDENT * (depth + 1)
+            prefixes = ["{" + nl + _quote(order[0]) + ": "]
+            prefixes += ["," + nl + _quote(k) + ": " for k in order[1:]]
+            layout = self.layouts[keys, depth] = (order, prefixes, "\n" + _INDENT * depth + "}")
+        return layout
+
     def sorted_object(self, o, depth: int) -> str:
         """Any dict, its items sorted as ``json`` sorts them."""
         if not o:
             return "{}"
         parts = [_quote(_key(k)) + ": " + self.value(v, depth + 1) for k, v in sorted(o.items())]
-        return _block(parts, depth, "{}")
+        return block(parts, depth, "{}")

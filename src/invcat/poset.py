@@ -106,6 +106,16 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits(mask: int) -> bytes:
+    """The bits of ``mask``, lowest first, one byte of 0 or 1 each, so that
+    ``itertools.compress(seq, bits(mask))`` yields the items of ``seq`` at
+    the set bits' indices, ascending, without a Python-level step per bit."""
+    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+
+
 def _record_meets(
     family: List[Subspace], limit: Optional[int] = None, grow: bool = True
 ) -> Optional[List[List[int]]]:

@@ -487,12 +487,12 @@ def test_overlong_certificate_entries_are_too_large(tmp_path, capsys):
         assert json.loads(out)["error"]["code"] == "TooLarge"
 
 
-def _refuted_star(tmp_path):
-    """Eight random planes mapped into GF(10007)^3 at a shared centre; the
-    criterion refutes it with a few hundred witnesses."""
+def _refuted_star(tmp_path, planes=8):
+    """Eight (or ``planes``) random planes mapped into GF(10007)^3 at a
+    shared centre; the criterion refutes it with a few hundred witnesses."""
     rng = random.Random(3)
     p = 10007
-    objects = [{"id": "c", "dim": 3}] + [{"id": f"p{k}", "dim": 2} for k in range(8)]
+    objects = [{"id": "c", "dim": 3}] + [{"id": f"p{k}", "dim": 2} for k in range(planes)]
     generators = [
         {
             "id": f"g{k}",
@@ -500,10 +500,10 @@ def _refuted_star(tmp_path):
             "cod": "c",
             "matrix": [[rng.randrange(p) for _ in range(2)] for _ in range(3)],
         }
-        for k in range(8)
+        for k in range(planes)
     ]
     doc = {"field": {"kind": "prime", "p": p}, "objects": objects, "generators": generators}
-    path = tmp_path / "star.json"
+    path = tmp_path / f"star{planes}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -585,3 +585,42 @@ def test_an_unwritable_dot_directory_is_an_output_error(tmp_path, capsys):
     code_o, out_o = run_cli(capsys, "flag", TRISECTION, "--dot", str(blocker), "-o", str(out_path))
     assert (code_o, out_o) == (2, "")
     assert out_path.read_text() == out
+
+
+def test_refutations_are_written_without_a_witness_object(tmp_path, capsys, monkeypatch):
+    """On a star of 14 planes, ``check``, ``envelope`` and ``decompose``
+    write every witness off the score's runs: a ``CriterionValue`` is built,
+    and turned into a dict, only for each of the ten disagreement examples
+    that ``check`` and ``envelope`` print, and no report's ``to_json`` runs."""
+    import invcat.criterion as criterion
+
+    built, dicts = [], []
+    real_to_json = criterion.CriterionValue.to_json
+
+    class Spy(criterion.CriterionValue):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    def to_json(self):
+        dicts.append(self)
+        return real_to_json(self)
+
+    def refused(self):
+        raise AssertionError("a plain report document was built")
+
+    monkeypatch.setattr(criterion, "CriterionValue", Spy)
+    monkeypatch.setattr(criterion.CriterionValue, "to_json", to_json)
+    monkeypatch.setattr(criterion.CriterionReport, "to_json", refused)
+    star = _refuted_star(tmp_path, 14)
+    for command, code, examples in (("check", 1, 10), ("envelope", 1, 10), ("decompose", 2, 0)):
+        built.clear()
+        dicts.clear()
+        got, out = run_cli(capsys, command, star)
+        doc = json.loads(out)
+        witnesses = doc["error"]["detail"]["witnesses"] if code == 2 else doc["witnesses"]
+        assert got == code and len(witnesses) > 1000
+        assert len(built) == len(dicts) == examples
+        assert all(fields[-1] == "literal" for fields in built)

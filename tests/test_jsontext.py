@@ -107,22 +107,96 @@ def test_a_tuple_that_holds_a_list():
     assert dumps(doc) == reference(doc)
 
 
-def test_a_refuted_star_report():
-    """A star of 8 random planes in GF(10007)^3: the refutation lists every
-    negative pair, each printing the same bases again."""
-    from invcat import GF, analyze
+def _plane_star(seed, planes):
+    """A star of ``planes`` random planes in GF(10007)^3."""
+    from invcat import GF
     from invcat.rep import Generator, RepObject, Representation
 
     from conftest import random_matrix
 
-    rng = random.Random(8)
+    rng = random.Random(seed)
     field = GF(10007)
-    objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(8))
+    objs = (RepObject("center", 3),) + tuple(RepObject(f"p{i}", 2) for i in range(planes))
     gens = tuple(
         Generator(f"g{i}", f"p{i}", "center", random_matrix(rng, field, 3, 2))
-        for i in range(8)
+        for i in range(planes)
     )
-    report = analyze(Representation(field, objs, gens)).report
+    return Representation(field, objs, gens)
+
+
+def test_a_refuted_star_report():
+    """A star of 8 random planes in GF(10007)^3: the refutation lists every
+    negative pair, each printing the same bases again."""
+    from invcat import analyze
+
+    report = analyze(_plane_star(8, 8)).report
     assert not report.passed and len(report.witnesses) > 100
     doc = report.to_json()
     assert dumps(doc) == reference(doc)
+
+
+def _mixed_star(field, seed):
+    """Lines, planes and hyperplanes of a 4-space (``conftest.random_star``)."""
+    from conftest import random_star
+
+    return random_star(random.Random(seed), field, 4, 10)
+
+
+def _spliced_inputs():
+    """Each input of the splice tests and whether it is refuted."""
+    from pathlib import Path
+
+    from invcat import GF, RATIONALS, parse_representation
+
+    from conftest import interval_corpus_instance
+
+    data = Path(__file__).resolve().parent.parent / "data"
+    return {
+        "trisection": (lambda: parse_representation((data / "trisection.json").read_text()), True),
+        "star8": (lambda: _plane_star(8, 8), True),
+        "star14": (lambda: _plane_star(14, 14), True),
+        "mixed_gf": (lambda: _mixed_star(GF(10007), 3), True),
+        "mixed_q": (lambda: _mixed_star(RATIONALS, 4), True),
+        "passing": (lambda: interval_corpus_instance(random.Random(5))[0], False),
+    }
+
+
+SPLICED = _spliced_inputs()
+
+
+@pytest.mark.parametrize("mode", ["standard", "literal"])
+@pytest.mark.parametrize("name", sorted(SPLICED))
+def test_the_witness_splice_writes_the_plain_list(name, mode):
+    """``dumps`` writes a report's spliced witness list as ``json.dumps``
+    writes the plain one of ``to_json()``, at the report's own depth and
+    deeper; the plain list is the witnesses' own ``to_json``."""
+    from invcat import analyze
+
+    make, refuted = SPLICED[name]
+    report = analyze(make(), mu_mode=mode).report
+    doc = report.to_json()
+    assert (len(doc["witnesses"]) > 0) == (not report.passed)
+    if mode == "standard":
+        assert report.passed == (not refuted)
+    assert doc["witnesses"] == [w.to_json() for w in report.witnesses]
+    assert dumps(report.spliced_json()) == reference(doc)
+    nested = {"a": [report.spliced_json(), {"b": report.spliced_json()}]}
+    assert dumps(nested) == reference({"a": [doc, {"b": doc}]})
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, refuted) in SPLICED.items() if refuted))
+def test_the_witness_splice_at_the_depth_of_the_refusal_detail(name):
+    """``decompose``'s refusal, as the CLI prints it, writes its spliced
+    detail as ``json.dumps`` writes the plain ``to_json()`` one, which holds
+    the report's witnesses as a plain list."""
+    from invcat import CriterionViolated, analyze, decompose
+
+    rep = SPLICED[name][0]()
+    with pytest.raises(CriterionViolated) as exc:
+        decompose(rep)
+    error = exc.value
+    report = analyze(rep).report
+    plain = error.to_json()
+    assert not report.distributivity_witnesses
+    assert plain["detail"] == error.detail == {"witnesses": [w.to_json() for w in report.witnesses]}
+    assert dumps({"error": error.spliced_json()}) == reference({"error": plain})

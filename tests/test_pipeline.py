@@ -479,3 +479,30 @@ def test_cyclic_quiver_carries_bases_along_a_spanning_forest():
     assert coordinates is not None
     a = analyze(rep)
     assert a.flag.saturated and a.saturation_note is None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known wrong pass on a directed cycle: check exits 0 (README, ROADMAP item 1)",
+)
+def test_two_loops_on_gf2_squared_are_refuted(tmp_path, capsys):
+    """Two loops on GF(2)^2, a = [[0,0],[1,0]] and b = [[1,0],[1,1]], do not
+    factor: b is invertible, so b a a† b⁻¹ would be an idempotent with the
+    image of a a†, hence equal to it, and ker(a a†) a second b-invariant
+    line, where b has one.  ``check`` passes it today; an exact verdict on
+    directed cycles makes this test pass, and then the marker goes."""
+    from invcat.cli import main
+
+    doc = {
+        "field": {"kind": "prime", "p": 2},
+        "objects": [{"id": "x", "dim": 2}],
+        "generators": [
+            {"id": "a", "dom": "x", "cod": "x", "matrix": [[0, 0], [1, 0]]},
+            {"id": "b", "dom": "x", "cod": "x", "matrix": [[1, 0], [1, 1]]},
+        ],
+    }
+    path = tmp_path / "two_loops.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path)])
+    capsys.readouterr()
+    assert code == 1
