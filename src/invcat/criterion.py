@@ -94,7 +94,7 @@ from .errors import ValidationError
 from .flag import FlagAssignment
 from .jsontext import Splice, block, separator
 from .linalg import Subspace, complement_within
-from .poset import SubspacePoset, bits, members, mobius_invert
+from .poset import SubspacePoset, bits, members
 # unused here, kept bound so that per-layer tracers can wrap it by name
 from .poset import mobius  # noqa: F401
 from .rep import Representation
@@ -270,9 +270,10 @@ class CriterionReport:
 class _Scores:
     """The scores of one poset's pairs, by meet class, on its down-set masks.
 
-    rho (the Moebius inverse of dimension) and one_var (that of the
-    indicator of the zero element) are computed once, by ``mobius_invert``'s
-    recursion.  The standard score of (b, c) is rho(b) unless b <= c (see
+    rho (the Moebius inverse of dimension), one_var (that of the indicator
+    of the zero element) and the up-set masks are computed once, in one
+    pass over the down-sets that runs ``mobius_invert``'s recursion for both
+    inverses.  The standard score of (b, c) is rho(b) unless b <= c (see
     the module docstring), so the standard negatives of b are the c outside
     up(b) where rho(b) < 0.  The literal score of every (b, c) with
     b meet c = m is top_b - sum(rho(y) F_b(y) for y <= m), where top_b is
@@ -284,10 +285,22 @@ class _Scores:
 
     def __init__(self, p: SubspacePoset):
         n = len(p.elements)
-        self.down, self.up = p.down, p.up
-        self.dims = [s.dim for s in p.elements]
-        self.rho = mobius_invert(p, self.dims)
-        self.one = mobius_invert(p, [1] + [0] * (n - 1))
+        self.down = p.down
+        self.dims = dims = [s.dim for s in p.elements]
+        rho: List[int] = []
+        one: List[int] = []
+        up = [0] * n
+        for y, mask in enumerate(p.down):
+            bit = 1 << y
+            r, o = dims[y], int(not y)
+            for x in members(mask ^ bit):
+                r -= rho[x]
+                o -= one[x]
+                up[x] |= bit
+            rho.append(r)
+            one.append(o)
+            up[y] |= bit
+        self.rho, self.one, self.up = rho, one, up
         self.all = (1 << n) - 1
         # each down-set's members, ascending, listed when a literal score
         # first reads it
@@ -446,7 +459,8 @@ def check_poset(
 def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
     """C_b for each element b, in index order: the complement inside b of the
     span of the rows of all of b's lower covers (one elimination where b
-    has more than one)."""
+    has more than one).  Where that span is 0, as at 0 and at the atoms,
+    C_b is b itself, and no complement is eliminated."""
     elems = p.elements
     lower: List[List[Subspace]] = [[] for _ in elems]
     for i, j in p.covers:
@@ -458,7 +472,7 @@ def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
             below = Subspace.span(p.field, p.ambient_dim, rows)
         else:
             below = covers[0] if covers else zero
-        yield complement_within(b, below)
+        yield b if below.is_zero else complement_within(b, below)
 
 
 def adapted_complements(p: SubspacePoset) -> Tuple[Subspace, ...]:

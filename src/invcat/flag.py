@@ -13,10 +13,10 @@ elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
 loudly instead of spinning.
 
-Each object's state is one record by ordinal, the order of arrival: the
-element, its ``Subspace``, its witness and, once it is a member, the
-ordinals of its meets with the lower ordinals.  Offers take their sources
-by ordinal.  The elements a round adds join the members at the round's end
+On subspaces, each object's state is one record by ordinal, the order of
+arrival: the element, its witness and, once it is a member, the ordinals
+of its meets with the lower ordinals.  Offers take their sources by
+ordinal.  The elements a round adds join the members at the round's end
 (the seeds before round 1); those of the last join are the fresh ones, in
 ``sort_key`` order, and the members keep that order across rounds.  A
 round that adds nothing ends the closure.  The record then holds the meet
@@ -57,38 +57,40 @@ a seed or follows by a rule from elements that arrived before it, so each
 lies in the least fixpoint, and ``pipeline.analyze`` can refute the input by
 the rank count on a part of them.
 
-The same loop runs on one of two kinds of element.  By default an element is
-a ``Subspace``, and the rules are ``map_image``, ``preimage_of_meet`` and
-``sub_intersect``.  Given ``BasisCoordinates`` (a basis per object in which
-every map is a partial matching of basis indices, see ``Matching``), every
-element is a coordinate subspace and is held as the bitmask of its basis
-indices: an image is the OR of the matched bits, a preimage the unmatched
-bits plus the bits matched into the target, a meet a bitwise AND, and
-equal masks are equal subspaces.  A mask's ``Subspace``, the span of its
-basis vectors, is built once, when the mask first appears; it gives the
-sort key, the provenance sources and the reported form.  Both kinds record
-meets by dimension class (a mask's incidence is one AND); only the
-``Subspace`` kind keeps the keys of its preimages (a mask's preimage is one
-pass over its bits).  An offer of a known element adds nothing, so both
-kinds add the same elements in the same order and give the same flag.  A
-flag closed on bitmasks also hands out each element's mask
-(``FlagAssignment.masks``), off which ``pipeline.build_families`` reads the
-projections in the bases it was closed in.  ``Matching.of`` reads a map
-with ``monomial``, the scan ``realize.verify_envelope`` shares.
+A second, smaller loop closes on bitmasks (``_close_on_masks``).  Given
+``BasisCoordinates`` (a basis per object in which every map is a partial
+matching of basis indices, see ``Matching``), every element is a
+coordinate subspace and is held as the bitmask of its basis indices: an
+image is the OR of the matched bits, a preimage the unmatched bits plus
+the bits matched into the target, a meet a bitwise AND, and equal masks
+are equal subspaces.  That loop makes the same offers in the same order:
+the images and the preimages of the fresh elements, map by map, then the
+AND of each pair of members of 2 or more bits, neither the full mask, at
+least one of them fresh, in ``sort_key`` pair order.  It keeps no meet
+record and no preimage keys, and offers what the loop on subspaces skips
+as known; a known mask adds nothing, so each element arrives at the same
+offer with the same witness, and the same limits stop both.  A mask's
+``Subspace``, the span of its basis vectors, is built once, when the mask
+first appears; it gives the sort key, the provenance sources and the
+reported form.  At the end a member's down-set is the members whose masks
+are subsets of its own (m & n == m), and ``poset.assemble_poset`` takes
+the covers by the transitive reduction ``build_poset`` uses.  A flag
+closed on bitmasks also hands out each element's mask
+(``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
+the projections in the bases it was closed in.  ``Matching.of`` reads a
+map with ``monomial``, the scan ``realize.verify_envelope`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
-from functools import partial
-from operator import and_
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ClosureDivergence
 from .fields import Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
-from .poset import SubspacePoset, build_poset, export_dot
+from .poset import SubspacePoset, assemble_poset, build_poset, export_dot
 from .rep import Generator, Representation
 
 
@@ -252,63 +254,51 @@ class BasisCoordinates(NamedTuple):
     matchings: Tuple[Matching, ...]
 
 
-Element = Hashable  # a Subspace, or the bitmask of a coordinate subspace
+class Arrow(NamedTuple):
+    """A map's id and ends: all that a closure on bitmasks reads of a map
+    besides its ``Matching``."""
+
+    id: str
+    dom: str
+    cod: str
 
 
-# The closure rules on one kind of element: the seeds (zero, full) of a
-# dimension, the image and the preimage under each map, the meet, the
-# incidence of lines with larger elements (given the lines, a test that
-# returns the positions of those that lie in an element), and the Subspace
-# of an element at an object, which is built once per element.  A Subspace
-# preimage is taken of the element's meet with the map's image
-# (``preimage_of_meet``), a bitmask one of the element itself.
-_Rules = Tuple[
-    Callable[[int], Tuple[Element, Element]],
-    Sequence[Callable[[Element], Element]],
-    Sequence[Callable[[Element], Element]],
-    Callable[[Element, Element], Element],
-    Callable[[Sequence[Element]], Callable[[Element], List[int]]],
-    Callable[[str, Element], Subspace],
-]
+def _join(spaces: Sequence[Subspace], order: List[int], sort_keys: list) -> List[int]:
+    """Make the elements offered since the last join (the ordinals past the
+    members ``order``) members, inserting each into ``order`` and its key into
+    ``sort_keys`` in ``sort_key`` order; return them in that order, as the
+    fresh ones."""
+    joining = sorted((spaces[k].sort_key, k) for k in range(len(order), len(spaces)))
+    at = 0
+    for sk, k in joining:
+        at = bisect_right(sort_keys, sk, at)
+        sort_keys.insert(at, sk)
+        order.insert(at, k)
+        at += 1
+    return [k for _, k in joining]
 
 
-def _lines_in(lines: Sequence[Subspace]) -> Callable[[Subspace], List[int]]:
-    rows = [line._ints()[0][0] for line in lines]
-    return lambda b: b._holding(rows)
+def _fresh_pairs(mids: Sequence[int], first: int) -> Iterator[Tuple[int, int]]:
+    """The pairs of the ordinals ``mids``, given in ``sort_key`` order, in
+    which a fresh one (an ordinal of ``first`` or more) takes part, in
+    ``sort_key`` pair order."""
+    fresh_at = [j for j, k in enumerate(mids) if k >= first]
+    for i, ka in enumerate(mids):
+        later = range(i + 1, len(mids)) if ka >= first else fresh_at[bisect_right(fresh_at, i):]
+        for j in later:
+            yield ka, mids[j]
 
 
-def _subspace_rules(rep: Representation, maps: Sequence[Generator]) -> _Rules:
-    return (
-        lambda n: (Subspace.zero(rep.field, n), Subspace.full(rep.field, n)),
-        [partial(map_image, g.matrix) for g in maps],
-        [partial(preimage_of_meet, g.matrix) for g in maps],
-        sub_intersect,
-        _lines_in,
-        lambda oid, s: s,
-    )
-
-
-def _mask_rules(rep: Representation, coordinates: BasisCoordinates) -> _Rules:
-    columns = {oid: b._ints()[2] for oid, b in coordinates.bases.items()}
-
-    def subspace(oid: str, mask: int) -> Subspace:
-        cols = columns[oid]
-        return Subspace.span(rep.field, len(cols), [c for j, c in enumerate(cols) if mask >> j & 1])
-
-    return (
-        lambda n: (0, (1 << n) - 1),
-        [m.image for m in coordinates.matchings],
-        [m.preimage for m in coordinates.matchings],
-        and_,
-        lambda lines: lambda b: [i for i, line in enumerate(lines) if line & b == line],
-        subspace,
+def _out_of_rounds(limits: ClosureLimits, rounds: int, sizes: Dict[str, int]) -> ClosureDivergence:
+    return ClosureDivergence(
+        f"no fixpoint after {limits.max_rounds} rounds", rule="rounds", rounds=rounds, sizes=sizes
     )
 
 
 def compute_flag(
     rep: Representation,
     limits: ClosureLimits = ClosureLimits(),
-    extra_maps: Sequence[Generator] = (),
+    extra_maps: Sequence[Union[Generator, Arrow]] = (),
     coordinates: Optional[BasisCoordinates] = None,
 ) -> FlagAssignment:
     """Least fixpoint of the closure rules, deduplicated by canonical form.
@@ -316,28 +306,27 @@ def compute_flag(
     ``extra_maps`` adjoins additional linear maps (same closure rules) without
     touching the representation itself; the pipeline uses this to saturate a
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
-    closure runs on bitmasks of basis indices (see the module docstring); the
+    closure runs on bitmasks of basis indices (``_close_on_masks``), and
+    reads of an extra map only its id and ends (an ``Arrow`` will do); the
     result is the same, and carries each element's mask.
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
     docstring).
     """
-    maps: List[Generator] = list(rep.generators) + list(extra_maps)
-    seeds, images, preimages, meet, incident, subspace = (
-        _subspace_rules(rep, maps) if coordinates is None else _mask_rules(rep, coordinates)
-    )
-    # on subspaces, each map's image: the one cached with the factorization
-    # that ``preimage_of_meet`` lifts keys by, and from round 2 on its ordinal
-    ims = [g.matrix._factored()[1] for g in maps] if coordinates is None else None
+    maps = list(rep.generators) + list(extra_maps)
+    if coordinates is not None:
+        return _close_on_masks(rep, limits, maps, coordinates)
+    # each map's image: the one cached with the factorization that
+    # ``preimage_of_meet`` lifts keys by, and from round 2 on its ordinal
+    ims = [g.matrix._factored()[1] for g in maps]
     im_at: List[int] = []
-    # per object, by ordinal (order of arrival): each element, its Subspace
-    # and its witness; and for a member of ordinal k, the ordinals of its
-    # meets with ordinals 0..k-1.  The seed 0 has ordinal 0 and the full
-    # space ordinal 1 (in a space of dimension 0 they are one element).
-    ordinal: Dict[str, Dict[Element, int]] = {}
-    element: Dict[str, List[Element]] = {}
-    space: Dict[str, List[Subspace]] = {}
+    # per object, by ordinal (order of arrival): each element and its
+    # witness; and for a member of ordinal k, the ordinals of its meets with
+    # ordinals 0..k-1.  The seed 0 has ordinal 0 and the full space ordinal
+    # 1 (in a space of dimension 0 they are one element).
+    ordinal: Dict[str, Dict[Subspace, int]] = {}
+    element: Dict[str, List[Subspace]] = {}
     witness: Dict[str, List[Witness]] = {}
     meets: Dict[str, List[List[Optional[int]]]] = {}
     # per object: the members' ordinals in ``sort_key`` order and their sort
@@ -354,7 +343,7 @@ def compute_flag(
     keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
 
-    def offer(oid: str, s: Element, rule: str, g: Optional[Generator], *sources: int) -> int:
+    def offer(oid: str, s: Subspace, rule: str, g: Optional[Generator], *sources: int) -> int:
         """Add ``s`` unless already known, with its witness: the rule, the
         map ``g`` and the ordinals of the sources (an element at g's other
         end, or the two elements of a meet); return its ordinal."""
@@ -363,8 +352,7 @@ def compute_flag(
         if k is None:
             k = ords[s] = len(ords)
             element[oid].append(s)
-            space[oid].append(subspace(oid, s))
-            at = space[oid if g is None else g.dom if rule == "image" else g.cod]
+            at = element[oid if g is None else g.dom if rule == "image" else g.cod]
             sources_at = tuple(at[x] for x in sources)
             witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
             _check_budget(oid, k + 1, rule, limits, rounds)
@@ -375,25 +363,18 @@ def compute_flag(
         fresh ones, and record each one's meets that dimension decides: 0
         and the full space meet it in 0 and in it, two lines meet in 0, and
         a line and a larger element meet in the line or in 0, by one
-        incidence."""
-        elems, spaces, ords, keys, record = (
-            element[oid], space[oid], order[oid], sort_keys[oid], meets[oid]
-        )
+        incidence (dot products with the larger one's cached normal rows,
+        for all the lines to test at once)."""
+        elems, ords, keys, record = element[oid], order[oid], sort_keys[oid], meets[oid]
         first = len(ords)
-        joining = sorted((spaces[k].sort_key, k) for k in range(first, len(elems)))
-        fresh[oid] = [k for _, k in joining]
-        if not joining:
+        fresh[oid] = _join(elems, ords, keys)
+        if not fresh[oid]:
             return
-        record.extend([None] * len(joining))
-        at = 0
-        for sk, k in joining:
-            at = bisect_right(keys, sk, at)
-            keys.insert(at, sk)
-            ords.insert(at, k)
-            at += 1
+        record.extend([None] * len(fresh[oid]))
+        for k in fresh[oid]:
             # 0 with ordinal 0, k with the full space, and 0 with every
             # other ordinal below a line (its incidences follow)
-            record[k] = [0, k][:k] + [0 if sk[0] == 1 else None] * (k - 2)
+            record[k] = [0, k][:k] + [0 if elems[k].dim == 1 else None] * (k - 2)
         # each pair of a line and a larger element, one of them fresh
         top = len(ords) - 1  # the position of the full space
         mid = max(1, min(bisect_left(keys, (2,)), top))
@@ -406,9 +387,9 @@ def compute_flag(
             (lines, [m for m in mids if m >= first]),
             (fresh_lines, [m for m in mids if m < first]),
         ):
-            lines_in = incident([elems[ln] for ln in tested])
+            rows = [elems[ln]._ints()[0][0] for ln in tested]
             for m in against:
-                inside = set(lines_in(elems[m]))
+                inside = set(elems[m]._holding(rows))
                 for i, ln in enumerate(tested):
                     lo, hi = (ln, m) if ln < m else (m, ln)
                     record[hi][lo] = ln if i in inside else 0
@@ -430,7 +411,7 @@ def compute_flag(
         if m is None:
             s = keyed.get((oid, lo, hi))
             if s is None:
-                s = keyed[oid, lo, hi] = meet(element[oid][b], element[oid][im])
+                s = keyed[oid, lo, hi] = sub_intersect(element[oid][b], element[oid][im])
             return s
         return None if m == 0 or m == im else element[oid][m]
 
@@ -438,24 +419,20 @@ def compute_flag(
         """Intersect every pair of members of dimension 2 or more, neither
         the full space, in which a fresh one takes part (or take the meet
         ``key`` kept), and offer the meets, in ``sort_key`` pair order."""
-        mids, elems, record = larger[oid], element[oid], meets[oid]
+        elems, record = element[oid], meets[oid]
         first = len(order[oid]) - len(fresh[oid])
-        fresh_at = [j for j, k in enumerate(mids) if k >= first]
-        for i, ka in enumerate(mids):
-            a = elems[ka]
-            later = range(i + 1, len(mids)) if ka >= first else fresh_at[bisect_right(fresh_at, i):]
-            for j in later:
-                kb = mids[j]
-                lo, hi = (ka, kb) if ka < kb else (kb, ka)
-                s = keyed.pop((oid, lo, hi), None) if keyed else None
-                if s is None:
-                    s = meet(a, elems[kb])
-                record[hi][lo] = offer(oid, s, "intersect", None, ka, kb)
+        for ka, kb in _fresh_pairs(larger[oid], first):
+            lo, hi = (ka, kb) if ka < kb else (kb, ka)
+            s = keyed.pop((oid, lo, hi), None) if keyed else None
+            if s is None:
+                s = sub_intersect(elems[ka], elems[kb])
+            record[hi][lo] = offer(oid, s, "intersect", None, ka, kb)
 
     for o in rep.objects:
-        elems = element[o.id] = list(dict.fromkeys(seeds(o.dim)))
+        elems = element[o.id] = list(
+            dict.fromkeys((Subspace.zero(rep.field, o.dim), Subspace.full(rep.field, o.dim)))
+        )
         ordinal[o.id] = {s: k for k, s in enumerate(elems)}
-        space[o.id] = [subspace(o.id, s) for s in elems]
         witness[o.id] = [Witness("seed")] * len(elems)
         meets[o.id], order[o.id], sort_keys[o.id], larger[o.id] = [], [], [], []
         join(o.id)
@@ -464,22 +441,17 @@ def compute_flag(
     try:
         while True:
             if rounds >= limits.max_rounds:
-                raise ClosureDivergence(
-                    f"no fixpoint after {limits.max_rounds} rounds",
-                    rule="rounds",
-                    rounds=rounds,
-                    sizes={oid: len(elems) for oid, elems in element.items()},
-                )
+                raise _out_of_rounds(limits, rounds, {oid: len(e) for oid, e in element.items()})
             rounds += 1
             # step 1: the image and preimage offers
-            for gi, (g, image_of, preimage) in enumerate(zip(maps, images, preimages)):
+            for gi, g in enumerate(maps):
                 for a in fresh[g.dom]:
-                    offer(g.cod, image_of(element[g.dom][a]), "image", g, a)
+                    offer(g.cod, map_image(g.matrix, element[g.dom][a]), "image", g, a)
                 for b in fresh[g.cod]:
-                    k = element[g.cod][b] if ims is None else key(g.cod, b, gi)
+                    k = key(g.cod, b, gi)
                     if k is not None:
-                        offer(g.dom, preimage(k), "preimage", g, b)
-            if rounds == 1 and ims is not None:
+                        offer(g.dom, preimage_of_meet(g.matrix, k), "preimage", g, b)
+            if rounds == 1:
                 im_at = [ordinal[g.cod][im] for g, im in zip(maps, ims)]
             # step 2: the meet offers
             for oid in element:
@@ -489,13 +461,110 @@ def compute_flag(
             for oid in element:
                 join(oid)
     except ClosureDivergence as stop:
-        stop.reached = {oid: list(spaces) for oid, spaces in space.items()}
+        stop.reached = {oid: list(elems) for oid, elems in element.items()}
         raise
     return FlagAssignment(
-        posets={oid: build_poset(space[oid], meets[oid], order[oid]) for oid in element},
-        provenance={oid: dict(zip(space[oid], witness[oid])) for oid in element},
+        posets={oid: build_poset(element[oid], meets[oid], order[oid]) for oid in element},
+        provenance={oid: dict(zip(element[oid], witness[oid])) for oid in element},
         rounds=rounds,
-        masks=None if coordinates is None else {
-            oid: tuple(elems[k] for k in order[oid]) for oid, elems in element.items()
-        },
+    )
+
+
+def _close_on_masks(
+    rep: Representation,
+    limits: ClosureLimits,
+    maps: Sequence[Union[Generator, Arrow]],
+    coordinates: BasisCoordinates,
+) -> FlagAssignment:
+    """``compute_flag`` on the bitmasks of basis indices of ``coordinates``,
+    whose ``matchings`` are those of ``maps``, in order.
+
+    It makes the offers of the closure on subspaces in the same order:
+    per round, map by map, the image of each fresh element at the domain and
+    the preimage of each at the codomain; then, object by object, the AND of
+    each pair of members of 2 or more bits, neither the full mask, at least
+    one of them fresh, in ``sort_key`` pair order.  A known mask adds
+    nothing, so each element arrives as it does there, with the same
+    witness, and the same limits stop it at the same offer.  No meet is
+    recorded: at the end a member's down-set is the members whose masks
+    are subsets of its own.
+    """
+    field = rep.field
+    columns = {oid: b._ints()[2] for oid, b in coordinates.bases.items()}
+    # per object, by ordinal (order of arrival): each mask, its Subspace,
+    # the span of its basis vectors, and its witness; and the members'
+    # ordinals in ``sort_key`` order, their keys and the fresh ones
+    ordinal: Dict[str, Dict[int, int]] = {}
+    masks: Dict[str, List[int]] = {}
+    spaces: Dict[str, List[Subspace]] = {}
+    witness: Dict[str, List[Witness]] = {}
+    order: Dict[str, List[int]] = {}
+    sort_keys: Dict[str, list] = {}
+    fresh: Dict[str, List[int]] = {}
+    rounds = 0
+
+    def add(oid: str, mask: int, rule: str, g: Optional[Arrow], *sources: int) -> None:
+        """Add a mask not yet known, with its Subspace and its witness (see
+        ``compute_flag``'s ``offer``)."""
+        ords = ordinal[oid]
+        k = ords[mask] = len(ords)
+        masks[oid].append(mask)
+        cols = columns[oid]
+        spaces[oid].append(
+            Subspace.span(field, len(cols), [c for j, c in enumerate(cols) if mask >> j & 1])
+        )
+        at = spaces[oid if g is None else g.dom if rule == "image" else g.cod]
+        sources_at = tuple(at[x] for x in sources)
+        witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
+        _check_budget(oid, k + 1, rule, limits, rounds)
+
+    for o in rep.objects:
+        ms = masks[o.id] = list(dict.fromkeys((0, (1 << o.dim) - 1)))
+        ordinal[o.id] = {m: k for k, m in enumerate(ms)}
+        spaces[o.id] = [Subspace.zero(field, o.dim), Subspace.full(field, o.dim)][: len(ms)]
+        witness[o.id] = [Witness("seed")] * len(ms)
+        order[o.id], sort_keys[o.id] = [], []
+        fresh[o.id] = _join(spaces[o.id], order[o.id], sort_keys[o.id])
+    try:
+        while True:
+            if rounds >= limits.max_rounds:
+                raise _out_of_rounds(limits, rounds, {oid: len(ms) for oid, ms in masks.items()})
+            rounds += 1
+            # an offer of a known mask adds nothing, and is not made
+            for g, m in zip(maps, coordinates.matchings):
+                for a in fresh[g.dom]:
+                    mask = m.image(masks[g.dom][a])
+                    if mask not in ordinal[g.cod]:
+                        add(g.cod, mask, "image", g, a)
+                for b in fresh[g.cod]:
+                    mask = m.preimage(masks[g.cod][b])
+                    if mask not in ordinal[g.dom]:
+                        add(g.dom, mask, "preimage", g, b)
+            for oid, ms in masks.items():
+                full, known = (1 << len(columns[oid])) - 1, ordinal[oid]
+                mids = [k for k in order[oid] if ms[k] != full and ms[k].bit_count() > 1]
+                for ka, kb in _fresh_pairs(mids, len(order[oid]) - len(fresh[oid])):
+                    mask = ms[ka] & ms[kb]
+                    if mask not in known:
+                        add(oid, mask, "intersect", None, ka, kb)
+            if all(len(order[oid]) == len(ms) for oid, ms in masks.items()):
+                break
+            for oid in masks:
+                fresh[oid] = _join(spaces[oid], order[oid], sort_keys[oid])
+    except ClosureDivergence as stop:
+        stop.reached = {oid: list(s) for oid, s in spaces.items()}
+        raise
+    posets, in_order = {}, {}
+    for oid, ms in masks.items():
+        ordered = in_order[oid] = tuple(ms[k] for k in order[oid])
+        down = [
+            sum(1 << i for i, m in enumerate(ordered[:j]) if m & n == m) | 1 << j
+            for j, n in enumerate(ordered)
+        ]
+        posets[oid] = assemble_poset([spaces[oid][k] for k in order[oid]], down)
+    return FlagAssignment(
+        posets=posets,
+        provenance={oid: dict(zip(spaces[oid], witness[oid])) for oid in masks},
+        rounds=rounds,
+        masks=in_order,
     )

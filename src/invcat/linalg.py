@@ -461,8 +461,14 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
+        """The whole space.  The identity rows are already its canonical
+        RREF basis, so nothing is eliminated."""
         n = ambient_dim
-        return cls.span(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        pivots = list(range(n))
+        s = cls(field, n, tuple(_emit(field, rows, pivots)))
+        object.__setattr__(s, "_int_form", (tuple(rows), tuple(pivots)))
+        return s
 
     @property
     def dim(self) -> int:

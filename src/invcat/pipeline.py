@@ -27,8 +27,11 @@ basis.  When each of those matrices has at most one nonzero entry per row
 and per column, every generator is a partial matching of basis indices, and
 its pseudo-inverse the transposed matching; every saturated element is then
 spanned by basis vectors, and the saturation closure runs on bitmasks of
-basis indices (``flag.BasisCoordinates``).  The saturated flag then carries
-each element's mask, and the passing path stays in the bases
+basis indices (``flag.BasisCoordinates``).  That closure reads only the
+matchings and the ids and ends of the maps, so no pseudo-inverse matrix is
+built for it: ``Analysis.pseudo_inverses`` builds them when first read,
+which only ``envelope`` does.  The saturated flag then carries each
+element's mask, and the passing path stays in the bases
 (``Analysis.bases``) to the end: its report takes no rank count (it holds by
 construction), each projection is read off its element's mask in the bases
 (``build_families``), and the families hand the bases to
@@ -81,7 +84,7 @@ from .criterion import (
     refute_partial,
 )
 from .errors import ClosureDivergence, ValidationError
-from .flag import BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
+from .flag import Arrow, BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
 from .linalg import Matrix
 from .poset import meet_closure
 from .realize import (
@@ -102,10 +105,11 @@ class Analysis:
     flag: FlagAssignment
     # the standard verdict: the rank count holds at every object of ``flag``
     passed: bool
-    # set when the count holds and the flag was saturated
-    pseudo_inverses: Optional[Dict[str, Matrix]] = None
     # per object, the adapted basis (columns) of ``realize.transported_bases``
     bases: Optional[Dict[str, Matrix]] = None
+    # set when the count holds and the flag was saturated: each generator's
+    # matrix in ``bases``, off which its pseudo-inverse is read
+    in_bases: Optional[Dict[str, Matrix]] = None
     saturation_note: Optional[str] = None
     # set when the closure stopped at a limit; ``flag`` is then the
     # one-object part (without provenance) that ``report`` refutes the input on
@@ -125,10 +129,20 @@ class Analysis:
         return self.standard_report if self.mu_mode == "standard" else self._report(self.mu_mode)
 
     @cached_property
+    def pseudo_inverses(self) -> Optional[Dict[str, Matrix]]:
+        """Each generator's pseudo-inverse, read off ``bases``; None unless
+        the flag passed and was saturated.  A saturation on subspaces closes
+        under them and sets them; on bitmasks they are built here, when first
+        read, which only ``envelope`` does."""
+        if self.in_bases is None:
+            return None
+        return _read_pseudo_inverses(self.rep, self.bases, self.in_bases)
+
+    @cached_property
     def families(self) -> Optional[Dict[str, ProjectionFamily]]:
         """The projection families of the reported flag; None unless it passed
         and was saturated."""
-        return None if self.pseudo_inverses is None else build_families(self.flag, self.bases)
+        return None if self.in_bases is None else build_families(self.flag, self.bases)
 
 
 def _count_holds(flag: FlagAssignment) -> bool:
@@ -173,53 +187,85 @@ def build_families(flag: FlagAssignment, bases: Dict[str, Matrix]) -> Dict[str, 
     }
 
 
+def _generator_coordinates(rep: Representation, bases: Dict[str, Matrix]) -> Dict[str, Matrix]:
+    """Each generator's matrix in ``bases``, B_cod^-1 g B_dom.  Only the
+    codomains' bases are inverted."""
+    inverses = {g.cod: basis_inverse(bases[g.cod]) for g in rep.generators}
+    return {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
+
+
+def _read_pseudo_inverses(
+    rep: Representation, bases: Dict[str, Matrix], in_bases: Dict[str, Matrix]
+) -> Dict[str, Matrix]:
+    """Each generator's pseudo-inverse, read off its matrix in ``bases``."""
+    return {
+        g.id: make_pseudo_inverse(in_bases[g.id], bases[g.dom], basis_inverse(bases[g.cod]))
+        for g in rep.generators
+    }
+
+
+def _matchings(
+    rep: Representation, bases: Dict[str, Matrix], in_bases: Dict[str, Matrix]
+) -> Optional[BasisCoordinates]:
+    """The ``BasisCoordinates`` of the generators and their pseudo-inverses,
+    or None unless every generator's matrix in ``bases`` is a matching."""
+    matchings = [Matching.of(in_bases[g.id]) for g in rep.generators]
+    if None in matchings:
+        return None
+    # a pseudo-inverse's matrix in the bases is the inverse matching
+    return BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
+
+
+def _dagger_maps(rep: Representation, daggers: Dict[str, Matrix]) -> Tuple[Generator, ...]:
+    """The maps g† that adjoin the pseudo-inverses ``daggers`` to a closure."""
+    return tuple(
+        Generator(id=f"{g.id}†", dom=g.cod, cod=g.dom, matrix=daggers[g.id])
+        for g in rep.generators
+    )
+
+
 def saturation_maps(
     rep: Representation, bases: Dict[str, Matrix]
 ) -> Tuple[Dict[str, Matrix], Tuple[Generator, ...], Optional[BasisCoordinates]]:
     """The pseudo-inverses read off ``bases``, the maps g† that adjoin them to
     the closure, and the ``BasisCoordinates`` of the generators and the g†,
-    or None unless every generator's matrix in ``bases`` is a matching.
-    Only the codomains' bases are inverted."""
-    inverses = {g.cod: basis_inverse(bases[g.cod]) for g in rep.generators}
-    coords = {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
-    pseudo_inverses = {
-        g.id: make_pseudo_inverse(coords[g.id], bases[g.dom], inverses[g.cod])
-        for g in rep.generators
-    }
-    extra = tuple(
-        Generator(id=f"{g.id}†", dom=g.cod, cod=g.dom, matrix=pseudo_inverses[g.id])
-        for g in rep.generators
-    )
-    matchings = [Matching.of(coords[g.id]) for g in rep.generators]
-    coordinates = None
-    if None not in matchings:
-        # a pseudo-inverse's matrix in the bases is the inverse matching
-        coordinates = BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
-    return pseudo_inverses, extra, coordinates
+    or None unless every generator's matrix in ``bases`` is a matching."""
+    in_bases = _generator_coordinates(rep, bases)
+    daggers = _read_pseudo_inverses(rep, bases, in_bases)
+    return daggers, _dagger_maps(rep, daggers), _matchings(rep, bases, in_bases)
 
 
-def _saturate(
-    rep: Representation,
-    flag: FlagAssignment,
-    limits: ClosureLimits,
-    bases: Dict[str, Matrix],
-) -> Tuple[FlagAssignment, Dict[str, Matrix], Optional[str]]:
-    """Close the passing flag under the pseudo-inverses read off ``bases``, on
-    bitmasks where every generator is a matching in the bases.  Returns the
-    flag to report, the pseudo-inverses and an optional note.
+def _saturate(analysis: Analysis, limits: ClosureLimits) -> None:
+    """Close the passing flag under the pseudo-inverses read off the
+    analysis's bases, on bitmasks where every generator is a matching in the
+    bases, and record the flag to report and an optional note.
 
-    On bitmasks every saturated element is a coordinate set of ``bases`` and
-    the family is meet-closed, so the rank count holds by construction and
-    is not taken; on subspaces it decides whether the flag is kept.
+    On bitmasks the closure reads only the matchings and the ids and ends of
+    the g†, so no pseudo-inverse is built (``Analysis.pseudo_inverses``
+    builds them when first read).  Every saturated element is then a
+    coordinate set of the bases and the family is meet-closed, so the rank
+    count holds by construction and is not taken.  On subspaces the
+    closure takes the pseudo-inverses as matrices, and the count decides
+    whether the flag is kept.
     """
-    pseudo_inverses, extra, coordinates = saturation_maps(rep, bases)
-    saturated = compute_flag(rep, limits, extra_maps=extra, coordinates=coordinates)
+    rep, bases = analysis.rep, analysis.bases
+    in_bases = analysis.in_bases = _generator_coordinates(rep, bases)
+    coordinates = _matchings(rep, bases, in_bases)
+    if coordinates is not None:
+        arrows = [Arrow(f"{g.id}†", g.cod, g.dom) for g in rep.generators]
+        analysis.flag = compute_flag(rep, limits, extra_maps=arrows, coordinates=coordinates)
+        analysis.flag.saturated = True
+        return
+    # set on the cached property, which is then not computed again
+    daggers = analysis.pseudo_inverses = _read_pseudo_inverses(rep, bases, in_bases)
+    saturated = compute_flag(rep, limits, extra_maps=_dagger_maps(rep, daggers))
     saturated.saturated = True
-    if coordinates is None and not _count_holds(saturated):
+    if _count_holds(saturated):
+        analysis.flag = saturated
+    else:
         # The bases were not coherent across a cycle; enrichment would flip
         # the verdict, so it is dropped.  The raw-flag verdict stands.
-        return flag, pseudo_inverses, "saturation discarded: enlarged flag goes criterion-negative"
-    return saturated, pseudo_inverses, None
+        analysis.saturation_note = "saturation discarded: enlarged flag goes criterion-negative"
 
 
 def analyze(
@@ -243,7 +289,5 @@ def analyze(
     if analysis.passed:
         analysis.bases = transported_bases(rep, flag)
         if saturate:
-            analysis.flag, analysis.pseudo_inverses, analysis.saturation_note = _saturate(
-                rep, flag, limits, analysis.bases
-            )
+            _saturate(analysis, limits)
     return analysis

@@ -23,8 +23,8 @@ The factorization criterion's standard mode is defined by ``two_var``;
 divergence is worth reporting (see the criterion module).  The criterion
 builds neither table: it takes the Moebius inverses of dimension and of
 the indicator of the zero element (which is ``one_var``) by the recursion
-of ``mobius_invert`` over each down-set, one step per comparable pair.
-``mobius`` builds the tables for the ``mobius`` command.
+of ``mobius_invert``, both in one pass over the down-sets, one step per
+comparable pair.  ``mobius`` builds the tables for the ``mobius`` command.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def build_poset(
     sort order, against the ones before it) raises ``NotMeetClosed``.
 
     The down-sets are read off the meets in one pass: a meet that equals
-    one of its pair is a containment.  The lower covers of b are the
-    elements of its strict down-set that lie in no other element's strict
-    down-set within it (transitive reduction over down-set bitmasks).
+    one of its pair is a containment.  ``assemble_poset`` reads the covers
+    off them.
     """
     given = list(subspaces) if meets is not None else list(set(subspaces))
     if order is None:
@@ -208,20 +207,28 @@ def build_poset(
             bit = 1 << position[k]
             for i in compress(lower, map(eq, row, repeat(k))):
                 down[position[i]] |= bit
+    return assemble_poset(elems, down)
+
+
+def assemble_poset(elements: Sequence[Subspace], down: Sequence[int]) -> SubspacePoset:
+    """The poset of ``elements``, in ``sort_key`` order from 0 to the full
+    space, with the down-set masks ``down``.  The lower covers of b are the
+    elements of its strict down-set that lie in no other element's strict
+    down-set within it (transitive reduction over down-set bitmasks)."""
     covers = []
-    for j in range(n):
-        strict = down[j] & ~(1 << j)
+    for j, mask in enumerate(down):
+        strict = mask & ~(1 << j)
         below = 0
         for z in members(strict):
             below |= down[z] & ~(1 << z)
         covers.extend((i, j) for i in members(strict & ~below))
     return SubspacePoset(
-        field=field,
-        ambient_dim=ambient,
-        elements=tuple(elems),
+        field=elements[0].field,
+        ambient_dim=elements[0].ambient_dim,
+        elements=tuple(elements),
         down=tuple(down),
         covers=tuple(sorted(covers)),
-        _index={s: i for i, s in enumerate(elems)},
+        _index={s: i for i, s in enumerate(elements)},
     )
 
 

@@ -232,6 +232,16 @@ def pseudo_inverse_from_coordinates(m: Matrix, p: Matrix, q_inv: Matrix) -> Matr
     projections in P and Q, which fix a pseudo-inverse.  Where zeta carries
     basis vectors to basis vectors or to zero, zeta* is the inverse matching.
     """
+    rows, _, pulled = _pulled_columns(m, p)
+    right = Matrix(m.field, len(rows), q_inv.cols, tuple(q_inv.entries[j] for j in rows))
+    return pulled @ right
+
+
+def _pulled_columns(m: Matrix, p: Matrix) -> Tuple[List[int], List[int], Matrix]:
+    """``(T, R, P[:, R] M[T, R]^-1)`` for zeta's matrix M in adapted bases P
+    and Q (see ``pseudo_inverse_from_coordinates``): M's nonzero rows T and
+    columns R, and the matrix whose column i is zeta*(Q e_(T[i])), the
+    image under the pseudo-inverse of the i-th basis vector of Q in im zeta."""
     field = m.field
     rows = [j for j, r in enumerate(m.entries) if any(r)]
     cols = [k for k in range(m.cols) if any(r[k] for r in m.entries)]
@@ -241,8 +251,7 @@ def pseudo_inverse_from_coordinates(m: Matrix, p: Matrix, q_inv: Matrix) -> Matr
     if block is None:
         raise ConstructionFailure("bases are not adapted to the kernel and the image")
     left = Matrix(field, p.rows, len(cols), tuple(tuple(r[k] for k in cols) for r in p.entries))
-    right = Matrix(field, len(rows), q_inv.cols, tuple(q_inv.entries[j] for j in rows))
-    return left @ block @ right
+    return rows, cols, left @ block
 
 
 def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Matrix]:
@@ -258,7 +267,11 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
       a in A_y outside im z;
     * pull along w: u -> y:  B_u = the a in A_u inside ker w, then w*(e) for
       the e in B_y inside im w, where w* is the pseudo-inverse for A_u and
-      B_y: the preimage of e in the span K of the rest of A_u.
+      B_y: the preimage of e in the span K of the rest of A_u.  With
+      M = B_y^-1 w A_u, the a inside ker w are the columns of A_u outside
+      M's nonzero columns R, and the w*(e) are the columns of
+      A_u[:, R] M[T, R]^-1, in the order of M's nonzero rows T (see
+      ``pseudo_inverse_from_coordinates``), so no pseudo-inverse is built.
 
     Both stay adapted: ker z and im z are flag elements, c meet im z =
     z(z^-1(c)) at y, and c = (c meet ker w) + (c meet K) with
@@ -290,12 +303,12 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
                     queue.append(g.cod)
                 elif g.cod == here and g.dom not in bases:
                     own = first_fit[g.dom]
-                    dagger = pseudo_inverse(
-                        g.matrix, _column_matrix(field, dims[g.dom], own), bases[here]
-                    )
-                    kept = [a for a in own if not any(g.matrix.apply(a))]
-                    pulled = [v for v in map(dagger.apply, vectors) if any(v)]
-                    bases[g.dom] = _column_matrix(field, dims[g.dom], kept + pulled)
+                    a_u = _column_matrix(field, dims[g.dom], own)
+                    m = basis_inverse(bases[here]) @ g.matrix @ a_u
+                    _, moved, pulled = _pulled_columns(m, a_u)
+                    kept = [a for k, a in enumerate(own) if k not in moved]
+                    pulled_vectors = list(zip(*pulled.entries))
+                    bases[g.dom] = _column_matrix(field, dims[g.dom], kept + pulled_vectors)
                     queue.append(g.dom)
     return {oid: bases[oid] for oid in dims}
 

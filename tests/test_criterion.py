@@ -255,7 +255,9 @@ def test_rank_count_names_least_exceeding_element():
 def test_rank_count_stops_at_the_first_excess(monkeypatch):
     """The count builds complements only up to the first excess and keeps
     that excess; a count that holds leaves every complement for
-    ``adapted_complements``."""
+    ``adapted_complements``.  An element whose lower covers span 0 (0 itself
+    and the atoms) is its own complement and takes no elimination, so the
+    spy sees exactly the other elements up to the first excess."""
     import invcat.criterion as criterion
 
     calls = []
@@ -268,13 +270,16 @@ def test_rank_count_stops_at_the_first_excess(monkeypatch):
     plane = Subspace.span(RATIONALS, 3, e[:2])
     p = build_poset([Subspace.zero(RATIONALS, 3), *lines, plane, Subspace.full(RATIONALS, 3)])
     bi, count = criterion.rank_count_excess(p)
-    assert calls == list(p.elements[: bi + 1]) and bi + 1 < len(p)
-    assert criterion.rank_count_excess(p) == (bi, count) and len(calls) == bi + 1
+    # 0 and the four lines take none; the plane, where the count first
+    # exceeds, takes one, and the full space is not reached
+    assert p.elements[bi] == plane and calls == [plane] and bi + 1 < len(p)
+    assert criterion.rank_count_excess(p) == (bi, count) and calls == [plane]
 
     calls.clear()
     chain = build_poset([ZERO2, X_AXIS, FULL2])
-    assert criterion.rank_count_excess(chain) is None and len(calls) == 3
-    assert len(criterion.adapted_complements(chain)) == 3 and len(calls) == 3
+    assert criterion.rank_count_excess(chain) is None and calls == [FULL2]
+    comps = criterion.adapted_complements(chain)
+    assert comps[:2] == (ZERO2, X_AXIS) and comps[2].dim == 1 and calls == [FULL2]
 
 
 def test_mode_disagreements_reported(bisection):

@@ -126,6 +126,18 @@ def test_kernel_image_extremes():
 # --- subspace algebra -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF(2), GF(10007)])
+def test_full_space_is_the_span_of_the_identity(field):
+    """``Subspace.full`` skips the elimination, and is the value, the integer
+    form and the hash of the identity's span, with the same scalar types."""
+    for n in range(6):
+        full = Subspace.full(field, n)
+        ref = Subspace.span(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert full == ref and full.is_full and hash(full) == hash(ref)
+        assert full._ints() == ref._ints()
+        assert [list(map(type, r)) for r in full.basis] == [list(map(type, r)) for r in ref.basis]
+
+
 def test_lines_intersect_trivially():
     a = Subspace.span(RATIONALS, 2, [[1, 0]])
     b = Subspace.span(RATIONALS, 2, [[0, 1]])

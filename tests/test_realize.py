@@ -217,12 +217,12 @@ def test_each_basis_is_eliminated_once(rng, monkeypatch):
     out for the generators' codomains, never another object's and never a
     copy.  Through the families and ``verify_envelope`` as well, no matrix
     is eliminated twice, and every basis inverted is one handed out.  The
-    blocks that ``pseudo_inverse_from_coordinates`` inverts are not
-    bases."""
+    blocks that ``_pulled_columns`` inverts, for the transport's pulls and
+    for ``pseudo_inverse_from_coordinates``, are not bases."""
     eliminated = _spy_eliminations(monkeypatch)
 
     def bases_inverted():
-        return {id(m) for m, caller in eliminated if caller != "pseudo_inverse_from_coordinates"}
+        return {id(m) for m, caller in eliminated if caller != "_pulled_columns"}
 
     reps = []
     for _ in range(20):
