@@ -2,7 +2,9 @@
 
 The certificate is read off the adapted bases the analysis carries
 (``realize.transported_bases``), which every generator of a cycle-free quiver
-carries to basis vectors or to zero.  Each basis vector spans one atom, a
+carries to basis vectors or to zero, and off each generator's matrix in
+them, the partial matching the transport built (``Analysis.in_bases``); no
+generator is applied to a vector.  Each basis vector spans one atom, a
 line.  A generator sends an atom to the atom of the basis vector it hits,
 with a 1x1 block, or to zero.  The summands are the connected components of
 that matching: rank-one strands, which on A_n are the intervals of the
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import AlignmentFailure, CriterionViolated, CycleError
-from .fields import Field, Scalar
-from .flag import ClosureLimits
+from .fields import Field
+from .flag import ClosureLimits, monomial
 from .linalg import Matrix, Subspace, inverse
 from .pipeline import Analysis, analyze
 from .rep import EntryBudget, Representation, connected_components, expect, quiver_shape, read_rows
@@ -174,48 +176,44 @@ class BlockcodeDecomposition:
 
 
 def _read_off(
-    rep: Representation, bases: Dict[str, Matrix]
+    rep: Representation, bases: Dict[str, Matrix], in_bases: Dict[str, Matrix]
 ) -> Tuple[
     Dict[str, List[Subspace]],
     Dict[str, Dict[int, Optional[int]]],
     Dict[str, Dict[int, Matrix]],
 ]:
-    """Atoms, action and blocks from bases that every generator carries to
-    basis vectors or to zero: each basis vector spans one atom, and a
-    generator sends it to the atom of the basis vector it hits.
+    """Atoms, action and blocks off the bases and each generator's matrix in
+    them (``Analysis.in_bases``): each basis vector spans one atom, and a
+    generator whose matrix is monomial sends basis vector v_i to s w_j, so
+    the atom of v_i to the atom of w_j, or to zero.
 
-    An atom's stored basis is its vector v scaled to a leading 1, so a block
-    is lead(z(v)) / lead(v).
+    An atom's stored basis is its vector scaled to a leading 1, so that
+    block is s lead(w_j) / lead(v_i).
     """
     field = rep.field
     vectors = {o.id: list(zip(*bases[o.id].entries)) for o in rep.objects}
     atoms = {
         o.id: [Subspace.span(field, o.dim, [v]) for v in vectors[o.id]] for o in rep.objects
     }
-
-    def lead(v: Sequence[Scalar]) -> Scalar:
-        return next(x for x in v if x)
-
+    leads = {oid: [next(x for x in v if x) for v in vs] for oid, vs in vectors.items()}
     action: Dict[str, Dict[int, Optional[int]]] = {}
     blocks: Dict[str, Dict[int, Matrix]] = {}
     for g in rep.generators:
-        index = {w: j for j, w in enumerate(vectors[g.cod])}
+        hat = monomial(in_bases[g.id])
+        if hat is None:
+            raise AlignmentFailure(
+                f"generator {g.id!r} is not monomial in the adapted bases", generator=g.id
+            )
         act: Dict[int, Optional[int]] = {}
         blk: Dict[int, Matrix] = {}
-        for i, v in enumerate(vectors[g.dom]):
-            w = g.matrix.apply(v)
-            if not any(w):
+        for i, e in enumerate(hat):
+            if e is None:
                 act[i] = None
                 continue
-            j = index.get(w)
-            if j is None:
-                raise AlignmentFailure(
-                    f"generator {g.id!r} carries a basis vector to a non-basis vector",
-                    generator=g.id,
-                    atom=atoms[g.dom][i].to_json(),
-                )
+            j, s = e
             act[i] = j
-            blk[i] = Matrix(field, 1, 1, ((field.div(lead(w), lead(v)),),))
+            block = field.div(field.mul(s, leads[g.cod][j]), leads[g.dom][i])
+            blk[i] = Matrix(field, 1, 1, ((block,),))
         action[g.id] = act
         blocks[g.id] = blk
     return atoms, action, blocks
@@ -255,7 +253,7 @@ def decompose(
         raise CriterionViolated(
             "criterion fails; the representation does not factor", report=analysis.standard_report
         )
-    atoms, action, blocks = _read_off(rep, analysis.bases)
+    atoms, action, blocks = _read_off(rep, analysis.bases, analysis.in_bases)
     components = _components(rep, atoms, action)
     summands = tuple(tuple(comp) for comp in components)
     summand_dims = tuple(

@@ -426,9 +426,10 @@ class Subspace:
     _json_rows = None  # the basis rows as JSON scalars, tuples of tuples
 
     def __hash__(self) -> int:
+        # the integer rows are canonical too, and hash without a Fraction
         h = self._hash
         if h is None:
-            h = hash((self.field, self.ambient_dim, self.basis))
+            h = hash((self.field, self.ambient_dim, self._ints()[0]))
             object.__setattr__(self, "_hash", h)
         return h
 

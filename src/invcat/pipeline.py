@@ -13,34 +13,36 @@ that prints neither pays for neither; a failing report still lists the score
 witnesses, and distributivity witnesses only where no pair scores negative.
 
 When the count holds, ``realize.transported_bases`` picks one adapted basis
-per object, and each generator's pseudo-inverse is read off the bases at its
-two ends.  The flag is then *saturated*: the closure is run once more with
-those pseudo-inverses as extra maps.  The saturated flag is what gets
+per object and hands over each generator's matrix in those bases, its
+*reading* (``Analysis.in_bases``): on a forest edge of the transport, the
+0/1 partial matching the transport built, and only on an edge that closes a
+cycle the conjugate B_cod^-1 g B_dom.  Every later reader of a generator in
+the bases reads it there: the saturation, the pseudo-inverses and
+``decompose``.  The flag is then *saturated*: the closure is run once more
+with the pseudo-inverses as extra maps.  The saturated flag is what gets
 reported; it is the family of images reachable in the generated envelope,
 which is what published worked examples depict.
 
 Each basis is inverted at most once: the inverse is cached on its ``Matrix``
-(``linalg.inverse``), and every reader calls ``realize.basis_inverse``.  The
-inverse of each generator's codomain basis gives the generator's matrix in
-the bases, from which its pseudo-inverse is read; ``check`` inverts no other
-basis.  When each of those matrices has at most one nonzero entry per row
-and per column, every generator is a partial matching of basis indices, and
-its pseudo-inverse the transposed matching; every saturated element is then
-spanned by basis vectors, and the saturation closure runs on bitmasks of
-basis indices (``flag.BasisCoordinates``).  That closure reads only the
-matchings and the ids and ends of the maps, so no pseudo-inverse matrix is
-built for it: ``Analysis.pseudo_inverses`` builds them when first read,
+(``linalg.inverse``), and every reader calls ``realize.basis_inverse``.  On
+a cycle-free quiver ``check`` inverts only the codomain bases of the
+transport's pulls.  When every reading is a partial matching of basis
+indices (``flag.Matching``), each pseudo-inverse's matrix in the bases is
+the transposed matching; every saturated element is then spanned by basis
+vectors, and the saturation closure runs on bitmasks of basis indices
+(``flag.BasisCoordinates``).  That closure reads only the matchings and the
+ids and ends of the maps, so no pseudo-inverse matrix is built for it:
+``Analysis.pseudo_inverses`` builds them off the readings when first read,
 which only ``envelope`` does.  The saturated flag then carries each
 element's mask, and the passing path stays in the bases
 (``Analysis.bases``) to the end: its report takes no rank count (it holds by
 construction), each projection is read off its element's mask in the bases
 (``build_families``), and the families hand the bases to
 ``realize.verify_envelope``, which closes the envelope on monomial maps in
-them.  The bases are transported along a spanning forest of the quiver, so
-that always holds on a cycle-free quiver, where the bases stay adapted and
-the saturated flag passes.  Otherwise the saturation closure runs on
-subspaces, with the same result wherever both apply.  On a quiver with an
-undirected cycle the edges that close a cycle need not respect the
+them.  On a cycle-free quiver every reading is a matching, the bases stay
+adapted and the saturated flag passes.  Otherwise the saturation closure
+runs on subspaces, with the same result wherever both apply.  On a quiver
+with an undirected cycle the edges that close a cycle need not respect the
 transported bases; where the count then fails on the saturated flag it is
 discarded, with a note, and the raw flag and its families are reported.
 Failing inputs are never saturated.
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .criterion import (
     MU_MODES,
@@ -105,10 +107,10 @@ class Analysis:
     flag: FlagAssignment
     # the standard verdict: the rank count holds at every object of ``flag``
     passed: bool
-    # per object, the adapted basis (columns) of ``realize.transported_bases``
+    # set when the count holds: per object, the adapted basis (columns) of
+    # ``realize.transported_bases``, and each generator's matrix in those
+    # bases, as the transport hands it over
     bases: Optional[Dict[str, Matrix]] = None
-    # set when the count holds and the flag was saturated: each generator's
-    # matrix in ``bases``, off which its pseudo-inverse is read
     in_bases: Optional[Dict[str, Matrix]] = None
     saturation_note: Optional[str] = None
     # set when the closure stopped at a limit; ``flag`` is then the
@@ -130,19 +132,22 @@ class Analysis:
 
     @cached_property
     def pseudo_inverses(self) -> Optional[Dict[str, Matrix]]:
-        """Each generator's pseudo-inverse, read off ``bases``; None unless
-        the flag passed and was saturated.  A saturation on subspaces closes
-        under them and sets them; on bitmasks they are built here, when first
-        read, which only ``envelope`` does."""
+        """Each generator's pseudo-inverse, read off its matrix in ``bases``;
+        None where the count fails."""
         if self.in_bases is None:
             return None
-        return _read_pseudo_inverses(self.rep, self.bases, self.in_bases)
+        return {
+            g.id: make_pseudo_inverse(
+                self.in_bases[g.id], self.bases[g.dom], basis_inverse(self.bases[g.cod])
+            )
+            for g in self.rep.generators
+        }
 
     @cached_property
     def families(self) -> Optional[Dict[str, ProjectionFamily]]:
-        """The projection families of the reported flag; None unless it passed
-        and was saturated."""
-        return None if self.in_bases is None else build_families(self.flag, self.bases)
+        """The projection families of the reported flag; None where the count
+        fails."""
+        return None if self.bases is None else build_families(self.flag, self.bases)
 
 
 def _count_holds(flag: FlagAssignment) -> bool:
@@ -187,78 +192,31 @@ def build_families(flag: FlagAssignment, bases: Dict[str, Matrix]) -> Dict[str, 
     }
 
 
-def _generator_coordinates(rep: Representation, bases: Dict[str, Matrix]) -> Dict[str, Matrix]:
-    """Each generator's matrix in ``bases``, B_cod^-1 g B_dom.  Only the
-    codomains' bases are inverted."""
-    inverses = {g.cod: basis_inverse(bases[g.cod]) for g in rep.generators}
-    return {g.id: inverses[g.cod] @ g.matrix @ bases[g.dom] for g in rep.generators}
-
-
-def _read_pseudo_inverses(
-    rep: Representation, bases: Dict[str, Matrix], in_bases: Dict[str, Matrix]
-) -> Dict[str, Matrix]:
-    """Each generator's pseudo-inverse, read off its matrix in ``bases``."""
-    return {
-        g.id: make_pseudo_inverse(in_bases[g.id], bases[g.dom], basis_inverse(bases[g.cod]))
-        for g in rep.generators
-    }
-
-
-def _matchings(
-    rep: Representation, bases: Dict[str, Matrix], in_bases: Dict[str, Matrix]
-) -> Optional[BasisCoordinates]:
-    """The ``BasisCoordinates`` of the generators and their pseudo-inverses,
-    or None unless every generator's matrix in ``bases`` is a matching."""
-    matchings = [Matching.of(in_bases[g.id]) for g in rep.generators]
-    if None in matchings:
-        return None
-    # a pseudo-inverse's matrix in the bases is the inverse matching
-    return BasisCoordinates(bases, tuple(matchings + [m.dagger for m in matchings]))
-
-
-def _dagger_maps(rep: Representation, daggers: Dict[str, Matrix]) -> Tuple[Generator, ...]:
-    """The maps g† that adjoin the pseudo-inverses ``daggers`` to a closure."""
-    return tuple(
-        Generator(id=f"{g.id}†", dom=g.cod, cod=g.dom, matrix=daggers[g.id])
-        for g in rep.generators
-    )
-
-
-def saturation_maps(
-    rep: Representation, bases: Dict[str, Matrix]
-) -> Tuple[Dict[str, Matrix], Tuple[Generator, ...], Optional[BasisCoordinates]]:
-    """The pseudo-inverses read off ``bases``, the maps g† that adjoin them to
-    the closure, and the ``BasisCoordinates`` of the generators and the g†,
-    or None unless every generator's matrix in ``bases`` is a matching."""
-    in_bases = _generator_coordinates(rep, bases)
-    daggers = _read_pseudo_inverses(rep, bases, in_bases)
-    return daggers, _dagger_maps(rep, daggers), _matchings(rep, bases, in_bases)
-
-
 def _saturate(analysis: Analysis, limits: ClosureLimits) -> None:
     """Close the passing flag under the pseudo-inverses read off the
-    analysis's bases, on bitmasks where every generator is a matching in the
-    bases, and record the flag to report and an optional note.
+    analysis's bases, on bitmasks where every generator's reading is a
+    matching, and record the flag to report and an optional note.
 
     On bitmasks the closure reads only the matchings and the ids and ends of
-    the g†, so no pseudo-inverse is built (``Analysis.pseudo_inverses``
-    builds them when first read).  Every saturated element is then a
-    coordinate set of the bases and the family is meet-closed, so the rank
-    count holds by construction and is not taken.  On subspaces the
-    closure takes the pseudo-inverses as matrices, and the count decides
-    whether the flag is kept.
+    the g†, so no pseudo-inverse is built.  Every saturated element is then
+    a coordinate set of the bases and the family is meet-closed, so the rank
+    count holds by construction and is not taken.  On subspaces the closure
+    takes the pseudo-inverses as matrices, and the count decides whether the
+    flag is kept.
     """
-    rep, bases = analysis.rep, analysis.bases
-    in_bases = analysis.in_bases = _generator_coordinates(rep, bases)
-    coordinates = _matchings(rep, bases, in_bases)
-    if coordinates is not None:
+    rep = analysis.rep
+    matchings = [Matching.of(analysis.in_bases[g.id]) for g in rep.generators]
+    if None not in matchings:
+        # a pseudo-inverse's matrix in the bases is the inverse matching
+        matchings += [m.dagger for m in matchings]
+        coordinates = BasisCoordinates(analysis.bases, tuple(matchings))
         arrows = [Arrow(f"{g.id}†", g.cod, g.dom) for g in rep.generators]
         analysis.flag = compute_flag(rep, limits, extra_maps=arrows, coordinates=coordinates)
         analysis.flag.saturated = True
         return
-    # set on the cached property, which is then not computed again
-    daggers = analysis.pseudo_inverses = _read_pseudo_inverses(rep, bases, in_bases)
-    saturated = compute_flag(rep, limits, extra_maps=_dagger_maps(rep, daggers))
+    daggers = analysis.pseudo_inverses
+    extra = [Generator(f"{g.id}†", g.cod, g.dom, daggers[g.id]) for g in rep.generators]
+    saturated = compute_flag(rep, limits, extra_maps=extra)
     saturated.saturated = True
     if _count_holds(saturated):
         analysis.flag = saturated
@@ -287,7 +245,7 @@ def analyze(
         return Analysis(rep, mu_mode, part, passed=False, stopped=stopped)
     analysis = Analysis(rep, mu_mode, flag, passed=_count_holds(flag))
     if analysis.passed:
-        analysis.bases = transported_bases(rep, flag)
+        analysis.bases, analysis.in_bases = transported_bases(rep, flag)
         if saturate:
             _saturate(analysis, limits)
     return analysis

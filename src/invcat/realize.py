@@ -19,10 +19,11 @@ matrix, so each basis is eliminated once however many readers it has.
 ``transported_bases`` picks one adapted basis per object for a whole
 representation: it carries one object's basis along a spanning forest, so
 that every forest edge, and on a cycle-free quiver every generator, maps
-basis vectors to basis vectors or to zero.  A pseudo-inverse is read off the
-bases at the two ends of its generator in closed form, from the generator's
-matrix in those bases; where that matrix is a partial matching the
-pseudo-inverse is the inverse matching.
+basis vectors to basis vectors or to zero.  It hands over each generator's
+matrix in the bases with them: for a forest edge, the partial matching it
+built.  A pseudo-inverse is read off the bases at the two ends of its
+generator in closed form, from that matrix; where it is a partial matching
+the pseudo-inverse is the inverse matching.
 
 The envelope is closed one generator or pseudo-inverse at a time, as a set
 of morphisms per hom-set; once its idempotents commute, pseudo-inverses need
@@ -39,8 +40,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from operator import matmul
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .criterion import adapted_complements
 from .errors import (
@@ -254,9 +256,12 @@ def _pulled_columns(m: Matrix, p: Matrix) -> Tuple[List[int], List[int], Matrix]
     return rows, cols, left @ block
 
 
-def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Matrix]:
+def transported_bases(
+    rep: Representation, flag: FlagAssignment
+) -> Tuple[Dict[str, Matrix], Dict[str, Matrix]]:
     """One basis per object, adapted to a passing flag, as the columns of an
-    invertible matrix.
+    invertible matrix, and each generator's matrix in those bases (its
+    *reading*).
 
     Each object's first-fit basis A is its complements of
     ``adapted_complements`` in index order.  The first object of each
@@ -277,8 +282,13 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
     z(z^-1(c)) at y, and c = (c meet ker w) + (c meet K) with
     w(c meet K) = w(c) at u.  Every forest edge, so every generator of a
     cycle-free quiver, then carries each basis vector to a basis vector or
-    to zero.  Each basis matrix is built once, so the inverse a pull takes
-    of it is the one cached for every later reader.
+    to zero, and its reading is the 0/1 partial matching just built, with
+    no inversion and no product: a push sends its k-th basis vector with a
+    nonzero image to the k-th pushed vector, and a pull sends the a inside
+    ker w to zero and its i-th pulled vector to the basis vector T[i] of
+    B_y.  Only an edge that closes a cycle is conjugated, B_cod^-1 g B_dom.
+    Each basis matrix is built once, so the inverse a pull takes of it is
+    the one cached for every later reader.
     """
     field = rep.field
     dims = {o.id: o.dim for o in rep.objects}
@@ -287,6 +297,7 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
         for oid in dims
     }
     bases: Dict[str, Matrix] = {}
+    in_bases: Dict[str, Matrix] = {}
     for o in rep.objects:
         if o.id in bases:
             continue
@@ -297,20 +308,40 @@ def transported_bases(rep: Representation, flag: FlagAssignment) -> Dict[str, Ma
             for g in rep.generators:
                 if g.dom == here and g.cod not in bases:
                     im = image(g.matrix)
-                    pushed = [w for w in map(g.matrix.apply, vectors) if any(w)]
+                    images = list(map(g.matrix.apply, vectors))
+                    hit = [k for k, w in enumerate(images) if any(w)]
                     kept = [a for a in first_fit[g.cod] if not im.contains_vector(a)]
+                    pushed = [images[k] for k in hit]
                     bases[g.cod] = _column_matrix(field, dims[g.cod], pushed + kept)
+                    pairs = zip(hit, count())
+                    in_bases[g.id] = _matching_matrix(field, dims[g.cod], len(vectors), pairs)
                     queue.append(g.cod)
                 elif g.cod == here and g.dom not in bases:
                     own = first_fit[g.dom]
                     a_u = _column_matrix(field, dims[g.dom], own)
                     m = basis_inverse(bases[here]) @ g.matrix @ a_u
-                    _, moved, pulled = _pulled_columns(m, a_u)
+                    targets, moved, pulled = _pulled_columns(m, a_u)
                     kept = [a for k, a in enumerate(own) if k not in moved]
                     pulled_vectors = list(zip(*pulled.entries))
                     bases[g.dom] = _column_matrix(field, dims[g.dom], kept + pulled_vectors)
+                    pairs = enumerate(targets, len(kept))
+                    in_bases[g.id] = _matching_matrix(field, len(vectors), len(own), pairs)
                     queue.append(g.dom)
-    return {oid: bases[oid] for oid in dims}
+    for g in rep.generators:
+        if g.id not in in_bases:  # an edge that closes a cycle
+            in_bases[g.id] = basis_inverse(bases[g.cod]) @ g.matrix @ bases[g.dom]
+    return {oid: bases[oid] for oid in dims}, {g.id: in_bases[g.id] for g in rep.generators}
+
+
+def _matching_matrix(
+    field: Field, rows: int, cols: int, pairs: Iterable[Tuple[int, int]]
+) -> Matrix:
+    """The rows x cols 0/1 matrix that sends basis vector k to basis vector
+    t for each (k, t) in ``pairs``, and every other basis vector to zero."""
+    grid = [[field.zero] * cols for _ in range(rows)]
+    for k, t in pairs:
+        grid[t][k] = field.one
+    return Matrix(field, rows, cols, tuple(map(tuple, grid)))
 
 
 def kernel_decomposition_check(alpha: Matrix, beta: Matrix, beta_dagger: Matrix) -> bool:

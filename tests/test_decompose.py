@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from invcat import (
+    AlignmentFailure,
     CriterionViolated,
     CycleError,
     Matrix,
     RATIONALS,
+    analyze,
     decompose,
     inverse,
     verify_decomposition,
@@ -206,6 +209,21 @@ def test_prime_field_pipeline():
     assert verify_decomposition(rep, dec).ok
     env = verify_envelope(rep, a.families, a.pseudo_inverses)
     assert env.endomorphisms_idempotent is True
+
+
+def test_a_reading_that_is_not_monomial_is_refused():
+    """``decompose`` reads each generator's action off its matrix in the
+    adapted bases; where a supplied matrix sends a basis vector to a vector
+    that is not a multiple of a basis vector, it refuses with
+    AlignmentFailure, naming the generator."""
+    rep = _a2([[1, 0], [0, 1]], dims=(2, 2))
+    a = analyze(rep, saturate=False)
+    assert decompose(rep, analysis=a).dims_multiset(["x", "y"]) == [(1, 1), (1, 1)]
+    sheared = Matrix.build(RATIONALS, 2, 2, [[1, 1], [0, 1]])
+    bad = dataclasses.replace(a, in_bases={"f": sheared})
+    with pytest.raises(AlignmentFailure) as err:
+        decompose(rep, analysis=bad)
+    assert err.value.detail == {"generator": "f"}
 
 
 def test_generator_free_representation():

@@ -59,8 +59,8 @@ def matrices(draw, max_dim=4):
 
 
 @st.composite
-def subspace_pairs(draw, max_dim=4):
-    field = draw(field_strategy())
+def subspace_pairs(draw, max_dim=4, fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     ambient = draw(st.integers(0, max_dim))
     vec = st.lists(scalars(field, 4), min_size=ambient, max_size=ambient)
     a = Subspace.span(field, ambient, draw(st.lists(vec, max_size=4)))
@@ -554,9 +554,42 @@ def test_warm_caches_compare_and_hash_equal(m, pair):
     meet.contains(b), hash(meet)
     cold = Subspace(meet.field, meet.ambient_dim, meet.basis)
     assert meet == cold and cold == meet
-    assert hash(meet) == hash(cold) == hash((meet.field, meet.ambient_dim, meet.basis))
+    assert hash(meet) == hash(cold) == hash((meet.field, meet.ambient_dim, meet._ints()[0]))
     assert repr(meet) == repr(cold)
     assert cold.contains(a) == meet.contains(a)
+
+
+@given(subspace_pairs(fields=[RATIONALS, GF(2), GF(10007)]))
+@settings(max_examples=200)
+def test_equal_subspaces_hash_equal(pair):
+    """Equal subspaces hash equal whichever way they are built: by ``span``
+    of any spanning rows, from their canonical basis directly (with no
+    integer form cached), as ``zero`` or ``full``, and by ``sub_intersect``,
+    ``sub_sum`` and ``complement_within``."""
+    a, b = pair
+    f, n = a.field, a.ambient_dim
+    meet, total = sub_intersect(a, b), sub_sum(a, b)
+    comp = complement_within(total, a)
+    full = Subspace.full(f, n)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    groups = [
+        [Subspace.zero(f, n), Subspace.span(f, n, []), Subspace.span(f, n, [[0] * n]),
+         Subspace(f, n, ()), sub_intersect(meet, comp)],
+        [full, Subspace.span(f, n, identity[::-1]), Subspace(f, n, full.basis),
+         sub_sum(a, complement_within(full, a))],
+        [meet, sub_intersect(b, a), Subspace(f, n, meet.basis)],
+        [total, sub_sum(b, a), sub_sum(a, comp), Subspace(f, n, total.basis)],
+    ]
+    for x in (a, b, meet, total, comp):
+        rows = [list(r) for r in x.basis]
+        rescaled = [[f.mul(3, v) for v in r] for r in rows[::-1]]
+        summed = [[f.add(u, v) for u, v in zip(*rows[:2])]] if len(rows) >= 2 else []
+        groups.append(
+            [x, Subspace(f, n, x.basis), Subspace.span(f, n, rescaled + summed)]
+        )
+    for group in groups:
+        assert all(y == group[0] for y in group)
+        assert len({hash(y) for y in group}) == 1
 
 
 def ref_intersect(a, b):

@@ -29,7 +29,8 @@ from invcat import (
     verify_decomposition,
 )
 from invcat.errors import ClosureDivergence, ValidationError
-from invcat.pipeline import _count_holds, _refuting_part, saturation_maps
+from invcat.flag import BasisCoordinates, Matching
+from invcat.pipeline import _count_holds, _refuting_part
 from invcat.rep import Generator, RepObject, Representation
 
 from conftest import interval_corpus_instance, random_representation
@@ -308,25 +309,36 @@ def test_the_refuting_part_is_intersected_once(monkeypatch):
     assert end - start == n * (n - 1) // 2
 
 
-def test_cli_deterministic_across_processes():
-    """Reports must not depend on hash randomization."""
-    outs = []
-    for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "invcat.cli", "check", str(DATA / "trisection.json")],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONHASHSEED": seed,
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": str(DATA.parent / "src"),
-            },
-            cwd=str(DATA.parent),
-        )
-        assert proc.returncode == 1
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    json.loads(outs[0])
+def test_cli_deterministic_across_processes(tmp_path):
+    """Reports must not depend on hash randomization: a refuting ``check``,
+    ``flag`` and ``envelope`` on a saturated flag, and ``decompose`` on an
+    interval-sum tree, each under two hash seeds."""
+    tree = tmp_path / "tree.json"
+    tree.write_bytes(_benchmark_corpus().make_corpus("interval_q", 3, 4)[3].data)
+    runs = [
+        ("check", DATA / "trisection.json", 1),
+        ("flag", DATA / "bisection.json", 0),
+        ("envelope", DATA / "bisection.json", 0),
+        ("decompose", tree, 0),
+    ]
+    for command, path, code in runs:
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "invcat.cli", command, str(path)],
+                capture_output=True,
+                text=True,
+                env={
+                    "PYTHONHASHSEED": seed,
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": str(DATA.parent / "src"),
+                },
+                cwd=str(DATA.parent),
+            )
+            assert proc.returncode == code, (command, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], command
+        json.loads(outs[0])
 
 
 def _assert_same_flag(got, ref):
@@ -334,6 +346,22 @@ def _assert_same_flag(got, ref):
     for oid, p in ref.posets.items():
         q = got.posets[oid]
         assert (q.elements, q.down, q.covers) == (p.elements, p.down, p.covers)
+
+
+def _saturation_maps(a):
+    """The maps g† that adjoin the pseudo-inverses of the analysis ``a`` to a
+    closure, and the ``BasisCoordinates`` of the generators and the g†, or
+    None unless every generator's reading in ``a.bases`` is a matching."""
+    gens = a.rep.generators
+    extra = tuple(Generator(f"{g.id}†", g.cod, g.dom, a.pseudo_inverses[g.id]) for g in gens)
+    matchings = [Matching.of(a.in_bases[g.id]) for g in gens]
+    if None in matchings:
+        return extra, None
+    return extra, BasisCoordinates(a.bases, tuple(matchings + [m.dagger for m in matchings]))
+
+
+def _read_as_matchings(a):
+    return None not in [Matching.of(m) for m in a.in_bases.values()]
 
 
 def test_bitmask_saturation_matches_subspace_closure():
@@ -359,7 +387,7 @@ def test_bitmask_saturation_matches_subspace_closure():
             continue
         if not raw.standard_report.passed:
             continue
-        _, extra, coordinates = saturation_maps(rep, raw.bases)
+        extra, coordinates = _saturation_maps(raw)
         cyclic = quiver_shape(rep).has_undirected_cycle
         if coordinates is None:
             assert cyclic  # the transport makes every tree generator a matching
@@ -391,7 +419,7 @@ def test_bitmask_saturation_keeps_the_count(rep):
         a = analyze(rep, ClosureLimits(max_rounds=8, max_elements_per_object=200))
     except ClosureDivergence:
         return
-    if not a.passed or saturation_maps(rep, a.bases)[2] is None:
+    if not a.passed or not _read_as_matchings(a):
         return
     assert a.flag.saturated and a.saturation_note is None and a.flag.masks is not None
     assert _count_holds(a.flag)
@@ -477,8 +505,7 @@ def test_cyclic_quiver_carries_bases_along_a_spanning_forest():
     assert quiver_shape(rep).has_undirected_cycle
     raw = analyze(rep, saturate=False)
     assert raw.passed
-    _, _, coordinates = saturation_maps(rep, raw.bases)
-    assert coordinates is not None
+    assert _read_as_matchings(raw)
     a = analyze(rep)
     assert a.flag.saturated and a.saturation_note is None
 
@@ -542,7 +569,7 @@ def test_a_passing_run_builds_only_the_pseudo_inverses_it_prints(tmp_path, capsy
     saturation closes on bitmasks, and the transport pulls its vectors off
     block inverses.  ``envelope`` builds one per generator, when it reads
     them, and prints the document that the eagerly built pseudo-inverses of
-    ``saturation_maps`` give, as ``json.dumps`` writes it."""
+    ``realize.pseudo_inverse`` give, as ``json.dumps`` writes it."""
     import invcat.pipeline as pipeline
     import invcat.realize as realize
     from invcat import verify_envelope
@@ -579,7 +606,11 @@ def test_a_passing_run_builds_only_the_pseudo_inverses_it_prints(tmp_path, capsy
             assert calls == ["from_coordinates"] * len(rep.generators)
 
             a = analyze(rep)
-            env = verify_envelope(rep, a.families, saturation_maps(rep, a.bases)[0])
+            eager = {
+                g.id: realize.pseudo_inverse(g.matrix, a.bases[g.dom], a.bases[g.cod])
+                for g in rep.generators
+            }
+            env = verify_envelope(rep, a.families, eager)
             doc = env.to_json()
             doc["command"], doc["verified"] = "envelope", True
             doc["families"] = {oid: fam.to_json() for oid, fam in sorted(a.families.items())}

@@ -34,7 +34,7 @@ from invcat import (
 )
 from invcat.criterion import poset_passes, rank_count_excess
 from invcat.errors import ClosureDivergence
-from invcat.realize import Envelope
+from invcat.realize import Envelope, basis_inverse
 from invcat.rep import Generator, RepObject, Representation, quiver_shape
 
 from conftest import (
@@ -211,14 +211,38 @@ def _spy_eliminations(monkeypatch):
     return eliminated
 
 
+def _pulls(rep):
+    """The generators along which ``transported_bases`` pulls a basis: the
+    spanning-forest edges it takes from their codomain, breadth-first from
+    the first object of each connected component."""
+    reached, pulls = set(), []
+    for o in rep.objects:
+        if o.id in reached:
+            continue
+        reached.add(o.id)
+        queue = [o.id]
+        for here in queue:
+            for g in rep.generators:
+                if g.dom == here and g.cod not in reached:
+                    reached.add(g.cod)
+                    queue.append(g.cod)
+                elif g.cod == here and g.dom not in reached:
+                    reached.add(g.dom)
+                    queue.append(g.dom)
+                    pulls.append(g)
+    return pulls
+
+
 def test_each_basis_is_eliminated_once(rng, monkeypatch):
     """A basis's inverse is cached on its Matrix.  A passing ``check``
     (``analyze`` and the report) inverts only the bases the pipeline hands
     out for the generators' codomains, never another object's and never a
-    copy.  Through the families and ``verify_envelope`` as well, no matrix
-    is eliminated twice, and every basis inverted is one handed out.  The
-    blocks that ``_pulled_columns`` inverts, for the transport's pulls and
-    for ``pseudo_inverse_from_coordinates``, are not bases."""
+    copy; on a cycle-free quiver exactly the codomain bases of the
+    transport's pulls, since every reading there is the matching the
+    transport built.  Through the families and ``verify_envelope`` as well,
+    no matrix is eliminated twice, and every basis inverted is one handed
+    out.  The blocks that ``_pulled_columns`` inverts, for the transport's
+    pulls and for ``pseudo_inverse_from_coordinates``, are not bases."""
     eliminated = _spy_eliminations(monkeypatch)
 
     def bases_inverted():
@@ -229,7 +253,7 @@ def test_each_basis_is_eliminated_once(rng, monkeypatch):
         rep, _ = interval_corpus_instance(rng)
         reps += [rep, conjugate_representation(rng, _over_gf(rep, GF(10007)))]
     reps += [random_representation(rng) for _ in range(150)]
-    passed = 0
+    passed = trees = 0
     for rep in reps:
         eliminated.clear()
         try:
@@ -239,7 +263,11 @@ def test_each_basis_is_eliminated_once(rng, monkeypatch):
         if not a.report.passed:
             continue
         passed += 1
-        assert bases_inverted() <= {id(a.bases[g.cod]) for g in rep.generators}
+        if quiver_shape(rep).has_undirected_cycle:
+            assert bases_inverted() <= {id(a.bases[g.cod]) for g in rep.generators}
+        else:
+            trees += 1
+            assert bases_inverted() == {id(a.bases[g.cod]) for g in _pulls(rep)}
         try:
             verify_envelope(rep, a.families, a.pseudo_inverses)
         except AxiomViolation:
@@ -247,7 +275,36 @@ def test_each_basis_is_eliminated_once(rng, monkeypatch):
         handed = {id(b) for b in a.bases.values()} | {id(f.basis) for f in a.families.values()}
         assert bases_inverted() <= handed
         assert len({id(m) for m, _ in eliminated}) == len(eliminated)
-    assert passed >= 120
+    assert passed >= 120 and trees >= 60
+
+
+@st.composite
+def transported_inputs(draw):
+    """Random trees and cyclic quivers, interval sums on A_n quivers over Q,
+    and those sums conjugated over GF(10007)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "interval", "conjugate"]))
+    if kind == "random":
+        return random_representation(rng)
+    rep = interval_corpus_instance(rng)[0]
+    return rep if kind == "interval" else conjugate_representation(rng, _over_gf(rep, GF(10007)))
+
+
+@given(transported_inputs())
+@settings(max_examples=200, deadline=None)
+def test_transport_readings_are_the_generators_in_the_bases(rep):
+    """Each generator's reading that ``transported_bases`` hands over, the
+    matching it built or the conjugate of an edge that closes a cycle, is
+    the generator's matrix in the bases, B_cod^-1 g B_dom."""
+    try:
+        a = analyze(rep, ClosureLimits(max_rounds=8, max_elements_per_object=200), saturate=False)
+    except ClosureDivergence:
+        return
+    if not a.passed:
+        return
+    assert list(a.in_bases) == [g.id for g in rep.generators]
+    for g in rep.generators:
+        assert a.in_bases[g.id] == basis_inverse(a.bases[g.cod]) @ g.matrix @ a.bases[g.dom]
 
 
 def test_families_on_corpus(rng):
