@@ -399,16 +399,18 @@ class _Scores:
         modes against the c above it.  Against every other c, whose meet
         with b is 0, it scores rho(b) = dim b - dim 0 > 0 in standard mode
         and -rho(b) in literal mode.  So an atom adds the c outside up(b),
-        with no literal score and no ``meeting``."""
+        with no literal score and no ``meeting``.  The full space b meets
+        each c in c, so the class of m is {m}, and counts 1."""
         count = 0
         down, up, everything = self.down, self.up, self.all
+        full = len(down) - 1
         for bi, r in enumerate(self.rho):
             if down[bi].bit_count() == 2:
                 count += (everything & ~up[bi]).bit_count()
                 continue
             for m, v in self.literal(bi).items():
                 if ((r < 0) and m != bi) != (v < 0):
-                    count += self.meeting(bi, m).bit_count()
+                    count += 1 if bi == full else self.meeting(bi, m).bit_count()
         return count
 
 

@@ -13,35 +13,38 @@ elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
 loudly instead of spinning.
 
-On subspaces, each object's state is one record by ordinal, the order of
-arrival: the element, its witness and, once it is a member, the ordinals
-of its meets with the lower ordinals.  Offers take their sources by
-ordinal.  The elements a round adds join the members at the round's end
-(the seeds before round 1); those of the last join are the fresh ones, in
-``sort_key`` order, and the members keep that order across rounds.  A
-round that adds nothing ends the closure.  The record then holds the meet
-of every pair of elements exactly once, and ``build_poset`` reads the
-down-sets and the covers off it, in the members' ``sort_key`` order,
-instead of intersecting again.
+On subspaces, each object's state is kept by ordinal, the order of
+arrival: the element, its witness and, once it is a member, its down-set
+mask, the bits of the ordinals of the members found to lie in it.  Offers
+take their sources by ordinal.  The elements a round adds join the members
+at the round's end (the seeds before round 1); those of the last join are
+the fresh ones, in ``sort_key`` order, and the members keep that order
+across rounds.  A round that adds nothing ends the closure.  Every
+containment between two members has then been decided once, and
+``poset.assemble_poset`` takes the masks, their bits moved to the members'
+``sort_key`` positions, with no intersection and no meet record.
 
-When an element joins, each of its meets that dimension decides is
-recorded: 0 and the full space meet every element in 0 and in the element,
-two lines meet in 0, and a line and a larger element meet in the line or
-in 0, by one incidence test (dot products with the larger one's cached
-normal rows, for all the lines to test at once).  A round's meet step
-intersects only pairs of two elements of dimension 2 or more, neither the
-full space, at least one of them fresh, and offers their meets in
-``sort_key`` pair order.
+When an element joins, each of its containments that dimension decides is
+set: 0 lies in every element and every element in the full space, two
+lines are incomparable, and a line lies in a larger element or not by one
+incidence test (dot products with the larger one's cached normal rows, for
+all the lines to test at once).  A round's meet step intersects only pairs
+of two elements of dimension 2 or more, neither the full space, at least
+one of them fresh, and offers their meets in ``sort_key`` pair order; a
+meet that is one of its pair is a containment, and sets its bit.
 
 On subspaces the preimage of b under g is the lift of its key b meet im g
-(``preimage_of_meet``), read off the record.  In round 1, b is a seed, and
-the key is 0 or im g.  From round 2 on, b and im g (the image of the full
-seed) are members, and the key is their recorded meet, or for two elements
-of dimension 2 or more one intersection, kept for the meet step.  The
-preimages of the keys 0 and im g, ker g and the full domain, arrived in
-round 1 and are not offered again.  The image of a preimage is the key it
-was lifted from, which ``map_image`` reads off the map's factorization.
-So a round runs in three steps:
+(``preimage_of_meet``).  In round 1, b is a seed, and the key is 0 or
+im g.  From round 2 on, b and im g (the image of the full seed) are
+members, and the key is read off the masks: none where im g lies in b, b
+where b lies in im g, and none where they are incomparable and one is a
+line (their meet is 0).  Only the key of two elements of dimension 2 or
+more is one intersection, kept for the meet step.  The join has set every
+bit these read: b is fresh, so no meet step has yet met it with a larger
+element.  The preimages of the keys 0 and im g, ker g and the full domain,
+arrived in round 1 and are not offered again.  The image of a preimage
+is the key it was lifted from, which ``map_image`` reads off the map's
+factorization.  So a round runs in three steps:
 
 1. the image and the preimage offers, map by map;
 2. the meet offers, object by object;
@@ -66,15 +69,15 @@ the bits matched into the target, a meet a bitwise AND, and equal masks
 are equal subspaces.  That loop makes the same offers in the same order:
 the images and the preimages of the fresh elements, map by map, then the
 AND of each pair of members of 2 or more bits, neither the full mask, at
-least one of them fresh, in ``sort_key`` pair order.  It keeps no meet
-record and no preimage keys, and offers what the loop on subspaces skips
+least one of them fresh, in ``sort_key`` pair order.  It keeps no preimage
+keys, and offers what the loop on subspaces skips
 as known; a known mask adds nothing, so each element arrives at the same
 offer with the same witness, and the same limits stop both.  A mask's
 ``Subspace``, the span of its basis vectors, is built once, when the mask
 first appears; it gives the sort key, the provenance sources and the
 reported form.  At the end a member's down-set is the members whose masks
 are subsets of its own (m & n == m), and ``poset.assemble_poset`` takes
-the covers by the transitive reduction ``build_poset`` uses.  A flag
+the covers off them.  A flag
 closed on bitmasks also hands out each element's mask
 (``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
 the projections in the bases it was closed in.  ``Matching.of`` reads a
@@ -90,7 +93,9 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 from .errors import ClosureDivergence
 from .fields import Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
-from .poset import SubspacePoset, assemble_poset, build_poset, export_dot
+# The closure never calls ``build_poset``; the binding stays because the
+# benchmark's layer tracer (perfbench/layers.py) wraps ``flag.build_poset``.
+from .poset import SubspacePoset, assemble_poset, build_poset, export_dot, members  # noqa: F401
 from .rep import Generator, Representation
 
 
@@ -289,6 +294,21 @@ def _fresh_pairs(mids: Sequence[int], first: int) -> Iterator[Tuple[int, int]]:
             yield ka, mids[j]
 
 
+def _in_sort_order(
+    elems: Sequence[Subspace], below: Sequence[int], order: Sequence[int]
+) -> SubspacePoset:
+    """The poset of the elements ``elems`` by ordinal, with their down-set
+    masks ``below`` over ordinals, whose members' ordinals in ``sort_key``
+    order are ``order``: each mask's bits go to the members' positions."""
+    bit = [0] * len(order)
+    for i, k in enumerate(order):
+        bit[k] = 1 << i
+    at = bit.__getitem__
+    return assemble_poset(
+        [elems[k] for k in order], [sum(map(at, members(below[k]))) for k in order]
+    )
+
+
 def _out_of_rounds(limits: ClosureLimits, rounds: int, sizes: Dict[str, int]) -> ClosureDivergence:
     return ClosureDivergence(
         f"no fixpoint after {limits.max_rounds} rounds", rule="rounds", rounds=rounds, sizes=sizes
@@ -308,7 +328,9 @@ def compute_flag(
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
     closure runs on bitmasks of basis indices (``_close_on_masks``), and
     reads of an extra map only its id and ends (an ``Arrow`` will do); the
-    result is the same, and carries each element's mask.
+    result is the same, and carries each element's mask.  On subspaces the
+    closure keeps no meet record: each poset is assembled off the down-set
+    masks it set while closing (see the module docstring).
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
@@ -322,13 +344,13 @@ def compute_flag(
     ims = [g.matrix._factored()[1] for g in maps]
     im_at: List[int] = []
     # per object, by ordinal (order of arrival): each element and its
-    # witness; and for a member of ordinal k, the ordinals of its meets with
-    # ordinals 0..k-1.  The seed 0 has ordinal 0 and the full space ordinal
-    # 1 (in a space of dimension 0 they are one element).
+    # witness; and for a member, the mask of the ordinals of the members
+    # found to lie in it so far.  The seed 0 has ordinal 0 and the full
+    # space ordinal 1 (in a space of dimension 0 they are one element).
     ordinal: Dict[str, Dict[Subspace, int]] = {}
     element: Dict[str, List[Subspace]] = {}
     witness: Dict[str, List[Witness]] = {}
-    meets: Dict[str, List[List[Optional[int]]]] = {}
+    down: Dict[str, List[int]] = {}
     # per object: the members' ordinals in ``sort_key`` order and their sort
     # keys, the ordinals of the last join (the fresh ones), in that order,
     # and the members of dimension 2 or more but not the full space, in
@@ -360,21 +382,18 @@ def compute_flag(
 
     def join(oid: str) -> None:
         """Make the elements offered since the last join members and the
-        fresh ones, and record each one's meets that dimension decides: 0
-        and the full space meet it in 0 and in it, two lines meet in 0, and
-        a line and a larger element meet in the line or in 0, by one
-        incidence (dot products with the larger one's cached normal rows,
-        for all the lines to test at once)."""
-        elems, ords, keys, record = element[oid], order[oid], sort_keys[oid], meets[oid]
+        fresh ones, and set the bits of each one's containments that
+        dimension decides: 0 lies in it and it in the full space, and a line
+        lies in a larger element or meets it in 0, by one incidence (dot
+        products with the larger one's cached normal rows, for all the lines
+        to test at once)."""
+        elems, ords, keys, below = element[oid], order[oid], sort_keys[oid], down[oid]
         first = len(ords)
         fresh[oid] = _join(elems, ords, keys)
         if not fresh[oid]:
             return
-        record.extend([None] * len(fresh[oid]))
-        for k in fresh[oid]:
-            # 0 with ordinal 0, k with the full space, and 0 with every
-            # other ordinal below a line (its incidences follow)
-            record[k] = [0, k][:k] + [0 if elems[k].dim == 1 else None] * (k - 2)
+        below.extend(1 | 1 << k for k in range(first, len(elems)))
+        below[ords[-1]] = (1 << len(elems)) - 1
         # each pair of a line and a larger element, one of them fresh
         top = len(ords) - 1  # the position of the full space
         mid = max(1, min(bisect_left(keys, (2,)), top))
@@ -389,44 +408,52 @@ def compute_flag(
         ):
             rows = [elems[ln]._ints()[0][0] for ln in tested]
             for m in against:
-                inside = set(elems[m]._holding(rows))
-                for i, ln in enumerate(tested):
-                    lo, hi = (ln, m) if ln < m else (m, ln)
-                    record[hi][lo] = ln if i in inside else 0
+                for i in elems[m]._holding(rows):
+                    below[m] |= 1 << tested[i]
 
     def key(oid: str, b: int, gi: int) -> Optional[Subspace]:
         """The key b meet im g of the preimage of member b under map gi, or
         None where that preimage is known.  In round 1, b is a seed, and the
-        key is 0 or im g.  From round 2 on, b and im g are members, and the
-        key is their recorded meet, or for two elements of dimension 2 or
-        more one intersection, kept for the meet step; the preimages of the
-        keys 0 and im g, ker g and the full domain, arrived in round 1."""
+        key is 0 or im g.  From round 2 on, b and im g are members: where
+        one lies in the other, the key is b, or None for im g; the meet of
+        two that do not, one of them a line, is 0, whose preimage is known;
+        and the meet of two elements of dimension 2 or more is one
+        intersection, kept for the meet step.  The join has set every bit
+        these read: b is fresh, so the meet step has not yet met it with a
+        larger element.  The preimages of the keys 0 and im g, ker g and the
+        full domain, arrived in round 1."""
         if rounds == 1:
             return ims[gi] if b else element[oid][0]
-        im = im_at[gi]
-        if b == im:
+        im, below, elems = im_at[gi], down[oid], element[oid]
+        if below[b] >> im & 1:
+            return None
+        if below[im] >> b & 1:
+            return elems[b] if b else None
+        if elems[b].dim < 2 or elems[im].dim < 2:
             return None
         lo, hi = (b, im) if b < im else (im, b)
-        m = meets[oid][hi][lo]
-        if m is None:
-            s = keyed.get((oid, lo, hi))
-            if s is None:
-                s = keyed[oid, lo, hi] = sub_intersect(element[oid][b], element[oid][im])
-            return s
-        return None if m == 0 or m == im else element[oid][m]
+        s = keyed.get((oid, lo, hi))
+        if s is None:
+            s = keyed[oid, lo, hi] = sub_intersect(elems[b], elems[im])
+        return s
 
     def meet_step(oid: str) -> None:
         """Intersect every pair of members of dimension 2 or more, neither
         the full space, in which a fresh one takes part (or take the meet
-        ``key`` kept), and offer the meets, in ``sort_key`` pair order."""
-        elems, record = element[oid], meets[oid]
+        ``key`` kept), and offer the meets, in ``sort_key`` pair order.  A
+        meet that is one of its pair sets the bit of that containment."""
+        elems, below = element[oid], down[oid]
         first = len(order[oid]) - len(fresh[oid])
         for ka, kb in _fresh_pairs(larger[oid], first):
             lo, hi = (ka, kb) if ka < kb else (kb, ka)
             s = keyed.pop((oid, lo, hi), None) if keyed else None
             if s is None:
                 s = sub_intersect(elems[ka], elems[kb])
-            record[hi][lo] = offer(oid, s, "intersect", None, ka, kb)
+            k = offer(oid, s, "intersect", None, ka, kb)
+            if k == ka:
+                below[kb] |= 1 << ka
+            elif k == kb:
+                below[ka] |= 1 << kb
 
     for o in rep.objects:
         elems = element[o.id] = list(
@@ -434,7 +461,7 @@ def compute_flag(
         )
         ordinal[o.id] = {s: k for k, s in enumerate(elems)}
         witness[o.id] = [Witness("seed")] * len(elems)
-        meets[o.id], order[o.id], sort_keys[o.id], larger[o.id] = [], [], [], []
+        down[o.id], order[o.id], sort_keys[o.id], larger[o.id] = [], [], [], []
         join(o.id)
     # rounds until one adds nothing.  Semi-naive: a round derives only from
     # the elements of the last join; older combinations were offered.
@@ -464,7 +491,7 @@ def compute_flag(
         stop.reached = {oid: list(elems) for oid, elems in element.items()}
         raise
     return FlagAssignment(
-        posets={oid: build_poset(element[oid], meets[oid], order[oid]) for oid in element},
+        posets={oid: _in_sort_order(element[oid], down[oid], order[oid]) for oid in element},
         provenance={oid: dict(zip(element[oid], witness[oid])) for oid in element},
         rounds=rounds,
     )
@@ -485,9 +512,8 @@ def _close_on_masks(
     each pair of members of 2 or more bits, neither the full mask, at least
     one of them fresh, in ``sort_key`` pair order.  A known mask adds
     nothing, so each element arrives as it does there, with the same
-    witness, and the same limits stop it at the same offer.  No meet is
-    recorded: at the end a member's down-set is the members whose masks
-    are subsets of its own.
+    witness, and the same limits stop it at the same offer.  At the end a
+    member's down-set is the members whose masks are subsets of its own.
     """
     field = rep.field
     columns = {oid: b._ints()[2] for oid, b in coordinates.bases.items()}

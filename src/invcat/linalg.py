@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import bisect_left
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -219,18 +220,37 @@ class Matrix:
     def _factored(self) -> Tuple["Subspace", "Subspace", Tuple[IntRow, ...], dict, dict]:
         """``(ker, im, lift, preimages, images)`` for :func:`preimage_of_meet`.
 
-        ``lift`` holds the integer rows of a matrix L, up to one scalar, with
-        ``self @ L`` the identity on im's RREF basis: column i of L is
-        ``solve_particular(self, im.basis[i])``.  ``preimages`` maps each
+        ``lift`` holds the integer rows of a matrix L with ``self @ L`` one
+        nonzero scalar times the identity on im's RREF basis: column i of L
+        maps to the i-th basis row of im.  ``preimages`` maps each
         ``b & im`` seen so far to its preimage, and ``images`` maps that
         preimage back to it, which is its image (see :func:`map_image`).
+
+        One elimination gives all three: row j of [self^T | I] is the image
+        of basis vector j beside that vector.  Reduced on every column, the
+        rows that pivot in the left part carry im's reduced rows, each
+        beside a combination of basis vectors that maps to it; the rest are
+        zero on the left and hold ker's reduced rows on the right.  Over Q
+        a row's combination maps to its left part, whose pivot entry a_i is
+        not 1, so each combination is scaled by lcm(a) / a_i, and one
+        scalar serves the whole lift.
         """
         form = self._preimage_form
         if form is None:
-            ker, im = kernel(self), image(self)
-            lifts = [solve_particular(self, r) for r in im.basis]
-            columns = tuple(zip(*lifts)) if lifts else ((),) * self.cols
-            lift = Matrix(self.field, self.cols, len(lifts), columns)._ints()[1]
+            f, n, k = self.field, self.rows, self.cols
+            aug = [list(c) + [int(i == j) for i in range(k)] for j, c in enumerate(self._ints()[2])]
+            pivots = _eliminate(f.p, aug, n + k)
+            r = bisect_left(pivots, n)  # the rank
+            left, combos = [row[:n] for row in aug[:r]], [row[n:] for row in aug[:r]]
+            if f.p is None:
+                heads = [row[c] for row, c in zip(left, pivots)]
+                den = lcm(*heads)
+                combos = [[x * (den // a) for x in x_i] for x_i, a in zip(combos, heads)]
+                gs = [gcd(*row) for row in left]
+                left = [[x // g for x in row] for row, g in zip(left, gs)]
+            im = Subspace._echelon(f, n, left, pivots[:r])
+            ker = Subspace._echelon(f, k, [row[n:] for row in aug[r:]], [c - n for c in pivots[r:]])
+            lift = _columns(tuple(map(tuple, combos)), k)
             form = (ker, im, lift, {}, {})
             object.__setattr__(self, "_preimage_form", form)
         return form
@@ -446,15 +466,48 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
+        """The span of ``vectors``, put in canonical form by one elimination;
+        a single vector takes none (``_line``)."""
         rows = [_int_vector(field, v)[1] for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValidationError("spanning vector length differs from ambient dimension")
+        if len(rows) == 1:
+            return cls._line(field, ambient_dim, rows[0])
         pivots = _eliminate(field.p, rows, ambient_dim)
+        return cls._echelon(field, ambient_dim, rows[: len(pivots)], pivots)
+
+    @classmethod
+    def _echelon(
+        cls, field: Field, ambient_dim: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]
+    ) -> "Subspace":
+        """The subspace whose integer form is ``rows`` with ``pivots``, rows
+        as :func:`_eliminate` leaves them: each nonzero at its pivot and zero
+        at the others' pivots, primitive with a positive pivot over Q, with
+        pivot 1 over GF(p)."""
         s = cls(field, ambient_dim, tuple(_emit(field, rows, pivots)))
-        int_rows = tuple(map(tuple, rows[: len(pivots)]))
-        object.__setattr__(s, "_int_form", (int_rows, tuple(pivots)))
+        object.__setattr__(s, "_int_form", (tuple(map(tuple, rows)), tuple(pivots)))
         return s
+
+    @classmethod
+    def _line(cls, field: Field, ambient_dim: int, v: Sequence[int]) -> "Subspace":
+        """The span of the integer vector ``v`` (reduced mod p over GF(p)),
+        as ``span`` would eliminate it, with no elimination: over GF(p) it is
+        scaled by the inverse of its leading entry, over Q divided by its
+        gcd, signed so that the pivot is positive."""
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            return cls._echelon(field, ambient_dim, (), ())
+        p, a = field.p, v[c]
+        if p is not None:
+            if a != 1:
+                a = pow(a, -1, p)
+                v = [x * a % p for x in v]
+        else:
+            g = gcd(*v) if a > 0 else -gcd(*v)
+            if g != 1:
+                v = [x // g for x in v]
+        return cls._echelon(field, ambient_dim, (v,), (c,))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -466,10 +519,7 @@ class Subspace:
         RREF basis, so nothing is eliminated."""
         n = ambient_dim
         rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        pivots = list(range(n))
-        s = cls(field, n, tuple(_emit(field, rows, pivots)))
-        object.__setattr__(s, "_int_form", (tuple(rows), tuple(pivots)))
-        return s
+        return cls._echelon(field, n, rows, range(n))
 
     @property
     def dim(self) -> int:
@@ -595,7 +645,11 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
     does not lie in the larger and has dimension at most 1, the intersection
     is zero.  Otherwise it is spanned by the combinations x of the smaller
     one's rows S that every normal row n of the larger one annihilates: x
-    runs over the kernel of the small matrix of the n . S_i.
+    runs over the kernel of the small matrix of the n . S_i.  Where the
+    larger one is a hyperplane (one normal row n) and the smaller has two
+    rows, that kernel is the one combination (n . S_1, -n . S_0), and the
+    meet is the line of c_1 S_0 - c_0 S_1 (``Subspace._line``), with no
+    elimination.
     """
     _check_same_ambient(a, b)
     small, big = (a, b) if len(a.basis) <= len(b.basis) else (b, a)
@@ -609,7 +663,12 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(a.field, a.ambient_dim)
     p = a.field.p
     rows = small._ints()[0]
-    conditions = [[sum(map(mul, normal, r)) for r in rows] for normal in big._normal_rows()]
+    normals = big._normal_rows()
+    if k == 2 and len(normals) == 1:
+        c0, c1 = (sum(map(mul, normals[0], r)) for r in rows)
+        w = [c1 * x - c0 * y for x, y in zip(*rows)]
+        return Subspace._line(a.field, a.ambient_dim, w if p is None else [x % p for x in w])
+    conditions = [[sum(map(mul, normal, r)) for r in rows] for normal in normals]
     if p is not None:
         conditions = [[x % p for x in c] for c in conditions]
     pivots = _eliminate(p, conditions, k)
@@ -661,13 +720,13 @@ def preimage_of_meet(m: Matrix, key: Subspace) -> Subspace:
     ker m + L(key), since m^-1(b) = m^-1(b & im m).
 
     ``key`` must lie in im m; a caller that already holds b & im m (the flag
-    closure reads it off its meets) passes it here and intersects nothing.
-    L lifts im m's RREF basis (``solve_particular``, one solve per basis
-    vector), so a vector y of im m lifts to sum(y[c_i] L_i) over im m's pivot
-    columns c_i.  ker m, im m and L are computed once per matrix and cached on
-    it, as its integer form is, and the preimage is memoized per matrix,
-    keyed on ``key``: preimages of subspaces that meet im m alike are one
-    computation.  As ``key`` lies in im m, m(m^-1(key)) = ``key``; the memo
+    closure reads it off its down-sets) passes it here and intersects
+    nothing.  L lifts im m's RREF basis up to one scalar (``_factored``),
+    so a vector y of im m lifts to sum(y[c_i] L_i) over im m's pivot
+    columns c_i, up to that scalar.  ker m, im m and L are computed once per
+    matrix and cached on it, as its integer form is, and the preimage is
+    memoized per matrix, keyed on ``key``: preimages of subspaces that meet
+    im m alike are one computation.  As ``key`` lies in im m, m(m^-1(key)) = ``key``; the memo
     records that too, and ``map_image`` reads it.
     """
     ker, im, lift, preimages, images = m._factored()

@@ -2,14 +2,15 @@
 
 A poset stores its order once, as one down-set bitmask per element, and
 reads the meet of two elements off their masks: the highest index in the
-common down-set.  Every poset is assembled from a record of the meets of
-its pairs, read in one pass with no containment test.  One loop fills that
-record for a family given bare: each member in turn meets those before it,
-so every pair is intersected once.  ``meet_closure`` lets the loop append
-the meets it has not seen, up to an element limit, and returns the poset it
-closed; ``build_poset`` refuses growth, and so validates meet-closure.  The
-flag closure hands over the record it filled while closing instead, and its
-members' sort order.
+common down-set.  ``assemble_poset`` takes the covers off the down-sets.
+For a family given bare, the down-sets are read in one pass, with no
+containment test, off a record of the meets of its pairs.  One loop fills
+that record: each member in turn meets those before it, so every pair is
+intersected once.  ``meet_closure`` lets the loop append the meets it has
+not seen, up to an element limit, and returns the poset it closed;
+``build_poset`` refuses growth, and so validates meet-closure.  The flag
+closure sets its down-sets while closing, and hands them to
+``assemble_poset`` directly.
 
 Two Moebius variants are kept side by side:
 
@@ -152,28 +153,24 @@ def _record_meets(
 
 
 def build_poset(
-    subspaces: Iterable[Subspace],
-    meets: Optional[Sequence[Sequence[Optional[int]]]] = None,
-    order: Optional[Sequence[int]] = None,
+    subspaces: Iterable[Subspace], meets: Optional[Sequence[Sequence[Optional[int]]]] = None
 ) -> SubspacePoset:
     """Validate bounds and meet-closure, then assemble the down-sets and covers.
 
     The record ``meets`` says, for i < k, that ``meets[k][i]`` is the position
     in ``subspaces`` (then a sequence without repeats) of the meet of its
-    elements i and k.  The flag closure passes the record it filled while
-    closing, and ``order``, the positions in ``subspaces`` in ``sort_key``
-    order, which are then not sorted again.  A bare family (no ``meets``)
-    is sorted and its record filled by ``_record_meets`` with growth
-    refused: the first missing meet in that loop's order (each element, in
-    sort order, against the ones before it) raises ``NotMeetClosed``.
+    elements i and k; ``meet_closure`` passes the record its loop filled.  A
+    bare family (no ``meets``) is sorted and its record filled by
+    ``_record_meets`` with growth refused: the first missing meet in that
+    loop's order (each element, in sort order, against the ones before it)
+    raises ``NotMeetClosed``.
 
     The down-sets are read off the meets in one pass: a meet that equals
     one of its pair is a containment.  ``assemble_poset`` reads the covers
     off them.
     """
     given = list(subspaces) if meets is not None else list(set(subspaces))
-    if order is None:
-        order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
+    order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
     elems = [given[k] for k in order]
     if not elems:
         raise MissingBounds("empty subspace family")

@@ -376,7 +376,7 @@ def representations(draw):
 @given(representations())
 @settings(max_examples=60, deadline=None)
 def test_closure_meets_assemble_the_validated_poset(rep):
-    """The posets built from the closure's own meets equal the ones
+    """The posets built from the closure's own down-sets equal the ones
     ``build_poset`` builds by intersecting every pair, on the raw flag and
     on the saturated one (closed with the synthesized pseudo-inverses).
     Their down-sets are containment and the meets read off them are the
@@ -408,30 +408,6 @@ def test_closure_meets_assemble_the_validated_poset(rep):
             )
 
 
-def _pairwise_meets(elements):
-    """The meet record of ``elements`` (in order of arrival) pair by pair:
-    the smaller element where it is 0 or the larger is the full space, 0 for
-    two lines, a line or 0 by a containment test against a larger element,
-    and ``sub_intersect`` otherwise; row k holds the ordinals of the meets
-    of element k with elements 0..k-1."""
-    zero = elements[0]
-    ordinal = {s: k for k, s in enumerate(elements)}
-    record = []
-    for k, b in enumerate(elements):
-        row = []
-        for a in elements[:k]:
-            small, big = (a, b) if a.dim <= b.dim else (b, a)
-            if small.dim == 0 or big.is_full:
-                m = small
-            elif small.dim == 1:
-                m = small if big.dim > 1 and big.contains(small) else zero
-            else:
-                m = sub_intersect(a, b)
-            row.append(ordinal[m])
-        record.append(row)
-    return record
-
-
 @st.composite
 def stars_and_intervals(draw):
     """One-centre stars whose arms are lines, planes and hyperplanes in F^3
@@ -445,29 +421,27 @@ def stars_and_intervals(draw):
 
 @given(stars_and_intervals())
 @settings(max_examples=60, deadline=None)
-def test_meets_recorded_by_class_match_the_pairwise_record(rep):
-    """Each member's meets that dimension decides are recorded when it
-    joins, and the meet step intersects the rest.  Every record handed to
-    ``build_poset`` equals the pair-by-pair one, on the raw flag and on the
-    saturated one (closed on bitmasks where it passes); the posets equal
-    the ones ``build_poset`` builds by intersecting every pair; and a
+def test_containments_set_by_class_assemble_the_validated_poset(rep):
+    """Each member's containments that dimension decides are set in its
+    down-set mask when it joins, and the meet step sets the rest; the
+    closure never calls ``build_poset``.  The posets equal the ones a bare
+    ``build_poset`` builds by intersecting every pair, on the raw flag and
+    on the saturated one (closed on bitmasks where it passes); and a
     closure stopped after 1 to 3 rounds reaches a prefix of the finished
     closure's order of arrival."""
     import invcat.flag as flag
+    import invcat.poset as poset
 
-    records = []
+    calls = []
 
-    def spy(elements, meets, order):
-        records.append((elements, meets))
-        assert order == sorted(range(len(elements)), key=lambda k: elements[k].sort_key)
-        return build_poset(elements, meets, order)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build_poset(*args, **kwargs)
 
-    with patch.object(flag, "build_poset", spy):
+    with patch.object(flag, "build_poset", spy), patch.object(poset, "build_poset", spy):
         raw = compute_flag(rep)
         analysis = analyze(rep)
-    assert len(records) >= 2 * len(rep.objects)
-    for elements, meets in records:
-        assert meets == _pairwise_meets(elements)
+    assert not calls
     for closed in (raw, analysis.flag) if analysis.flag.saturated else (raw,):
         for p in closed.posets.values():
             ref = build_poset(p.elements)
@@ -552,8 +526,8 @@ def test_closure_matches_the_reference_closure(rep):
 @given(stars_and_intervals())
 @settings(max_examples=60, deadline=None)
 def test_closure_of_stars_matches_the_reference_closure(rep):
-    """The same on stars of lines, planes and hyperplanes, where most meets
-    are recorded by dimension class, and on interval sums."""
+    """The same on stars of lines, planes and hyperplanes, where most
+    containments are set by dimension class, and on interval sums."""
     _assert_matches_reference(rep)
 
 
@@ -562,12 +536,12 @@ def test_known_meets_are_not_intersected(k, monkeypatch):
     """On a star of k planes in GF(10007)^3, every meet but those of two
     planes is known from dimension and containment, and a preimage's key
     (its meet with the plane that is the map's image) is read off the
-    record of meets, so the whole closure makes one intersection per pair
+    down-set masks, so the whole closure makes one intersection per pair
     of planes, also where a limit stops it.  The spy sits in ``linalg`` as
     well, where ``map_preimage`` would intersect.  Each pair of a line and
     a plane of the centre takes at most one incidence test, when the later
     of the two joins the members, and the image of a preimage is read off
-    the key it was lifted from, without an elimination.  The recorded meets
+    the key it was lifted from, without an elimination.  The down-sets set
     still assemble the poset that intersecting every pair validates."""
     import invcat.flag as flag
     import invcat.linalg as linalg

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invcat import (
@@ -22,7 +22,7 @@ from invcat import (
     sub_intersect,
     sub_sum,
 )
-from invcat.linalg import complement_within
+from invcat.linalg import _eliminate, _emit, _int_vector, complement_within
 
 from conftest import random_invertible, random_matrix, random_subspace
 
@@ -666,3 +666,119 @@ def test_hyperplane_contains_matches_reference(case):
         assert h.contains(other) == expected
     assert h.contains(Subspace.zero(h.field, h.ambient_dim))
     assert not h.contains(Subspace.full(h.field, h.ambient_dim))
+
+
+# --- the kernels that take at most one elimination, against the general path --------
+
+KERNEL_FIELDS = [RATIONALS, GF(2), GF(10007)]
+
+
+def eliminated(field, n, vectors):
+    """The basis and integer form ``span`` gives its rows by elimination."""
+    rows = [_int_vector(field, v)[1] for v in vectors]
+    pivots = _eliminate(field.p, rows, n)
+    ints = (tuple(map(tuple, rows[: len(pivots)])), tuple(pivots))
+    return tuple(_emit(field, rows, pivots)), ints
+
+
+@st.composite
+def single_vectors(draw):
+    """A field and one vector: zero, or with negative, large and (over
+    GF(p)) unreduced ints, and over Q fractions too."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-(10**12), 10**12)
+    if field.is_rational:
+        entry = st.one_of(entry, st.fractions(-50, 50, max_denominator=12))
+    vector = st.one_of(
+        st.just([0] * n), st.lists(entry, min_size=n, max_size=n)
+    )
+    return field, n, draw(vector)
+
+
+@given(single_vectors())
+@settings(max_examples=300)
+def test_span_of_one_vector_matches_elimination(case):
+    """``span`` of one vector takes no elimination, and gives the basis, the
+    integer form and the hash that eliminating it gives."""
+    field, n, v = case
+    line = Subspace.span(field, n, [v])
+    basis, ints = eliminated(field, n, [v])
+    assert line.basis == basis
+    assert line._ints() == ints
+    assert line.dim == int(any(_int_vector(field, v)[1]))
+    cold = Subspace(field, n, basis)
+    assert line == cold and hash(line) == hash(cold) and cold._ints() == ints
+
+
+@st.composite
+def hyperplane_and_plane(draw):
+    """A hyperplane of F^n (the kernel of a nonzero functional) and a
+    subspace of two rows, in it or not."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(2, 5))
+    functional = draw(st.lists(scalars(field), min_size=n, max_size=n).filter(any))
+    h = kernel(Matrix.build(field, 1, n, [functional]))
+    vec = st.lists(scalars(field, 7), min_size=n, max_size=n)
+    if draw(st.booleans()):  # inside the hyperplane
+        combos = st.lists(scalars(field), min_size=n - 1, max_size=n - 1)
+        basis = h.basis_matrix()
+        vec = combos.map(lambda c: (Matrix.build(field, 1, n - 1, [c]) @ basis).entries[0])
+    plane = Subspace.span(field, n, [draw(vec), draw(vec)])
+    assume(plane.dim == 2)
+    return h, plane
+
+
+@given(hyperplane_and_plane())
+@settings(max_examples=300)
+def test_hyperplane_meets_two_rows_as_the_zassenhaus_reference(case):
+    """The meet of a hyperplane and a subspace of two rows, one line with
+    no elimination where the subspace does not lie in the hyperplane, is
+    the Zassenhaus intersection, with its canonical integer form, either
+    way round and with cold caches."""
+    h, plane = case
+    expected = ref_intersect(h, plane)
+    for a, b in ((h, plane), (plane, h)):
+        got = sub_intersect(a, b)
+        assert got == expected and got._ints() == expected._ints()
+        assert hash(got) == hash(Subspace(got.field, got.ambient_dim, got.basis))
+    f, n = h.field, h.ambient_dim
+    assert sub_intersect(Subspace(f, n, h.basis), Subspace(f, n, plane.basis)) == expected
+
+
+@st.composite
+def factored_cases(draw):
+    """Matrices over Q, GF(2) and GF(10007) with every shape from 0 x 0 to
+    4 x 4: random, zero, invertible and of rank one."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["random", "zero", "invertible", "rank one"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    if kind == "invertible":
+        return random_invertible(rng, field, rows)
+    if kind == "rank one":
+        return random_matrix(rng, field, rows, 1) @ random_matrix(rng, field, 1, cols)
+    return matrix_of(draw, field, rows, cols)
+
+
+@given(factored_cases())
+@settings(max_examples=300)
+def test_factored_matches_kernel_image_and_lifts_by_one_scalar(m):
+    """``_factored``'s one elimination gives ``kernel(m)`` and ``image(m)``,
+    integer forms included, and a lift L with m L one nonzero scalar times
+    the matrix whose columns are im's basis rows."""
+    f = m.field
+    fresh = Matrix(f, m.rows, m.cols, m.entries)
+    ker, im, lift, _, _ = fresh._factored()
+    assert ker == kernel(m) and ker._ints() == kernel(m)._ints()
+    assert im == image(m) and im._ints() == image(m)._ints()
+    assert len(lift) == m.cols and all(len(row) == im.dim for row in lift)
+    if not im.dim:
+        return
+    product = m @ Matrix.build(f, m.cols, im.dim, lift)
+    columns = list(zip(*im.basis))
+    scalar = product.entries[im._ints()[1][0]][0]  # im's first row is 1 at its pivot
+    assert scalar != 0
+    assert product.entries == tuple(tuple(f.mul(scalar, x) for x in row) for row in columns)
