@@ -25,7 +25,7 @@ bitmasks or fail.  All 69 take the first-fit families.  65 of them keep
 the saturated flag, of which 63 close the envelope on matrices and 2 on
 monomial maps; the other 4 discard it.  At those limits 17 of the 500 closures stop and are refuted on a part
 (``pipeline._refuting_part``), so this line also pins the bytes of the
-refutation kernel, the rank count on ``poset.meet_closure``'s poset.
+refutation kernel, the rank count on ``flag.meet_closure``'s poset.
 
 With ``stars``, runs the same commands on 60 seeded stars
 (``random_star`` in ``tests/conftest.py``): 2 to 10 arms of dimension 1 to

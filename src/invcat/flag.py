@@ -22,7 +22,7 @@ the fresh ones, in ``sort_key`` order, and the members keep that order
 across rounds.  A round that adds nothing ends the closure.  Every
 containment between two members has then been decided once, and
 ``poset.assemble_poset`` takes the masks, their bits moved to the members'
-``sort_key`` positions, with no intersection and no meet record.
+``sort_key`` positions, with no intersection.
 
 When an element joins, each of its containments that dimension decides is
 set: 0 lies in every element and every element in the full space, two
@@ -52,6 +52,11 @@ factorization.  So a round runs in three steps:
 
 The offers, the ordinals and the witnesses are those of a round that
 intersects every pair anew.
+
+One object's state and its join and meet step make one small class
+(``_Closing``), which ``meet_closure`` also runs, on a family alone, with
+no maps: seeded with 0 and the full space, it joins and meets until a meet
+step adds nothing, and returns the poset of the down-sets those set.
 
 When a limit stops the closure, the ``ClosureDivergence`` carries, per
 object, every element reached so far in order of arrival (``reached``): the
@@ -88,14 +93,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import reduce
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import ClosureDivergence
+from .errors import ClosureDivergence, MissingBounds
 from .fields import Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
+from .poset import SubspacePoset, ambient_space, assemble_poset, export_dot, members
 # The closure never calls ``build_poset``; the binding stays because the
 # benchmark's layer tracer (perfbench/layers.py) wraps ``flag.build_poset``.
-from .poset import SubspacePoset, assemble_poset, build_poset, export_dot, members  # noqa: F401
+from .poset import build_poset  # noqa: F401
 from .rep import Generator, Representation
 
 
@@ -294,19 +301,85 @@ def _fresh_pairs(mids: Sequence[int], first: int) -> Iterator[Tuple[int, int]]:
             yield ka, mids[j]
 
 
-def _in_sort_order(
-    elems: Sequence[Subspace], below: Sequence[int], order: Sequence[int]
-) -> SubspacePoset:
-    """The poset of the elements ``elems`` by ordinal, with their down-set
-    masks ``below`` over ordinals, whose members' ordinals in ``sort_key``
-    order are ``order``: each mask's bits go to the members' positions."""
-    bit = [0] * len(order)
-    for i, k in enumerate(order):
-        bit[k] = 1 << i
-    at = bit.__getitem__
-    return assemble_poset(
-        [elems[k] for k in order], [sum(map(at, members(below[k]))) for k in order]
-    )
+class _Closing:
+    """One object's family while it closes, by ordinal (order of arrival):
+    each element, its ordinal, and for a member the mask of the ordinals of
+    the members found to lie in it so far.  Ordinal 0 is the zero space,
+    and the full space is given with it.  ``order`` holds the members'
+    ordinals in ``sort_key`` order and ``sort_keys`` their keys; ``fresh``
+    those of the last join and ``larger`` those of dimension 2 or more but
+    not the full space, both in that order; ``kept`` the meets of two
+    larger elements intersected for preimage keys, by the pair's ordinals
+    (lower first), for the meet step to take."""
+
+    __slots__ = ("elements", "ordinal", "down", "order", "sort_keys", "fresh", "larger", "kept")
+
+    def __init__(self, elements: List[Subspace]) -> None:
+        self.elements = elements
+        self.ordinal = {s: k for k, s in enumerate(elements)}
+        self.down, self.order, self.sort_keys, self.fresh, self.larger = [], [], [], [], []
+        self.kept: Dict[Tuple[int, int], Subspace] = {}
+        self.join()
+
+    def join(self) -> None:
+        """Make the elements offered since the last join members and the
+        fresh ones, and set the bits of each one's containments that
+        dimension decides: 0 lies in it and it in the full space, and a line
+        lies in a larger element or meets it in 0, by one incidence (dot
+        products with the larger one's cached normal rows, for all the lines
+        to test at once)."""
+        elems, ords, keys, below = self.elements, self.order, self.sort_keys, self.down
+        first = len(ords)
+        self.fresh = _join(elems, ords, keys)
+        if not self.fresh:
+            return
+        below.extend(1 | 1 << k for k in range(first, len(elems)))
+        below[ords[-1]] = (1 << len(elems)) - 1
+        # each pair of a line and a larger element, one of them fresh
+        top = len(ords) - 1  # the position of the full space
+        mid = max(1, min(bisect_left(keys, (2,)), top))
+        lines, mids = ords[1:mid], ords[mid:top]
+        self.larger = mids
+        if not (lines and mids):
+            return
+        fresh_lines = [ln for ln in lines if ln >= first]
+        for tested, against in (
+            (lines, [m for m in mids if m >= first]),
+            (fresh_lines, [m for m in mids if m < first]),
+        ):
+            rows = [elems[ln]._ints()[0][0] for ln in tested]
+            for m in against:
+                for i in elems[m]._holding(rows):
+                    below[m] |= 1 << tested[i]
+
+    def meet_step(self, offer: Callable[[Subspace, int, int], int]) -> None:
+        """Intersect every pair of members of dimension 2 or more, neither
+        the full space, in which a fresh one takes part (or take the meet
+        ``kept``), and offer the meets with their pairs' ordinals, in
+        ``sort_key`` pair order.  A meet that is one of its pair sets the
+        bit of that containment."""
+        elems, below, kept = self.elements, self.down, self.kept
+        for ka, kb in _fresh_pairs(self.larger, len(self.order) - len(self.fresh)):
+            s = kept.pop((ka, kb) if ka < kb else (kb, ka), None) if kept else None
+            if s is None:
+                s = sub_intersect(elems[ka], elems[kb])
+            k = offer(s, ka, kb)
+            if k == ka:
+                below[kb] |= 1 << ka
+            elif k == kb:
+                below[ka] |= 1 << kb
+
+    def poset(self) -> SubspacePoset:
+        """The poset of the members: each mask's bits go to the members'
+        ``sort_key`` positions."""
+        bit = [0] * len(self.order)
+        for i, k in enumerate(self.order):
+            bit[k] = 1 << i
+        at = bit.__getitem__
+        return assemble_poset(
+            [self.elements[k] for k in self.order],
+            [sum(map(at, members(self.down[k]))) for k in self.order],
+        )
 
 
 def _out_of_rounds(limits: ClosureLimits, rounds: int, sizes: Dict[str, int]) -> ClosureDivergence:
@@ -328,9 +401,9 @@ def compute_flag(
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
     closure runs on bitmasks of basis indices (``_close_on_masks``), and
     reads of an extra map only its id and ends (an ``Arrow`` will do); the
-    result is the same, and carries each element's mask.  On subspaces the
-    closure keeps no meet record: each poset is assembled off the down-set
-    masks it set while closing (see the module docstring).
+    result is the same, and carries each element's mask.  On subspaces
+    each poset is assembled off the down-set masks the closure set while
+    closing (see the module docstring).
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
@@ -343,73 +416,27 @@ def compute_flag(
     # ``preimage_of_meet`` lifts keys by, and from round 2 on its ordinal
     ims = [g.matrix._factored()[1] for g in maps]
     im_at: List[int] = []
-    # per object, by ordinal (order of arrival): each element and its
-    # witness; and for a member, the mask of the ordinals of the members
-    # found to lie in it so far.  The seed 0 has ordinal 0 and the full
-    # space ordinal 1 (in a space of dimension 0 they are one element).
-    ordinal: Dict[str, Dict[Subspace, int]] = {}
-    element: Dict[str, List[Subspace]] = {}
+    # per object: its family while it closes, the seed 0 at ordinal 0 and
+    # the full space at ordinal 1 (in a space of dimension 0 they are one
+    # element), and each element's witness by ordinal
+    family: Dict[str, _Closing] = {}
     witness: Dict[str, List[Witness]] = {}
-    down: Dict[str, List[int]] = {}
-    # per object: the members' ordinals in ``sort_key`` order and their sort
-    # keys, the ordinals of the last join (the fresh ones), in that order,
-    # and the members of dimension 2 or more but not the full space, in
-    # that order
-    order: Dict[str, List[int]] = {}
-    sort_keys: Dict[str, list] = {}
-    fresh: Dict[str, List[int]] = {}
-    larger: Dict[str, List[int]] = {}
-    # the meets of two elements of dimension 2 or more intersected for
-    # preimage keys, by object and the ordinals (lower first) of the pair;
-    # the round's meet step takes them
-    keyed: Dict[Tuple[str, int, int], Subspace] = {}
     rounds = 0
 
     def offer(oid: str, s: Subspace, rule: str, g: Optional[Generator], *sources: int) -> int:
         """Add ``s`` unless already known, with its witness: the rule, the
         map ``g`` and the ordinals of the sources (an element at g's other
         end, or the two elements of a meet); return its ordinal."""
-        ords = ordinal[oid]
-        k = ords.get(s)
+        fam = family[oid]
+        k = fam.ordinal.get(s)
         if k is None:
-            k = ords[s] = len(ords)
-            element[oid].append(s)
-            at = element[oid if g is None else g.dom if rule == "image" else g.cod]
+            k = fam.ordinal[s] = len(fam.elements)
+            fam.elements.append(s)
+            at = family[oid if g is None else g.dom if rule == "image" else g.cod].elements
             sources_at = tuple(at[x] for x in sources)
             witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
             _check_budget(oid, k + 1, rule, limits, rounds)
         return k
-
-    def join(oid: str) -> None:
-        """Make the elements offered since the last join members and the
-        fresh ones, and set the bits of each one's containments that
-        dimension decides: 0 lies in it and it in the full space, and a line
-        lies in a larger element or meets it in 0, by one incidence (dot
-        products with the larger one's cached normal rows, for all the lines
-        to test at once)."""
-        elems, ords, keys, below = element[oid], order[oid], sort_keys[oid], down[oid]
-        first = len(ords)
-        fresh[oid] = _join(elems, ords, keys)
-        if not fresh[oid]:
-            return
-        below.extend(1 | 1 << k for k in range(first, len(elems)))
-        below[ords[-1]] = (1 << len(elems)) - 1
-        # each pair of a line and a larger element, one of them fresh
-        top = len(ords) - 1  # the position of the full space
-        mid = max(1, min(bisect_left(keys, (2,)), top))
-        lines, mids = ords[1:mid], ords[mid:top]
-        larger[oid] = mids
-        if not (lines and mids):
-            return
-        fresh_lines = [ln for ln in lines if ln >= first]
-        for tested, against in (
-            (lines, [m for m in mids if m >= first]),
-            (fresh_lines, [m for m in mids if m < first]),
-        ):
-            rows = [elems[ln]._ints()[0][0] for ln in tested]
-            for m in against:
-                for i in elems[m]._holding(rows):
-                    below[m] |= 1 << tested[i]
 
     def key(oid: str, b: int, gi: int) -> Optional[Subspace]:
         """The key b meet im g of the preimage of member b under map gi, or
@@ -422,79 +449,102 @@ def compute_flag(
         these read: b is fresh, so the meet step has not yet met it with a
         larger element.  The preimages of the keys 0 and im g, ker g and the
         full domain, arrived in round 1."""
+        fam = family[oid]
         if rounds == 1:
-            return ims[gi] if b else element[oid][0]
-        im, below, elems = im_at[gi], down[oid], element[oid]
+            return ims[gi] if b else fam.elements[0]
+        im, below, elems = im_at[gi], fam.down, fam.elements
         if below[b] >> im & 1:
             return None
         if below[im] >> b & 1:
             return elems[b] if b else None
         if elems[b].dim < 2 or elems[im].dim < 2:
             return None
-        lo, hi = (b, im) if b < im else (im, b)
-        s = keyed.get((oid, lo, hi))
+        pair = (b, im) if b < im else (im, b)
+        s = fam.kept.get(pair)
         if s is None:
-            s = keyed[oid, lo, hi] = sub_intersect(elems[b], elems[im])
+            s = fam.kept[pair] = sub_intersect(elems[b], elems[im])
         return s
 
-    def meet_step(oid: str) -> None:
-        """Intersect every pair of members of dimension 2 or more, neither
-        the full space, in which a fresh one takes part (or take the meet
-        ``key`` kept), and offer the meets, in ``sort_key`` pair order.  A
-        meet that is one of its pair sets the bit of that containment."""
-        elems, below = element[oid], down[oid]
-        first = len(order[oid]) - len(fresh[oid])
-        for ka, kb in _fresh_pairs(larger[oid], first):
-            lo, hi = (ka, kb) if ka < kb else (kb, ka)
-            s = keyed.pop((oid, lo, hi), None) if keyed else None
-            if s is None:
-                s = sub_intersect(elems[ka], elems[kb])
-            k = offer(oid, s, "intersect", None, ka, kb)
-            if k == ka:
-                below[kb] |= 1 << ka
-            elif k == kb:
-                below[ka] |= 1 << kb
-
     for o in rep.objects:
-        elems = element[o.id] = list(
-            dict.fromkeys((Subspace.zero(rep.field, o.dim), Subspace.full(rep.field, o.dim)))
-        )
-        ordinal[o.id] = {s: k for k, s in enumerate(elems)}
-        witness[o.id] = [Witness("seed")] * len(elems)
-        down[o.id], order[o.id], sort_keys[o.id], larger[o.id] = [], [], [], []
-        join(o.id)
+        seeds = dict.fromkeys((Subspace.zero(rep.field, o.dim), Subspace.full(rep.field, o.dim)))
+        family[o.id] = _Closing(list(seeds))
+        witness[o.id] = [Witness("seed")] * len(seeds)
     # rounds until one adds nothing.  Semi-naive: a round derives only from
     # the elements of the last join; older combinations were offered.
     try:
         while True:
             if rounds >= limits.max_rounds:
-                raise _out_of_rounds(limits, rounds, {oid: len(e) for oid, e in element.items()})
+                raise _out_of_rounds(limits, rounds, {oid: len(f.elements) for oid, f in family.items()})
             rounds += 1
             # step 1: the image and preimage offers
             for gi, g in enumerate(maps):
-                for a in fresh[g.dom]:
-                    offer(g.cod, map_image(g.matrix, element[g.dom][a]), "image", g, a)
-                for b in fresh[g.cod]:
+                for a in family[g.dom].fresh:
+                    offer(g.cod, map_image(g.matrix, family[g.dom].elements[a]), "image", g, a)
+                for b in family[g.cod].fresh:
                     k = key(g.cod, b, gi)
                     if k is not None:
                         offer(g.dom, preimage_of_meet(g.matrix, k), "preimage", g, b)
             if rounds == 1:
-                im_at = [ordinal[g.cod][im] for g, im in zip(maps, ims)]
+                im_at = [family[g.cod].ordinal[im] for g, im in zip(maps, ims)]
             # step 2: the meet offers
-            for oid in element:
-                meet_step(oid)
-            if all(len(order[oid]) == len(elems) for oid, elems in element.items()):
+            for oid, fam in family.items():
+                fam.meet_step(lambda s, ka, kb: offer(oid, s, "intersect", None, ka, kb))
+            if all(len(f.order) == len(f.elements) for f in family.values()):
                 break
-            for oid in element:
-                join(oid)
+            # step 3: the join
+            for fam in family.values():
+                fam.join()
     except ClosureDivergence as stop:
-        stop.reached = {oid: list(elems) for oid, elems in element.items()}
+        stop.reached = {oid: list(f.elements) for oid, f in family.items()}
         raise
     return FlagAssignment(
-        posets={oid: _in_sort_order(element[oid], down[oid], order[oid]) for oid in element},
-        provenance={oid: dict(zip(element[oid], witness[oid])) for oid in element},
+        posets={oid: f.poset() for oid, f in family.items()},
+        provenance={oid: dict(zip(f.elements, witness[oid])) for oid, f in family.items()},
         rounds=rounds,
     )
+
+
+def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[SubspacePoset]:
+    """The poset of the closure of a family under pairwise intersection, or
+    None where it has more than ``limit`` members.  It runs the closure's
+    own steps on the family alone: the join sets the containments that
+    dimension decides, and the meet step intersects the pairs of larger
+    elements in which a fresh one takes part, until a step adds nothing.
+
+    The closure must hold the full space, which only the family can give,
+    and 0, which the family gives or the meet of its members is; else
+    ``MissingBounds``, whatever the limit.
+    """
+    given = dict.fromkeys(subspaces)
+    field, n = ambient_space(list(given))
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    if full not in given:
+        raise MissingBounds("family does not contain the full space")
+    if zero not in given and not reduce(sub_intersect, given).is_zero:
+        raise MissingBounds("meet closure does not contain the zero subspace")
+    elements = list(dict.fromkeys((zero, full, *given)))
+    if limit is not None and len(elements) > limit:
+        return None
+    closing = _Closing(elements)
+    ords = closing.ordinal
+
+    def offer(s: Subspace, ka: int, kb: int) -> int:
+        k = ords.get(s)
+        if k is None:
+            if len(elements) == limit:
+                raise ClosureDivergence(f"meet closure exceeded {limit} elements")
+            k = ords[s] = len(elements)
+            elements.append(s)
+        return k
+
+    try:
+        while True:
+            closing.meet_step(offer)
+            if len(closing.order) == len(elements):
+                return closing.poset()
+            closing.join()
+    except ClosureDivergence:
+        return None
 
 
 def _close_on_masks(

@@ -67,9 +67,9 @@ meet closure of any prefix is a meet-closed part of the final flag too, so
 the first that fails the count refutes the input as soundly, also where the
 bound's part passes the element limit.  Only where none fails is the
 ``ClosureDivergence`` raised.  Each part is one call of the refutation
-kernel, the count on the poset ``poset.meet_closure`` returns for a prefix:
-it intersects each pair of the part once and reads the poset off those
-meets.
+kernel, the count on the poset ``flag.meet_closure`` returns for a prefix:
+it closes the prefix by the subspace closure's own join and meet step, with
+no maps, and reads the poset off the down-sets those set.
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ from .criterion import (
     refute_partial,
 )
 from .errors import ClosureDivergence, ValidationError
-from .flag import Arrow, BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag
+from .flag import Arrow, BasisCoordinates, ClosureLimits, FlagAssignment, Matching, compute_flag, meet_closure
 from .linalg import Matrix
-from .poset import meet_closure
 from .realize import (
     ProjectionFamily,
     basis_inverse,
@@ -160,8 +159,9 @@ def _refuting_part(
     """The one-object part of a stopped closure on which the rank count
     refutes the input, or None (see the module docstring): the first poset
     ``meet_closure`` closes on a prefix, within ``limit``, on which
-    ``rank_count_excess`` finds an excess.  The reached elements are dropped
-    from ``stop``."""
+    ``rank_count_excess`` finds an excess.  Every prefix starts with the
+    seeds 0 and the full space, which the closure needs.  The reached
+    elements are dropped from ``stop``."""
     reached, stop.reached = stop.reached, None
     objects = sorted(rep.objects, key=lambda o: (o.dim, o.id))
     bound = {o.id: min(len(reached[o.id]), 2 ** o.dim + 1) for o in objects}
@@ -240,7 +240,7 @@ def analyze(
         part = _refuting_part(rep, stop, limits.max_elements_per_object)
         if part is None:
             raise
-        # the traceback holds the closure's frames and its whole meet record
+        # the traceback holds the closure's frames and all its state
         stopped = stop.with_traceback(None)
         return Analysis(rep, mu_mode, part, passed=False, stopped=stopped)
     analysis = Analysis(rep, mu_mode, flag, passed=_count_holds(flag))

@@ -3,14 +3,11 @@
 A poset stores its order once, as one down-set bitmask per element, and
 reads the meet of two elements off their masks: the highest index in the
 common down-set.  ``assemble_poset`` takes the covers off the down-sets.
-For a family given bare, the down-sets are read in one pass, with no
-containment test, off a record of the meets of its pairs.  One loop fills
-that record: each member in turn meets those before it, so every pair is
-intersected once.  ``meet_closure`` lets the loop append the meets it has
-not seen, up to an element limit, and returns the poset it closed;
-``build_poset`` refuses growth, and so validates meet-closure.  The flag
-closure sets its down-sets while closing, and hands them to
-``assemble_poset`` directly.
+Both flag closures, and ``flag.meet_closure``, set the down-sets while
+closing and hand them to ``assemble_poset`` directly.  ``build_poset`` is
+the pairwise reference they are tested against: it validates a bare
+family's meet-closure by intersecting every pair once, and sets each
+containment as it finds it.
 
 Two Moebius variants are kept side by side:
 
@@ -33,9 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import compress, repeat
-from operator import eq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ElementNotInPoset, MissingBounds, NotMeetClosed
 from .fields import Field
@@ -117,93 +112,51 @@ def bits(mask: int) -> bytes:
     return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
 
 
-def _record_meets(
-    family: List[Subspace], limit: Optional[int] = None, grow: bool = True
-) -> Optional[List[List[int]]]:
-    """The record of the meets of every pair of ``family``: for i < k, row k
-    holds at i the position of the meet of its members i and k.  Each
-    member k in turn meets members 0, 1, ..., k - 1, so every pair is
-    intersected once, in that order.  Where ``grow``, a meet that is not a
-    member joins at the end, the loop reaches it in turn, and the record is
-    None once there are more than ``limit`` members.  Otherwise the first
-    missing meet raises ``NotMeetClosed``, with the lower member of its pair
-    on the left."""
-    index = {s: k for k, s in enumerate(family)}
-    meets = []
-    for k, b in enumerate(family):  # reaches the members appended on the way
-        if limit is not None and len(family) > limit:
-            return None
-        row = []
-        for a in family[:k]:
-            m = sub_intersect(a, b)
-            i = index.get(m)
-            if i is None:
-                if not grow:
-                    raise NotMeetClosed(
-                        "family is not closed under intersection",
-                        left=a.to_json(),
-                        right=b.to_json(),
-                        missing=m.to_json(),
-                    )
-                i = index[m] = len(family)
-                family.append(m)
-            row.append(i)
-        meets.append(row)
-    return meets
-
-
-def build_poset(
-    subspaces: Iterable[Subspace], meets: Optional[Sequence[Sequence[Optional[int]]]] = None
-) -> SubspacePoset:
-    """Validate bounds and meet-closure, then assemble the down-sets and covers.
-
-    The record ``meets`` says, for i < k, that ``meets[k][i]`` is the position
-    in ``subspaces`` (then a sequence without repeats) of the meet of its
-    elements i and k; ``meet_closure`` passes the record its loop filled.  A
-    bare family (no ``meets``) is sorted and its record filled by
-    ``_record_meets`` with growth refused: the first missing meet in that
-    loop's order (each element, in sort order, against the ones before it)
-    raises ``NotMeetClosed``.
-
-    The down-sets are read off the meets in one pass: a meet that equals
-    one of its pair is a containment.  ``assemble_poset`` reads the covers
-    off them.
-    """
-    given = list(subspaces) if meets is not None else list(set(subspaces))
-    order = sorted(range(len(given)), key=lambda k: given[k].sort_key)
-    elems = [given[k] for k in order]
-    if not elems:
+def ambient_space(family: Sequence[Subspace]) -> Tuple[Field, int]:
+    """The field and the ambient dimension of the members of ``family``,
+    which must share them."""
+    if not family:
         raise MissingBounds("empty subspace family")
-    field = elems[0].field
-    ambient = elems[0].ambient_dim
-    for s in elems:
-        if s.field != field or s.ambient_dim != ambient:
-            raise MissingBounds("subspace family mixes ambient spaces")
+    field, n = family[0].field, family[0].ambient_dim
+    if any(s.field != field or s.ambient_dim != n for s in family):
+        raise MissingBounds("subspace family mixes ambient spaces")
+    return field, n
+
+
+def build_poset(subspaces: Iterable[Subspace]) -> SubspacePoset:
+    """The poset of a meet-closed family, validated pair by pair: the
+    reference every closure's poset is checked against.
+
+    The family is sorted, and each element in turn meets every one before
+    it.  The first meet that is not a member raises ``NotMeetClosed``, with
+    the lower of its pair on the left.  A meet that is the lower one sets
+    that bit of the higher one's down-set; the reverse cannot hold, since
+    the order is by dimension first.  ``assemble_poset`` reads the covers
+    off the down-sets.
+    """
+    elems = sorted(set(subspaces), key=lambda s: s.sort_key)
+    ambient_space(elems)
     if not elems[0].is_zero:
         raise MissingBounds("family does not contain the zero subspace")
     if not elems[-1].is_full:
         raise MissingBounds("family does not contain the full space")
-    n = len(elems)
-    if meets is None:
-        order = range(n)
-        meets = _record_meets(elems, grow=False)
-    position = [0] * n  # ordinal in ``subspaces`` -> index in ``elems``
-    for i, k in enumerate(order):
-        position[k] = i
-    down = [1 << i for i in range(n)]
-    for k in range(n):
-        row = meets[k]
-        if len(row) < k or None in row:
-            raise LookupError(f"no recorded meet for element {k} and a lower one")
-        lower = range(k)
-        mask = down[position[k]]
-        for i in compress(lower, map(eq, row, lower)):  # i <= k
-            mask |= 1 << position[i]
-        down[position[k]] = mask
-        if k in row:  # k <= i
-            bit = 1 << position[k]
-            for i in compress(lower, map(eq, row, repeat(k))):
-                down[position[i]] |= bit
+    index = {s: i for i, s in enumerate(elems)}
+    down = []
+    for k, b in enumerate(elems):
+        mask = 1 << k
+        for i, a in enumerate(elems[:k]):
+            m = sub_intersect(a, b)
+            j = index.get(m)
+            if j is None:
+                raise NotMeetClosed(
+                    "family is not closed under intersection",
+                    left=a.to_json(),
+                    right=b.to_json(),
+                    missing=m.to_json(),
+                )
+            if j == i:
+                mask |= 1 << i
+        down.append(mask)
     return assemble_poset(elems, down)
 
 
@@ -227,16 +180,6 @@ def assemble_poset(elements: Sequence[Subspace], down: Sequence[int]) -> Subspac
         covers=tuple(sorted(covers)),
         _index={s: i for i, s in enumerate(elements)},
     )
-
-
-def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[SubspacePoset]:
-    """The poset of the closure of a family under pairwise intersection, or
-    None where it has more than ``limit`` members.  ``_record_meets`` closes
-    the family, intersecting each pair once, and ``build_poset`` assembles
-    the poset off its record, so the family must hold 0 and the full space."""
-    closed = list(dict.fromkeys(subspaces))
-    meets = _record_meets(closed, limit)
-    return None if meets is None else build_poset(closed, meets)
 
 
 @dataclass(frozen=True, eq=False)

@@ -275,38 +275,39 @@ def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
 
 
 def test_the_refuting_part_is_intersected_once(monkeypatch):
-    """On the two loops on Q^9 at an element limit of 100, every meet the
-    refutation takes is taken inside a ``meet_closure``, and the one that
-    returns the reported part intersects each pair of its elements once:
-    the part's poset is read off those meets, with no second pass."""
+    """On the two loops on Q^9 at an element limit of 100, the
+    ``meet_closure`` that returns the reported part intersects each pair of
+    its elements at most once, and the part's poset, read off those meets
+    with no second pass, equals the one ``build_poset`` validates pair by
+    pair."""
+    import invcat.flag as flag
     import invcat.pipeline as pipeline
-    import invcat.poset as poset
 
-    pairs = []  # every pair poset.py intersects, in order
-    closures = []  # per meet_closure call: its first and end index in pairs, its poset
+    closures = []  # per meet_closure call: the pairs it intersects, its poset
+    running = []  # the pairs of the meet_closure call running, if any
 
     def intersect(a, b):
-        pairs.append(frozenset((a, b)))
+        for pairs in running:
+            pairs.append(frozenset((a, b)))
         return sub_intersect(a, b)
 
     def closure(elements, limit):
-        start = len(pairs)
+        running.append([])
         p = meet_closure(elements, limit)
-        closures.append((start, len(pairs), p))
+        closures.append((running.pop(), p))
         return p
 
-    monkeypatch.setattr(poset, "sub_intersect", intersect)
-    monkeypatch.setattr(pipeline, "meet_closure", closure)
-    analysis = analyze(_two_loops_on_q9(), ClosureLimits(max_elements_per_object=100))
+    with monkeypatch.context() as patched:
+        patched.setattr(flag, "sub_intersect", intersect)
+        patched.setattr(pipeline, "meet_closure", closure)
+        analysis = analyze(_two_loops_on_q9(), ClosureLimits(max_elements_per_object=100))
     [part] = analysis.flag.posets.values()
-    assert sum(end - start for start, end, _ in closures) == len(pairs)
-    start, end, last = closures[-1]
-    assert last is part and end == len(pairs)
-    n = len(part)
-    assert set(pairs[start:end]) == {
-        frozenset((a, b)) for i, a in enumerate(part.elements) for b in part.elements[:i]
-    }
-    assert end - start == n * (n - 1) // 2
+    pairs, last = closures[-1]
+    assert last is part
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) <= {frozenset((a, b)) for i, a in enumerate(part.elements) for b in part.elements[:i]}
+    ref = build_poset(part.elements)
+    assert (part.elements, part.down, part.covers) == (ref.elements, ref.down, ref.covers)
 
 
 def test_cli_deterministic_across_processes(tmp_path):

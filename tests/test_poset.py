@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcat import (
     GF,
@@ -88,9 +90,11 @@ def test_not_meet_closed():
 
 
 def test_each_pair_is_intersected_once(rng, monkeypatch):
-    """``meet_closure`` of a family whose closure has k members intersects
-    k(k-1)/2 pairs, each once, and its poset equals the one ``build_poset``
-    assembles from the same number of intersections of the closed family."""
+    """``meet_closure`` intersects each pair of its closure's members at most
+    once (pairs with 0, the full space or a line take none), and its poset
+    equals the one ``build_poset`` assembles from k(k-1)/2 intersections of
+    the closed family, one per pair."""
+    import invcat.flag as flag
     import invcat.poset as poset
 
     pairs = []
@@ -99,6 +103,7 @@ def test_each_pair_is_intersected_once(rng, monkeypatch):
         pairs.append(frozenset((a, b)))
         return sub_intersect(a, b)
 
+    monkeypatch.setattr(flag, "sub_intersect", intersect)
     monkeypatch.setattr(poset, "sub_intersect", intersect)
     field = GF(2)
     pool = all_subspaces(field, 3)
@@ -107,17 +112,60 @@ def test_each_pair_is_intersected_once(rng, monkeypatch):
         pairs.clear()
         p = meet_closure(seeds)
         k = len(p)
-        assert len(pairs) == len(set(pairs)) == k * (k - 1) // 2
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) <= {frozenset((a, b)) for i, a in enumerate(p.elements) for b in p.elements[:i]}
         pairs.clear()
         ref = build_poset(p.elements)
         assert len(pairs) == k * (k - 1) // 2
         assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)
 
 
-def test_missing_recorded_meet_raises():
-    # ordinals 0 and 1 are given, but the record of their meet is empty
-    with pytest.raises(LookupError):
-        build_poset([ZERO2, FULL2], [[], [None]])
+@st.composite
+def families(draw):
+    """Lines, planes and hyperplanes of Q^n, GF(2)^n or GF(10007)^n, n 3 or
+    4, spanned by vectors of small entries (so that meets coincide), with 0
+    and the full space each given or not."""
+    field = draw(st.sampled_from([RATIONALS, GF(2), GF(10007)]))
+    n = draw(st.integers(3, 4))
+    vec = st.lists(st.sampled_from([0, 1, 1, 2, -1]), min_size=n, max_size=n)
+    family = [
+        Subspace.span(field, n, draw(st.lists(vec, min_size=dim, max_size=dim)))
+        for dim in draw(st.lists(st.sampled_from([1, 2, n - 1]), max_size=6))
+    ]
+    bounds = [Subspace.zero(field, n), Subspace.full(field, n)]
+    family += [b for b in bounds if draw(st.integers(0, 3))]
+    return draw(st.permutations(family))
+
+
+def naive_meet_closure(family):
+    closed = set(family)
+    while True:
+        new = {sub_intersect(a, b) for a in closed for b in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+@given(families(), st.none() | st.integers(1, 24))
+@settings(max_examples=200, deadline=None)
+def test_meet_closure_matches_a_naive_fixpoint(family, limit):
+    """``meet_closure`` gives the poset ``build_poset`` validates on the naive
+    fixpoint, or None exactly where that closure has more than ``limit``
+    members, also where the family alone has; it raises ``MissingBounds``
+    where the closure lacks 0 or the full space, whatever the limit."""
+    closed = naive_meet_closure(family)
+    if not any(s.is_zero for s in closed) or not any(s.is_full for s in closed):
+        with pytest.raises(MissingBounds):
+            meet_closure(family, limit)
+        return
+    ref = build_poset(closed)
+    k = len(closed)
+    for at in (limit, None, k, k - 1, len(set(family)) - 1):
+        p = meet_closure(family, at)
+        if at is not None and k > at:
+            assert p is None
+        else:
+            assert (p.elements, p.down, p.covers) == (ref.elements, ref.down, ref.covers)
 
 
 # --- Moebius tables ---------------------------------------------------------------
