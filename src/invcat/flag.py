@@ -13,50 +13,62 @@ elements), so the result does not depend on scheduling.  Termination over an
 infinite field is not guaranteed in general; the limits make the closure fail
 loudly instead of spinning.
 
-On subspaces, each object's state is kept by ordinal, the order of
-arrival: the element, its witness and, once it is a member, its down-set
-mask, the bits of the ordinals of the members found to lie in it.  Offers
-take their sources by ordinal.  The elements a round adds join the members
-at the round's end (the seeds before round 1); those of the last join are
-the fresh ones, in ``sort_key`` order, and the members keep that order
-across rounds.  A round that adds nothing ends the closure.  Every
-containment between two members has then been decided once, and
-``poset.assemble_poset`` takes the masks, their bits moved to the members'
-``sort_key`` positions, with no intersection.
+One driver (``_close``) runs every closure, over one ``_Closing`` per
+object: its elements by ordinal, the order of arrival, and for each member
+its down-set mask, the bits of the ordinals of the members found to lie in
+it.  The elements a round adds join the members at the round's end (the
+seeds before round 1); those of the last join are the fresh ones, in
+``sort_key`` order, and the members keep that order across rounds.  A round
+runs in three steps:
 
-When an element joins, each of its containments that dimension decides is
-set: 0 lies in every element and every element in the full space, two
-lines are incomparable, and a line lies in a larger element or not by one
-incidence test (dot products with the larger one's cached normal rows, for
-all the lines to test at once).  A round's meet step intersects only pairs
-of two elements of dimension 2 or more, neither the full space, at least
-one of them fresh, and offers their meets in ``sort_key`` pair order; a
-meet that is one of its pair is a containment, and sets its bit.
-
-On subspaces the preimage of b under g is the lift of its key b meet im g
-(``preimage_of_meet``).  In round 1, b is a seed, and the key is 0 or
-im g.  From round 2 on, b and im g (the image of the full seed) are
-members, and the key is read off the masks: none where im g lies in b, b
-where b lies in im g, and none where they are incomparable and one is a
-line (their meet is 0).  Only the key of two elements of dimension 2 or
-more is one intersection, kept for the meet step.  The join has set every
-bit these read: b is fresh, so no meet step has yet met it with a larger
-element.  The preimages of the keys 0 and im g, ker g and the full domain,
-arrived in round 1 and are not offered again.  The image of a preimage
-is the key it was lifted from, which ``map_image`` reads off the map's
-factorization.  So a round runs in three steps:
-
-1. the image and the preimage offers, map by map;
-2. the meet offers, object by object;
+1. the image and the preimage offers of the fresh elements, map by map,
+   read by the map's two readers;
+2. the meet offers, object by object: the meet of each pair of members of
+   dimension 2 or more, neither the full space, at least one of them fresh,
+   in ``sort_key`` pair order (``meet_closure`` takes the reverse);
 3. the join of the elements the round added.
 
-The offers, the ordinals and the witnesses are those of a round that
-intersects every pair anew.
+A round that adds nothing ends the closure.  The driver alone keeps the
+rounds, the limits and each element's witness, recorded as the rule, the
+map and the sources' ordinals and made a ``Witness`` only for a returned
+flag.  Every containment between two members is decided once, while
+closing.  The join sets those that dimension decides: 0 lies in every
+element and every element in the full space, two lines are incomparable,
+and a line lies in a larger element or meets it in 0.  A meet that is one
+of its pair sets that bit.  ``poset.assemble_poset`` takes the masks, their
+bits moved to the members' ``sort_key`` positions, with no intersection.
 
-One object's state and its join and meet step make one small class
-(``_Closing``), which ``meet_closure`` also runs, on a family alone, with
-no maps: seeded with 0 and the full space, it joins and meets until a meet
-step adds nothing, and returns the poset of the down-sets those set.
+Two kinds of element close through the driver, and only these differ:
+
+* *Subspaces* (``_Closing``).  A meet is ``sub_intersect``, and the lines in
+  a larger element are found by one incidence test (dot products with its
+  cached normal rows, for all the lines to test at once).  The preimage of
+  b under g is the lift of its key b meet im g (``preimage_of_meet``),
+  read off the masks where they decide it, and otherwise one intersection,
+  kept for the meet step (see ``_readers``).  The image of a preimage is
+  the key it was lifted from, which ``map_image`` reads off the map's
+  factorization.
+* *Basis-index masks* (``_OnMasks``).  Given ``BasisCoordinates`` (a basis
+  per object in which every map is a partial matching of basis indices, see
+  ``Matching``), every element is a coordinate subspace, held as the
+  bitmask of its basis indices: an image is the OR of the matched bits, a
+  preimage the unmatched bits plus the bits matched into the target, a meet
+  a bitwise AND, containment the test m & n == m, and equal masks are equal
+  subspaces.  A known mask is one dict hit.  A mask's ``Subspace``, the span
+  of its basis vectors, is built once, on first arrival; it gives the sort
+  key, the witness sources, ``reached`` and the reported form.  A flag
+  closed on bitmasks also hands out each element's mask
+  (``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
+  the projections in the bases it was closed in.  ``Matching.of`` reads a
+  map with ``monomial``, the scan ``realize.verify_envelope`` shares.
+
+Both kinds run the same steps in the same order, so where both apply they
+reach the same elements at the same offers, with the same witnesses, and
+the same limits stop them.
+
+``meet_closure`` is the driver on a family alone, with no maps: it joins
+the family with 0 and the full space and meets until a step adds nothing,
+and returns the poset of the down-sets that sets.
 
 When a limit stops the closure, the ``ClosureDivergence`` carries, per
 object, every element reached so far in order of arrival (``reached``): the
@@ -64,40 +76,19 @@ seeds first, and the elements of the round it stopped in included.  Each is
 a seed or follows by a rule from elements that arrived before it, so each
 lies in the least fixpoint, and ``pipeline.analyze`` can refute the input by
 the rank count on a part of them.
-
-A second, smaller loop closes on bitmasks (``_close_on_masks``).  Given
-``BasisCoordinates`` (a basis per object in which every map is a partial
-matching of basis indices, see ``Matching``), every element is a
-coordinate subspace and is held as the bitmask of its basis indices: an
-image is the OR of the matched bits, a preimage the unmatched bits plus
-the bits matched into the target, a meet a bitwise AND, and equal masks
-are equal subspaces.  That loop makes the same offers in the same order:
-the images and the preimages of the fresh elements, map by map, then the
-AND of each pair of members of 2 or more bits, neither the full mask, at
-least one of them fresh, in ``sort_key`` pair order.  It keeps no preimage
-keys, and offers what the loop on subspaces skips
-as known; a known mask adds nothing, so each element arrives at the same
-offer with the same witness, and the same limits stop both.  A mask's
-``Subspace``, the span of its basis vectors, is built once, when the mask
-first appears; it gives the sort key, the provenance sources and the
-reported form.  At the end a member's down-set is the members whose masks
-are subsets of its own (m & n == m), and ``poset.assemble_poset`` takes
-the covers off them.  A flag
-closed on bitmasks also hands out each element's mask
-(``FlagAssignment.masks``), off which ``pipeline.build_families`` reads
-the projections in the bases it was closed in.  ``Matching.of`` reads a
-map with ``monomial``, the scan ``realize.verify_envelope`` shares.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import partial, reduce
+from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ClosureDivergence, MissingBounds
-from .fields import Scalar
+from .fields import Field, Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
 from .poset import SubspacePoset, ambient_space, assemble_poset, export_dot, members
 # The closure never calls ``build_poset``; the binding stays because the
@@ -172,18 +163,6 @@ class FlagAssignment:
 
     def export_dot(self, oid: str) -> str:
         return export_dot(self.posets[oid], name=oid)
-
-
-def _check_budget(oid: str, count: int, rule: str, limits: ClosureLimits, rounds: int) -> None:
-    if count > limits.max_elements_per_object:
-        raise ClosureDivergence(
-            f"flag({oid}) exceeded {limits.max_elements_per_object} elements "
-            f"while applying rule {rule!r}",
-            object=oid,
-            rule=rule,
-            partial_size=count,
-            rounds=rounds,
-        )
 
 
 # A monomial map: per domain basis index, the target index and a nonzero
@@ -275,96 +254,109 @@ class Arrow(NamedTuple):
     cod: str
 
 
-def _join(spaces: Sequence[Subspace], order: List[int], sort_keys: list) -> List[int]:
-    """Make the elements offered since the last join (the ordinals past the
-    members ``order``) members, inserting each into ``order`` and its key into
-    ``sort_keys`` in ``sort_key`` order; return them in that order, as the
-    fresh ones."""
-    joining = sorted((spaces[k].sort_key, k) for k in range(len(order), len(spaces)))
-    at = 0
-    for sk, k in joining:
-        at = bisect_right(sort_keys, sk, at)
-        sort_keys.insert(at, sk)
-        order.insert(at, k)
-        at += 1
-    return [k for _, k in joining]
+# how an element first arrived: its rule, its map and its sources' ordinals
+_Step = Tuple[str, Optional[Union[Generator, Arrow]], Tuple[int, ...]]
 
 
-def _fresh_pairs(mids: Sequence[int], first: int) -> Iterator[Tuple[int, int]]:
+def _fresh_pairs(mids: Sequence[int], first: int, largest_first: bool) -> Iterator[Tuple[int, int]]:
     """The pairs of the ordinals ``mids``, given in ``sort_key`` order, in
     which a fresh one (an ordinal of ``first`` or more) takes part, in
-    ``sort_key`` pair order."""
+    ``sort_key`` pair order or, ``largest_first``, in its exact reverse."""
     fresh_at = [j for j, k in enumerate(mids) if k >= first]
-    for i, ka in enumerate(mids):
+    rows = range(len(mids))
+    for i in reversed(rows) if largest_first else rows:
+        ka = mids[i]
         later = range(i + 1, len(mids)) if ka >= first else fresh_at[bisect_right(fresh_at, i):]
-        for j in later:
+        for j in reversed(later) if largest_first else later:
             yield ka, mids[j]
 
 
 class _Closing:
-    """One object's family while it closes, by ordinal (order of arrival):
-    each element, its ordinal, and for a member the mask of the ordinals of
-    the members found to lie in it so far.  Ordinal 0 is the zero space,
-    and the full space is given with it.  ``order`` holds the members'
-    ordinals in ``sort_key`` order and ``sort_keys`` their keys; ``fresh``
-    those of the last join and ``larger`` those of dimension 2 or more but
-    not the full space, both in that order; ``kept`` the meets of two
-    larger elements intersected for preimage keys, by the pair's ordinals
-    (lower first), for the meet step to take."""
+    """One object's family of subspaces while it closes, by ordinal (order
+    of arrival): each element, its ordinal, and for a member the mask of
+    the ordinals of the members found to lie in it so far.  Ordinal 0 is
+    the zero space, and the full space is given with it.  ``spaces`` holds
+    each element's ``Subspace``, here the element itself.  ``order`` holds
+    the members' ordinals in ``sort_key`` order and ``sort_keys`` their
+    keys; ``fresh`` those of the last join and ``larger`` those of
+    dimension 2 or more but not the full space, both in that order;
+    ``kept`` the meets of two larger elements intersected for preimage
+    keys, by the pair's ordinals (lower first), for the meet step to take."""
 
-    __slots__ = ("elements", "ordinal", "down", "order", "sort_keys", "fresh", "larger", "kept")
+    __slots__ = ("elements", "spaces", "ordinal", "down", "order", "sort_keys", "fresh", "larger", "kept")
 
-    def __init__(self, elements: List[Subspace]) -> None:
+    def __init__(self, elements: list, spaces: Optional[List[Subspace]] = None) -> None:
         self.elements = elements
-        self.ordinal = {s: k for k, s in enumerate(elements)}
+        self.spaces = elements if spaces is None else spaces
+        self.ordinal = {x: k for k, x in enumerate(elements)}
         self.down, self.order, self.sort_keys, self.fresh, self.larger = [], [], [], [], []
         self.kept: Dict[Tuple[int, int], Subspace] = {}
         self.join()
 
+    def add(self, x) -> int:
+        """Add the new element ``x``; return its ordinal."""
+        k = self.ordinal[x] = len(self.elements)
+        self.elements.append(x)
+        return k
+
+    def _meet(self, a: Subspace, b: Subspace) -> Subspace:
+        return sub_intersect(a, b)
+
+    def _lines_in(self, lines: List[int], larger: List[int]) -> None:
+        """Set the bit of each of ``lines`` in each of ``larger`` it lies in,
+        by one incidence test per larger element."""
+        elems, below = self.elements, self.down
+        rows = [elems[ln]._ints()[0][0] for ln in lines]
+        for m in larger:
+            for i in elems[m]._holding(rows):
+                below[m] |= 1 << lines[i]
+
     def join(self) -> None:
-        """Make the elements offered since the last join members and the
-        fresh ones, and set the bits of each one's containments that
-        dimension decides: 0 lies in it and it in the full space, and a line
-        lies in a larger element or meets it in 0, by one incidence (dot
-        products with the larger one's cached normal rows, for all the lines
-        to test at once)."""
-        elems, ords, keys, below = self.elements, self.order, self.sort_keys, self.down
-        first = len(ords)
-        self.fresh = _join(elems, ords, keys)
-        if not self.fresh:
+        """Make the elements offered since the last join members, inserting
+        each into ``order`` and its key into ``sort_keys`` in ``sort_key``
+        order, and the fresh ones; and set the bits of each one's
+        containments that dimension decides: 0 lies in it and it in the full
+        space, and a line lies in a larger element or meets it in 0."""
+        ords, keys, below = self.order, self.sort_keys, self.down
+        first, n = len(ords), len(self.elements)
+        if first == n:
+            self.fresh = []
             return
-        below.extend(1 | 1 << k for k in range(first, len(elems)))
-        below[ords[-1]] = (1 << len(elems)) - 1
+        joining = sorted((self.spaces[k].sort_key, k) for k in range(first, n))
+        at = 0
+        for sk, k in joining:
+            at = bisect_right(keys, sk, at)
+            keys.insert(at, sk)
+            ords.insert(at, k)
+            at += 1
+        self.fresh = [k for _, k in joining]
+        below.extend(1 | 1 << k for k in range(first, n))
+        below[ords[-1]] = (1 << n) - 1
         # each pair of a line and a larger element, one of them fresh
         top = len(ords) - 1  # the position of the full space
         mid = max(1, min(bisect_left(keys, (2,)), top))
         lines, mids = ords[1:mid], ords[mid:top]
         self.larger = mids
-        if not (lines and mids):
-            return
-        fresh_lines = [ln for ln in lines if ln >= first]
-        for tested, against in (
-            (lines, [m for m in mids if m >= first]),
-            (fresh_lines, [m for m in mids if m < first]),
-        ):
-            rows = [elems[ln]._ints()[0][0] for ln in tested]
-            for m in against:
-                for i in elems[m]._holding(rows):
-                    below[m] |= 1 << tested[i]
+        if lines and mids:
+            self._lines_in(lines, [m for m in mids if m >= first])
+            self._lines_in([ln for ln in lines if ln >= first], [m for m in mids if m < first])
 
-    def meet_step(self, offer: Callable[[Subspace, int, int], int]) -> None:
-        """Intersect every pair of members of dimension 2 or more, neither
-        the full space, in which a fresh one takes part (or take the meet
-        ``kept``), and offer the meets with their pairs' ordinals, in
-        ``sort_key`` pair order.  A meet that is one of its pair sets the
-        bit of that containment."""
-        elems, below, kept = self.elements, self.down, self.kept
-        for ka, kb in _fresh_pairs(self.larger, len(self.order) - len(self.fresh)):
-            s = kept.pop((ka, kb) if ka < kb else (kb, ka), None) if kept else None
-            if s is None:
-                s = sub_intersect(elems[ka], elems[kb])
-            k = offer(s, ka, kb)
-            if k == ka:
+    def meet_step(self, add: Callable[[object, int, int], None], largest_first: bool) -> None:
+        """Meet every pair of larger members in which a fresh one takes part
+        (or take the meet ``kept``), in ``_fresh_pairs`` order, and ``add``
+        each new meet with its pair's ordinals.  A meet that is one of its
+        pair sets the bit of that containment."""
+        if not self.fresh:
+            return
+        elems, below, kept, known, meet = self.elements, self.down, self.kept, self.ordinal, self._meet
+        for ka, kb in _fresh_pairs(self.larger, len(self.order) - len(self.fresh), largest_first):
+            x = kept.pop((ka, kb) if ka < kb else (kb, ka), None) if kept else None
+            if x is None:
+                x = meet(elems[ka], elems[kb])
+            k = known.get(x)
+            if k is None:
+                add(x, ka, kb)
+            elif k == ka:
                 below[kb] |= 1 << ka
             elif k == kb:
                 below[ka] |= 1 << kb
@@ -377,15 +369,142 @@ class _Closing:
             bit[k] = 1 << i
         at = bit.__getitem__
         return assemble_poset(
-            [self.elements[k] for k in self.order],
+            [self.spaces[k] for k in self.order],
             [sum(map(at, members(self.down[k]))) for k in self.order],
         )
 
 
-def _out_of_rounds(limits: ClosureLimits, rounds: int, sizes: Dict[str, int]) -> ClosureDivergence:
-    return ClosureDivergence(
-        f"no fixpoint after {limits.max_rounds} rounds", rule="rounds", rounds=rounds, sizes=sizes
-    )
+class _OnMasks(_Closing):
+    """One object's family of basis-index masks while it closes (see
+    ``_Closing``): a meet is a bitwise AND, containment the test
+    m & n == m, and each mask's ``Subspace``, the span of its basis
+    vectors, is built when the mask first arrives."""
+
+    __slots__ = ("field", "columns")
+    _meet = staticmethod(and_)
+
+    def __init__(self, field: Field, basis: Matrix) -> None:
+        self.field, self.columns = field, basis._ints()[2]
+        n = len(self.columns)
+        masks = list(dict.fromkeys((0, (1 << n) - 1)))
+        super().__init__(masks, [Subspace.zero(field, n), Subspace.full(field, n)][: len(masks)])
+
+    def add(self, mask: int) -> int:
+        cols = self.columns
+        vectors = [c for j, c in enumerate(cols) if mask >> j & 1]
+        self.spaces.append(Subspace.span(self.field, len(cols), vectors))
+        return super().add(mask)
+
+    def _lines_in(self, lines: List[int], larger: List[int]) -> None:
+        elems, below = self.elements, self.down
+        for m in larger:
+            n = elems[m]
+            below[m] |= sum(1 << ln for ln in lines if elems[ln] & n == elems[ln])
+
+
+# A map's readers: the image of an element of its domain, and the preimage
+# of member b of its codomain's family, each the element to offer at the
+# other end or None where that offer is known.  The preimage reader takes
+# the family and b, since on subspaces it reads b's down-set.
+_ImageReader = Callable[[object], object]
+_PreimageReader = Callable[[_Closing, int], object]
+
+
+def _close(
+    family: Dict[str, _Closing],
+    maps: Sequence[Tuple[Union[Generator, Arrow], _ImageReader, _PreimageReader]],
+    limits: ClosureLimits,
+    largest_first: bool = False,
+) -> Tuple[int, Dict[str, List[_Step]]]:
+    """Close ``family`` under ``maps``, each with its image and preimage
+    readers, and meets, by rounds (see the module docstring), taking each
+    meet step's pairs largest first where asked.  Return the rounds and,
+    per object, each element's ``_Step`` by ordinal.  Where a limit stops
+    it, the ``ClosureDivergence`` carries ``reached``."""
+    steps = {oid: [("seed", None, ())] * len(f.elements) for oid, f in family.items()}
+    rounds = 0
+
+    def add(oid: str, x: object, rule: str, g: Optional[Union[Generator, Arrow]], *sources: int) -> None:
+        k = family[oid].add(x)
+        steps[oid].append((rule, g, sources))
+        if k + 1 > limits.max_elements_per_object:
+            raise ClosureDivergence(
+                f"flag({oid}) exceeded {limits.max_elements_per_object} elements "
+                f"while applying rule {rule!r}",
+                object=oid,
+                rule=rule,
+                partial_size=k + 1,
+                rounds=rounds,
+            )
+
+    # rounds until one adds nothing.  Semi-naive: a round derives only from
+    # the elements of the last join; older combinations were offered.
+    try:
+        while True:
+            if rounds >= limits.max_rounds:
+                sizes = {oid: len(f.elements) for oid, f in family.items()}
+                raise ClosureDivergence(
+                    f"no fixpoint after {limits.max_rounds} rounds", rule="rounds", rounds=rounds, sizes=sizes
+                )
+            rounds += 1
+            for g, image, preimage in maps:
+                dom, cod = family[g.dom], family[g.cod]
+                for a in dom.fresh:
+                    x = image(dom.elements[a])
+                    if x not in cod.ordinal:
+                        add(g.cod, x, "image", g, a)
+                for b in cod.fresh:
+                    x = preimage(cod, b)
+                    if x is not None and x not in dom.ordinal:
+                        add(g.dom, x, "preimage", g, b)
+            for oid, fam in family.items():
+                fam.meet_step(lambda x, ka, kb: add(oid, x, "intersect", None, ka, kb), largest_first)
+            if all(len(f.order) == len(f.elements) for f in family.values()):
+                return rounds, steps
+            for fam in family.values():
+                fam.join()
+    except ClosureDivergence as stop:
+        stop.reached = {oid: list(f.spaces) for oid, f in family.items()}
+        raise
+
+
+def _readers(g: Generator) -> Tuple[Generator, _ImageReader, _PreimageReader]:
+    """``g`` with its readers on subspaces: ``map_image``, and the lift by
+    ``preimage_of_meet`` of the key b meet im g of member b's preimage, or
+    None where that preimage is known.  In round 1, b is a seed (ordinal 0
+    or 1), and the key is 0 or im g.  From round 2 on, b and im g are
+    members: where one lies in the other, the key is b, or None for im g;
+    the meet of two that do not, one of them a line, is 0, whose preimage
+    is known; and the meet of two elements of dimension 2 or more is one
+    intersection, kept for the meet step.  The join has set every bit these
+    read: b is fresh, so the meet step has not yet met it with a larger
+    element.  The preimages of the keys 0 and im g, ker g and the full
+    domain, arrived in round 1."""
+    # g's image, the one cached with the factorization keys are lifted by
+    m, im = g.matrix, g.matrix._factored()[1]
+    i = None  # the ordinal of im g, from round 2 on
+
+    def preimage(fam: _Closing, b: int) -> Optional[Subspace]:
+        nonlocal i
+        elems = fam.elements
+        if b < 2:
+            return preimage_of_meet(m, im if b else elems[0])
+        if i is None:
+            i = fam.ordinal[im]
+        below = fam.down
+        if below[b] >> i & 1:
+            return None
+        if below[i] >> b & 1:
+            return preimage_of_meet(m, elems[b])
+        if elems[b].dim < 2 or elems[i].dim < 2:
+            return None
+        pair = (b, i) if b < i else (i, b)
+        key = fam.kept.get(pair)
+        if key is None:
+            key = fam.kept[pair] = sub_intersect(elems[b], elems[i])
+        return preimage_of_meet(m, key)
+
+    return g, partial(map_image, m), preimage
 
 
 def compute_flag(
@@ -399,117 +518,58 @@ def compute_flag(
     ``extra_maps`` adjoins additional linear maps (same closure rules) without
     touching the representation itself; the pipeline uses this to saturate a
     passing flag with constructed pseudo-inverses.  With ``coordinates`` the
-    closure runs on bitmasks of basis indices (``_close_on_masks``), and
-    reads of an extra map only its id and ends (an ``Arrow`` will do); the
-    result is the same, and carries each element's mask.  On subspaces
-    each poset is assembled off the down-set masks the closure set while
-    closing (see the module docstring).
+    closure runs on bitmasks of basis indices, and reads of an extra map
+    only its id and ends (an ``Arrow`` will do); the result is the same, and
+    carries each element's mask.
 
     Where a limit stops the closure, the ``ClosureDivergence`` carries each
     object's elements in order of arrival as ``reached`` (see the module
     docstring).
     """
-    maps = list(rep.generators) + list(extra_maps)
+    maps, field = list(rep.generators) + list(extra_maps), rep.field
+    if coordinates is None:
+        # per object: the seed 0 at ordinal 0 and the full space at ordinal
+        # 1 (in a space of dimension 0 they are one element)
+        family = {
+            o.id: _Closing(list(dict.fromkeys((Subspace.zero(field, o.dim), Subspace.full(field, o.dim)))))
+            for o in rep.objects
+        }
+        readers = [_readers(g) for g in maps]
+    else:
+        family = {o.id: _OnMasks(field, coordinates.bases[o.id]) for o in rep.objects}
+        readers = [
+            (g, m.image, lambda fam, b, m=m: m.preimage(fam.elements[b]))
+            for g, m in zip(maps, coordinates.matchings)
+        ]
+    rounds, steps = _close(family, readers, limits)
+
+    def witnesses(oid: str) -> Dict[Subspace, Witness]:
+        """Each element's ``Witness``, its sources read off their ordinals."""
+        seed, out = Witness("seed"), []
+        for rule, g, sources in steps[oid]:
+            if rule == "seed":
+                out.append(seed)
+            else:
+                at = family[oid if g is None else g.dom if rule == "image" else g.cod].spaces
+                out.append(Witness(rule, None if g is None else g.id, tuple(map(at.__getitem__, sources))))
+        return dict(zip(family[oid].spaces, out))
+
+    masks = None
     if coordinates is not None:
-        return _close_on_masks(rep, limits, maps, coordinates)
-    # each map's image: the one cached with the factorization that
-    # ``preimage_of_meet`` lifts keys by, and from round 2 on its ordinal
-    ims = [g.matrix._factored()[1] for g in maps]
-    im_at: List[int] = []
-    # per object: its family while it closes, the seed 0 at ordinal 0 and
-    # the full space at ordinal 1 (in a space of dimension 0 they are one
-    # element), and each element's witness by ordinal
-    family: Dict[str, _Closing] = {}
-    witness: Dict[str, List[Witness]] = {}
-    rounds = 0
-
-    def offer(oid: str, s: Subspace, rule: str, g: Optional[Generator], *sources: int) -> int:
-        """Add ``s`` unless already known, with its witness: the rule, the
-        map ``g`` and the ordinals of the sources (an element at g's other
-        end, or the two elements of a meet); return its ordinal."""
-        fam = family[oid]
-        k = fam.ordinal.get(s)
-        if k is None:
-            k = fam.ordinal[s] = len(fam.elements)
-            fam.elements.append(s)
-            at = family[oid if g is None else g.dom if rule == "image" else g.cod].elements
-            sources_at = tuple(at[x] for x in sources)
-            witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
-            _check_budget(oid, k + 1, rule, limits, rounds)
-        return k
-
-    def key(oid: str, b: int, gi: int) -> Optional[Subspace]:
-        """The key b meet im g of the preimage of member b under map gi, or
-        None where that preimage is known.  In round 1, b is a seed, and the
-        key is 0 or im g.  From round 2 on, b and im g are members: where
-        one lies in the other, the key is b, or None for im g; the meet of
-        two that do not, one of them a line, is 0, whose preimage is known;
-        and the meet of two elements of dimension 2 or more is one
-        intersection, kept for the meet step.  The join has set every bit
-        these read: b is fresh, so the meet step has not yet met it with a
-        larger element.  The preimages of the keys 0 and im g, ker g and the
-        full domain, arrived in round 1."""
-        fam = family[oid]
-        if rounds == 1:
-            return ims[gi] if b else fam.elements[0]
-        im, below, elems = im_at[gi], fam.down, fam.elements
-        if below[b] >> im & 1:
-            return None
-        if below[im] >> b & 1:
-            return elems[b] if b else None
-        if elems[b].dim < 2 or elems[im].dim < 2:
-            return None
-        pair = (b, im) if b < im else (im, b)
-        s = fam.kept.get(pair)
-        if s is None:
-            s = fam.kept[pair] = sub_intersect(elems[b], elems[im])
-        return s
-
-    for o in rep.objects:
-        seeds = dict.fromkeys((Subspace.zero(rep.field, o.dim), Subspace.full(rep.field, o.dim)))
-        family[o.id] = _Closing(list(seeds))
-        witness[o.id] = [Witness("seed")] * len(seeds)
-    # rounds until one adds nothing.  Semi-naive: a round derives only from
-    # the elements of the last join; older combinations were offered.
-    try:
-        while True:
-            if rounds >= limits.max_rounds:
-                raise _out_of_rounds(limits, rounds, {oid: len(f.elements) for oid, f in family.items()})
-            rounds += 1
-            # step 1: the image and preimage offers
-            for gi, g in enumerate(maps):
-                for a in family[g.dom].fresh:
-                    offer(g.cod, map_image(g.matrix, family[g.dom].elements[a]), "image", g, a)
-                for b in family[g.cod].fresh:
-                    k = key(g.cod, b, gi)
-                    if k is not None:
-                        offer(g.dom, preimage_of_meet(g.matrix, k), "preimage", g, b)
-            if rounds == 1:
-                im_at = [family[g.cod].ordinal[im] for g, im in zip(maps, ims)]
-            # step 2: the meet offers
-            for oid, fam in family.items():
-                fam.meet_step(lambda s, ka, kb: offer(oid, s, "intersect", None, ka, kb))
-            if all(len(f.order) == len(f.elements) for f in family.values()):
-                break
-            # step 3: the join
-            for fam in family.values():
-                fam.join()
-    except ClosureDivergence as stop:
-        stop.reached = {oid: list(f.elements) for oid, f in family.items()}
-        raise
+        masks = {oid: tuple(f.elements[k] for k in f.order) for oid, f in family.items()}
     return FlagAssignment(
         posets={oid: f.poset() for oid, f in family.items()},
-        provenance={oid: dict(zip(f.elements, witness[oid])) for oid, f in family.items()},
+        provenance={oid: witnesses(oid) for oid in family},
         rounds=rounds,
+        masks=masks,
     )
 
 
 def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> Optional[SubspacePoset]:
     """The poset of the closure of a family under pairwise intersection, or
-    None where it has more than ``limit`` members.  It runs the closure's
-    own steps on the family alone: the join sets the containments that
-    dimension decides, and the meet step intersects the pairs of larger
-    elements in which a fresh one takes part, until a step adds nothing.
+    None where it has more than ``limit`` members: the driver on the family
+    alone, with no maps.  It needs no round limit, since every member is a
+    meet of finitely many given ones.
 
     The closure must hold the full space, which only the family can give,
     and 0, which the family gives or the meet of its members is; else
@@ -526,121 +586,12 @@ def meet_closure(subspaces: Iterable[Subspace], limit: Optional[int] = None) -> 
     if limit is not None and len(elements) > limit:
         return None
     closing = _Closing(elements)
-    ords = closing.ordinal
-
-    def offer(s: Subspace, ka: int, kb: int) -> int:
-        k = ords.get(s)
-        if k is None:
-            if len(elements) == limit:
-                raise ClosureDivergence(f"meet closure exceeded {limit} elements")
-            k = ords[s] = len(elements)
-            elements.append(s)
-        return k
-
+    limits = ClosureLimits(sys.maxsize, sys.maxsize if limit is None else limit)
     try:
-        while True:
-            closing.meet_step(offer)
-            if len(closing.order) == len(elements):
-                return closing.poset()
-            closing.join()
+        # Largest pairs first, where the meets are most often new, so a
+        # closure past ``limit`` finds out soonest.  Unlike compute_flag's,
+        # whose arrival order is printed, this result does not depend on it.
+        _close({"": closing}, (), limits, largest_first=True)
     except ClosureDivergence:
         return None
-
-
-def _close_on_masks(
-    rep: Representation,
-    limits: ClosureLimits,
-    maps: Sequence[Union[Generator, Arrow]],
-    coordinates: BasisCoordinates,
-) -> FlagAssignment:
-    """``compute_flag`` on the bitmasks of basis indices of ``coordinates``,
-    whose ``matchings`` are those of ``maps``, in order.
-
-    It makes the offers of the closure on subspaces in the same order:
-    per round, map by map, the image of each fresh element at the domain and
-    the preimage of each at the codomain; then, object by object, the AND of
-    each pair of members of 2 or more bits, neither the full mask, at least
-    one of them fresh, in ``sort_key`` pair order.  A known mask adds
-    nothing, so each element arrives as it does there, with the same
-    witness, and the same limits stop it at the same offer.  At the end a
-    member's down-set is the members whose masks are subsets of its own.
-    """
-    field = rep.field
-    columns = {oid: b._ints()[2] for oid, b in coordinates.bases.items()}
-    # per object, by ordinal (order of arrival): each mask, its Subspace,
-    # the span of its basis vectors, and its witness; and the members'
-    # ordinals in ``sort_key`` order, their keys and the fresh ones
-    ordinal: Dict[str, Dict[int, int]] = {}
-    masks: Dict[str, List[int]] = {}
-    spaces: Dict[str, List[Subspace]] = {}
-    witness: Dict[str, List[Witness]] = {}
-    order: Dict[str, List[int]] = {}
-    sort_keys: Dict[str, list] = {}
-    fresh: Dict[str, List[int]] = {}
-    rounds = 0
-
-    def add(oid: str, mask: int, rule: str, g: Optional[Arrow], *sources: int) -> None:
-        """Add a mask not yet known, with its Subspace and its witness (see
-        ``compute_flag``'s ``offer``)."""
-        ords = ordinal[oid]
-        k = ords[mask] = len(ords)
-        masks[oid].append(mask)
-        cols = columns[oid]
-        spaces[oid].append(
-            Subspace.span(field, len(cols), [c for j, c in enumerate(cols) if mask >> j & 1])
-        )
-        at = spaces[oid if g is None else g.dom if rule == "image" else g.cod]
-        sources_at = tuple(at[x] for x in sources)
-        witness[oid].append(Witness(rule, None if g is None else g.id, sources_at))
-        _check_budget(oid, k + 1, rule, limits, rounds)
-
-    for o in rep.objects:
-        ms = masks[o.id] = list(dict.fromkeys((0, (1 << o.dim) - 1)))
-        ordinal[o.id] = {m: k for k, m in enumerate(ms)}
-        spaces[o.id] = [Subspace.zero(field, o.dim), Subspace.full(field, o.dim)][: len(ms)]
-        witness[o.id] = [Witness("seed")] * len(ms)
-        order[o.id], sort_keys[o.id] = [], []
-        fresh[o.id] = _join(spaces[o.id], order[o.id], sort_keys[o.id])
-    try:
-        while True:
-            if rounds >= limits.max_rounds:
-                raise _out_of_rounds(limits, rounds, {oid: len(ms) for oid, ms in masks.items()})
-            rounds += 1
-            # an offer of a known mask adds nothing, and is not made
-            for g, m in zip(maps, coordinates.matchings):
-                for a in fresh[g.dom]:
-                    mask = m.image(masks[g.dom][a])
-                    if mask not in ordinal[g.cod]:
-                        add(g.cod, mask, "image", g, a)
-                for b in fresh[g.cod]:
-                    mask = m.preimage(masks[g.cod][b])
-                    if mask not in ordinal[g.dom]:
-                        add(g.dom, mask, "preimage", g, b)
-            for oid, ms in masks.items():
-                full, known = (1 << len(columns[oid])) - 1, ordinal[oid]
-                mids = [k for k in order[oid] if ms[k] != full and ms[k].bit_count() > 1]
-                for ka, kb in _fresh_pairs(mids, len(order[oid]) - len(fresh[oid])):
-                    mask = ms[ka] & ms[kb]
-                    if mask not in known:
-                        add(oid, mask, "intersect", None, ka, kb)
-            if all(len(order[oid]) == len(ms) for oid, ms in masks.items()):
-                break
-            for oid in masks:
-                fresh[oid] = _join(spaces[oid], order[oid], sort_keys[oid])
-    except ClosureDivergence as stop:
-        stop.reached = {oid: list(s) for oid, s in spaces.items()}
-        raise
-    posets, in_order = {}, {}
-    for oid, ms in masks.items():
-        ordered = in_order[oid] = tuple(ms[k] for k in order[oid])
-        down = [
-            sum(1 << i for i, m in enumerate(ordered[:j]) if m & n == m) | 1 << j
-            for j, n in enumerate(ordered)
-        ]
-        posets[oid] = assemble_poset([spaces[oid][k] for k in order[oid]], down)
-    return FlagAssignment(
-        posets=posets,
-        provenance={oid: dict(zip(spaces[oid], witness[oid])) for oid in masks},
-        rounds=rounds,
-        masks=in_order,
-    )
+    return closing.poset()

@@ -68,8 +68,10 @@ the first that fails the count refutes the input as soundly, also where the
 bound's part passes the element limit.  Only where none fails is the
 ``ClosureDivergence`` raised.  Each part is one call of the refutation
 kernel, the count on the poset ``flag.meet_closure`` returns for a prefix:
-it closes the prefix by the subspace closure's own join and meet step, with
-no maps, and reads the poset off the down-sets those set.
+it closes the prefix by the flag closure's own driver, with no maps, and
+reads the poset off the down-sets that sets.  Neither that poset nor None
+above the limit depends on the order in which the pairs are met, so the
+driver meets them largest first there, where the meets are most often new.
 """
 
 from __future__ import annotations

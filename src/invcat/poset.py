@@ -3,11 +3,11 @@
 A poset stores its order once, as one down-set bitmask per element, and
 reads the meet of two elements off their masks: the highest index in the
 common down-set.  ``assemble_poset`` takes the covers off the down-sets.
-Both flag closures, and ``flag.meet_closure``, set the down-sets while
-closing and hand them to ``assemble_poset`` directly.  ``build_poset`` is
-the pairwise reference they are tested against: it validates a bare
-family's meet-closure by intersecting every pair once, and sets each
-containment as it finds it.
+The one flag closure driver, on subspaces, on bitmasks and in
+``flag.meet_closure``, sets the down-sets while closing and hands them to
+``assemble_poset`` directly.  ``build_poset`` is the pairwise reference
+they are tested against: it validates a bare family's meet-closure by
+intersecting every pair once, and sets each containment as it finds it.
 
 Two Moebius variants are kept side by side:
 

@@ -251,6 +251,49 @@ def _two_loops_on_q9():
     )
 
 
+def _two_loops_on_gf2_9():
+    """Two loops on GF(2)^9: a random a and the projection p onto the first
+    four coordinates."""
+    rng = random.Random(1)
+    f = GF(2)
+    a = [[rng.randrange(2) for _ in range(9)] for _ in range(9)]
+    p = [[int(i == j < 4) for j in range(9)] for i in range(9)]
+    return Representation(
+        f,
+        (RepObject("x", 9),),
+        (
+            Generator("a", "x", "x", Matrix.build(f, 9, 9, a)),
+            Generator("p", "x", "x", Matrix.build(f, 9, 9, p)),
+        ),
+    )
+
+
+def test_a_meet_closure_past_its_limit_stops_early(monkeypatch):
+    """On the two loops on GF(2)^9 stopped at 1024 elements, the meet
+    closure of the first 2^9 + 1 reached elements passes the limit of 1024.
+    It takes its pairs largest first, where the meets are most often new,
+    so it finds that out after fewer than 2,000 intersections (in
+    ``sort_key`` pair order it takes some 72,000).  The input is committed
+    as ``tests/inputs/two_loops_gf2_9.json``, which CI checks at the
+    default limits."""
+    import invcat.flag as flag
+
+    rep = _two_loops_on_gf2_9()
+    assert (ROOT / "tests" / "inputs" / "two_loops_gf2_9.json").read_text() == rep.serialize()
+    with pytest.raises(ClosureDivergence) as exc:
+        compute_flag(rep, ClosureLimits(max_elements_per_object=1024))
+    reached = exc.value.reached["x"]
+    calls = []
+
+    def intersect(a, b):
+        calls.append(None)
+        return sub_intersect(a, b)
+
+    monkeypatch.setattr(flag, "sub_intersect", intersect)
+    assert meet_closure(reached[:2**9 + 1], 1024) is None
+    assert len(calls) < 2000
+
+
 def test_a_short_prefix_refutes_where_the_bound_passes_the_limit():
     """On the two loops on Q^9, at ClosureLimits(max_elements_per_object=100)
     the meet closure of the first 2^9 + 1 reached elements passes the
@@ -620,8 +663,8 @@ def test_a_passing_run_builds_only_the_pseudo_inverses_it_prints(tmp_path, capsy
 
 
 def test_mask_closure_posets_are_the_validated_posets():
-    """The posets a closure on bitmasks assembles, with its down-sets read
-    by subset tests of the masks, are those ``build_poset`` validates and
+    """The posets a closure on bitmasks assembles, with its down-sets set
+    while closing, are those ``build_poset`` validates and
     assembles from the same subspaces: on the saturated flags of the
     ``conj_gf`` corpus (seed 3) and on closures of random matchings."""
     from test_flag import _matching_representation
