@@ -462,13 +462,13 @@ def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
     """C_b for each element b, in index order: the complement inside b of the
     span of the rows of all of b's lower covers (one elimination where b
     has more than one).  Where that span is 0, as at 0 and at the atoms,
-    C_b is b itself, and no complement is eliminated."""
+    C_b is b itself, and no complement is eliminated.  b's lower covers are
+    read when the scan reaches b, so a scan that stops early reduces no
+    more of the poset."""
     elems = p.elements
-    lower: List[List[Subspace]] = [[] for _ in elems]
-    for i, j in p.covers:
-        lower[j].append(elems[i])
     zero = elems[p.zero_index]
-    for b, covers in zip(elems, lower):
+    for j, b in enumerate(elems):
+        covers = list(compress(elems, bits(p._lower_covers(j))))
         if len(covers) > 1:
             rows = [r for s in covers for r in s._ints()[0]]
             below = Subspace.span(p.field, p.ambient_dim, rows)

@@ -30,13 +30,17 @@ runs in three steps:
 
 A round that adds nothing ends the closure.  The driver alone keeps the
 rounds, the limits and each element's witness, recorded as the rule, the
-map and the sources' ordinals and made a ``Witness`` only for a returned
-flag.  Every containment between two members is decided once, while
-closing.  The join sets those that dimension decides: 0 lies in every
-element and every element in the full space, two lines are incomparable,
-and a line lies in a larger element or meets it in 0.  A meet that is one
-of its pair sets that bit.  ``poset.assemble_poset`` takes the masks, their
-bits moved to the members' ``sort_key`` positions, with no intersection.
+map and the sources' ordinals.  A returned flag keeps those records and
+each object's elements by ordinal, and makes them ``Witness`` objects only
+when its provenance is first read, which only the ``flag`` command does.
+Every containment between two members is decided once, while closing.  The
+join sets those that dimension decides: 0 lies in every element and every
+element in the full space, two lines are incomparable, and a line lies in a
+larger element or meets it in 0.  A meet that is one of its pair sets that
+bit.  ``poset.assemble_poset`` takes the masks, their bits moved to the
+members' ``sort_key`` positions in one pass over each mask, with no
+intersection; the poset builds its Hasse covers off them only when they
+are read.
 
 Two kinds of element close through the driver, and only these differ:
 
@@ -81,16 +85,18 @@ the rank count on a part of them.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from functools import partial, reduce
+from itertools import compress
 from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ClosureDivergence, MissingBounds
 from .fields import Field, Scalar
 from .linalg import Matrix, Subspace, map_image, preimage_of_meet, sub_intersect
-from .poset import SubspacePoset, ambient_space, assemble_poset, export_dot, members
+from .poset import SubspacePoset, ambient_space, assemble_poset, bits, export_dot
 # The closure never calls ``build_poset``; the binding stays because the
 # benchmark's layer tracer (perfbench/layers.py) wraps ``flag.build_poset``.
 from .poset import build_poset  # noqa: F401
@@ -123,7 +129,9 @@ class Witness:
 @dataclass(eq=False)
 class FlagAssignment:
     posets: Dict[str, SubspacePoset]
-    provenance: Dict[str, Dict[Subspace, Witness]]
+    # per object, each element's witness in order of arrival; a closure's
+    # own is built per object when first read (``_Provenance``)
+    provenance: Mapping[str, Dict[Subspace, Witness]]
     rounds: int
     saturated: bool = False
     # set by a closure on bitmasks: per object, the bitmask of each poset
@@ -258,6 +266,40 @@ class Arrow(NamedTuple):
 _Step = Tuple[str, Optional[Union[Generator, Arrow]], Tuple[int, ...]]
 
 
+class _Provenance(Mapping):
+    """A closure's provenance, per object: each element's ``Witness``, in
+    order of arrival, built off the ``_Step`` records when the object is
+    first read.  It holds only the steps and each object's elements by
+    ordinal (``spaces``), off which the sources are read."""
+
+    def __init__(self, steps: Dict[str, List[_Step]], spaces: Dict[str, List[Subspace]]) -> None:
+        self._steps, self._spaces = steps, spaces
+        self._built: Dict[str, Dict[Subspace, Witness]] = {}
+
+    def __getitem__(self, oid: str) -> Dict[Subspace, Witness]:
+        out = self._built.get(oid)
+        if out is None:
+            out = self._built[oid] = self._witnesses(oid)
+        return out
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._steps)
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def _witnesses(self, oid: str) -> Dict[Subspace, Witness]:
+        """Each element's ``Witness``, its sources read off their ordinals."""
+        seed, out = Witness("seed"), []
+        for rule, g, sources in self._steps[oid]:
+            if rule == "seed":
+                out.append(seed)
+            else:
+                at = self._spaces[oid if g is None else g.dom if rule == "image" else g.cod]
+                out.append(Witness(rule, None if g is None else g.id, tuple(map(at.__getitem__, sources))))
+        return dict(zip(self._spaces[oid], out))
+
+
 def _fresh_pairs(mids: Sequence[int], first: int, largest_first: bool) -> Iterator[Tuple[int, int]]:
     """The pairs of the ordinals ``mids``, given in ``sort_key`` order, in
     which a fresh one (an ordinal of ``first`` or more) takes part, in
@@ -367,10 +409,9 @@ class _Closing:
         bit = [0] * len(self.order)
         for i, k in enumerate(self.order):
             bit[k] = 1 << i
-        at = bit.__getitem__
         return assemble_poset(
             [self.spaces[k] for k in self.order],
-            [sum(map(at, members(self.down[k]))) for k in self.order],
+            [sum(compress(bit, bits(self.down[k]))) for k in self.order],
         )
 
 
@@ -542,24 +583,12 @@ def compute_flag(
             for g, m in zip(maps, coordinates.matchings)
         ]
     rounds, steps = _close(family, readers, limits)
-
-    def witnesses(oid: str) -> Dict[Subspace, Witness]:
-        """Each element's ``Witness``, its sources read off their ordinals."""
-        seed, out = Witness("seed"), []
-        for rule, g, sources in steps[oid]:
-            if rule == "seed":
-                out.append(seed)
-            else:
-                at = family[oid if g is None else g.dom if rule == "image" else g.cod].spaces
-                out.append(Witness(rule, None if g is None else g.id, tuple(map(at.__getitem__, sources))))
-        return dict(zip(family[oid].spaces, out))
-
     masks = None
     if coordinates is not None:
         masks = {oid: tuple(f.elements[k] for k in f.order) for oid, f in family.items()}
     return FlagAssignment(
         posets={oid: f.poset() for oid, f in family.items()},
-        provenance={oid: witnesses(oid) for oid in family},
+        provenance=_Provenance(steps, {oid: f.spaces for oid, f in family.items()}),
         rounds=rounds,
         masks=masks,
     )

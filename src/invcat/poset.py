@@ -2,12 +2,17 @@
 
 A poset stores its order once, as one down-set bitmask per element, and
 reads the meet of two elements off their masks: the highest index in the
-common down-set.  ``assemble_poset`` takes the covers off the down-sets.
-The one flag closure driver, on subspaces, on bitmasks and in
-``flag.meet_closure``, sets the down-sets while closing and hands them to
-``assemble_poset`` directly.  ``build_poset`` is the pairwise reference
-they are tested against: it validates a bare family's meet-closure by
-intersecting every pair once, and sets each containment as it finds it.
+common down-set.  ``assemble_poset`` takes the elements and the down-sets
+and derives nothing.  The Hasse covers (``covers``), the up-sets and the
+index of the elements are read off the masks when first read, and each
+element's lower covers alone when asked for (``_lower_covers``): the rank
+count reads them element by element and stops at its first excess, and
+only ``export_dot`` reads every cover.  The one flag closure driver, on
+subspaces, on bitmasks and in ``flag.meet_closure``, sets the down-sets
+while closing and hands them to ``assemble_poset`` directly.
+``build_poset`` is the pairwise reference they are tested against: it
+validates a bare family's meet-closure by intersecting every pair once,
+and sets each containment as it finds it.
 
 Two Moebius variants are kept side by side:
 
@@ -28,7 +33,7 @@ comparable pair.  ``mobius`` builds the tables for the ``mobius`` command.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -46,15 +51,14 @@ class SubspacePoset:
     their superspaces.  The order is stored once, as down-set bitmasks: bit i
     of ``down[j]`` is set when elements[i] <= elements[j].  Since the order
     is by dimension first, the meet of i and j is the highest index in their
-    common down-set.  ``up`` holds the up-set masks, built when first read.
+    common down-set.  ``up`` (the up-set masks), ``covers`` and the index
+    behind ``index_of`` are built when first read.
     """
 
     field: Field
     ambient_dim: int
     elements: Tuple[Subspace, ...]
     down: Tuple[int, ...]                   # bit i of down[j]: elements[i] <= elements[j]
-    covers: Tuple[Tuple[int, int], ...]     # (i, j): j covers i
-    _index: Dict[Subspace, int] = dc_field(repr=False, default_factory=dict)
 
     # Lazy caches of ``criterion.adapted_complements``, where the rank count
     # fails of ``criterion.rank_count_excess``, and of the criterion's scores
@@ -65,6 +69,10 @@ class SubspacePoset:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _index(self) -> Dict[Subspace, int]:
+        return {s: i for i, s in enumerate(self.elements)}
 
     def index_of(self, s: Subspace) -> int:
         try:
@@ -92,6 +100,22 @@ class SubspacePoset:
             for i in members(mask):
                 up[i] |= bit
         return tuple(up)
+
+    def _lower_covers(self, j: int) -> int:
+        """The mask of the lower covers of element j: the elements of its
+        strict down-set that lie in no other element's strict down-set
+        within it (the transitive reduction at j)."""
+        down = self.down
+        strict = down[j] ^ (1 << j)
+        below = 0
+        for z in members(strict):
+            below |= down[z] ^ (1 << z)
+        return strict & ~below
+
+    @cached_property
+    def covers(self) -> Tuple[Tuple[int, int], ...]:
+        """The Hasse diagram's edges (i, j), where j covers i, sorted."""
+        return tuple(sorted((i, j) for j in range(len(self.down)) for i in members(self._lower_covers(j))))
 
 
 def members(mask: int) -> Iterator[int]:
@@ -131,8 +155,7 @@ def build_poset(subspaces: Iterable[Subspace]) -> SubspacePoset:
     it.  The first meet that is not a member raises ``NotMeetClosed``, with
     the lower of its pair on the left.  A meet that is the lower one sets
     that bit of the higher one's down-set; the reverse cannot hold, since
-    the order is by dimension first.  ``assemble_poset`` reads the covers
-    off the down-sets.
+    the order is by dimension first.
     """
     elems = sorted(set(subspaces), key=lambda s: s.sort_key)
     ambient_space(elems)
@@ -162,23 +185,13 @@ def build_poset(subspaces: Iterable[Subspace]) -> SubspacePoset:
 
 def assemble_poset(elements: Sequence[Subspace], down: Sequence[int]) -> SubspacePoset:
     """The poset of ``elements``, in ``sort_key`` order from 0 to the full
-    space, with the down-set masks ``down``.  The lower covers of b are the
-    elements of its strict down-set that lie in no other element's strict
-    down-set within it (transitive reduction over down-set bitmasks)."""
-    covers = []
-    for j, mask in enumerate(down):
-        strict = mask & ~(1 << j)
-        below = 0
-        for z in members(strict):
-            below |= down[z] & ~(1 << z)
-        covers.extend((i, j) for i in members(strict & ~below))
+    space, with the down-set masks ``down``.  Nothing is derived here: the
+    covers and the element index are built off the masks when first read."""
     return SubspacePoset(
         field=elements[0].field,
         ambient_dim=elements[0].ambient_dim,
         elements=tuple(elements),
         down=tuple(down),
-        covers=tuple(sorted(covers)),
-        _index={s: i for i, s in enumerate(elements)},
     )
 
 

@@ -358,7 +358,8 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
 
 def test_a_refuted_stop_is_stored_without_its_traceback(tmp_path):
     """``analyze`` stores the stop it refutes without its traceback, which
-    holds the closure's frames and its whole meet record, and drops the
+    holds the closure's frames and each object's closing state (elements,
+    down-set masks, kept meets and witness records), and drops the
     reached elements once the part is built."""
     from invcat import analyze
 

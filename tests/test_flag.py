@@ -378,12 +378,15 @@ def representations(draw):
 def test_closure_meets_assemble_the_validated_poset(rep):
     """The posets built from the closure's own down-sets equal the ones
     ``build_poset`` builds by intersecting every pair, on the raw flag and
-    on the saturated one (closed with the synthesized pseudo-inverses).
-    Their down-sets are containment and the meets read off them are the
-    intersections."""
+    on the saturated one (closed on bitmasks with the pseudo-inverses'
+    matchings, since every quiver here is a tree).  Their down-sets are
+    containment, the meets read off them are the intersections, and both
+    the covers and each element's lower covers are the transitive
+    reduction."""
     flags = [compute_flag(rep)]
     analysis = analyze(rep)
     if analysis.flag.saturated:
+        assert analysis.flag.masks is not None
         flags.append(analysis.flag)
     for flag in flags:
         for p in flag.posets.values():
@@ -398,7 +401,7 @@ def test_closure_meets_assemble_the_validated_poset(rep):
             for i, a in enumerate(p.elements):
                 for j, b in enumerate(p.elements):
                     assert p.meet(i, j) == p.index_of(sub_intersect(a, b))
-            assert p.covers == tuple(
+            covers = tuple(
                 (i, j)
                 for i in range(n)
                 for j in range(n)
@@ -406,6 +409,9 @@ def test_closure_meets_assemble_the_validated_poset(rep):
                 and leq[i][j]
                 and not any(leq[i][z] and leq[z][j] for z in range(n) if z not in (i, j))
             )
+            assert p.covers == covers
+            for j in range(n):
+                assert p._lower_covers(j) == sum(1 << i for i, k in covers if k == j)
 
 
 @st.composite
@@ -456,7 +462,7 @@ def test_containments_set_by_class_assemble_the_validated_poset(rep):
 
 def _reference_closure(rep):
     """The flag closure straight from its rules, in synchronous rounds and
-    with no meet record.  Each round offers, for each map in order, the
+    with no record of earlier meets.  Each round offers, for each map in order, the
     images of the fresh elements at its domain, then the ``map_preimage``
     of the fresh elements at its codomain, each in ``sort_key`` order; then,
     at each object, the ``sub_intersect`` of every pair of members in which

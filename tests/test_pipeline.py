@@ -125,6 +125,51 @@ def test_nothing_is_built_before_it_is_read(trisection, monkeypatch):
     assert b.families is None and builds == [(a.flag, a.bases)]
 
 
+def _star_of_planes(rng, planes, p=10007):
+    """``planes`` distinct random planes mapped into GF(p)^3 at a centre c."""
+    field = GF(p)
+    objects, gens, seen = [RepObject("c", 3)], [], set()
+    while len(gens) < planes:
+        m = Matrix.build(field, 3, 2, [[rng.randrange(p) for _ in range(2)] for _ in range(3)])
+        plane = image(m)
+        if plane.dim != 2 or plane in seen:
+            continue
+        seen.add(plane)
+        k = len(gens)
+        objects.append(RepObject(f"p{k}", 2))
+        gens.append(Generator(f"g{k}", f"p{k}", "c", m))
+    return Representation(field, tuple(objects), tuple(gens))
+
+
+def test_a_refutation_builds_no_provenance_and_no_covers(monkeypatch):
+    """A refuted star of planes is analysed and reported without a single
+    ``Witness`` made or a poset's Hasse covers computed: the rank count
+    reads each element's lower covers as it reaches it.  The provenance is
+    still there, one witness per element, when read."""
+    import invcat.flag as flag
+    from invcat.jsontext import dumps
+
+    made = []
+    real = flag.Witness
+
+    def spied(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flag, "Witness", spied)
+    a = analyze(_star_of_planes(random.Random(8), 8))
+    doc = json.loads(dumps(a.standard_report.spliced_json()))
+    assert not a.passed and doc["verdict"] == "fail"
+    assert made == []
+    for p in a.flag.posets.values():
+        assert "covers" not in p.__dict__
+    for oid, p in a.flag.posets.items():
+        witnesses = a.flag.provenance[oid]
+        assert len(witnesses) == len(p) and set(witnesses) == set(p.elements)
+        assert all(isinstance(w, real) for w in witnesses.values())
+    assert made
+
+
 def test_unknown_mu_mode_is_rejected_before_the_closure(bisection, monkeypatch):
     """The mode is validated when ``analyze`` is called, not when the lazy
     report is first read."""
