@@ -8,8 +8,8 @@ score is
 
 with mu(a) = two_var(a, b) in "standard" mode and mu(a) = one_var(a) in
 "literal" mode.  Standard mode is the default: it is the reading under
-which known worked examples come out right; literal mode is kept so the
-divergence between the two is observable.
+which known worked examples come out right; literal mode is kept, under
+``--mu literal``, so the divergence between the two is observable.
 
 A negative score refutes factorization, but a nonnegative one does not
 prove it: three coplanar lines in a 3-space score >= 0 on every pair, yet
@@ -65,12 +65,12 @@ standard verdict, and ``pipeline`` takes nothing else; the score is taken
 only for a report that gets printed.  In a report the score's witnesses take
 precedence: the count's distributivity witnesses are listed only when no
 pair scores negative.  The literal mode is scored only where it is read: for
-the witnesses of a literal report, and for a report's mode disagreements
-and examples, which are counted when first read (``to_json`` reads them,
-``decompose``'s refusal does not).  An atom b, with down(b) = {0, b}, meets
-every c outside up(b) in 0, where it scores rho(b) > 0 in standard mode and
--rho(b) in literal mode, so its disagreements are those c, counted by one
-popcount.
+the witnesses of a literal report, and for the mode disagreements and their
+examples, counted when first read, which only a literal report that scored
+something prints; a standard report takes no one_var.  An atom b, with
+down(b) = {0, b}, meets every c outside up(b) in 0, where it scores
+rho(b) > 0 in standard mode and -rho(b) in literal mode, so its
+disagreements are those c, counted by one popcount.
 
 A report reads its witnesses off runs (``_Scores.runs``): b, a score and the
 mask of the c, as long as b and the score stay the same, so a standard run
@@ -89,12 +89,13 @@ from functools import cached_property
 from itertools import compress, groupby
 from operator import itemgetter, mul
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from weakref import ref
 
 from .errors import ValidationError
 from .flag import FlagAssignment
 from .jsontext import Splice, block, separator
 from .linalg import Subspace, complement_within
-from .poset import SubspacePoset, bits, members
+from .poset import SubspacePoset, bits, members, mobius_invert
 # unused here, kept bound so that per-layer tracers can wrap it by name
 from .poset import mobius  # noqa: F401
 from .rep import Representation
@@ -107,10 +108,10 @@ class CriterionValue(NamedTuple):
 
     A refutation has about 1,700 such pairs on a star of 14 planes.  They
     are built only for a caller that reads ``CriterionReport.witnesses`` or
-    ``to_json()``, and for the ten disagreement examples; a printed report
-    writes its witnesses off the score's runs without them.  A witness
-    compares and hashes by its fields, and so equals a plain tuple of the
-    same fields."""
+    ``to_json()``, and for the ten disagreement examples, which only a
+    literal report prints; a printed report writes its witnesses off the
+    score's runs without them.  A witness compares and hashes by its
+    fields, and so equals a plain tuple of the same fields."""
 
     object_id: str
     b: Subspace
@@ -258,10 +259,11 @@ class CriterionReport:
             verdict=self.verdict,
             mu_mode=self.mu_mode,
             poset_sizes=dict(sorted(self.poset_sizes.items())),
-            mode_disagreements=self.mode_disagreements,
-            disagreement_examples=[w.to_json() for w in self.disagreement_examples],
-            saturated=self.saturated,
         )
+        if self.mu_mode == "literal" and self.scored:
+            doc["mode_disagreements"] = self.mode_disagreements
+            doc["disagreement_examples"] = [w.to_json() for w in self.disagreement_examples]
+        doc["saturated"] = self.saturated
         if self.closure_note:
             doc["closure_note"] = self.closure_note
         return doc
@@ -270,17 +272,18 @@ class CriterionReport:
 class _Scores:
     """The scores of one poset's pairs, by meet class, on its down-set masks.
 
-    rho (the Moebius inverse of dimension), one_var (that of the indicator
-    of the zero element) and the up-set masks are computed once, in one
-    pass over the down-sets that runs ``mobius_invert``'s recursion for both
-    inverses.  The standard score of (b, c) is rho(b) unless b <= c (see
-    the module docstring), so the standard negatives of b are the c outside
-    up(b) where rho(b) < 0.  The literal score of every (b, c) with
-    b meet c = m is top_b - sum(rho(y) F_b(y) for y <= m), where top_b is
-    the sum of one_var(a) dim a over the a <= b and F_b(y) that of one_var
-    over [y, b]; it is computed per b, when first asked for.  The c with
-    b meet c = m are those of up(m) in no up(x) for x in (m, b]
-    (``meeting``), so a count of pairs needs no list of them.
+    rho (the Moebius inverse of dimension) and the up-set masks are computed
+    once, in one pass over the down-sets that runs ``mobius_invert``'s
+    recursion.  one_var, that of the indicator of the zero element, is taken
+    by ``mobius_invert`` when a literal score first reads it.  The standard
+    score of (b, c) is rho(b) unless b <= c (see the module docstring), so
+    the standard negatives of b are the c outside up(b) where rho(b) < 0.
+    The literal score of every (b, c) with b meet c = m is
+    top_b - sum(rho(y) F_b(y) for y <= m), where top_b is the sum of
+    one_var(a) dim a over the a <= b and F_b(y) that of one_var over [y, b];
+    it is computed per b, when first asked for.  The c with b meet c = m are
+    those of up(m) in no up(x) for x in (m, b] (``meeting``), so a count of
+    pairs needs no list of them.
     """
 
     def __init__(self, p: SubspacePoset):
@@ -288,24 +291,28 @@ class _Scores:
         self.down = p.down
         self.dims = dims = [s.dim for s in p.elements]
         rho: List[int] = []
-        one: List[int] = []
         up = [0] * n
         for y, mask in enumerate(p.down):
             bit = 1 << y
-            r, o = dims[y], int(not y)
+            r = dims[y]
             for x in members(mask ^ bit):
                 r -= rho[x]
-                o -= one[x]
                 up[x] |= bit
             rho.append(r)
-            one.append(o)
             up[y] |= bit
-        self.rho, self.one, self.up = rho, one, up
+        self.rho, self.up = rho, up
         self.all = (1 << n) - 1
+        # weak: p holds these scores, so a strong reference would be a cycle
+        self._poset = ref(p)
         # each down-set's members, ascending, listed when a literal score
         # first reads it
         self._lower: List[Optional[List[int]]] = [None] * n
         self._literal: List[Optional[Dict[int, int]]] = [None] * n
+
+    @cached_property
+    def one(self) -> List[int]:
+        """one_var, read by the literal scores alone."""
+        return mobius_invert(self._poset(), [1] + [0] * (len(self.down) - 1))
 
     def lower(self, i: int) -> List[int]:
         """The members of i's down-set, ascending."""
@@ -340,12 +347,6 @@ class _Scores:
             at = terms.__getitem__
             found = self._literal[bi] = {m: top - sum(map(at, lower(m))) for m in down_b}
         return found
-
-    def by_meet(self, bi: int) -> Iterator[Tuple[int, int, int]]:
-        """``(m, standard, literal)`` over the m <= b, in index order."""
-        r = self.rho[bi]
-        for m, v in self.literal(bi).items():
-            yield m, 0 if m == bi else r, v
 
     def pairs(self, bi: int, values: Dict[int, int]) -> List[Tuple[int, int, int]]:
         """``(b, c, values[b meet c])`` for every c whose meet with b is a
@@ -386,7 +387,8 @@ class _Scores:
             if standard and r >= 0:
                 continue
             values = {}
-            for m, v_std, v_lit in self.by_meet(bi):
+            for m, v_lit in self.literal(bi).items():
+                v_std = 0 if m == bi else r
                 v, v_other = (v_std, v_lit) if standard else (v_lit, v_std)
                 if v < 0 and not (alone and v_other < 0):
                     values[m] = v
@@ -451,11 +453,10 @@ def check_poset(
     sorted by it.
     """
     scores = _scores_of(p)
-
-    def negatives(mode: str) -> List[Tuple[int, int, int]]:
-        return [(bi, ci, v) for bi, v, cs in scores.runs(mode) for ci in members(cs)]
-
-    return negatives("standard"), negatives("literal"), scores.disagreements()
+    standard, literal = (
+        [(bi, ci, v) for bi, v, cs in scores.runs(mode) for ci in members(cs)] for mode in MU_MODES
+    )
+    return standard, literal, scores.disagreements()
 
 
 def _complements_in_order(p: SubspacePoset) -> Iterator[Subspace]:
@@ -553,8 +554,8 @@ def refute_partial(flag: FlagAssignment, mode: str, reason: str) -> CriterionRep
     of the final flag is adapted to every meet-closed subfamily of it, so a
     count that fails on ``flag`` refutes the input.  The report fails with
     the distributivity witnesses and a note naming ``reason`` and the round.
-    The score is not taken, so the report has no score witnesses and no mode
-    disagreements.
+    The score is not taken, so the report has no score witnesses, and it
+    prints no mode disagreements in either mode.
     """
     if mode not in MU_MODES:
         raise ValidationError(f"unknown mu mode {mode!r}")
@@ -584,10 +585,10 @@ def check_representation(
     of b and of c (the posets' index order), are read off the score's runs
     when first asked for: as ``CriterionValue`` objects by
     ``CriterionReport.witnesses`` and ``to_json``, and as text by
-    ``spliced_json``, which builds none.  Standard witnesses take no literal
-    score.  The mode disagreements and the disagreement examples, the first
-    ten pairs in the same order that score negative in the other mode alone,
-    are also counted when first read.
+    ``spliced_json``, which builds none.  A literal report also prints the
+    mode disagreements and the disagreement examples, the first ten pairs in
+    the same order that score negative in the other mode alone, counted when
+    first read; a standard report prints neither and takes no literal score.
 
     When no pair scores negative, the rank count is taken at every object and
     each object where it fails contributes one distributivity witness; a

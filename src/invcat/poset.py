@@ -24,10 +24,10 @@ Two Moebius variants are kept side by side:
 The factorization criterion's standard mode is defined by ``two_var``;
 ``one_var`` is retained because the two disagree on some posets and the
 divergence is worth reporting (see the criterion module).  The criterion
-builds neither table: it takes the Moebius inverses of dimension and of
-the indicator of the zero element (which is ``one_var``) by the recursion
-of ``mobius_invert``, both in one pass over the down-sets, one step per
-comparable pair.  ``mobius`` builds the tables for the ``mobius`` command.
+builds neither table: it takes the Moebius inverse of dimension, and for a
+literal score that of the indicator of the zero element (``one_var``), by
+the recursion of ``mobius_invert``, one step per comparable pair.
+``mobius`` builds the tables for the ``mobius`` command.
 """
 
 from __future__ import annotations

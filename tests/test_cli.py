@@ -14,6 +14,7 @@ from conftest import direct_sum
 DATA = Path(__file__).resolve().parents[1] / "data"
 TRISECTION = str(DATA / "trisection.json")
 BISECTION = str(DATA / "bisection.json")
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +39,8 @@ def test_check_bisection_passes(capsys):
     assert doc["verdict"] == "pass"
     assert doc["poset_sizes"]["plane"] == 4
     assert doc["saturated"] is True
+    # the other mode's count is printed only under --mu literal
+    assert "mode_disagreements" not in doc and "disagreement_examples" not in doc
 
 
 def test_check_literal_mode_diverges(capsys):
@@ -46,6 +49,10 @@ def test_check_literal_mode_diverges(capsys):
     assert code == 1
     assert doc["mu_mode"] == "literal"
     assert {"object": "plane", "b_basis": [[1, 0]], "c_basis": [[0, 1]], "value": -1} in doc["witnesses"]
+    # the standard mode passes, so every literal negative is a disagreement,
+    # and no pair is negative in standard mode alone
+    assert doc["mode_disagreements"] == len(doc["witnesses"]) == 4
+    assert doc["disagreement_examples"] == []
 
 
 def test_mu_is_an_option_of_check_alone(capsys):
@@ -356,6 +363,20 @@ def test_divergent_closure_refuted_by_rank_count(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "ClosureDivergence"
 
 
+def test_a_report_that_scored_nothing_prints_no_mode_disagreements(capsys):
+    """Draw 59 of ``random_representation(random.Random(7))`` passes the
+    default element limit, and the rank count refutes it on a part of the
+    elements reached (``criterion.refute_partial``), which scores no pair.
+    So neither mode's report claims a count of disagreements, or examples."""
+    path = str(INPUTS / "random7_draw59.json")
+    for mode in ("standard", "literal"):
+        code, out = run_cli(capsys, "check", path, "--mu", mode)
+        doc = json.loads(out)
+        assert code == 1 and doc["mu_mode"] == mode and doc["verdict"] == "fail"
+        assert doc["closure_note"] and doc["distributivity_witnesses"] and doc["witnesses"] == []
+        assert "mode_disagreements" not in doc and "disagreement_examples" not in doc
+
+
 def test_a_refuted_stop_is_stored_without_its_traceback(tmp_path):
     """``analyze`` stores the stop it refutes without its traceback, which
     holds the closure's frames and each object's closing state (elements,
@@ -590,13 +611,15 @@ def test_an_unwritable_dot_directory_is_an_output_error(tmp_path, capsys):
 
 def test_refutations_are_written_without_a_witness_object(tmp_path, capsys, monkeypatch):
     """On a star of 14 planes, ``check``, ``envelope`` and ``decompose``
-    write every witness off the score's runs: a ``CriterionValue`` is built,
-    and turned into a dict, only for each of the ten disagreement examples
-    that ``check`` and ``envelope`` print, and no report's ``to_json`` runs."""
+    write every witness off the score's runs: no ``CriterionValue`` is
+    built, none is turned into a dict, no report's ``to_json`` runs, and no
+    one_var is taken, since a standard report prints no mode disagreements.
+    ``check --mu literal`` builds one for each of the ten disagreement
+    examples it prints, which are valued in standard mode."""
     import invcat.criterion as criterion
 
-    built, dicts = [], []
-    real_to_json = criterion.CriterionValue.to_json
+    built, dicts, inverted = [], [], []
+    real_to_json, real_invert = criterion.CriterionValue.to_json, criterion.mobius_invert
 
     class Spy(criterion.CriterionValue):
         __slots__ = ()
@@ -612,16 +635,30 @@ def test_refutations_are_written_without_a_witness_object(tmp_path, capsys, monk
     def refused(self):
         raise AssertionError("a plain report document was built")
 
+    def mobius_invert(p, phi_hat):
+        inverted.append(p)
+        return real_invert(p, phi_hat)
+
     monkeypatch.setattr(criterion, "CriterionValue", Spy)
     monkeypatch.setattr(criterion.CriterionValue, "to_json", to_json)
     monkeypatch.setattr(criterion.CriterionReport, "to_json", refused)
+    monkeypatch.setattr(criterion, "mobius_invert", mobius_invert)
     star = _refuted_star(tmp_path, 14)
-    for command, code, examples in (("check", 1, 10), ("envelope", 1, 10), ("decompose", 2, 0)):
+    for argv, code, examples in (
+        (("check",), 1, 0),
+        (("envelope",), 1, 0),
+        (("decompose",), 2, 0),
+        (("check", "--mu", "literal"), 1, 10),
+    ):
         built.clear()
         dicts.clear()
-        got, out = run_cli(capsys, command, star)
+        inverted.clear()
+        got, out = run_cli(capsys, *argv, star)
         doc = json.loads(out)
         witnesses = doc["error"]["detail"]["witnesses"] if code == 2 else doc["witnesses"]
         assert got == code and len(witnesses) > 1000
         assert len(built) == len(dicts) == examples
-        assert all(fields[-1] == "literal" for fields in built)
+        assert all(fields[-1] == "standard" for fields in built)
+        assert ("mode_disagreements" in doc) == ("disagreement_examples" in doc) == (examples > 0)
+        assert bool(inverted) == (examples > 0)
+    assert len(doc["disagreement_examples"]) == 10 and doc["mode_disagreements"] > 10

@@ -527,16 +527,19 @@ def test_command_paths_read_the_down_sets_alone(monkeypatch):
     """``check``, ``decompose`` and ``envelope`` (through ``analyze``, the
     report, ``decompose`` and ``verify_envelope``) run on a star of 14
     planes over GF(10007)^3 and on an interval sum.  The refusal of
-    ``decompose`` takes no literal score; a standard report lists literal
-    negatives only at the b of its ten examples; ``check --mu literal``
-    lists every literal negative."""
+    ``decompose`` and both documents of a standard report take no literal
+    score and no one_var; read afterwards, the standard report's ten
+    disagreement examples list literal negatives only at their own b;
+    ``check --mu literal`` lists every literal negative."""
     import invcat.criterion as criterion
     from invcat.decompose import decompose
     from invcat.errors import CriterionViolated
+    from invcat.jsontext import dumps
     from invcat.realize import verify_envelope
 
-    literal_scores, listed = [], []
+    literal_scores, listed, inverted = [], [], []
     real_literal, real_pairs = criterion._Scores.literal, criterion._Scores.pairs
+    real_invert = criterion.mobius_invert
 
     def literal(self, bi):
         literal_scores.append(bi)
@@ -547,8 +550,13 @@ def test_command_paths_read_the_down_sets_alone(monkeypatch):
         listed.extend(found)
         return found
 
+    def mobius_invert(p, phi_hat):
+        inverted.append(p)
+        return real_invert(p, phi_hat)
+
     monkeypatch.setattr(criterion._Scores, "literal", literal)
     monkeypatch.setattr(criterion._Scores, "pairs", pairs)
+    monkeypatch.setattr(criterion, "mobius_invert", mobius_invert)
 
     star = plane_star(random.Random(24), 14)
     with pytest.raises(CriterionViolated):
@@ -557,8 +565,12 @@ def test_command_paths_read_the_down_sets_alone(monkeypatch):
     report = analyze(star).standard_report
     assert report.witnesses and listed == []
     doc = report.to_json()
-    assert literal_scores and len(doc["disagreement_examples"]) == 10
+    dumps(report.spliced_json())
+    assert "disagreement_examples" not in doc and "mode_disagreements" not in doc
+    assert literal_scores == [] and listed == [] and inverted == []
+    assert len(report.disagreement_examples) == 10 and literal_scores
     centre = report.scored[0][1]
+    assert inverted == [centre]
     assert {centre.elements[bi] for bi, _, _ in listed} == {
         w.b for w in report.disagreement_examples
     }
@@ -568,7 +580,8 @@ def test_command_paths_read_the_down_sets_alone(monkeypatch):
     literal_report = analyze(star, mu_mode="literal").report
     assert literal_report.witnesses and len(listed) == len(literal_report.witnesses)
     assert all(w.mu_mode == "literal" for w in literal_report.witnesses)
-    literal_report.to_json()
+    doc = literal_report.to_json()
+    assert len(doc["disagreement_examples"]) == 10 and doc["mode_disagreements"] > 10
 
     rep = interval_corpus_instance(random.Random(5))[0]
     analysis = analyze(rep)
