@@ -190,9 +190,11 @@ class CriterionReport:
 
     def _write_witnesses(self, render: Any, depth: int) -> str:
         """The text ``jsontext.dumps`` writes for ``to_json()``'s witness list
-        at ``depth``, written off the runs.  Each element's basis is rendered
-        once, through the render's memos, and each run is one join of its c's
-        bases within a frame fixed by b, the object and the score."""
+        at ``depth``, written off the runs.  Each scored poset's element
+        bases are rendered once, by one ``render.matrices`` call (over
+        GF(p) one exact-int check, then each basis straight from its
+        frame), and each run is one join of its c's bases within a frame
+        fixed by b, the object and the score."""
         order, prefixes, close = render.layout(_WITNESS_KEYS, depth + 1)
         key = dict(zip(order, prefixes))
         sep = separator(depth)
@@ -201,7 +203,7 @@ class CriterionReport:
         for oid, p, bi, v, cs in self._runs():
             if p is not shown:
                 shown = p
-                bases = [render.value(s.json_rows(), depth + 2) for s in p.elements]
+                bases = render.matrices([s.json_rows() for s in p.elements], depth + 2)
                 object_text = key["object"] + render.value(oid, depth + 2)
             head = key["b_basis"] + bases[bi] + key["c_basis"]
             tail = object_text + key["value"] + render.value(v, depth + 2) + close

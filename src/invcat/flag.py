@@ -51,7 +51,8 @@ Two kinds of element close through the driver, and only these differ:
   read off the masks where they decide it, and otherwise one intersection,
   kept for the meet step (see ``_readers``).  The image of a preimage is
   the key it was lifted from, which ``map_image`` reads off the map's
-  factorization.
+  factorization.  Round 1's offers, the images and preimages of the seeds,
+  are all read off it, with no elimination.
 * *Basis-index masks* (``_OnMasks``).  Given ``BasisCoordinates`` (a basis
   per object in which every map is a partial matching of basis indices, see
   ``Matching``), every element is a coordinate subspace, held as the
@@ -513,7 +514,9 @@ def _readers(g: Generator) -> Tuple[Generator, _ImageReader, _PreimageReader]:
     """``g`` with its readers on subspaces: ``map_image``, and the lift by
     ``preimage_of_meet`` of the key b meet im g of member b's preimage, or
     None where that preimage is known.  In round 1, b is a seed (ordinal 0
-    or 1), and the key is 0 or im g.  From round 2 on, b and im g are
+    or 1), and the key is 0 or im g, whose preimages ker g and the full
+    domain, like the images of the domain's seeds, are read off the memos
+    that ``Matrix._factored`` seeds.  From round 2 on, b and im g are
     members: where one lies in the other, the key is b, or None for im g;
     the meet of two that do not, one of them a line, is 0, whose preimage
     is known; and the meet of two elements of dimension 2 or more is one

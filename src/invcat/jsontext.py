@@ -5,19 +5,24 @@ byte for byte.  On CPython that call skips the C encoder whenever ``indent``
 is set and yields every scalar through a chain of Python generators; here
 each container's text is built with one ``str.join``.
 
+Matrices -- lists or tuples of rows whose entries are exact ``int`` or
+``str`` -- are written from a frame fixed per depth, with one join per row.
+One scan of the entries' types picks the writer: where every entry is an
+exact ``int`` (every GF(p) matrix and basis, and every integral one over Q)
+each entry is written by ``int.__repr__``, with no per-entry type test.
+
 A refutation prints the same few subspaces in hundreds of witnesses, each
 witness a dict with the same keys.  Three memos, each living for one
 ``dumps`` call, render that repetition once per indent depth:
 
 * *by identity*: a ``tuple`` is rendered once per ``(id, depth)``.  The memo
   holds the tuple, so no id is reused within the call, and nothing in the
-  document changes while it is written.  Every witness hands out the same
-  cached ``Subspace.json_rows()`` tuples, which are then neither scanned nor
-  hashed again.
-* *by value*: a matrix -- a list of rows whose entries are exact ``int`` or
-  ``str`` -- is rendered once per content, so callers may hand out fresh
-  lists.  Bools and floats are left out of it because they compare equal to
-  ints (``True == 1``) yet print differently.
+  document changes while it is written.  A subspace hands out the same
+  cached ``Subspace.json_rows()`` tuple each time, which is then neither
+  scanned nor hashed again.
+* *by value*: a matrix is rendered once per content, so callers may hand
+  out fresh lists.  Bools and floats are left out of it because they
+  compare equal to ints (``True == 1``) yet print differently.
 * *by key set*: a ``dict`` whose keys are all exact ``str`` takes its sorted
   key order and the pre-quoted ``{``/``,`` + newline + ``"key": `` prefixes
   from a memo keyed by its keys in insertion order.  Other keys are never
@@ -29,13 +34,14 @@ its text.  ``dumps`` calls its ``write(render, depth)`` with the call's
 ``_Render`` and the depth at which the value stands, and copies the text
 returned.  The maker writes the text ``dumps`` would write for the value it
 stands for.  It may reuse the memos through ``render.value`` (any value at
-any depth) and ``render.layout`` (a dict's key frame), and lay out a
-container with ``block`` and ``separator``.  A refutation's witness list is
-one: each element's basis is rendered once, and each run of witnesses that
-share b is one join of the c's fragments within a fixed frame.  A splice is
-for ``dumps`` alone; the values callers read, the reports' ``to_json()``,
-hold plain lists.  Matrices are also written from a frame fixed per depth,
-with one join per row.
+any depth) and ``render.layout`` (a dict's key frame), write many matrices
+at one depth with ``render.matrices``, and lay out a container with
+``block`` and ``separator``.  A refutation's witness list is one: each
+poset's element bases are written by one ``matrices`` call, which checks
+their entries once and consults no memo (the elements are distinct), and
+each run of witnesses that share b is one join of the c's fragments within
+a fixed frame.  A splice is for ``dumps`` alone; the values callers read,
+the reports' ``to_json()``, hold plain lists.
 """
 
 from __future__ import annotations
@@ -44,11 +50,12 @@ import json
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 _INDENT = "  "
 _ROW_TYPES = frozenset((list, tuple))
 _ENTRY_TYPES = frozenset((int, str))
+_INT_TYPES = frozenset((int,))
 _KEY_TYPES = frozenset((str,))
 
 
@@ -104,6 +111,19 @@ def _matrix_frame(depth: int) -> Tuple[str, ...]:
     return "[" + outer, "," + outer, close, "[" + inner, "," + inner, outer + "]"
 
 
+def _matrix_texts(ms, depth: int, scalar: Callable[[Any], str]) -> List[str]:
+    """The text of each matrix in ``ms`` at ``depth``, its entries written
+    by ``scalar``."""
+    start, between, end, row_start, row_between, row_end = _matrix_frame(depth)
+    return [
+        start + between.join([row_start + row_between.join(map(scalar, r)) + row_end if r else "[]" for r in m])
+        + end
+        if m
+        else "[]"
+        for m in ms
+    ]
+
+
 class _Render:
     """One ``dumps`` call and its three memos (see the module docstring)."""
 
@@ -150,20 +170,34 @@ class _Render:
             return "[]"
         if type(o[0]) in _ROW_TYPES and _ROW_TYPES.issuperset(map(type, o)):
             rows = tuple(map(tuple, o))
-            if _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(rows))):
-                return self.matrix(rows, depth)
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if kinds <= _ENTRY_TYPES:
+                return self.matrix(rows, depth, int.__repr__ if kinds <= _INT_TYPES else _scalar)
         return block([self.value(x, depth + 1) for x in o], depth, "[]")
 
-    def matrix(self, rows: tuple, depth: int) -> str:
+    def matrix(self, rows: tuple, depth: int, scalar: Callable[[Any], str]) -> str:
+        """A matrix whose entries are exact ``int`` or ``str``, by the memo by
+        value; ``scalar`` writes its entries, ``int.__repr__`` where every
+        one is an ``int``."""
         key = (rows, depth)
         text = self.memo.get(key)
         if text is None:
-            start, between, end, row_start, row_between, row_end = _matrix_frame(depth)
-            lines = [
-                row_start + row_between.join(map(_scalar, r)) + row_end if r else "[]" for r in rows
-            ]
-            text = self.memo[key] = start + between.join(lines) + end
+            text = self.memo[key] = _matrix_texts((rows,), depth, scalar)[0]
         return text
+
+    def matrices(self, ms: Sequence, depth: int) -> List[str]:
+        """The text ``value`` writes for each of the matrices ``ms`` at
+        ``depth``.  Where each is a list or tuple of lists or tuples of exact
+        ``int`` entries, which one scan of all their entries' types checks,
+        each is written straight from its frame and no memo is consulted;
+        otherwise each goes through ``value``."""
+        if _ROW_TYPES.issuperset(map(type, ms)):
+            rows = list(chain.from_iterable(ms))
+            if _ROW_TYPES.issuperset(map(type, rows)) and _INT_TYPES.issuperset(
+                map(type, chain.from_iterable(rows))
+            ):
+                return _matrix_texts(ms, depth, int.__repr__)
+        return [self.value(m, depth) for m in ms]
 
     def object(self, o: dict, depth: int) -> str:
         """A plain dict: by its layout where every key is an exact ``str``."""

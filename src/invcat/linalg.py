@@ -37,6 +37,7 @@ Vector = Tuple[Scalar, ...]
 IntRow = Tuple[int, ...]
 
 _ZERO = Fraction(0)
+_INT_TYPES = frozenset((int,))
 
 
 # --- integer kernel ------------------------------------------------------------
@@ -225,6 +226,13 @@ class Matrix:
         maps to the i-th basis row of im.  ``preimages`` maps each
         ``b & im`` seen so far to its preimage, and ``images`` maps that
         preimage back to it, which is its image (see :func:`map_image`).
+        Both memos start with what the factorization already gives: the
+        keys 0 and im lift to ker and the full domain, and the full domain,
+        ker and 0 map to im, 0 and 0.  Where im is 0 or ker is the full
+        domain, or an end has dimension 0, two of these keys are one
+        subspace, and their values agree.  So a closure's round 1, whose
+        offers are the images and preimages of the seeds 0 and the full
+        space, eliminates nothing.
 
         One elimination gives all three: row j of [self^T | I] is the image
         of basis vector j beside that vector.  Reduced on every column, the
@@ -251,7 +259,10 @@ class Matrix:
             im = Subspace._echelon(f, n, left, pivots[:r])
             ker = Subspace._echelon(f, k, [row[n:] for row in aug[r:]], [c - n for c in pivots[r:]])
             lift = _columns(tuple(map(tuple, combos)), k)
-            form = (ker, im, lift, {}, {})
+            zero, full = Subspace.zero(f, n), Subspace.full(f, k)
+            preimages = {zero: ker, im: full}
+            images = {Subspace.zero(f, k): zero, ker: zero, full: im}
+            form = (ker, im, lift, preimages, images)
             object.__setattr__(self, "_preimage_form", form)
         return form
 
@@ -591,12 +602,17 @@ class Subspace:
         return len(self._holding(rows)) == len(rows)
 
     def json_rows(self) -> Tuple[tuple, ...]:
-        """The basis rows as tuples of JSON scalars, converted once and
-        shared: ``jsontext.dumps`` renders them as arrays."""
+        """The basis rows as tuples of JSON scalars, made once and shared:
+        ``jsontext.dumps`` renders them as arrays.  Over GF(p) the canonical
+        rows already hold exact ints and are handed out as they are; the
+        entries are converted one by one only where a row holds something
+        else, as every row over Q does."""
         rows = self._json_rows
         if rows is None:
-            to_json = self.field.entry_to_json
-            rows = tuple(tuple(map(to_json, r)) for r in self.basis)
+            rows = self.basis
+            if self.field.p is None or not _INT_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+                to_json = self.field.entry_to_json
+                rows = tuple(tuple(map(to_json, r)) for r in rows)
             object.__setattr__(self, "_json_rows", rows)
         return rows
 
@@ -683,7 +699,9 @@ def sub_intersect(a: Subspace, b: Subspace) -> Subspace:
 def map_image(m: Matrix, a: Subspace) -> Subspace:
     """The image of ``a`` under ``m``.  The image of a preimage that
     ``preimage_of_meet`` made is the key it was lifted from, and is read off
-    the factorization's memo without an elimination."""
+    the factorization's memo without an elimination; so are the images of
+    0, ker m and the full domain, with which ``Matrix._factored`` seeds
+    that memo."""
     if a.ambient_dim != m.cols or a.field != m.field:
         raise ValidationError("subspace does not live in the domain of the map")
     form = m._preimage_form
@@ -727,7 +745,9 @@ def preimage_of_meet(m: Matrix, key: Subspace) -> Subspace:
     matrix and cached on it, as its integer form is, and the preimage is
     memoized per matrix, keyed on ``key``: preimages of subspaces that meet
     im m alike are one computation.  As ``key`` lies in im m, m(m^-1(key)) = ``key``; the memo
-    records that too, and ``map_image`` reads it.
+    records that too, and ``map_image`` reads it.  The memo starts with the
+    keys 0 and im m, whose preimages ker m and the full domain the
+    factorization already holds.
     """
     ker, im, lift, preimages, images = m._factored()
     pre = preimages.get(key)

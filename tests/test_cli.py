@@ -609,6 +609,44 @@ def test_an_unwritable_dot_directory_is_an_output_error(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+def test_a_refuted_star_report_converts_no_entry(tmp_path, capsys, monkeypatch):
+    """On a star of 14 planes over GF(10007), ``check`` converts no basis
+    entry (``Field.entry_to_json``): the canonical rows already hold exact
+    ints.  Its witness list renders every poset's bases by one
+    ``_Render.matrices`` call each, and none through ``_Render.array``.
+    (The ``mixed_q`` case of the splice tests covers the fallback.)"""
+    import invcat.criterion as criterion
+    from invcat.fields import Field
+    from invcat.jsontext import _Render
+
+    converted, arrays, inside = [], [], []
+    real_to_json, real_array = Field.entry_to_json, _Render.array
+    real_write = criterion.CriterionReport._write_witnesses
+
+    def entry_to_json(self, a):
+        converted.append(a)
+        return real_to_json(self, a)
+
+    def array(self, o, depth):
+        if inside:
+            arrays.append(o)
+        return real_array(self, o, depth)
+
+    def write_witnesses(self, render, depth):
+        inside.append(depth)
+        try:
+            return real_write(self, render, depth)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Field, "entry_to_json", entry_to_json)
+    monkeypatch.setattr(_Render, "array", array)
+    monkeypatch.setattr(criterion.CriterionReport, "_write_witnesses", write_witnesses)
+    code, out = run_cli(capsys, "check", _refuted_star(tmp_path, 14))
+    assert code == 1 and len(json.loads(out)["witnesses"]) > 1000
+    assert converted == [] and arrays == []
+
+
 def test_refutations_are_written_without_a_witness_object(tmp_path, capsys, monkeypatch):
     """On a star of 14 planes, ``check``, ``envelope`` and ``decompose``
     write every witness off the score's runs: no ``CriterionValue`` is

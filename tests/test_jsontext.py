@@ -2,10 +2,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invcat.jsontext import dumps
+from invcat.jsontext import _Render, dumps
 
 
 def reference(doc):
@@ -45,6 +45,35 @@ def test_shared_list_at_two_depths(shared, other):
     # the same list object (or an equal one) at different indent depths
     doc = {"a": shared, "b": [shared, {"c": [shared]}], "d": other, "e": shared}
     assert dumps(doc) == reference(doc)
+
+
+def at_depth(value, depth):
+    """The text ``json.dumps`` writes for ``value`` standing at ``depth``."""
+    return reference(value).replace("\n", "\n" + "  " * depth)
+
+
+# matrices of exact ints only, in lists and tuples, empty ones included
+int_rows = st.lists(integers, max_size=4) | st.tuples(integers, integers)
+int_matrices = st.lists(int_rows, max_size=4) | st.lists(int_rows, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(int_matrices, max_size=5) | st.lists(int_matrices | matrices, max_size=5), st.integers(0, 4))
+@example([[[1, 0, -3], [0, 1, 2]], ((5,), (2**70,)), [], [[], []]], 2)  # exact ints
+@example([((1, 0), (0, 1)), [[1, "2/3"], [0, 1]]], 1)  # ints and strings
+@example([[[1, 0]], [[True, False]]], 0)  # bools
+@example([[[1, 0]], [[1.0, 0.5]], [[1, 2.5]]], 3)  # floats
+@example([(), [[]], [(), ()]], 4)  # empty matrices and empty rows
+@example([[[-(2**100), 2**64]], [[2**63, -(2**63) - 1]]], 1)  # past 64 bits
+def test_matrices_and_the_int_matrix_path_match_json_dumps(ms, depth):
+    """``_Render.matrices`` writes each matrix as ``json.dumps`` writes it at
+    ``depth``, on its exact-int path and its fallback alike, and so does
+    ``value`` (the matrix path of ``array``) on each of them."""
+    expected = [at_depth(m, depth) for m in ms]
+    assert _Render().matrices(ms, depth) == expected
+    render = _Render()
+    assert [render.value(m, depth) for m in ms] == expected
+    assert [render.value(m, depth) for m in ms] == expected  # from the memos
 
 
 def test_equal_rows_of_different_types_render_apart():

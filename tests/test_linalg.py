@@ -782,3 +782,74 @@ def test_factored_matches_kernel_image_and_lifts_by_one_scalar(m):
     scalar = product.entries[im._ints()[1][0]][0]  # im's first row is 1 at its pivot
     assert scalar != 0
     assert product.entries == tuple(tuple(f.mul(scalar, x) for x in row) for row in columns)
+
+
+SEED_SHAPES = {
+    "zero": (2, 3, [[0, 0, 0], [0, 0, 0]]),
+    "injective": (3, 2, [[1, 0], [0, 1], [1, 1]]),
+    "surjective": (2, 3, [[1, 0, 1], [0, 1, 1]]),
+    "rank-deficient": (3, 3, [[1, 2, 3], [2, 4, 6], [1, 1, 1]]),
+    "k x 0": (3, 0, [[], [], []]),
+    "0 x k": (0, 3, []),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SEED_SHAPES))
+@pytest.mark.parametrize("field", [RATIONALS, GF(2), GF(10007)], ids=["Q", "GF2", "GF10007"])
+def test_factored_seeds_its_memos_with_the_seed_answers(field, shape):
+    """``_factored`` starts its memos with the preimages of 0 and im (ker
+    and the full domain) and the images of the full domain, ker and 0 (im,
+    0 and 0), where keys coincide with one value; ``preimage_of_meet`` and
+    ``map_image`` read them off, equal to what a matrix with no memo
+    computes."""
+    from invcat.linalg import preimage_of_meet
+
+    rows, cols, data = SEED_SHAPES[shape]
+    m = Matrix.build(field, rows, cols, data)
+    ker, im, _, preimages, images = m._factored()
+    zero_cod, zero_dom, full_dom = Subspace.zero(field, rows), Subspace.zero(field, cols), Subspace.full(field, cols)
+    assert im == image(m) and ker == kernel(m)
+    assert preimages == {zero_cod: kernel(m), image(m): full_dom}
+    assert images == {zero_dom: zero_cod, kernel(m): zero_cod, full_dom: image(m)}
+    for key, pre in ((zero_cod, kernel(m)), (image(m), full_dom)):
+        assert preimage_of_meet(m, key) is preimages[key] and preimages[key] == pre
+        assert preimage_of_meet(Matrix.build(field, rows, cols, data), key) == pre
+    for a, img in ((zero_dom, zero_cod), (kernel(m), zero_cod), (full_dom, image(m))):
+        assert map_image(m, a) is images[a] and images[a] == img
+        assert map_image(Matrix.build(field, rows, cols, data), a) == img
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF(2), GF(10007)], ids=["Q", "GF2", "GF10007"])
+def test_round_one_of_the_closure_spans_nothing(field, monkeypatch):
+    """Round 1 of ``compute_flag`` offers the images and preimages of the
+    seeds 0 and the full space under every generator, and reads each off
+    the generator's factorization: no ``Subspace.span`` call.  The input
+    has a zero map, an injective and a surjective one, and an object of
+    dimension 0."""
+    from invcat import ClosureDivergence, ClosureLimits, compute_flag
+    from invcat.rep import Generator, RepObject, Representation
+
+    def gen(gid, dom, cod, rows, cols, data):
+        return Generator(gid, dom, cod, Matrix.build(field, rows, cols, data))
+
+    objs = (RepObject("x", 2), RepObject("y", 3), RepObject("e", 0))
+    gens = (
+        gen("in", "x", "y", 3, 2, [[1, 0], [0, 1], [1, 1]]),
+        gen("in2", "x", "y", 3, 2, [[1, 2], [0, 1], [3, 0]]),
+        gen("out", "y", "x", 2, 3, [[1, 0, 1], [0, 1, 1]]),
+        gen("nil", "x", "x", 2, 2, [[0, 0], [0, 0]]),
+        gen("to_e", "y", "e", 0, 3, []),
+        gen("from_e", "e", "x", 2, 0, [[], []]),
+    )
+    rep = Representation(field, objs, gens)
+    spans = []
+    real_span = Subspace.span.__func__
+
+    def span(cls, *args):
+        spans.append(args)
+        return real_span(cls, *args)
+
+    monkeypatch.setattr(Subspace, "span", classmethod(span))
+    with pytest.raises(ClosureDivergence) as stop:
+        compute_flag(rep, ClosureLimits(max_rounds=1))
+    assert stop.value.detail["rounds"] == 1 and spans == []
